@@ -16,6 +16,13 @@ side avoiding the external face is 3-extrovert, the other one is its
 3-introvert partner with the same legs, and when the external face is
 one of the triangle's own faces both boundaries are 3-extrovert twins.
 
+Moving the external face never changes which cycles and legs exist, only
+which side of each cycle is its inside. A record is turned inside out,
+3-extrovert and 3-introvert trading places, exactly when the new
+external face lies among its inside faces. The records, their inclusion
+tree and their colors are therefore computed once, in a reference
+embedding, and carried to any other external face by that rule.
+
 Coloring follows the two-step green-counter formulation so that contour
 paths are consumed as sequences of edges and child-path pointers and
 never flattened.
@@ -24,10 +31,10 @@ never flattened.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import NoTwin, NotReferenceEmbedding
-from .graph import PlaneGraph, adjacency, dart_reverse, embed
+from .graph import PlaneGraph, dart_reverse, embed
 
 
 @dataclass(eq=False)
@@ -55,9 +62,6 @@ class CycleRecord:
     colors: tuple | None = None
     demanding: bool | None = None
 
-    def leg_face_index(self, f: int) -> int:
-        return self.leg_faces.index(f)
-
 
 @dataclass
 class TwoExtrovert:
@@ -67,14 +71,6 @@ class TwoExtrovert:
     legs: tuple
     inside_faces: frozenset
     darts: tuple
-
-
-def _graph_adj(graph):
-    # PlaneGraph.graph may be a raw shim without .adj (subdivided graphs)
-    adj = getattr(graph, "adj", None)
-    if adj is None:
-        adj = adjacency(graph.n, graph.edges)
-    return adj
 
 
 def dual_triangles(pg: PlaneGraph):
@@ -129,7 +125,7 @@ def separating_triangles(pg: PlaneGraph):
 
 def _cut_sides(pg: PlaneGraph, cut):
     """Primal vertex sets of the two components left by removing cut."""
-    adj = _graph_adj(pg.graph)
+    adj = pg.graph.adj
     blocked = set(cut)
 
     def comp(s):
@@ -248,10 +244,6 @@ def _cut_faces(pg, cut):
     return tuple(sorted(faces))
 
 
-def _face_vertex(pg, f):
-    return pg.dart_tail(pg.faces[f].boundary[0])
-
-
 def three_cycle_records(pg: PlaneGraph):
     """All 3-extrovert and 3-introvert cycles of pg, with phi links."""
     ext = pg.external_face
@@ -303,14 +295,6 @@ def _side_face_set(pg, side_vertices, tri_faces):
         if pg.dart_tail(f.boundary[0]) in side_vertices:
             out.add(f.id)
     return frozenset(out)
-
-
-def find_3_extrovert(pg: PlaneGraph):
-    return [r for r in three_cycle_records(pg) if r.kind == "extrovert"]
-
-
-def find_3_introvert(pg: PlaneGraph):
-    return [r for r in three_cycle_records(pg) if r.kind == "introvert"]
 
 
 def find_2_extrovert(pg: PlaneGraph):
@@ -487,11 +471,13 @@ class InclusionTree:
 
 
 def inclusion_tree(pg: PlaneGraph, records=None) -> InclusionTree:
-    if not is_reference_embedding(pg):
-        raise NotReferenceEmbedding(
-            f"external face {pg.external_face} lies on a separating triangle")
     if records is None:
         records = three_cycle_records(pg)
+    # the leg faces of a non-degenerate record are its separating triangle
+    if any(not r.degenerate and pg.external_face in r.leg_faces
+           for r in records):
+        raise NotReferenceEmbedding(
+            f"external face {pg.external_face} lies on a separating triangle")
     return InclusionTree(pg, records)
 
 
@@ -693,54 +679,59 @@ def color_3_introvert(tree: InclusionTree, reps=None):
 
 @dataclass
 class DemandingSets:
-    records: list
+    records: list  # pg's 3-cycles; phi links are the reference embedding's
     d_set: list  # pairwise non-intersecting demanding 3-extrovert cycles
     d_f: list  # members of d_set with the external face as a leg face
     reference_face: int
 
 
+def _inside_out(rec: CycleRecord, all_faces: frozenset) -> CycleRecord:
+    """rec as seen from an external face inside it: the other kind, the
+    complementary inside, and the walk reversed so that the new inside
+    stays on the left. Each contour path keeps its leg face and color."""
+    return replace(
+        rec,
+        kind="introvert" if rec.kind == "extrovert" else "extrovert",
+        inside_faces=all_faces - rec.inside_faces,
+        legs=tuple(rec.legs[j] for j in (0, 2, 1)),
+        leg_vertices=tuple(rec.leg_vertices[j] for j in (0, 2, 1)),
+        leg_faces=rec.leg_faces[::-1],
+        contour_paths=tuple(tuple(dart_reverse(d) for d in reversed(p))
+                            for p in reversed(rec.contour_paths)),
+        colors=rec.colors and rec.colors[::-1],
+    )
+
+
 def demanding_sets(pg: PlaneGraph) -> DemandingSets:
     """D(G) and D_f(G) for pg's own embedding.
 
-    Colors are computed once in a reference embedding and carried over:
-    a cycle keeps its coloring in every embedding where it stays
-    3-extrovert, and a 3-introvert cycle's coloring equals its
-    3-extrovert coloring in any embedding that turns it inside out.
-    Demanding cycles sharing the external face as a leg face pairwise
-    intersect and drop out of D(G) when there are two or more of them.
+    The 3-cycle records are built and colored once, in a reference
+    embedding. A cycle keeps its coloring in every embedding where it
+    stays 3-extrovert, and a 3-introvert cycle takes the coloring of the
+    same cycle as 3-extrovert in any embedding that turns it inside out;
+    pg's records are the reference ones with every record whose inside
+    holds pg's external face turned inside out. Demanding cycles that
+    were 3-introvert in the reference embedding and share the external
+    face as a leg face pairwise intersect, and drop out of D(G) when
+    there are two or more of them.
     """
     ref = compute_reference_embedding(pg)
     tree = inclusion_tree(ref)
     reps = contour_paths_explicit(tree)
     color_3_extrovert(tree, reps)
     color_3_introvert(tree, reps)
-    by_key = {(r.edges, frozenset(r.legs)): r for r in tree.records}
-
-    if ref.external_face == pg.external_face:
-        records = tree.records
-    else:
-        records = three_cycle_records(pg)
-        for r in records:
-            src = by_key[(r.edges, frozenset(r.legs))]
-            r.demanding = src.demanding
-            if src.colors is not None:
-                face_col = dict(zip(src.leg_faces, src.colors))
-                r.colors = tuple(face_col[f] for f in r.leg_faces)
 
     ext = pg.external_face
-    candidates = [r for r in records
-                  if r.kind == "extrovert" and not r.degenerate
-                  and r.demanding]
-    was_introvert = {
-        r.cycle_id for r in candidates
-        if by_key[(r.edges, frozenset(r.legs))].kind == "introvert"}
-    i_f = [r for r in candidates
-           if r.cycle_id in was_introvert and ext in r.leg_faces]
-    if len(i_f) >= 2:
-        drop = {r.cycle_id for r in i_f}
-        d_set = [r for r in candidates if r.cycle_id not in drop]
-    else:
-        d_set = candidates
+    all_faces = frozenset(range(len(pg.faces)))
+    records = [_inside_out(r, all_faces) if ext in r.inside_faces else r
+               for r in tree.records]
+    i_f = {r.cycle_id for r in tree.records
+           if r.kind == "introvert" and not r.degenerate and r.demanding
+           and ext in r.leg_faces}
+    drop = i_f if len(i_f) >= 2 else set()
+    d_set = [r for r in records
+             if r.kind == "extrovert" and not r.degenerate and r.demanding
+             and r.cycle_id not in drop]
     d_f = [r for r in d_set if ext in r.leg_faces]
     return DemandingSets(records, d_set, d_f, ref.external_face)
 
@@ -791,17 +782,3 @@ def intersecting_cover(pg: PlaneGraph, cycles, records=None):
             return e1, e2
     raise AssertionError("external face has no non-adjacent edge pair")
 
-
-def record_to_dict(rec: CycleRecord) -> dict:
-    return {
-        "cycle_id": rec.cycle_id,
-        "kind": rec.kind,
-        "edges": sorted(rec.edges),
-        "legs": list(rec.legs),
-        "leg_vertices": list(rec.leg_vertices),
-        "leg_faces": list(rec.leg_faces),
-        "degenerate": rec.degenerate,
-        "phi_partner": rec.phi_partner,
-        "colors": list(rec.colors) if rec.colors else None,
-        "demanding": rec.demanding,
-    }

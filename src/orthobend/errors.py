@@ -58,18 +58,6 @@ class Infeasible(DomainError):
     pass
 
 
-class NotFlexible(DomainError):
-    pass
-
-
-class NotIncident(DomainError):
-    pass
-
-
-class BadValue(DomainError):
-    pass
-
-
 class NoTwin(DomainError):
     pass
 
@@ -80,10 +68,6 @@ class NotGood(DomainError):
 
 class NotRectangularizable(OrthobendError):
     """Signals an upstream bug: the collapsed graph must be drawable."""
-
-
-class NotMinimal(DomainError):
-    pass
 
 
 class NotAPath(DomainError):

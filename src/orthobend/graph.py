@@ -1,4 +1,4 @@
-"""Planar 3-graph core: graphs, combinatorial embeddings, faces, duals.
+"""Planar 3-graph core: graphs, combinatorial embeddings, faces.
 
 Chirality convention used everywhere in this package: rotation lists give
 the incident edges in clockwise order around each vertex, and a face
@@ -8,13 +8,13 @@ clockwise, which is what the angle arithmetic in orthorep expects.
 
 Edges are identified by their index into the edge list. Darts are
 (edge_id, orient) pairs; orient 0 runs u -> v as stored, orient 1 the
-reverse. Parallel edges are tolerated by the embedding machinery (SPQR
-skeletons need them) but rejected by the public Graph validator.
+reverse. Parallel edges are tolerated by trace_faces (SPQR skeletons need
+them) but rejected by Graph, which is the graph of every PlaneGraph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import networkx as nx
 
@@ -47,10 +47,17 @@ class Graph:
         self.adj = adjacency(self.n, self.edges)
 
     def _validate(self):
+        if self.n < 0:
+            raise ParseError(f"negative vertex count {self.n}")
+        if self.n > len(self.edges) + 1:
+            raise Disconnected(
+                f"{self.n} vertices cannot be connected by "
+                f"{len(self.edges)} edges")
         seen = set()
         deg = [0] * self.n
         for i, (u, v) in enumerate(self.edges):
-            if not (0 <= u < self.n and 0 <= v < self.n):
+            if not (isinstance(u, int) and isinstance(v, int)
+                    and 0 <= u < self.n and 0 <= v < self.n):
                 raise ParseError(f"edge {i} endpoint out of range")
             if u == v:
                 raise NotSimple(f"self-loop at vertex {u}")
@@ -133,11 +140,7 @@ class Face:
 
 
 class PlaneGraph:
-    """A graph plus rotation system plus a choice of external face.
-
-    Works for multigraph edge lists too (skeletons); `graph` may then be a
-    raw (n, edges, flex) provider rather than a validated Graph.
-    """
+    """A graph plus rotation system plus a choice of external face."""
 
     def __init__(self, graph, rotation, external_face=0):
         self.graph = graph
@@ -201,28 +204,6 @@ class PlaneGraph:
 
     def external_boundary_edges(self):
         return set(self.faces[self.external_face].edge_ids())
-
-    def dual(self):
-        return DualGraph(
-            len(self.faces),
-            [self.faces_of_edge(e) for e in range(self.m)],
-        )
-
-
-@dataclass
-class DualGraph:
-    """Multigraph on face ids; edge i mirrors primal edge i."""
-
-    face_count: int
-    edges: list = field(default_factory=list)
-
-    def adjacency(self):
-        adj = [[] for _ in range(self.face_count)]
-        for i, (a, b) in enumerate(self.edges):
-            adj[a].append((b, i))
-            if a != b:
-                adj[b].append((a, i))
-        return adj
 
 
 def trace_faces(n, edges, rotation):
@@ -290,12 +271,18 @@ def load_plane_graph(text: str) -> PlaneGraph:
     """Like load_graph but honors optional rotation/external lines."""
     g, rotation, external = _parse(text)
     if rotation is None:
-        pg = embed(g, 0)
-    else:
-        pg = PlaneGraph(g, rotation, 0)
-    if external is not None:
-        pg = pg.with_external_face(external)
-    return pg
+        return embed(g, external)
+    return PlaneGraph(g, rotation, external)
+
+
+def check_rotation(g: Graph, rotation):
+    """Raise ParseError unless rotation[v] lists exactly v's edges."""
+    for v, order in enumerate(rotation):
+        incident = sorted(e for _, e in g.adj[v])
+        if not (isinstance(order, list)
+                and all(isinstance(e, int) for e in order)
+                and sorted(order) == incident):
+            raise ParseError(f"rotation at {v} does not list its edges")
 
 
 def _parse(text: str):
@@ -312,8 +299,8 @@ def _parse(text: str):
         raise ParseError(f"bad header {lines[0]!r}") from None
     edges = []
     flex = {}
-    rotation = None
-    external = None
+    orders = {}
+    external = 0
     rest = lines[1:]
     if len(rest) < m:
         raise ParseError(f"expected {m} edge lines, found {len(rest)}")
@@ -339,9 +326,7 @@ def _parse(text: str):
                 order = [int(x) for x in rhs.split()]
             except (ValueError, IndexError):
                 raise ParseError(f"bad rotation line {ln!r}") from None
-            if rotation is None:
-                rotation = [None] * n
-            rotation[v] = order
+            orders[v] = order
         elif ln.startswith("external"):
             try:
                 external = int(ln.split(":", 1)[1])
@@ -350,12 +335,12 @@ def _parse(text: str):
         else:
             raise ParseError(f"unrecognized line {ln!r}")
     g = Graph(n, edges, flex)
-    if rotation is not None:
-        for v in range(n):
-            if rotation[v] is None:
-                rotation[v] = [e for _, e in g.adj[v]]
-            if sorted(rotation[v]) != sorted(e for _, e in g.adj[v]):
-                raise ParseError(f"rotation at {v} does not list its edges")
+    rotation = None
+    if orders:
+        if not all(0 <= v < n for v in orders):
+            raise ParseError(f"rotation line for a vertex outside 0..{n - 1}")
+        rotation = [orders.get(v, [e for _, e in g.adj[v]]) for v in range(n)]
+        check_rotation(g, rotation)
     return g, rotation, external
 
 

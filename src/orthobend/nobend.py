@@ -619,7 +619,6 @@ def _prepare(pg: PlaneGraph, corners, bad) -> _Prep:
         else:
             assert inherited is None, "bad 3-cycles never hold a corner"
             _plan_three(pg, plan, thetas)
-        subc = [plan.v_host and None]  # placeholder, filled below
         v_sub = {w: i2 for i2, w in plan.v_host.items()}
         subc = [v_sub[w] for w in sorted(plan.leg_vertices)]
         for s in plan.sides:

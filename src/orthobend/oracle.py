@@ -412,7 +412,8 @@ def brute_cost_formula(pg: PlaneGraph, flex: dict | None = None) -> int:
     Uses the raw sum of external flexibilities, which overstates the usable
     relief when one or two external edges carry most of the slack; the result
     is a lower bound on the true cost, exact whenever no external edge is
-    flexible.  The exact discount lives in fixedcubic.min_cost.
+    flexible.  The exact discount for flexible external edges is not
+    implemented.
     """
     g = pg.graph
     eff = {e: g.flexibility(e) for e in range(pg.m)}

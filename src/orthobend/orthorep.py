@@ -31,21 +31,9 @@ from .errors import (
     NotShapeEquivalent,
     ParseError,
 )
-from .graph import Dart, Face, Graph, PlaneGraph, dart_reverse
+from .graph import Dart, Face, Graph, PlaneGraph, check_rotation, dart_reverse
 
 ANGLES = (90, 180, 270, 360)
-
-SHAPE_TAGS = ("ZeroBend", "OneBend", "D", "X", "L", "C", "Spiral")
-
-
-@dataclass(frozen=True)
-class Shape:
-    tag: str
-    k: int = 0  # spirality, Spiral only
-
-    def __post_init__(self):
-        if self.tag not in SHAPE_TAGS:
-            raise ParseError(f"unknown shape tag {self.tag}")
 
 
 def swap_letters(s: str) -> str:
@@ -77,12 +65,6 @@ class OrthoRep:
             max(0, len(self.bends[e]) - g.flexibility(e))
             for e in range(self.plane.m)
         )
-
-    def angle_at(self, d: Dart) -> int:
-        return self.angles[d]
-
-    def copy(self) -> "OrthoRep":
-        return OrthoRep(self.plane, self.angles, self.bends)
 
     def __repr__(self):
         return (f"OrthoRep(n={self.plane.n}, m={self.plane.m}, "
@@ -225,9 +207,6 @@ class Component:
         for e in self.edges:
             out.update(pg.edge(e))
         return out
-
-    def inner_degree(self, pg: PlaneGraph, w) -> int:
-        return sum(1 for e in pg.rotation[w] if e in self.edges)
 
 
 def component_sides(pg: PlaneGraph, comp: Component):
@@ -482,7 +461,7 @@ def _substitute(h, comp, h2, comp2, sides):
     for w2 in inner_v2:
         rotation[vmap_2[w2]] = [emap_2[e] for e in pg2.rotation[w2]]
 
-    shell = _RawGraph(len(kept_v) + len(inner_v2), new_edges, flex_new)
+    shell = Graph(len(kept_v) + len(inner_v2), new_edges, flex_new)
     npg = PlaneGraph(shell, rotation, 0)
     old_ext = pg.faces[pg.external_face]
     d_ext = next(d for d in old_ext.boundary if d[0] not in drop_e)
@@ -677,8 +656,7 @@ def subdivide_plane(pg: PlaneGraph, counts: dict):
     for nv, (e, idx) in hosts.items():
         segs = seg_of_edge[e]
         rotation[nv] = [segs[idx], segs[idx + 1]]
-    shell = _RawGraph(n_new, new_edges)
-    sub = PlaneGraph(shell, rotation, 0)
+    sub = PlaneGraph(Graph(n_new, new_edges), rotation, 0)
     # find the image of the old external face
     old_ext = pg.faces[pg.external_face]
     if old_ext.boundary:
@@ -687,28 +665,6 @@ def subdivide_plane(pg: PlaneGraph, counts: dict):
         d_new = (segs[0], o0) if o0 == 0 else (segs[-1], o0)
         sub = sub.with_external_face(sub.face_of_dart(d_new))
     return sub, hosts, seg_of_edge
-
-
-class _RawGraph:
-    """Minimal graph shim for PlaneGraph over generated edge lists."""
-
-    def __init__(self, n, edges, flex=None):
-        self.n = n
-        self.edges = [tuple(e) for e in edges]
-        self.flex = dict(flex or {})
-
-    def flexibility(self, e):
-        return self.flex.get(e, 0)
-
-    def edge_id(self, u, v):
-        for i, (a, b) in enumerate(self.edges):
-            if (a, b) == (u, v) or (a, b) == (v, u):
-                return i
-        raise KeyError((u, v))
-
-    @property
-    def m(self):
-        return len(self.edges)
 
 
 def smooth(h_sub: OrthoRep, original: PlaneGraph, hosts: dict,
@@ -795,18 +751,31 @@ def from_json(text: str) -> OrthoRep:
     try:
         data = json.loads(text)
         n = len(data["vertices"])
-        edges = [(e["u"], e["v"]) for e in sorted(data["edges"], key=lambda x: x["id"])]
+        edge_recs = sorted(data["edges"], key=lambda x: x["id"])
+        edges = [(e["u"], e["v"]) for e in edge_recs]
+        bends = {e["id"]: e.get("bends", "") for e in edge_recs}
         rotation = [None] * n
         ang_rows = [None] * n
         for rec in data["vertices"]:
             rotation[rec["id"]] = rec["rotation"]
             ang_rows[rec["id"]] = rec["angles"]
         ext = data["external_face"]
-        bends = {e["id"]: e.get("bends", "") for e in data["edges"]}
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, IndexError, KeyError, TypeError,
+            ValueError) as exc:
         raise ParseError(f"bad representation JSON: {exc}") from None
-    shell = _RawGraph(n, edges)
-    pg = PlaneGraph(shell, rotation, ext)
+    if list(bends) != list(range(len(edges))):
+        raise ParseError("edge ids must run 0..m-1")
+    if not all(isinstance(s, str) and set(s) <= {"L", "R"}
+               for s in bends.values()):
+        raise ParseError("bends must be strings over L and R")
+    if not isinstance(ext, int):
+        raise ParseError(f"external face {ext!r} is not an integer")
+    g = Graph(n, edges)
+    check_rotation(g, rotation)
+    for v, row in enumerate(ang_rows):
+        if not (isinstance(row, list) and len(row) == len(rotation[v])):
+            raise ParseError(f"vertex {v} needs one angle per rotation entry")
+    pg = PlaneGraph(g, rotation, ext)
     angles = {}
     for v in range(n):
         for e, a in zip(rotation[v], ang_rows[v]):

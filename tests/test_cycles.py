@@ -5,12 +5,14 @@ production code computes via 3-edge-cuts; the min-cost-flow oracle
 adjudicates the counting formula itself.
 """
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from orthobend import cycles, oracle
 from orthobend.errors import NoTwin, NotReferenceEmbedding
-from orthobend.graph import Graph, PlaneGraph, embed
+from orthobend.graph import Graph, embed
 from orthobend.orthorep import subdivide_plane
 
 from corpus import (
@@ -117,9 +119,7 @@ def test_two_extrovert_from_external_subdivision():
     the boundary of everything except the two half-segments."""
     pg = embed(prism())
     e = sorted(pg.external_boundary_edges())[0]
-    sub, _, segs = subdivide_plane(pg, {e: 1})
-    real = PlaneGraph(Graph(sub.n, list(sub.graph.edges)), sub.rotation,
-                      sub.external_face)
+    real, _, segs = subdivide_plane(pg, {e: 1})
     two = cycles.find_2_extrovert(real)
     assert len(two) == 1
     cyc = two[0]
@@ -136,9 +136,7 @@ def test_no_two_extrovert_from_internal_subdivision():
     pg = embed(prism())
     internal = sorted(set(range(pg.m)) - pg.external_boundary_edges())[0]
     sub, _, _ = subdivide_plane(pg, {internal: 1})
-    real = PlaneGraph(Graph(sub.n, list(sub.graph.edges)), sub.rotation,
-                      sub.external_face)
-    assert cycles.find_2_extrovert(real) == []
+    assert cycles.find_2_extrovert(sub) == []
 
 
 def test_plain_quadrilateral_has_no_two_extrovert_cycle():
@@ -313,6 +311,32 @@ def test_demanding_sets_match_exhaustive_everywhere():
                 == {(r["edges"], frozenset(r["legs"])) for r in D}
             assert {(r.edges, frozenset(r.legs)) for r in ds.d_f} \
                 == {(r["edges"], frozenset(r["legs"])) for r in Df}
+
+
+def full_record_key(r):
+    sides = frozenset(zip(r.leg_vertices, r.legs, r.leg_faces,
+                          r.contour_paths))
+    return (r.kind, r.degenerate, r.edges, r.inside_faces, sides)
+
+
+def test_records_at_any_face_are_reference_records_turned_inside_out():
+    """A record is turned inside out exactly when its inside holds the
+    external face; its colors stay with their leg faces."""
+    for g in CORPUS:
+        for pg in all_faces(g):
+            ds = cycles.demanding_sets(pg)
+            want = Counter(map(full_record_key,
+                               cycles.three_cycle_records(pg)))
+            assert Counter(map(full_record_key, ds.records)) == want
+            ref = pg.with_external_face(ds.reference_face)
+            for r0, r in zip(cycles.demanding_sets(ref).records, ds.records):
+                assert r.cycle_id == r0.cycle_id and r.edges == r0.edges
+                assert ((r.kind != r0.kind)
+                        == (pg.external_face in r0.inside_faces))
+                assert r.demanding == r0.demanding
+                if r.colors is not None:
+                    assert dict(zip(r.leg_faces, r.colors)) \
+                        == dict(zip(r0.leg_faces, r0.colors))
 
 
 def test_cycle_count_formula_matches_flow_when_inflexible():

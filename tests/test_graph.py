@@ -1,4 +1,4 @@
-"""Graph core: parsing, embeddings, faces, duals."""
+"""Graph core: parsing, embeddings, faces."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +8,7 @@ from orthobend.errors import (
     Disconnected,
     NotPlanar,
     NotSimple,
+    OrthobendError,
     ParseError,
 )
 from orthobend.graph import (
@@ -40,6 +41,11 @@ def test_validation_rejects_bad_graphs():
         Graph(2, [(0, 5)])
     with pytest.raises(ParseError):
         Graph(3, [(0, 1), (1, 2)], {0: 9})
+    with pytest.raises(ParseError):
+        Graph(-1, [])
+    # rejected before any per-vertex storage is allocated
+    with pytest.raises(Disconnected):
+        Graph(10**12, [])
 
 
 def test_degrees_and_lookup():
@@ -100,14 +106,6 @@ def test_dart_bookkeeping():
         assert pg.face_of_dart((e, 0)) != pg.face_of_dart((e, 1))
 
 
-def test_dual_of_the_cube_is_octahedral():
-    pg = embed(cube())
-    dual = pg.dual()
-    assert dual.face_count == 6 and len(dual.edges) == 12
-    adj = dual.adjacency()
-    assert all(len(a) == 4 for a in adj)
-
-
 def test_trace_faces_handles_multigraph_skeletons():
     # two vertices, three parallel edges: a theta skeleton
     faces = trace_faces(2, [(0, 1)] * 3, [[0, 1, 2], [2, 1, 0]])
@@ -145,6 +143,39 @@ external: 2
     assert pg.rotation[0] == [0, 3, 1] and pg.rotation[1] == [0, 2, 4]
     with pytest.raises(ParseError):
         load_plane_graph("3 3\n0 1\n1 2\n2 0\nrotation 0: 0 0")
+    with pytest.raises(ParseError):
+        load_plane_graph(text + "rotation 99: 0 1 2\n")
+
+
+TOKENS = st.one_of(
+    st.integers(-2, 9).map(str),
+    st.sampled_from(["rotation", "external", ":", "#", "x", "1.5"]))
+NUMBERS = st.lists(st.integers(-2, 9).map(str), max_size=4).map(" ".join)
+LINES = st.lists(st.one_of(
+    st.lists(TOKENS, max_size=5).map(" ".join),
+    st.builds("rotation {}: {}".format, st.integers(-2, 99), NUMBERS),
+    st.builds("external: {}".format, st.integers(-2, 9)),
+), max_size=6)
+
+
+@st.composite
+def graph_texts(draw):
+    """A header, edge lines over small ids, then free-form lines."""
+    n = draw(st.integers(-1, 7))
+    edges = draw(st.lists(st.tuples(st.integers(-1, 7), st.integers(-1, 7),
+                                    st.integers(0, 5)), max_size=9))
+    m = len(edges) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    lines = [f"{n} {m}"] + [f"{u} {v} {k}" for u, v, k in edges]
+    return "\n".join(lines + draw(LINES))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(graph_texts(), LINES.map("\n".join)))
+def test_any_text_raises_only_package_errors(text):
+    try:
+        load_plane_graph(text)
+    except OrthobendError:
+        pass
 
 
 @settings(max_examples=15, deadline=None)

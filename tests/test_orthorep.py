@@ -5,6 +5,8 @@ machinery; the flow oracle supplies representations for the round-trip
 properties.
 """
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,13 +16,13 @@ from orthobend.errors import (
     H2Violation,
     NotAPath,
     NotShapeEquivalent,
+    OrthobendError,
     ParseError,
 )
 from orthobend.graph import Graph, PlaneGraph, embed
 from orthobend.orthorep import (
     Component,
     OrthoRep,
-    Shape,
     component_sides,
     flip,
     from_json,
@@ -201,12 +203,6 @@ def test_cost_counts_only_bends_beyond_flexibility():
     h = OrthoRep(pg, h0.angles, h0.bends)
     # edges 2 and 4 pay one bend each, 1 and 3 ride their flexibility
     assert h.total_bends() == 4 and h.cost() == 2
-
-
-def test_shape_tags():
-    assert Shape("Spiral", 3).k == 3
-    with pytest.raises(ParseError):
-        Shape("Z")
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +456,56 @@ def test_json_round_trip():
     assert to_json(h2) == to_json(h)
     with pytest.raises(ParseError):
         from_json("{\"vertices\": []}")
+    # a missing edge, an edge not incident to vertex 0, a vertex beyond n
+    for path, value in ((("vertices", 0, "rotation", 0), 99),
+                        (("vertices", 0, "rotation", 0), 2),
+                        (("edges", 0, "u"), 99)):
+        doc = json.loads(to_json(h))
+        _container(doc, path)[path[-1]] = value
+        with pytest.raises(ParseError):
+            from_json(json.dumps(doc))
+
+
+def _container(doc, path):
+    for k in path[:-1]:
+        doc = doc[k]
+    return doc
+
+
+def _json_paths(obj, prefix=()):
+    yield prefix
+    items = (obj.items() if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, list) else ())
+    for k, v in items:
+        yield from _json_paths(v, prefix + (k,))
+
+
+ODD_VALUES = [-1, 0, 1, 2, 7, 99, 1.5, True, None, "x", "LQ", [], [0], {}]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_json_raises_only_package_errors(data):
+    text = to_json(theta_rep())
+    doc = json.loads(text)
+    for _ in range(data.draw(st.integers(1, 3))):
+        paths = [p for p in _json_paths(doc) if p]
+        if not paths:
+            break
+        path = data.draw(st.sampled_from(paths))
+        parent = _container(doc, path)
+        if data.draw(st.booleans()):
+            parent[path[-1]] = data.draw(st.sampled_from(ODD_VALUES))
+        else:
+            del parent[path[-1]]
+    text = json.dumps(doc)
+    if data.draw(st.booleans()):
+        cut = data.draw(st.integers(0, len(text)))
+        text = text[:cut] + text[cut + data.draw(st.integers(0, 3)):]
+    try:
+        validate(from_json(text))
+    except OrthobendError:
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -493,9 +539,7 @@ def test_substitute_identity_on_oracle_reps():
 def test_substitute_two_edge_stretch_on_subdivided_prism():
     pg0 = embed(prism())
     e = sorted(pg0.external_boundary_edges())[0]
-    sub, hosts, segs = subdivide_plane(pg0, {e: 1})
-    pg = PlaneGraph(Graph(sub.n, list(sub.graph.edges)), sub.rotation,
-                    sub.external_face)
+    pg, hosts, segs = subdivide_plane(pg0, {e: 1})
     _, h = oracle.flow_min_bends(pg)
     mid = next(iter(hosts))
     a, b = segs[e]
