@@ -3,18 +3,27 @@
 Everything here revolves around one fact: in a triconnected cubic plane
 graph, the three legs of a 3-extrovert or 3-introvert cycle form a
 3-edge-cut, and 3-edge-cuts are exactly the 3-cycles of the dual over
-three distinct faces. Detection therefore enumerates dual triangles and
-reads the cycles off the triangle faces' boundaries; no simple-cycle
-enumeration happens in production code (the brute-force route lives in
-the oracle module and is only used to cross-check this one).
+three distinct faces. Detection therefore enumerates dual triangles; no
+simple-cycle enumeration happens in production code (the brute-force
+route lives in the oracle module and is only used to cross-check this
+one).
+
+A record is its cut plus the set of faces on its inside; everything else
+is read off those two. The cycle is the set of edges of the cut's faces,
+other than the cut itself, with exactly one face inside, walked with the
+inside on the left; each leg is a cut edge, attached at its end on that
+cycle. Each side of a cut is found in the dual, by a flood from one face
+that never enters the cut's own faces.
 
 A dual triangle whose three cut edges share a primal vertex v is facial:
-it contributes one degenerate cycle around v (extrovert when v lies on
-the external boundary, introvert when v is internal). A separating
-triangle has two non-trivial sides A and B; the boundary cycle of the
-side avoiding the external face is 3-extrovert, the other one is its
-3-introvert partner with the same legs, and when the external face is
-one of the triangle's own faces both boundaries are 3-extrovert twins.
+it contributes one degenerate cycle around v, 3-extrovert with every
+face but the triangle's inside when v lies on the external boundary,
+3-introvert with the triangle's three faces inside when v is internal.
+A separating triangle splits the other faces into two sides. With the
+external face in side B, side A is the inside of a 3-extrovert cycle
+and A plus the triangle's faces the inside of its 3-introvert partner
+with the same legs; with the external face one of the triangle's own
+faces, both sides are the insides of two 3-extrovert twins.
 
 Moving the external face never changes which cycles and legs exist, only
 which side of each cycle is its inside. A record is turned inside out,
@@ -33,7 +42,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, replace
 
-from .errors import NoTwin, NotReferenceEmbedding
+from .errors import NoTwin, NotReferenceEmbedding, NotTriconnectedCubic
 from .graph import PlaneGraph, dart_reverse, embed
 
 
@@ -73,17 +82,23 @@ class TwoExtrovert:
     darts: tuple
 
 
+def _pair_edges(pg: PlaneGraph):
+    """The dual without its loops: edges per pair of faces they join."""
+    pair_edges = defaultdict(list)
+    for e in range(pg.m):
+        fa, fb = pg.faces_of_edge(e)
+        if fa != fb:
+            pair_edges[frozenset((fa, fb))].append(e)
+    return pair_edges
+
+
 def dual_triangles(pg: PlaneGraph):
     """All 3-edge-cuts as (cut_edges, cut_faces) with distinct faces.
 
     cut_edges = (l1, l2, l3) where l1 joins faces[0]|faces[1], l2 joins
     faces[1]|faces[2] and l3 joins faces[2]|faces[0] in the dual.
     """
-    pair_edges = defaultdict(list)
-    for e in range(pg.m):
-        fa, fb = pg.faces_of_edge(e)
-        if fa != fb:
-            pair_edges[frozenset((fa, fb))].append(e)
+    pair_edges = _pair_edges(pg)
     nbrs = defaultdict(set)
     for pair in pair_edges:
         a, b = tuple(pair)
@@ -123,85 +138,74 @@ def separating_triangles(pg: PlaneGraph):
             if _facial_apex(pg, cut) is None]
 
 
-def _cut_sides(pg: PlaneGraph, cut):
-    """Primal vertex sets of the two components left by removing cut."""
-    adj = pg.graph.adj
-    blocked = set(cut)
-
-    def comp(s):
-        seen = {s}
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for w, e in adj[x]:
-                if e not in blocked and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
-
-    u0, v0 = pg.edge(cut[0])
-    a = comp(u0)
-    assert v0 not in a, "cut does not disconnect"
-    b = comp(v0)
-    assert len(a) + len(b) == pg.n
-    return a, b
+def _dual_side(pg: PlaneGraph, blocked, start):
+    """Faces reachable in the dual from the faces `start` without
+    entering a face in `blocked`; with `blocked` the faces of a cut, the
+    side of the cut that holds `start`."""
+    seen = set(start) - set(blocked)
+    stack = list(seen)
+    while stack:
+        for d in pg.faces[stack.pop()].boundary:
+            g = pg.face_of_dart(dart_reverse(d))
+            if g not in seen and g not in blocked:
+                seen.add(g)
+                stack.append(g)
+    return frozenset(seen)
 
 
-def _side_arcs(pg: PlaneGraph, cut, faces, side):
-    """Per triangle face, the boundary arc running through `side`.
-
-    Returns a list of dart lists (in face-boundary direction); their
-    union is the boundary cycle of `side`.
-    """
-    cutset = set(cut)
-    arcs = []
-    for f in faces:
-        boundary = pg.faces[f].boundary
-        pos = [i for i, d in enumerate(boundary) if d[0] in cutset]
-        assert len(pos) == 2, "triangle face must carry two cut edges"
-        n = len(boundary)
-        for p, q in ((pos[0], pos[1]), (pos[1], pos[0])):
-            span = [(p + 1 + t) % n for t in range(((q - p) % n) - 1)]
-            arc = [boundary[i] for i in span]
-            if pg.dart_head(boundary[p]) in side:
-                arcs.append(arc)
-                break
-        else:
-            raise AssertionError("no boundary arc on the requested side")
-    return arcs
+def _rim(pg, cut, cut_faces, inside):
+    """Edges of the cut's faces, other than the cut, with exactly one
+    face in `inside`: the cycle bounding `inside` next to the cut."""
+    return {e for f in cut_faces for e in pg.faces[f].edge_ids()
+            if e not in cut
+            and (pg.faces_of_edge(e)[0] in inside)
+            != (pg.faces_of_edge(e)[1] in inside)}
 
 
-def _record_from_side(pg, rid, cut, side, inside, kind, degenerate, phi):
-    """Assemble a CycleRecord for the boundary cycle of `side`."""
-    arcs = _side_arcs(pg, cut, _cut_faces(pg, cut), side)
-    assert all(arc for arc in arcs), "empty contour arc on a non-trivial side"
-    cyc_edges = set()
-    for arc in arcs:
-        cyc_edges.update(e for e, _ in arc)
-
-    # orient the cycle with its inside region on the left
+def _boundary_walk(pg, cyc_edges, inside):
+    """The darts of cyc_edges with `inside` on their left, walked from
+    the smallest edge, or None unless they close one simple cycle."""
     pick = {}
     for e in cyc_edges:
         d = (e, 0) if pg.face_of_dart((e, 0)) in inside else (e, 1)
-        assert pg.face_of_dart(d) in inside
         pick[pg.dart_tail(d)] = d
+    if not cyc_edges or len(pick) != len(cyc_edges):
+        return None
     start = next(d for d in pick.values() if d[0] == min(cyc_edges))
     darts = [start]
-    while True:
-        d = pick[pg.dart_head(darts[-1])]
-        if d == start:
-            break
+    for _ in range(len(cyc_edges) - 1):
+        d = pick.get(pg.dart_head(darts[-1]))
+        if d is None or d == start:
+            return None
         darts.append(d)
-    assert len(darts) == len(cyc_edges), "side boundary is not a simple cycle"
+    if pg.dart_head(darts[-1]) != pg.dart_tail(start):
+        return None
+    return darts
 
+
+def _attachments(pg, cut, darts):
+    """Each cut edge keyed by its end on the walk `darts`, or None unless
+    every cut edge has exactly one end there."""
+    on_cycle = {pg.dart_tail(d) for d in darts}
     attach = {}
     for e in cut:
-        u, v = pg.edge(e)
-        attach[u if u in side else v] = e
+        ends = [w for w in pg.edge(e) if w in on_cycle]
+        if len(ends) != 1:
+            return None
+        attach[ends[0]] = e
+    return attach
+
+
+def _record(pg, rid, cut, cut_faces, inside, kind, degenerate, phi):
+    """The CycleRecord of the cycle bounding `inside` next to the cut."""
+    cyc_edges = _rim(pg, cut, cut_faces, inside)
+    darts = _boundary_walk(pg, cyc_edges, inside)
+    assert darts is not None, "side boundary is not a simple cycle"
+    attach = _attachments(pg, cut, darts)
+    assert attach is not None, "a cut edge is not a leg"
     marks = [i for i, d in enumerate(darts) if pg.dart_head(d) in attach]
     assert len(marks) == 3
     leg_vertices = tuple(pg.dart_head(darts[i]) for i in marks)
-    legs = tuple(attach[w] for w in leg_vertices)
 
     nn = len(darts)
     paths = []
@@ -210,23 +214,18 @@ def _record_from_side(pg, rid, cut, side, inside, kind, degenerate, phi):
         a, b = marks[j], marks[(j + 1) % 3]
         span = [(a + 1 + t) % nn for t in range((b - a) % nn or nn)]
         path = tuple(darts[i] for i in span)
-        if kind == "extrovert":
-            across = {pg.face_of_dart(dart_reverse(d)) for d in path}
-        else:
-            across = {pg.face_of_dart(d) for d in path}
+        across = {f for d in path for f in pg.faces_of_edge(d[0])
+                  if f in cut_faces}
         assert len(across) == 1, "contour path borders several leg faces"
         paths.append(path)
         leg_faces.append(across.pop())
 
-    verts = set()
-    for e in cyc_edges:
-        verts.update(pg.edge(e))
     return CycleRecord(
         cycle_id=rid,
         kind=kind,
         edges=frozenset(cyc_edges),
-        vertices=frozenset(verts),
-        legs=legs,
+        vertices=frozenset(pg.dart_tail(d) for d in darts),
+        legs=tuple(attach[w] for w in leg_vertices),
         leg_vertices=leg_vertices,
         leg_faces=tuple(leg_faces),
         contour_paths=tuple(paths),
@@ -236,137 +235,89 @@ def _record_from_side(pg, rid, cut, side, inside, kind, degenerate, phi):
     )
 
 
-def _cut_faces(pg, cut):
-    faces = set()
-    for e in cut:
-        faces.update(pg.faces_of_edge(e))
-    assert len(faces) == 3
-    return tuple(sorted(faces))
-
-
 def three_cycle_records(pg: PlaneGraph):
-    """All 3-extrovert and 3-introvert cycles of pg, with phi links."""
+    """All 3-extrovert and 3-introvert cycles of pg, with phi links.
+
+    Raises NotTriconnectedCubic unless pg's graph is cubic and
+    triconnected, that is, unless every edge joins its own pair of faces:
+    the dual has no loop and no parallel edges.
+    """
+    if not pg.graph.is_cubic() or len(_pair_edges(pg)) != pg.m:
+        raise NotTriconnectedCubic(
+            "3-cycle records need a triconnected cubic graph")
     ext = pg.external_face
     all_faces = frozenset(range(len(pg.faces)))
     records = []
     for cut, tri_faces in dual_triangles(pg):
-        a, b = _cut_sides(pg, cut)
         tri = frozenset(tri_faces)
-        if len(a) == 1 or len(b) == 1:
-            side = b if len(a) == 1 else a
-            side_faces = _side_face_set(pg, side, tri)
-            if ext in tri:
-                records.append(_record_from_side(
-                    pg, len(records), cut, side, side_faces,
-                    "extrovert", True, None))
-            else:
-                # apex vertex is internal: inside is its face fan
-                records.append(_record_from_side(
-                    pg, len(records), cut, side,
-                    all_faces - side_faces, "introvert", True, None))
+        if _facial_apex(pg, cut) is not None:
+            # the apex is external exactly when a face of its fan is; an
+            # internal apex has its face fan inside
+            outer = ext in tri
+            records.append(_record(
+                pg, len(records), cut, tri, all_faces - tri if outer else tri,
+                "extrovert" if outer else "introvert", True, None))
             continue
-        a_faces = _side_face_set(pg, a, tri)
-        b_faces = _side_face_set(pg, b, tri)
+        u0 = pg.edge(cut[0])[0]
+        start = {f for e in pg.rotation[u0] for f in pg.faces_of_edge(e)}
+        a_faces = _dual_side(pg, tri, start)
+        b_faces = all_faces - tri - a_faces
         if ext in tri:
-            records.append(_record_from_side(
-                pg, len(records), cut, a, a_faces, "extrovert", False, None))
-            records.append(_record_from_side(
-                pg, len(records), cut, b, b_faces, "extrovert", False, None))
+            records.append(_record(pg, len(records), cut, tri, a_faces,
+                                   "extrovert", False, None))
+            records.append(_record(pg, len(records), cut, tri, b_faces,
+                                   "extrovert", False, None))
         else:
             if ext not in b_faces:  # keep the external face on the b side
-                a, b = b, a
                 a_faces, b_faces = b_faces, a_faces
             i = len(records)
-            records.append(_record_from_side(
-                pg, i, cut, a, a_faces, "extrovert", False, i + 1))
-            records.append(_record_from_side(
-                pg, i + 1, cut, b, all_faces - b_faces, "introvert",
-                False, i))
+            records.append(_record(pg, i, cut, tri, a_faces,
+                                   "extrovert", False, i + 1))
+            records.append(_record(pg, i + 1, cut, tri, all_faces - b_faces,
+                                   "introvert", False, i))
     return records
-
-
-def _side_face_set(pg, side_vertices, tri_faces):
-    """Faces strictly on one side of a cut: every non-triangle face has
-    all its vertices in a single side, so one boundary vertex decides."""
-    out = set()
-    for f in pg.faces:
-        if f.id in tri_faces or not f.boundary:
-            continue
-        if pg.dart_tail(f.boundary[0]) in side_vertices:
-            out.add(f.id)
-    return frozenset(out)
 
 
 def find_2_extrovert(pg: PlaneGraph):
     """2-extrovert cycles via parallel dual edges (2-edge-cuts)."""
-    pair_edges = defaultdict(list)
-    for e in range(pg.m):
-        fa, fb = pg.faces_of_edge(e)
-        if fa != fb:
-            pair_edges[frozenset((fa, fb))].append(e)
-    ext = pg.external_face
     out = {}
-    for pair, es in pair_edges.items():
+    for pair, es in _pair_edges(pg).items():
         if len(es) < 2:
             continue
-        fa, fb = tuple(pair)
+        fa = min(pair)
+        boundary = pg.faces[fa].boundary
         for i in range(len(es)):
             for j in range(i + 1, len(es)):
                 cut = (es[i], es[j])
-                sides = _cut_sides(pg, cut)
-                for side in sides:
-                    rec = _two_record(pg, cut, (fa, fb), side, ext)
+                # the two arcs of fa between the cut edges, each facing
+                # one side of the cut; the side of cut[0]'s first stored
+                # end comes first
+                k = next(k for k, d in enumerate(boundary) if d[0] == cut[0])
+                rest = boundary[k + 1:] + boundary[:k]
+                q = next(q for q, d in enumerate(rest) if d[0] == cut[1])
+                arcs = [rest[:q], rest[q + 1:]]
+                if pg.dart_head(boundary[k]) != pg.edge(cut[0])[0]:
+                    arcs.reverse()
+                for arc in arcs:
+                    start = [pg.other_face(e, fa) for e, _ in arc]
+                    rec = _two_record(pg, cut, pair,
+                                      _dual_side(pg, pair, start))
                     if rec is not None:
                         out.setdefault(rec.edges, rec)
     return list(out.values())
 
 
-def _two_record(pg, cut, faces, side, ext):
-    cutset = set(cut)
-    arcs = []
-    for f in faces:
-        boundary = pg.faces[f].boundary
-        pos = [i for i, d in enumerate(boundary) if d[0] in cutset]
-        if len(pos) != 2:
-            return None
-        n = len(boundary)
-        got = None
-        for p, q in ((pos[0], pos[1]), (pos[1], pos[0])):
-            span = [(p + 1 + t) % n for t in range(((q - p) % n) - 1)]
-            arc = [boundary[i] for i in span]
-            if arc and pg.dart_head(boundary[p]) in side:
-                got = arc
-                break
-        if got is None:
-            return None
-        arcs.append(got)
-    cyc_edges = {e for arc in arcs for e, _ in arc}
-    if len(cyc_edges) != sum(len(a) for a in arcs) or len(cyc_edges) < 3:
-        return None
-    side_faces = _side_face_set(pg, side, set(faces))
-    if ext in side_faces:
+def _two_record(pg, cut, faces, inside):
+    if pg.external_face in inside:
         return None  # that side contains the external face: legs inward
-    pick = {}
-    for e in cyc_edges:
-        d = (e, 0) if pg.face_of_dart((e, 0)) in side_faces else (e, 1)
-        if pg.face_of_dart(d) not in side_faces:
-            return None
-        pick[pg.dart_tail(d)] = d
-    start = next(d for d in pick.values() if d[0] == min(cyc_edges))
-    darts = [start]
-    while True:
-        d = pick.get(pg.dart_head(darts[-1]))
-        if d is None:
-            return None
-        if d == start:
-            break
-        darts.append(d)
-    if len(darts) != len(cyc_edges):
-        return None
+    cyc_edges = _rim(pg, cut, faces, inside)
+    darts = _boundary_walk(pg, cyc_edges, inside)
+    if darts is None or _attachments(pg, cut, darts) is None:
+        return None  # a cut edge off the cycle: not this cut's cycle
     return TwoExtrovert(
         edges=frozenset(cyc_edges),
         legs=tuple(sorted(cut)),
-        inside_faces=side_faces,
+        inside_faces=inside,
         darts=tuple(darts),
     )
 
@@ -609,7 +560,8 @@ def _face_flex_count(pg, f):
 def color_3_introvert(tree: InclusionTree, reps=None):
     """Color the partner 3-introvert cycles without expanding them.
 
-    Works top-down: for the children C_1..C_k of a node C, the relevant
+    The tree's 3-extrovert cycles must already be colored by
+    color_3_extrovert. Works top-down: for the children C_1..C_k of a node C, the relevant
     cycle set S is the children plus the partner of C itself. A partner
     path on leg face f' is flexible-free exactly when
     fx(face) - fx(extrovert path) - flexible legs = 0, and it contains a
@@ -620,8 +572,6 @@ def color_3_introvert(tree: InclusionTree, reps=None):
     if reps is None:
         reps = contour_paths_explicit(tree)
     fx = fx_counts(tree, reps)
-    if any(tree.by_id[cid].colors is None for cid in tree.nodes):
-        color_3_extrovert(tree, reps)
     face_fx = {}
     out = []
     for node in tree.preorder():

@@ -71,7 +71,8 @@ class Graph:
             if d > 3:
                 raise DegreeTooHigh(f"vertex {v} has degree {d}")
         for e, k in self.flex.items():
-            if not (0 <= e < len(self.edges)) or not (0 <= k <= 4):
+            if not (isinstance(e, int) and isinstance(k, int)
+                    and 0 <= e < len(self.edges) and 0 <= k <= 4):
                 raise ParseError(f"bad flexibility entry {e}: {k}")
         if self.n > 0 and not _connected(self.n, self.edges):
             raise Disconnected("graph is not connected")

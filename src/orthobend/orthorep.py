@@ -741,6 +741,9 @@ def to_json(h: OrthoRep) -> str:
         {"id": e, "u": pg.edge(e)[0], "v": pg.edge(e)[1], "bends": h.bends[e]}
         for e in range(pg.m)
     ]
+    for e, k in pg.graph.flex.items():
+        if k:
+            edges[e]["flex"] = k
     return json.dumps(
         {"vertices": verts, "edges": edges, "external_face": pg.external_face},
         indent=2,
@@ -754,6 +757,7 @@ def from_json(text: str) -> OrthoRep:
         edge_recs = sorted(data["edges"], key=lambda x: x["id"])
         edges = [(e["u"], e["v"]) for e in edge_recs]
         bends = {e["id"]: e.get("bends", "") for e in edge_recs}
+        flex = {e["id"]: e["flex"] for e in edge_recs if "flex" in e}
         rotation = [None] * n
         ang_rows = [None] * n
         for rec in data["vertices"]:
@@ -770,7 +774,7 @@ def from_json(text: str) -> OrthoRep:
         raise ParseError("bends must be strings over L and R")
     if not isinstance(ext, int):
         raise ParseError(f"external face {ext!r} is not an integer")
-    g = Graph(n, edges)
+    g = Graph(n, edges, flex)
     check_rotation(g, rotation)
     for v, row in enumerate(ang_rows):
         if not (isinstance(row, list) and len(row) == len(rotation[v])):

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orthobend import cycles, oracle
-from orthobend.errors import NoTwin, NotReferenceEmbedding
+from orthobend.errors import (
+    NoTwin, NotReferenceEmbedding, NotTriconnectedCubic,
+)
 from orthobend.graph import Graph, embed
 from orthobend.orthorep import subdivide_plane
 
@@ -65,6 +67,33 @@ def test_three_cycle_detection_on_grown_corpus():
         assert production_keys(cycles.three_cycle_records(pg)) == want
 
 
+def test_three_cycle_records_reject_graphs_outside_the_class():
+    """Degree-2 vertices, 2-edge-cuts and bridges are refused up front;
+    the subdivided graphs include one that made the records loop."""
+    for g in CORPUS:
+        pg = embed(g)
+        for e in range(pg.m):
+            sub, _, _ = subdivide_plane(pg, {e: 1})
+            with pytest.raises(NotTriconnectedCubic):
+                cycles.three_cycle_records(sub)
+    g = next(g for g in CORPUS if g.n == 12)
+    sub, _, _ = subdivide_plane(embed(g).with_external_face(3),
+                                {0: 1, 4: 1, 8: 2, 13: 1})
+    with pytest.raises(NotTriconnectedCubic):
+        cycles.three_cycle_records(sub)
+    two_diamonds = Graph(8, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3),
+                             (4, 5), (4, 6), (5, 6), (5, 7), (6, 7),
+                             (0, 4), (3, 7)])
+    bridged = Graph(10, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (0, 4),
+                         (3, 4), (5, 6), (5, 7), (6, 7), (6, 8), (7, 8),
+                         (5, 9), (8, 9), (4, 9)])
+    for g in (two_diamonds, bridged):
+        assert g.is_cubic()
+        for pg in all_faces(g):
+            with pytest.raises(NotTriconnectedCubic):
+                cycles.three_cycle_records(pg)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, len(CORPUS) - 1))
 def test_partner_pairing_is_an_involution(i):
@@ -116,20 +145,25 @@ def test_no_two_extrovert_cycles_in_triconnected_graphs():
 
 def test_two_extrovert_from_external_subdivision():
     """Splitting one external edge creates exactly one 2-extrovert cycle:
-    the boundary of everything except the two half-segments."""
-    pg = embed(prism())
-    e = sorted(pg.external_boundary_edges())[0]
-    real, _, segs = subdivide_plane(pg, {e: 1})
-    two = cycles.find_2_extrovert(real)
-    assert len(two) == 1
-    cyc = two[0]
-    assert frozenset(cyc.legs) == frozenset(segs[e])
-    f1, f2 = real.faces_of_edge(segs[e][0])
-    rim = (set(real.faces[f1].edge_ids()) | set(real.faces[f2].edge_ids()))
-    assert cyc.edges == frozenset(rim - set(segs[e]))
-    want = {(r["edges"], frozenset(r["legs"]))
-            for r in oracle.two_extrovert(real)}
-    assert {(cyc.edges, frozenset(cyc.legs))} == want
+    the boundary of everything except the segments, with the two end
+    segments as legs however often the edge is split."""
+    for builder in (prism, cube):
+        pg = embed(builder())
+        for e in sorted(pg.external_boundary_edges()):
+            for count in (1, 2, 3):
+                real, _, segs = subdivide_plane(pg, {e: count})
+                two = cycles.find_2_extrovert(real)
+                assert len(two) == 1
+                cyc = two[0]
+                ends = (segs[e][0], segs[e][-1])
+                assert frozenset(cyc.legs) == frozenset(ends)
+                f1, f2 = real.faces_of_edge(segs[e][0])
+                rim = (set(real.faces[f1].edge_ids())
+                       | set(real.faces[f2].edge_ids()))
+                assert cyc.edges == frozenset(rim - set(segs[e]))
+                want = {(r["edges"], frozenset(r["legs"]))
+                        for r in oracle.two_extrovert(real)}
+                assert {(cyc.edges, frozenset(cyc.legs))} == want
 
 
 def test_no_two_extrovert_from_internal_subdivision():

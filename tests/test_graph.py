@@ -39,8 +39,9 @@ def test_validation_rejects_bad_graphs():
         Graph(4, [(0, 1), (2, 3)])
     with pytest.raises(ParseError):
         Graph(2, [(0, 5)])
-    with pytest.raises(ParseError):
-        Graph(3, [(0, 1), (1, 2)], {0: 9})
+    for flex in ({0: 9}, {0: "x"}, {0: 1.5}, {"0": 1}):
+        with pytest.raises(ParseError):
+            Graph(3, [(0, 1), (1, 2)], flex)
     with pytest.raises(ParseError):
         Graph(-1, [])
     # rejected before any per-vertex storage is allocated

@@ -139,6 +139,7 @@ def oracle_reps():
 
 
 ORACLE_REPS = oracle_reps()
+FLEX_REP = next(h for h in ORACLE_REPS if h.plane.graph.flex)
 
 
 # ---------------------------------------------------------------------------
@@ -454,13 +455,21 @@ def test_json_round_trip():
     h2 = from_json(to_json(h))
     validate(h2)
     assert to_json(h2) == to_json(h)
+    for h in ORACLE_REPS:
+        h2 = from_json(to_json(h))
+        assert h2.plane.graph.flex == h.plane.graph.flex
+        assert h2.cost() == h.cost() and to_json(h2) == to_json(h)
     with pytest.raises(ParseError):
         from_json("{\"vertices\": []}")
-    # a missing edge, an edge not incident to vertex 0, a vertex beyond n
+    # a missing edge, an edge not incident to vertex 0, a vertex beyond n,
+    # flexibilities that are not integers in 0..4
     for path, value in ((("vertices", 0, "rotation", 0), 99),
                         (("vertices", 0, "rotation", 0), 2),
-                        (("edges", 0, "u"), 99)):
-        doc = json.loads(to_json(h))
+                        (("edges", 0, "u"), 99),
+                        (("edges", 0, "flex"), "x"),
+                        (("edges", 0, "flex"), 1.5),
+                        (("edges", 0, "flex"), 5)):
+        doc = json.loads(to_json(theta_rep()))
         _container(doc, path)[path[-1]] = value
         with pytest.raises(ParseError):
             from_json(json.dumps(doc))
@@ -486,7 +495,7 @@ ODD_VALUES = [-1, 0, 1, 2, 7, 99, 1.5, True, None, "x", "LQ", [], [0], {}]
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_mutated_json_raises_only_package_errors(data):
-    text = to_json(theta_rep())
+    text = to_json(data.draw(st.sampled_from([theta_rep(), FLEX_REP])))
     doc = json.loads(text)
     for _ in range(data.draw(st.integers(1, 3))):
         paths = [p for p in _json_paths(doc) if p]
