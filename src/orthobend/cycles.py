@@ -8,12 +8,14 @@ simple-cycle enumeration happens in production code (the brute-force
 route lives in the oracle module and is only used to cross-check this
 one).
 
-A record is its cut plus the set of faces on its inside; everything else
-is read off those two. The cycle is the set of edges of the cut's faces,
-other than the cut itself, with exactly one face inside, walked with the
-inside on the left; each leg is a cut edge, attached at its end on that
-cycle. Each side of a cut is found in the dual, by a flood from one face
-that never enters the cut's own faces.
+A record is its cut plus the set of faces on its inside. The smaller
+side of a cut is found in the dual, by two floods from the two ends of a
+cut edge that never enter the cut's own faces and run in lockstep until
+one closes; the other side is every remaining face. Each cut face holds
+two cut edges, and its boundary between them splits into two arcs, one
+facing each side. The cycle bounding a side is the chain of the arcs
+facing it, walked with the inside on the left; each contour path is one
+arc, its leg the cut edge at its tail and its leg face the arc's face.
 
 A dual triangle whose three cut edges share a primal vertex v is facial:
 it contributes one degenerate cycle around v, 3-extrovert with every
@@ -122,117 +124,95 @@ def dual_triangles(pg: PlaneGraph):
 
 def _facial_apex(pg, cut):
     """The vertex all three cut edges meet in, or None."""
-    count = defaultdict(int)
-    for e in cut:
-        for w in pg.edge(e):
-            count[w] += 1
-    for w, k in count.items():
-        if k == 3:
-            return w
-    return None
+    common = set(pg.edge(cut[0])).intersection(*map(pg.edge, cut[1:]))
+    return common.pop() if common else None
 
 
-def separating_triangles(pg: PlaneGraph):
-    """Dual triangles whose cut edges do not share a primal vertex."""
-    return [(cut, faces) for cut, faces in dual_triangles(pg)
-            if _facial_apex(pg, cut) is None]
+def _face_index(pg: PlaneGraph):
+    """Per face, the faces across its boundary darts in walk order, and
+    each boundary edge's position on that walk."""
+    across = [[pg.faces_of_edge(e)[1 - o] for e, o in f.boundary]
+              for f in pg.faces]
+    pos = [{e: i for i, (e, _) in enumerate(f.boundary)} for f in pg.faces]
+    return across, pos
 
 
-def _dual_side(pg: PlaneGraph, blocked, start):
-    """Faces reachable in the dual from the faces `start` without
-    entering a face in `blocked`; with `blocked` the faces of a cut, the
-    side of the cut that holds `start`."""
-    seen = set(start) - set(blocked)
-    stack = list(seen)
-    while stack:
-        for d in pg.faces[stack.pop()].boundary:
-            g = pg.face_of_dart(dart_reverse(d))
-            if g not in seen and g not in blocked:
-                seen.add(g)
-                stack.append(g)
-    return frozenset(seen)
+def _class_index(pg: PlaneGraph):
+    """_face_index(pg); NotTriconnectedCubic outside the class of
+    three_cycle_records."""
+    across, pos = _face_index(pg)
+    if not pg.graph.is_cubic() or any(f in nbrs or len(set(nbrs)) < len(nbrs)
+                                      for f, nbrs in enumerate(across)):
+        raise NotTriconnectedCubic(
+            "3-cycle records need a triconnected cubic graph")
+    return across, pos
 
 
-def _rim(pg, cut, cut_faces, inside):
-    """Edges of the cut's faces, other than the cut, with exactly one
-    face in `inside`: the cycle bounding `inside` next to the cut."""
-    return {e for f in cut_faces for e in pg.faces[f].edge_ids()
-            if e not in cut
-            and (pg.faces_of_edge(e)[0] in inside)
-            != (pg.faces_of_edge(e)[1] in inside)}
+def _dual_side(across, blocked, start_a, start_b):
+    """The smaller side of a cut whose faces are `blocked`, and whether it
+    is the side of the faces `start_a`.
+
+    Two floods in the dual, from `start_a` and from `start_b`, never enter
+    a blocked face and expand one face each per round, `start_a` first;
+    the first to run dry holds its whole side. That costs at most twice
+    the smaller side, and a tie goes to the `start_a` side.
+    """
+    floods = [(set(blocked).union(s), list(set(s) - blocked))
+              for s in (start_a, start_b)]
+    while True:
+        for k, (seen, stack) in enumerate(floods):
+            if not stack:
+                return frozenset(seen - blocked), k == 0
+            for g in across[stack.pop()]:
+                if g not in seen:
+                    seen.add(g)
+                    stack.append(g)
 
 
-def _boundary_walk(pg, cyc_edges, inside):
-    """The darts of cyc_edges with `inside` on their left, walked from
-    the smallest edge, or None unless they close one simple cycle."""
-    pick = {}
-    for e in cyc_edges:
-        d = (e, 0) if pg.face_of_dart((e, 0)) in inside else (e, 1)
-        pick[pg.dart_tail(d)] = d
-    if not cyc_edges or len(pick) != len(cyc_edges):
+def _between(seq, i, j):
+    """The items of seq strictly after position i and before position j,
+    going round cyclically."""
+    return seq[i + 1:j] if i < j else seq[i + 1:] + seq[:j]
+
+
+def _contour(pg: PlaneGraph, pos, cut, x, faces_inside):
+    """The cycle next to the cut on the side of x, an end of cut[0], as
+    contour paths (leg, leg face, darts) plus its vertex set; None unless
+    the paths close one simple cycle with every cut edge a leg.
+
+    Each cut face holds two cut edges, and its boundary between them
+    splits into two arcs, one facing each side. The arcs facing x's side
+    chain head to tail from the dart of cut[0] that ends at x, each walked
+    with its face on the left; when the cut faces lie outside the cycle
+    the chain is reversed, so the inside is always on the left. A path's
+    leg is the cut edge at its tail and its leg face the arc's face. The
+    path holding the cycle's smallest edge comes last.
+    """
+    start = (cut[0], 0) if pg.edge(cut[0])[1] == x else (cut[0], 1)
+    d, arcs = start, []
+    for _ in cut:
+        f = pg.face_of_dart(d)
+        i = pos[f][d[0]]
+        j = next(pos[f][e] for e in cut if e != d[0] and e in pos[f])
+        boundary = pg.faces[f].boundary
+        arcs.append((d[0], f, _between(boundary, i, j)))
+        d = dart_reverse(boundary[j])
+    if d != start:
         return None
-    start = next(d for d in pick.values() if d[0] == min(cyc_edges))
-    darts = [start]
-    for _ in range(len(cyc_edges) - 1):
-        d = pick.get(pg.dart_head(darts[-1]))
-        if d is None or d == start:
-            return None
-        darts.append(d)
-    if pg.dart_head(darts[-1]) != pg.dart_tail(start):
+    if not faces_inside:
+        n = len(arcs)
+        arcs = [(arcs[(i + 1) % n][0], arcs[i][1],
+                 [(e, 1 - o) for e, o in reversed(arcs[i][2])])
+                for i in reversed(range(n))]
+    darts = [d for _, _, path in arcs for d in path]
+    ends = pg.graph.edges
+    vertices = frozenset(ends[e][o] for e, o in darts)  # the darts' tails
+    if len(darts) < 3 or len(vertices) < len(darts) or any(
+            (u in vertices) == (v in vertices) for u, v in map(pg.edge, cut)):
         return None
-    return darts
-
-
-def _attachments(pg, cut, darts):
-    """Each cut edge keyed by its end on the walk `darts`, or None unless
-    every cut edge has exactly one end there."""
-    on_cycle = {pg.dart_tail(d) for d in darts}
-    attach = {}
-    for e in cut:
-        ends = [w for w in pg.edge(e) if w in on_cycle]
-        if len(ends) != 1:
-            return None
-        attach[ends[0]] = e
-    return attach
-
-
-def _record(pg, rid, cut, cut_faces, inside, kind, degenerate, phi):
-    """The CycleRecord of the cycle bounding `inside` next to the cut."""
-    cyc_edges = _rim(pg, cut, cut_faces, inside)
-    darts = _boundary_walk(pg, cyc_edges, inside)
-    assert darts is not None, "side boundary is not a simple cycle"
-    attach = _attachments(pg, cut, darts)
-    assert attach is not None, "a cut edge is not a leg"
-    marks = [i for i, d in enumerate(darts) if pg.dart_head(d) in attach]
-    assert len(marks) == 3
-    leg_vertices = tuple(pg.dart_head(darts[i]) for i in marks)
-
-    nn = len(darts)
-    paths = []
-    leg_faces = []
-    for j in range(3):
-        a, b = marks[j], marks[(j + 1) % 3]
-        span = [(a + 1 + t) % nn for t in range((b - a) % nn or nn)]
-        path = tuple(darts[i] for i in span)
-        across = {f for d in path for f in pg.faces_of_edge(d[0])
-                  if f in cut_faces}
-        assert len(across) == 1, "contour path borders several leg faces"
-        paths.append(path)
-        leg_faces.append(across.pop())
-
-    return CycleRecord(
-        cycle_id=rid,
-        kind=kind,
-        edges=frozenset(cyc_edges),
-        vertices=frozenset(pg.dart_tail(d) for d in darts),
-        legs=tuple(attach[w] for w in leg_vertices),
-        leg_vertices=leg_vertices,
-        leg_faces=tuple(leg_faces),
-        contour_paths=tuple(paths),
-        inside_faces=frozenset(inside),
-        degenerate=degenerate,
-        phi_partner=phi,
-    )
+    low = min(darts)
+    k = next(i for i, (_, _, path) in enumerate(arcs) if low in path)
+    return arcs[k + 1:] + arcs[:k + 1], vertices
 
 
 def three_cycle_records(pg: PlaneGraph):
@@ -242,115 +222,134 @@ def three_cycle_records(pg: PlaneGraph):
     triconnected, that is, unless every edge joins its own pair of faces:
     the dual has no loop and no parallel edges.
     """
-    if not pg.graph.is_cubic() or len(_pair_edges(pg)) != pg.m:
-        raise NotTriconnectedCubic(
-            "3-cycle records need a triconnected cubic graph")
+    across, pos = _class_index(pg)
     ext = pg.external_face
     all_faces = frozenset(range(len(pg.faces)))
     records = []
+
+    def add(cut, tri, inside, x, kind, degenerate, phi=None):
+        contour = _contour(pg, pos, cut, x, not tri.isdisjoint(inside))
+        assert contour is not None, "cut arcs close no cycle with three legs"
+        legs, faces, paths = zip(*contour[0])
+        records.append(CycleRecord(
+            cycle_id=len(records), kind=kind,
+            edges=frozenset(e for path in paths for e, _ in path),
+            vertices=contour[1], legs=legs,
+            leg_vertices=tuple(pg.dart_tail(path[0]) for path in paths),
+            leg_faces=faces, contour_paths=tuple(map(tuple, paths)),
+            inside_faces=inside, degenerate=degenerate, phi_partner=phi))
+
     for cut, tri_faces in dual_triangles(pg):
         tri = frozenset(tri_faces)
-        if _facial_apex(pg, cut) is not None:
-            # the apex is external exactly when a face of its fan is; an
-            # internal apex has its face fan inside
+        u0, v0 = pg.edge(cut[0])
+        apex = _facial_apex(pg, cut)
+        if apex is not None:
+            # the cycle runs round the apex's face fan; the apex is
+            # external exactly when a face of its fan is, and an internal
+            # apex has its face fan inside
             outer = ext in tri
-            records.append(_record(
-                pg, len(records), cut, tri, all_faces - tri if outer else tri,
-                "extrovert" if outer else "introvert", True, None))
+            add(cut, tri, all_faces - tri if outer else tri,
+                v0 if apex == u0 else u0,
+                "extrovert" if outer else "introvert", True)
             continue
-        u0 = pg.edge(cut[0])[0]
-        start = {f for e in pg.rotation[u0] for f in pg.faces_of_edge(e)}
-        a_faces = _dual_side(pg, tri, start)
-        b_faces = all_faces - tri - a_faces
+        side, is_a = _dual_side(across, tri, *(
+            [f for e in pg.rotation[w] for f in pg.faces_of_edge(e)]
+            for w in (u0, v0)))
+        other = all_faces - tri - side
+        a, b = ((side, u0), (other, v0)) if is_a else ((other, u0), (side, v0))
         if ext in tri:
-            records.append(_record(pg, len(records), cut, tri, a_faces,
-                                   "extrovert", False, None))
-            records.append(_record(pg, len(records), cut, tri, b_faces,
-                                   "extrovert", False, None))
+            add(cut, tri, *a, "extrovert", False)
+            add(cut, tri, *b, "extrovert", False)
         else:
-            if ext not in b_faces:  # keep the external face on the b side
-                a_faces, b_faces = b_faces, a_faces
+            if ext not in b[0]:  # keep the external face on the b side
+                a, b = b, a
             i = len(records)
-            records.append(_record(pg, i, cut, tri, a_faces,
-                                   "extrovert", False, i + 1))
-            records.append(_record(pg, i + 1, cut, tri, all_faces - b_faces,
-                                   "introvert", False, i))
+            add(cut, tri, *a, "extrovert", False, i + 1)
+            add(cut, tri, all_faces - b[0], b[1], "introvert", False, i)
     return records
 
 
 def find_2_extrovert(pg: PlaneGraph):
     """2-extrovert cycles via parallel dual edges (2-edge-cuts)."""
+    across, pos = _face_index(pg)
+    all_faces = frozenset(range(len(pg.faces)))
     out = {}
     for pair, es in _pair_edges(pg).items():
         if len(es) < 2:
             continue
         fa = min(pair)
-        boundary = pg.faces[fa].boundary
         for i in range(len(es)):
             for j in range(i + 1, len(es)):
                 cut = (es[i], es[j])
-                # the two arcs of fa between the cut edges, each facing
-                # one side of the cut; the side of cut[0]'s first stored
-                # end comes first
-                k = next(k for k, d in enumerate(boundary) if d[0] == cut[0])
-                rest = boundary[k + 1:] + boundary[:k]
-                q = next(q for q, d in enumerate(rest) if d[0] == cut[1])
-                arcs = [rest[:q], rest[q + 1:]]
-                if pg.dart_head(boundary[k]) != pg.edge(cut[0])[0]:
-                    arcs.reverse()
-                for arc in arcs:
-                    start = [pg.other_face(e, fa) for e, _ in arc]
-                    rec = _two_record(pg, cut, pair,
-                                      _dual_side(pg, pair, start))
+                # the faces across fa's two arcs between the cut edges;
+                # the arc after cut[0] faces the side of that dart's head
+                k, q = pos[fa][cut[0]], pos[fa][cut[1]]
+                ends = pg.edge(cut[0])
+                starts = [_between(across[fa], k, q),
+                          _between(across[fa], q, k)]
+                if pg.dart_head(pg.faces[fa].boundary[k]) != ends[0]:
+                    starts.reverse()
+                side, is_a = _dual_side(across, pair, *starts)
+                other = all_faces - pair - side
+                for x, inside in zip(ends, (side, other) if is_a
+                                     else (other, side)):
+                    rec = _two_record(pg, pos, cut, x, inside)
                     if rec is not None:
                         out.setdefault(rec.edges, rec)
     return list(out.values())
 
 
-def _two_record(pg, cut, faces, inside):
+def _two_record(pg, pos, cut, x, inside):
     if pg.external_face in inside:
         return None  # that side contains the external face: legs inward
-    cyc_edges = _rim(pg, cut, faces, inside)
-    darts = _boundary_walk(pg, cyc_edges, inside)
-    if darts is None or _attachments(pg, cut, darts) is None:
-        return None  # a cut edge off the cycle: not this cut's cycle
-    return TwoExtrovert(
-        edges=frozenset(cyc_edges),
-        legs=tuple(sorted(cut)),
-        inside_faces=inside,
-        darts=tuple(darts),
-    )
+    contour = _contour(pg, pos, cut, x, False)
+    if contour is None:
+        return None  # no simple cycle with both cut edges as legs
+    darts = [d for _, _, path in contour[0] for d in path]
+    k = darts.index(min(darts))
+    return TwoExtrovert(edges=frozenset(e for e, _ in darts),
+                        legs=tuple(sorted(cut)), inside_faces=inside,
+                        darts=tuple(darts[k:] + darts[:k]))
 
 
 # ---------------------------------------------------------------------------
 # reference embeddings
 
 
+def _on_separating_triangle(across, f):
+    """True iff face f lies on a separating triangle of the dual.
+
+    Two adjacent dual neighbours of f close a dual triangle with it. When
+    they are consecutive around f, all three cut edges meet in the vertex
+    between them and the triangle is facial; otherwise no two of the cut
+    edges share a vertex.
+    """
+    nbrs = across[f]
+    at = {g: i for i, g in enumerate(nbrs)}
+    return any((at[h] - i) % len(nbrs) not in (1, len(nbrs) - 1)
+               for i, g in enumerate(nbrs) for h in across[g] if h in at)
+
+
 def is_reference_embedding(pg: PlaneGraph) -> bool:
     """True iff no non-degenerate 3-extrovert cycle touches the external
-    face; equivalently the external face is on no separating triangle."""
-    ext = pg.external_face
-    for _, faces in separating_triangles(pg):
-        if ext in faces:
-            return False
-    return True
+    face, that is, the external face is on no separating triangle; raises
+    NotTriconnectedCubic as three_cycle_records does."""
+    return compute_reference_embedding(pg) is pg
 
 
 def compute_reference_embedding(g) -> PlaneGraph:
-    """Choose an external face on no separating triangle.
+    """Choose an external face on no separating triangle: the given one
+    when it qualifies, else the lowest face id that does.
 
     Accepts a Graph (embedded with its default rotation) or a PlaneGraph;
-    returns the input unchanged when it already qualifies.
+    returns the input unchanged when it already qualifies. Raises
+    NotTriconnectedCubic as three_cycle_records does.
     """
     pg = g if isinstance(g, PlaneGraph) else embed(g)
-    marked = set()
-    for _, faces in separating_triangles(pg):
-        marked.update(faces)
-    if pg.external_face not in marked:
-        return pg
-    for f in range(len(pg.faces)):
-        if f not in marked:
-            return pg.with_external_face(f)
+    across, _ = _class_index(pg)
+    for f in (pg.external_face, *range(len(pg.faces))):
+        if not _on_separating_triangle(across, f):
+            return pg if f == pg.external_face else pg.with_external_face(f)
     raise AssertionError("every face lies on a separating triangle")
 
 

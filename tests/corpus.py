@@ -44,6 +44,19 @@ def truncate(g: Graph, v: int) -> Graph:
     return Graph(g.n + 2, edges)
 
 
+def nested(seed: int, n: int) -> Graph:
+    """The cube truncated at a corner of the newest triangle until it has
+    n vertices: separating triangles nest one inside the next."""
+    rng = random.Random(seed)
+    g = cube()
+    last = (0,)
+    while g.n < n:
+        v = last[rng.randrange(len(last))]
+        last = (v, g.n, g.n + 1)
+        g = truncate(g, v)
+    return g
+
+
 def grown(seed: int, count: int, max_steps: int = 4,
           flex_prob: float = 0.25) -> list[Graph]:
     """Seeded family of triconnected cubic graphs with random flexibilities."""

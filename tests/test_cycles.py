@@ -14,17 +14,23 @@ from orthobend import cycles, oracle
 from orthobend.errors import (
     NoTwin, NotReferenceEmbedding, NotTriconnectedCubic,
 )
-from orthobend.graph import Graph, embed
+from orthobend.graph import Graph, dart_reverse, embed
 from orthobend.orthorep import subdivide_plane
 
 from corpus import (
-    cube, flatten, grown, k4, nested_blobs, oracle_keys, prism,
+    cube, flatten, grown, k4, nested, nested_blobs, oracle_keys, prism,
     production_keys, record_key, sibling_fixture, theta_fixture,
     truncated_prism,
 )
 
 CORPUS = grown(7, 20)
 CORPUS_NOFLEX = [Graph(g.n, g.edges) for g in CORPUS]
+NESTED = [nested(1, 200), nested(2, 400)]
+
+# cubic but not triconnected: two K4s less an edge, joined by two edges
+TWO_DIAMONDS = Graph(8, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3),
+                         (4, 5), (4, 6), (5, 6), (5, 7), (6, 7),
+                         (0, 4), (3, 7)])
 
 
 def all_faces(g):
@@ -81,13 +87,10 @@ def test_three_cycle_records_reject_graphs_outside_the_class():
                                 {0: 1, 4: 1, 8: 2, 13: 1})
     with pytest.raises(NotTriconnectedCubic):
         cycles.three_cycle_records(sub)
-    two_diamonds = Graph(8, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3),
-                             (4, 5), (4, 6), (5, 6), (5, 7), (6, 7),
-                             (0, 4), (3, 7)])
     bridged = Graph(10, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (0, 4),
                          (3, 4), (5, 6), (5, 7), (6, 7), (6, 8), (7, 8),
                          (5, 9), (8, 9), (4, 9)])
-    for g in (two_diamonds, bridged):
+    for g in (TWO_DIAMONDS, bridged):
         assert g.is_cubic()
         for pg in all_faces(g):
             with pytest.raises(NotTriconnectedCubic):
@@ -131,6 +134,96 @@ def test_record_structure_invariants(i):
         far = {u if v in r.vertices else v
                for leg in r.legs for u, v in [g.edges[leg]]}
         assert r.degenerate == (len(far) == 1)
+
+
+def inside_by_flood(pg, r):
+    """The faces on the left of r's contour darts and every face reached
+    from them without crossing an edge of the cycle."""
+    seen = {pg.face_of_dart(d) for path in r.contour_paths for d in path}
+    stack = list(seen)
+    while stack:
+        for e in pg.faces[stack.pop()].edge_ids():
+            for f in pg.faces_of_edge(e):
+                if e not in r.edges and f not in seen:
+                    seen.add(f)
+                    stack.append(f)
+    return frozenset(seen)
+
+
+@pytest.mark.parametrize("g", NESTED, ids=lambda g: f"n{g.n}")
+def test_records_on_deeply_nested_graphs(g):
+    """Every record checked from scratch, far beyond the oracle's reach:
+    its inside by a plain flood, its sides dart by dart, its walk."""
+    pg0 = embed(g)
+    for pg in (pg0, cycles.compute_reference_embedding(pg0)):
+        for r in cycles.three_cycle_records(pg):
+            assert r.inside_faces == inside_by_flood(pg, r)
+            darts = [d for path in r.contour_paths for d in path]
+            for j, path in enumerate(r.contour_paths):
+                assert pg.dart_tail(path[0]) == r.leg_vertices[j]
+                assert r.leg_vertices[j] in g.edges[r.legs[j]]
+                for d in path:
+                    left = pg.face_of_dart(d)
+                    right = pg.face_of_dart(dart_reverse(d))
+                    assert left in r.inside_faces
+                    assert right not in r.inside_faces
+                    # the leg face is the outside face of an extrovert
+                    # path and the inside face of an introvert one
+                    assert r.leg_faces[j] == (
+                        right if r.kind == "extrovert" else left)
+            # one simple cycle: each dart ends where the next begins, and
+            # no vertex or edge comes twice
+            for d, nxt in zip(darts, darts[1:] + darts[:1]):
+                assert pg.dart_head(d) == pg.dart_tail(nxt)
+            tails = [pg.dart_tail(d) for d in darts]
+            assert len(set(tails)) == len(darts) == len(r.edges)
+            assert frozenset(tails) == r.vertices
+
+
+class CountingList(list):
+    """A list that counts reads by index."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+@pytest.mark.parametrize("g", NESTED, ids=lambda g: f"n{g.n}")
+def test_cut_floods_pay_for_the_smaller_side(g):
+    """For every separating 3-edge-cut, the flood returns the side with
+    fewer faces (the side of cut[0]'s first end on a tie) after expanding
+    at most twice as many faces as that side holds, plus one."""
+    pg = embed(g)
+    across, _ = cycles._face_index(pg)
+    counted = CountingList(across)
+    all_faces = frozenset(range(len(pg.faces)))
+    separating = 0
+    for cut, faces in cycles.dual_triangles(pg):
+        if cycles._facial_apex(pg, cut) is not None:
+            continue
+        separating += 1
+        tri = frozenset(faces)
+        u0, v0 = g.edges[cut[0]]
+        start_a, start_b = (
+            [f for e in pg.rotation[w] for f in pg.faces_of_edge(e)]
+            for w in (u0, v0))
+        a = set(start_a) - tri
+        stack = list(a)
+        while stack:
+            for e in pg.faces[stack.pop()].edge_ids():
+                for f in pg.faces_of_edge(e):
+                    if f not in a and f not in tri:
+                        a.add(f)
+                        stack.append(f)
+        b = all_faces - tri - a
+        counted.reads = 0
+        side, is_a = cycles._dual_side(counted, tri, start_a, start_b)
+        assert is_a == (len(a) <= len(b))
+        assert side == (a if is_a else b)
+        assert counted.reads <= 2 * len(side) + 1
+    assert separating > g.n // 3
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +286,35 @@ def test_reference_embedding_detection():
     # no non-degenerate 3-extrovert cycle at all: every face qualifies
     for pg in all_faces(k4()):
         assert cycles.is_reference_embedding(pg)
+
+
+def test_reference_faces_are_on_no_separating_dual_triangle():
+    for g in CORPUS + NESTED[:1]:
+        for pg in all_faces(g):
+            on_separating = any(
+                pg.external_face in faces
+                for cut, faces in cycles.dual_triangles(pg)
+                if cycles._facial_apex(pg, cut) is None)
+            assert cycles.is_reference_embedding(pg) == (not on_separating)
+
+
+def test_reference_embedding_rejects_graphs_outside_the_class():
+    """Subdivided graphs and a cubic graph with a 2-edge-cut are refused
+    up front at every face, also by demanding_sets; some of them used to
+    fail an assertion deep inside."""
+    outside = [all_faces(TWO_DIAMONDS)]
+    for g in grown(5, 20) + [prism(), cube(), k4()]:
+        sub, _, _ = subdivide_plane(embed(g), {0: 1})
+        outside.append([sub.with_external_face(f)
+                        for f in range(len(sub.faces))])
+    for pgs in outside:
+        for pg in pgs:
+            with pytest.raises(NotTriconnectedCubic):
+                cycles.compute_reference_embedding(pg)
+            with pytest.raises(NotTriconnectedCubic):
+                cycles.is_reference_embedding(pg)
+            with pytest.raises(NotTriconnectedCubic):
+                cycles.demanding_sets(pg)
 
 
 def test_compute_reference_embedding_keeps_valid_input():

@@ -5,6 +5,7 @@ machinery; the flow oracle supplies representations for the round-trip
 properties.
 """
 
+import copy
 import json
 
 import pytest
@@ -504,7 +505,9 @@ def test_mutated_json_raises_only_package_errors(data):
         path = data.draw(st.sampled_from(paths))
         parent = _container(doc, path)
         if data.draw(st.booleans()):
-            parent[path[-1]] = data.draw(st.sampled_from(ODD_VALUES))
+            # a copy: later mutations may reach into the inserted value
+            parent[path[-1]] = copy.deepcopy(
+                data.draw(st.sampled_from(ODD_VALUES)))
         else:
             del parent[path[-1]]
     text = json.dumps(doc)
