@@ -361,7 +361,8 @@ class InclusionTree:
     """Containment tree over non-degenerate 3-extrovert cycles.
 
     The root is the sentinel None standing for the external boundary.
-    Descendant tests are O(1) after the Euler-tour preprocessing.
+    A cycle's parent is the smallest member whose inside holds its own;
+    depth() counts the steps from a cycle up to the root.
     """
 
     def __init__(self, pg, records, root=None, members=None):
@@ -384,28 +385,10 @@ class InclusionTree:
                     break
             self.parent[r.cycle_id] = par
             self.children[par].append(r.cycle_id)
-        self._tin = {}
-        self._tout = {}
+        # a parent holds strictly more faces, so it comes first here
         self._depth = {root: 0}
-        clock = 0
-        stack = [(root, False)]
-        while stack:
-            node, done = stack.pop()
-            if done:
-                self._tout[node] = clock
-                clock += 1
-                continue
-            self._tin[node] = clock
-            clock += 1
-            stack.append((node, True))
-            for c in self.children.get(node, []):
-                self._depth[c] = self._depth[node] + 1
-                stack.append((c, False))
-
-    def is_descendant(self, a, b) -> bool:
-        """True iff a lies in the subtree of b (a == b counts)."""
-        return (self._tin[b] <= self._tin[a]
-                and self._tout[a] <= self._tout[b])
+        for r in reversed(by_size):
+            self._depth[r.cycle_id] = self._depth[self.parent[r.cycle_id]] + 1
 
     def depth(self, cid) -> int:
         return self._depth[cid]

@@ -28,7 +28,6 @@ import networkx as nx
 
 from .errors import Disconnected, NotBiconnected
 from .graph import Graph
-from .orthorep import Component
 
 
 # ---------------------------------------------------------------- blocks
@@ -209,10 +208,6 @@ class SpqrTree:
 
     def structural_nodes(self):
         return [node for node in self.nodes if node.kind != "Q"]
-
-    def is_triconnected(self):
-        inner = self.structural_nodes()
-        return len(inner) == 1 and inner[0].kind == "R"
 
 
 def _series_classes(W, adj, verts):
@@ -445,179 +440,6 @@ def _split_series(W, cls, fresh_pair):
     assert sum(1 for e in skel if id(e) in in_cls) == len(cls), \
         "series walk missed class edges"
     return skel, pieces
-
-
-# ---------------------------------------------------------------- rooting
-
-
-class RootedSpqr:
-    """A rooting of the tree at one Q-node.
-
-    ref[mu] is the reference edge: for a non-leaf it lives in mu's own
-    skeleton (real for the root child, virtual with its twin in the
-    parent otherwise); for a Q-leaf it is the real skeleton edge that
-    represents it in the parent. poles[mu] are its endpoints.
-    """
-
-    def __init__(self, tree, root):
-        self.tree = tree
-        self.root = root
-        n = len(tree.nodes)
-        self.parent = [None] * n
-        self.children = [[] for _ in range(n)]
-        self.ref = [None] * n
-        self._orient()
-
-    def _orient(self):
-        t = self.tree
-        root_node = t.nodes[self.root]
-        assert root_node.kind == "Q", "root must be a Q-node"
-        first = t.owner_edge[root_node.edge_id]
-        self.parent[self.root] = None
-        self.ref[self.root] = first
-        self.children[self.root] = [first.node]
-        queue = [(first.node, self.root, first)]
-        head = 0
-        while head < len(queue):
-            mu, par, ref = queue[head]
-            head += 1
-            self.parent[mu] = par
-            self.ref[mu] = ref
-            node = t.nodes[mu]
-            # children come out in skeleton order, reference edge skipped
-            for e in node.edges:
-                if e is ref:
-                    continue
-                if e.is_real:
-                    q = t.q_of_edge[e.edge_id]
-                    self.parent[q] = mu
-                    self.ref[q] = e
-                    self.children[mu].append(q)
-                else:
-                    self.children[mu].append(e.twin.node)
-                    queue.append((e.twin.node, mu, e.twin))
-
-    def poles(self, mu):
-        e = self.ref[mu]
-        return (e.u, e.v)
-
-    def is_inner(self, mu):
-        return self.parent[mu] is not None and \
-            self.parent[mu] != self.root and mu != self.root
-
-    def root_child(self):
-        return self.children[self.root][0]
-
-
-def root_at(tree: SpqrTree, q: int) -> RootedSpqr:
-    return RootedSpqr(tree, q)
-
-
-def pertinent_graph(rt: RootedSpqr, mu: int) -> Component:
-    """Edge ids under mu, with the poles of mu."""
-    assert mu != rt.root, "the root has no pertinent graph"
-    t = rt.tree
-    out = []
-    stack = [mu]
-    while stack:
-        x = stack.pop()
-        node = t.nodes[x]
-        if node.kind == "Q":
-            out.append(node.edge_id)
-        else:
-            stack.extend(rt.children[x])
-    return Component(frozenset(out), rt.poles(mu))
-
-
-def check_rooted_properties(rt: RootedSpqr):
-    """Degree-3 structure facts the labeling pass relies on.
-
-    P-nodes have exactly two children, at least one an S-node (both,
-    for the root child). R-node children are S or Q. In an S-skeleton
-    no two virtual edges share a vertex, and for an inner S-node the
-    non-reference skeleton edges at the poles are real.
-    """
-    t = rt.tree
-    for node in t.nodes:
-        mu = node.index
-        if node.kind == "Q":
-            continue
-        kids = [t.nodes[c].kind for c in rt.children[mu]]
-        if node.kind == "P":
-            assert len(kids) == 2, f"P-node {mu} has {len(kids)} children"
-            assert "S" in kids and set(kids) <= {"S", "Q"}
-            if rt.parent[mu] == rt.root:
-                assert kids == ["S", "S"]
-        if node.kind == "R":
-            assert set(kids) <= {"S", "Q"}
-        if node.kind == "S":
-            seen = set()
-            for e in node.edges:
-                if e.is_real:
-                    continue
-                assert e.u not in seen and e.v not in seen, \
-                    f"S-node {mu} with adjacent virtual edges"
-                seen.update(e.ends())
-            if rt.is_inner(mu):
-                pu, pv = rt.poles(mu)
-                for e in node.edges:
-                    if e is rt.ref[mu]:
-                        continue
-                    if pu in e.ends() or pv in e.ends():
-                        assert e.is_real, \
-                            f"inner S-node {mu}: virtual edge at a pole"
-
-
-def good_sequence(tree: SpqrTree) -> list:
-    """Q-node order for the labeling sweep.
-
-    The first entry must be adjacent to an S-node unless the graph is
-    triconnected; ties break toward the lowest edge id.
-    """
-    qs = sorted((n.index for n in tree.nodes if n.kind == "Q"),
-                key=lambda i: tree.nodes[i].edge_id)
-    if tree.is_triconnected():
-        return qs
-    s_adj = [q for q in qs
-             if tree.nodes[tree.neighbors(q)[0]].kind == "S"]
-    assert s_adj, "non-triconnected tree without an S-adjacent edge"
-    rho1 = s_adj[0]
-    return [rho1] + [q for q in qs if q != rho1]
-
-
-# -------------------------------------------------------------- dart cache
-
-
-class DartCache:
-    """Write-once cells on the two directions of every tree edge.
-
-    The labeling sweep stores a shape-cost set per direction; a second
-    write to the same direction would mean recomputation, which the
-    whole re-rooting scheme exists to avoid, so it is an error.
-    """
-
-    def __init__(self, tree: SpqrTree):
-        self._dirs = set()
-        for a, b in tree.tree_edges():
-            self._dirs.add((a, b))
-            self._dirs.add((b, a))
-        self._cells = {}
-        self.writes = 0
-
-    def has(self, frm, to):
-        return (frm, to) in self._cells
-
-    def get(self, frm, to):
-        return self._cells[(frm, to)]
-
-    def put(self, frm, to, value):
-        key = (frm, to)
-        if key not in self._dirs:
-            raise KeyError(f"{key} is not a tree edge direction")
-        if key in self._cells:
-            raise ValueError(f"dart cell {key} written twice")
-        self._cells[key] = value
-        self.writes += 1
 
 
 # ------------------------------------------------------------- reporting

@@ -2,7 +2,7 @@
 
 DomainError covers inputs that are well-formed but outside what the
 algorithms accept (wrong graph class, K4, infeasible caps). ParseError
-and UsageError are reserved for malformed input and bad invocations.
+covers malformed input: graph text, edge lists and representation JSON.
 """
 
 
@@ -68,14 +68,6 @@ class NotGood(DomainError):
 
 class NotRectangularizable(OrthobendError):
     """Signals an upstream bug: the collapsed graph must be drawable."""
-
-
-class NotAPath(DomainError):
-    pass
-
-
-class NotShapeEquivalent(DomainError):
-    pass
 
 
 class H1Violation(OrthobendError):

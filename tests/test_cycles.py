@@ -357,6 +357,29 @@ def test_inclusion_tree_shapes():
     assert tree.parent[pent] == tree.root and tree.parent[tri] == pent
 
 
+def _assert_depth_is_parent_chain(tree):
+    assert tree.depth(tree.root) == 0
+    for c in tree.nodes:
+        steps, node = 0, c
+        while node != tree.root:
+            node = tree.parent[node]
+            steps += 1
+        assert tree.depth(c) == steps
+
+
+def test_inclusion_tree_depth_counts_the_parent_chain():
+    for g in CORPUS:
+        ref = cycles.compute_reference_embedding(embed(g))
+        recs = cycles.three_cycle_records(ref)
+        tree = cycles.inclusion_tree(ref, recs)
+        _assert_depth_is_parent_chain(tree)
+        for c in tree.nodes:
+            _assert_depth_is_parent_chain(
+                cycles.genealogical_tree(ref, tree.by_id[c], recs))
+    ref = cycles.compute_reference_embedding(embed(NESTED[0]))
+    _assert_depth_is_parent_chain(cycles.inclusion_tree(ref))
+
+
 def ext_on_vertices(g, verts):
     pg0 = embed(g)
     f = next(f for f in range(len(pg0.faces))

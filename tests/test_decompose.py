@@ -291,164 +291,6 @@ def test_grown_trees_stay_canonical(seed):
     _check_tree_shape(g, t)
 
 
-# ---------------------------------------------------------------- rooting
-
-
-def test_k4_root_child_is_r():
-    g = k4()
-    t = dc.build_spqr_tree(g)
-    for eid in range(6):
-        rt = dc.root_at(t, t.q_of_edge[eid])
-        assert t.nodes[rt.root_child()].kind == "R"
-        assert set(rt.poles(rt.root_child())) == set(g.edges[eid])
-
-
-def test_cycle_root_child_is_s_with_q_children():
-    t = dc.build_spqr_tree(ring(8))
-    rt = dc.root_at(t, t.q_of_edge[3])
-    rc = rt.root_child()
-    assert t.nodes[rc].kind == "S"
-    assert [t.nodes[c].kind for c in rt.children[rc]] == ["Q"] * 7
-
-
-def test_k23_root_child_is_always_s():
-    t = dc.build_spqr_tree(theta(2, 2, 2))
-    for eid in range(6):
-        rt = dc.root_at(t, t.q_of_edge[eid])
-        assert t.nodes[rt.root_child()].kind == "S"
-
-
-def test_rooted_properties_hold_for_every_rooting():
-    for g in SP_CORPUS + [k4(), prism(), theta(1, 2, 2), ring(5)]:
-        t = dc.build_spqr_tree(g)
-        for eid in range(len(g.edges)):
-            rt = dc.root_at(t, t.q_of_edge[eid])
-            dc.check_rooted_properties(rt)
-
-
-def test_parent_child_agree():
-    t = dc.build_spqr_tree(SP_CORPUS[0])
-    rt = dc.root_at(t, t.q_of_edge[0])
-    for mu, par in enumerate(rt.parent):
-        if par is None:
-            assert mu == rt.root
-        else:
-            assert mu in rt.children[par]
-
-
-# ------------------------------------------------------- pertinent graphs
-
-
-def test_pertinent_of_q_node_is_its_edge():
-    t = dc.build_spqr_tree(theta(1, 2, 2))
-    rt = dc.root_at(t, t.q_of_edge[1])
-    comp = dc.pertinent_graph(rt, t.q_of_edge[3])
-    assert comp.edges == frozenset({3})
-    assert set(comp.poles) == set(t.g.edges[3])
-
-
-def test_pertinent_of_cycle_root_child_is_the_rest():
-    g = ring(8)
-    t = dc.build_spqr_tree(g)
-    rt = dc.root_at(t, t.q_of_edge[2])
-    comp = dc.pertinent_graph(rt, rt.root_child())
-    assert comp.edges == frozenset(range(8)) - {2}
-    assert set(comp.poles) == set(g.edges[2])
-
-
-def test_pertinent_of_s_child_under_p():
-    t = dc.build_spqr_tree(theta(2, 2, 2))
-    rt = dc.root_at(t, t.q_of_edge[0])
-    rc = rt.root_child()  # S-node holding edges 0,1
-    p = next(c for c in rt.children[rc] if t.nodes[c].kind == "P")
-    for c in rt.children[p]:
-        comp = dc.pertinent_graph(rt, c)
-        assert len(comp.edges) == 2  # each branch is a 2-edge path
-        assert set(comp.poles) == {0, 1}
-    # subtree edges of the P-node itself: both branches
-    assert dc.pertinent_graph(rt, p).edges == frozenset({2, 3, 4, 5})
-
-
-def test_pertinent_partitions_at_every_node():
-    for g in SP_CORPUS[:5]:
-        t = dc.build_spqr_tree(g)
-        rt = dc.root_at(t, t.q_of_edge[0])
-        rc = rt.root_child()
-        assert dc.pertinent_graph(rt, rc).edges == \
-            frozenset(range(len(g.edges))) - {0}
-        for node in t.structural_nodes():
-            union = set()
-            for c in rt.children[node.index]:
-                part = dc.pertinent_graph(rt, c).edges
-                assert not (union & part)
-                union |= part
-            assert union == dc.pertinent_graph(rt, node.index).edges
-
-
-# ------------------------------------------------------------ good order
-
-
-def test_good_sequence_triconnected_is_edge_order():
-    t = dc.build_spqr_tree(k4())
-    seq = dc.good_sequence(t)
-    assert [t.nodes[q].edge_id for q in seq] == list(range(6))
-
-
-def test_good_sequence_starts_s_adjacent():
-    t = dc.build_spqr_tree(theta(1, 2, 2))
-    seq = dc.good_sequence(t)
-    ids = [t.nodes[q].edge_id for q in seq]
-    assert ids[0] == 1  # edge 0 hangs off the P-node, never first
-    assert sorted(ids) == list(range(5))
-    for g in SP_CORPUS:
-        t = dc.build_spqr_tree(g)
-        if t.is_triconnected():
-            continue
-        first = dc.good_sequence(t)[0]
-        owner = t.neighbors(first)[0]
-        assert t.nodes[owner].kind == "S"
-
-
-# ------------------------------------------------------------- dart cache
-
-
-def _subtree_edge_count(t, cache, frm, to):
-    if cache.has(frm, to):
-        return cache.get(frm, to)
-    node = t.nodes[frm]
-    if node.kind == "Q":
-        val = 1
-    else:
-        val = sum(_subtree_edge_count(t, cache, nb, frm)
-                  for nb in t.neighbors(frm) if nb != to)
-    cache.put(frm, to, val)
-    return val
-
-
-def test_dart_cache_sweep_stays_within_two_writes_per_edge():
-    for g in SP_CORPUS[:5] + [prism()]:
-        t = dc.build_spqr_tree(g)
-        cache = dc.DartCache(t)
-        m = len(g.edges)
-        for eid in range(m):
-            q = t.q_of_edge[eid]
-            got = _subtree_edge_count(t, cache, t.neighbors(q)[0], q)
-            assert got == m - 1
-        assert cache.writes <= 2 * len(t.tree_edges())
-
-
-def test_dart_cache_rejects_rewrites_and_foreign_keys():
-    t = dc.build_spqr_tree(ring(4))
-    cache = dc.DartCache(t)
-    a, b = t.tree_edges()[0]
-    cache.put(a, b, "x")
-    assert cache.get(a, b) == "x"
-    with pytest.raises(ValueError):
-        cache.put(a, b, "y")
-    with pytest.raises(KeyError):
-        cache.put(99, 98, "z")
-
-
 # ------------------------------------------------------------- reporting
 
 

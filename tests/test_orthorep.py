@@ -1,4 +1,4 @@
-"""Angle labelings: validation, turns, spirality, substitution.
+"""Angle labelings: validation, round trips, JSON.
 
 Hand-built drawings with known geometry adjudicate the combinatorial
 machinery; the flow oracle supplies representations for the round-trip
@@ -15,31 +15,22 @@ from orthobend import oracle
 from orthobend.errors import (
     H1Violation,
     H2Violation,
-    NotAPath,
-    NotShapeEquivalent,
     OrthobendError,
     ParseError,
 )
 from orthobend.graph import Graph, PlaneGraph, embed
 from orthobend.orthorep import (
-    Component,
     OrthoRep,
-    component_sides,
-    flip,
     from_json,
     is_valid,
     rectilinear_image,
     smooth,
-    spirality,
     subdivide_plane,
-    substitute,
-    swap_letters,
     to_json,
-    turn_number,
     validate,
 )
 
-from corpus import grown, prism
+from corpus import grown
 
 
 def ring(n):
@@ -208,221 +199,7 @@ def test_cost_counts_only_bends_beyond_flexibility():
 
 
 # ---------------------------------------------------------------------------
-# turn numbers
-
-
-def test_turn_number_along_rectangle_sides():
-    h = rect_rep(12, {0, 3, 6, 9})
-    assert turn_number(h, [0, 1, 2, 3]) == 0
-    assert turn_number(h, [2, 3, 4]) == 1
-    assert turn_number(h, [2, 3, 4, 5, 6, 7]) == 2
-    assert turn_number(h, [11, 0, 1]) == 1
-    # dart form agrees
-    assert turn_number(h, [(2, 0), (3, 0)]) == 1
-
-
-def test_turn_number_sees_bends():
-    h = theta_rep()
-    assert turn_number(h, [0, 2, 1]) == 2
-    assert turn_number(h, [0, 3, 1]) == 2
-    assert turn_number(h, [0, 1]) == 0
-    # one left bend on each edge, straight through the pole
-    assert turn_number(h, [2, 0, 3]) == 2
-
-
-def test_turn_number_rejects_non_paths():
-    h = rect_rep(4, {0, 1, 2, 3})
-    with pytest.raises(NotAPath):
-        turn_number(h, [0, 2])
-    with pytest.raises(NotAPath):
-        turn_number(h, [])
-    with pytest.raises(NotAPath):
-        turn_number(h, [(0, 0), (2, 0)])
-
-
-# ---------------------------------------------------------------------------
-# spirality
-
-
-def test_spirality_of_rectangle_subpaths():
-    h = rect_rep(12, {0, 3, 6, 9})
-    straight = Component({0, 1, 2}, (0, 3))
-    ell = Component({2, 3}, (2, 4))
-    yu = Component({2, 3, 4, 5, 6}, (2, 7))
-    assert spirality(h, straight) == 0
-    assert spirality(h, ell) == 1
-    assert spirality(h, yu) == 2
-    assert spirality(h, Component(set(range(11)), (0, 11))) == 3
-
-
-def test_spirality_counts_bends():
-    h = theta_rep()
-    assert spirality(h, Component({1, 2}, (0, 1))) == 2
-    assert spirality(h, Component({3, 4}, (0, 1))) == 2
-    assert spirality(h, Component({0}, (0, 1))) == 0
-
-
-def test_spirality_with_both_poles_aliased_on_one_edge():
-    # the 4-cycle wraps all the way around the shared outer edge 0
-    h = theta_rep()
-    assert spirality(h, Component({1, 2, 3, 4}, (0, 1))) == 4
-
-
-def test_spirality_with_poles_aliased_on_distinct_edges():
-    h = theta_rep()
-    assert spirality(h, Component({0, 3, 4}, (0, 1))) == 2
-    assert spirality(h, Component({0, 1, 2}, (0, 1))) == 2
-
-
-def test_spirality_agrees_between_alias_paths_in_nested_theta():
-    h = theta_nested_rep()
-    # both alias stubs sit on the line through edge 0: a straight pass.
-    # The two-bend middle path must report the same number (checked inside)
-    assert spirality(h, Component({0, 3, 4}, (0, 1))) == 0
-
-
-# ---------------------------------------------------------------------------
-# component sides
-
-
-def test_component_sides_finds_runs_and_inside():
-    h = theta_nested_rep()
-    pg = h.plane
-    inside, runs = component_sides(pg, Component({1, 2, 3, 4}, (0, 1)))
-    between = next(f.id for f in pg.faces
-                   if set(f.edge_ids()) == {1, 2, 3, 4})
-    assert inside == {between}
-    starts = {pg.dart_tail(run[0]) for _, run in runs}
-    assert starts == {0, 1}
-    for _, run in runs:
-        assert {d[0] for d in run} <= {1, 2, 3, 4}
-
-
-def test_component_sides_rejects_disk_holding_the_boundary():
-    h = theta_rep()  # external face is the 4-cycle itself
-    with pytest.raises(AssertionError):
-        component_sides(h.plane, Component({1, 2, 3, 4}, (0, 1)))
-
-
-# ---------------------------------------------------------------------------
-# substitution
-
-
-def test_substitute_identity_is_exact():
-    h = rect_rep(12, {0, 3, 6, 9})
-    out = substitute(h, Component({2, 3}, (2, 4)), h)
-    assert out.plane.rotation == h.plane.rotation
-    assert out.angles == h.angles and out.bends == h.bends
-    assert out.plane.external_face == h.plane.external_face
-
-
-def test_substitute_path_by_bent_edge():
-    # L-shaped two-edge path out, one-bend single edge in
-    h = rect_rep(12, {2, 5, 8, 11})
-    comp = Component({10, 11}, (10, 0))
-
-    g2 = ring(4)
-    pg0 = ring_plane(4)
-    internal = pg0.face_of_dart((0, 0))
-    pg2 = pg0.with_external_face(1 - internal)
-    angles = {}
-    for f in pg2.faces:
-        for d in f.boundary:
-            w = pg2.dart_head(d)
-            a = 180 if w == 3 else (270 if f.is_external else 90)
-            angles[d] = a
-    h2 = OrthoRep(pg2, angles, {3: "L"})
-    validate(h2)
-    comp2 = Component({3}, (3, 0))
-
-    out = substitute(h, comp, h2, comp2)
-    assert out.plane.n == 11 and out.plane.m == 11
-    assert out.total_bends() == 1 and len(out.bends[10]) == 1
-    assert out.sub_edge_map == {3: 10}
-    assert out.sub_vertex_map[3] == 10 and out.sub_vertex_map[0] == 0
-    # untouched geometry survives verbatim
-    before = turn_number(h, [3, 4, 5, 6])
-    assert turn_number(out, [3, 4, 5, 6]) == before
-    for w in (4, 5, 6):
-        for e in h.plane.rotation[w]:
-            assert out.angles[arrival(out.plane, e, w)] \
-                == h.angles[arrival(h.plane, e, w)]
-
-
-def test_substitute_flips_a_mirrored_replacement():
-    h = rect_rep(12, {2, 5, 8, 11})
-    comp = Component({10, 11}, (10, 0))
-    g2 = ring(4)
-    pg0 = ring_plane(4)
-    internal = pg0.face_of_dart((0, 0))
-    pg2 = pg0.with_external_face(1 - internal)
-    angles = {}
-    for f in pg2.faces:
-        for d in f.boundary:
-            w = pg2.dart_head(d)
-            angles[d] = 180 if w == 3 else (270 if f.is_external else 90)
-    h2 = OrthoRep(pg2, angles, {3: "L"})
-    comp2 = Component({3}, (3, 0))
-    out = substitute(h, comp, h2, comp2)
-    out2 = substitute(h, comp, flip(h2), comp2)
-    assert out2.bends == out.bends and out2.angles == out.angles
-
-
-def test_substitute_reshapes_the_middle_path():
-    h = theta_nested_rep()
-    comp = Component({1, 2, 3, 4}, (0, 1))
-    h2 = theta_nested_rep(("LLRL", ""))
-    out = substitute(h, comp, h2)
-    assert out.bends[3] == "LLRL" and out.bends[4] == ""
-    assert out.bends[1] == "LL" and out.total_bends() == 8
-    back = substitute(h2, comp, h)
-    assert back.bends[3] == "L" and back.total_bends() == 6
-    assert turn_number(out, [0, 1]) == turn_number(h, [0, 1]) == 0
-
-
-def test_substitute_rejects_mismatched_shapes():
-    h = theta_rep()
-    with pytest.raises(NotShapeEquivalent):
-        substitute(h, Component({1, 2}, (0, 1)), h,
-                   Component({0}, (0, 1)))
-    hn = theta_nested_rep()
-    with pytest.raises(NotShapeEquivalent):
-        substitute(hn, Component({1, 2, 3, 4}, (0, 1)), h,
-                   Component({1, 2}, (0, 1)))
-
-
-def test_substitute_rejects_mismatched_pole_angles():
-    h = theta_nested_rep()
-    comp = Component({1, 2, 3, 4}, (0, 1))
-    # same boundary turns, but the corner between the two inner edges at
-    # pole 0 is flattened and the difference moved onto edge 3
-    bad = theta_nested_rep()
-    d_in = arrival(bad.plane, 3, 0)
-    d_mid = arrival(bad.plane, 0, 0)
-    assert bad.angles[d_in] == 90 and bad.angles[d_mid] == 90
-    bad.angles[d_in] = 180
-    bad.angles[d_mid] = 360  # keep H1; garbage geometry is fine here
-    with pytest.raises((NotShapeEquivalent, H2Violation)):
-        substitute(h, comp, bad)
-
-
-# ---------------------------------------------------------------------------
-# flips and round trips
-
-
-def test_flip_swaps_letters_and_preserves_validity():
-    h = theta_rep()
-    f = flip(h)
-    validate(f)
-    assert f.bends[1] == "L" and f.bends[3] == "R"
-    assert f.total_bends() == h.total_bends()
-
-
-def test_flip_is_an_involution():
-    for h in [theta_rep(), theta_nested_rep(), rect_rep(12, {0, 3, 6, 9})]:
-        ff = flip(flip(h))
-        assert ff.plane.rotation == h.plane.rotation
-        assert ff.angles == h.angles and ff.bends == h.bends
+# round trips
 
 
 def test_rectilinear_image_and_smooth_round_trip():
@@ -526,40 +303,11 @@ def test_mutated_json_raises_only_package_errors(data):
 
 @settings(max_examples=8, deadline=None)
 @given(st.integers(0, len(ORACLE_REPS) - 1))
-def test_oracle_reps_survive_flip_and_round_trip(i):
+def test_oracle_reps_survive_round_trip(i):
     h = ORACLE_REPS[i]
     validate(h)
-    f = flip(h)
-    validate(f)
-    assert f.total_bends() == h.total_bends()
     img, hosts = rectilinear_image(h)
     validate(img)
     back = smooth(img, h.plane, hosts)
     assert back.angles == h.angles and back.bends == h.bends
 
-
-def test_substitute_identity_on_oracle_reps():
-    """Swapping a single edge for itself is exact on flow witnesses."""
-    for h in ORACLE_REPS:
-        pg = h.plane
-        d = pg.faces[pg.external_face].boundary[0]
-        comp = Component({d[0]}, (pg.dart_tail(d), pg.dart_head(d)))
-        out = substitute(h, comp, h)
-        assert out.angles == h.angles and out.bends == h.bends
-
-
-def test_substitute_two_edge_stretch_on_subdivided_prism():
-    pg0 = embed(prism())
-    e = sorted(pg0.external_boundary_edges())[0]
-    pg, hosts, segs = subdivide_plane(pg0, {e: 1})
-    _, h = oracle.flow_min_bends(pg)
-    mid = next(iter(hosts))
-    a, b = segs[e]
-    poles = tuple(w for s in (a, b) for w in pg.edge(s) if w != mid)
-    out = substitute(h, Component({a, b}, poles), h)
-    assert out.angles == h.angles and out.bends == h.bends
-    # a path through the untouched part of the boundary keeps its turns
-    far = [d for d in pg.faces[pg.external_face].boundary
-           if d[0] not in (a, b)]
-    p = [pg.dart_tail(far[0]), pg.dart_head(far[0]), pg.dart_head(far[1])]
-    assert turn_number(out, p) == turn_number(h, p)
