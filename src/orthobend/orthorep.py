@@ -24,7 +24,14 @@ from __future__ import annotations
 import json
 
 from .errors import H1Violation, H2Violation, ParseError
-from .graph import Dart, Face, Graph, PlaneGraph, check_rotation
+from .graph import (
+    Dart,
+    Face,
+    Graph,
+    PlaneGraph,
+    check_rotation,
+    dart_reverse,
+)
 
 ANGLES = (90, 180, 270, 360)
 
@@ -115,6 +122,33 @@ def is_valid(h: OrthoRep) -> bool:
 def _arrival_dart(pg: PlaneGraph, e: int, w: int) -> Dart:
     u, v = pg.edge(e)
     return (e, 0) if v == w else (e, 1)
+
+
+def flip(h: OrthoRep) -> OrthoRep:
+    """Mirror image: reverse rotations, swap bend letters, re-key corners."""
+    pg = h.plane
+    new_rot = [list(reversed(r)) for r in pg.rotation]
+    shell = PlaneGraph(pg.graph, new_rot, 0)
+    # locate the flipped external face by any dart of the old one
+    old_ext = pg.faces[pg.external_face]
+    if old_ext.boundary:
+        ext = shell.face_of_dart(dart_reverse(old_ext.boundary[0]))
+    else:
+        ext = 0
+    flipped = PlaneGraph(pg.graph, new_rot, ext)
+    angles = {}
+    for w in range(pg.n):
+        rot = pg.rotation[w]
+        k = len(rot)
+        for i, e in enumerate(rot):
+            # old corner keyed by arrival along e spans the cw gap (e, e');
+            # after mirroring the same gap is keyed by arrival along e'.
+            e2 = rot[(i + 1) % k]
+            d_old = _arrival_dart(pg, e, w)
+            d_new = _arrival_dart(flipped, e2, w)
+            angles[d_new] = h.angles[d_old]
+    bends = {e: swap_letters(s) for e, s in h.bends.items()}
+    return OrthoRep(flipped, angles, bends)
 
 
 def rectilinear_image(h: OrthoRep):

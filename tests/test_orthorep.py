@@ -1,4 +1,4 @@
-"""Angle labelings: validation, round trips, JSON.
+"""Angle labelings: validation, flips, round trips, JSON.
 
 Hand-built drawings with known geometry adjudicate the combinatorial
 machinery; the flow oracle supplies representations for the round-trip
@@ -21,6 +21,7 @@ from orthobend.errors import (
 from orthobend.graph import Graph, PlaneGraph, embed
 from orthobend.orthorep import (
     OrthoRep,
+    flip,
     from_json,
     is_valid,
     rectilinear_image,
@@ -199,7 +200,22 @@ def test_cost_counts_only_bends_beyond_flexibility():
 
 
 # ---------------------------------------------------------------------------
-# round trips
+# flips and round trips
+
+
+def test_flip_swaps_letters_and_preserves_validity():
+    h = theta_rep()
+    f = flip(h)
+    validate(f)
+    assert f.bends[1] == "L" and f.bends[3] == "R"
+    assert f.total_bends() == h.total_bends()
+
+
+def test_flip_is_an_involution():
+    for h in [theta_rep(), theta_nested_rep(), rect_rep(12, {0, 3, 6, 9})]:
+        ff = flip(flip(h))
+        assert ff.plane.rotation == h.plane.rotation
+        assert ff.angles == h.angles and ff.bends == h.bends
 
 
 def test_rectilinear_image_and_smooth_round_trip():
@@ -303,9 +319,12 @@ def test_mutated_json_raises_only_package_errors(data):
 
 @settings(max_examples=8, deadline=None)
 @given(st.integers(0, len(ORACLE_REPS) - 1))
-def test_oracle_reps_survive_round_trip(i):
+def test_oracle_reps_survive_flip_and_round_trip(i):
     h = ORACLE_REPS[i]
     validate(h)
+    f = flip(h)
+    validate(f)
+    assert f.total_bends() == h.total_bends()
     img, hosts = rectilinear_image(h)
     validate(img)
     back = smooth(img, h.plane, hosts)
