@@ -18,9 +18,14 @@ facing it, walked with the inside on the left; each contour path is one
 arc, its leg the cut edge at its tail and its leg face the arc's face.
 
 A dual triangle whose three cut edges share a primal vertex v is facial:
-it contributes one degenerate cycle around v, 3-extrovert with every
-face but the triangle's inside when v lies on the external boundary,
-3-introvert with the triangle's three faces inside when v is internal.
+its one degenerate cycle runs round v's face fan, 3-extrovert with every
+face but the fan inside when v lies on the external boundary, and
+3-introvert with the fan inside when v is internal. The count reads no
+degenerate cycle, so the demanding path never builds one:
+three_cycle_records lists only the separating triangles, each a face
+with two adjacent dual neighbours that are not consecutive around it,
+and facial_records builds the degenerate cycles on request.
+
 A separating triangle splits the other faces into two sides. With the
 external face in side B, side A is the inside of a 3-extrovert cycle
 and A plus the triangle's faces the inside of its 3-introvert partner
@@ -44,7 +49,9 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, replace
 
-from .errors import NoTwin, NotReferenceEmbedding, NotTriconnectedCubic
+from .errors import (
+    NoTwin, NotReferenceEmbedding, NotTriconnectedCubic, ShortExternalFace,
+)
 from .graph import PlaneGraph, dart_reverse, embed
 
 
@@ -59,7 +66,7 @@ class CycleRecord:
     which the record is treated as immutable.
     """
 
-    cycle_id: int
+    cycle_id: int  # from 0 when separating; -1 - v round vertex v
     kind: str  # "extrovert" | "introvert"
     edges: frozenset
     vertices: frozenset
@@ -94,40 +101,6 @@ def _pair_edges(pg: PlaneGraph):
     return pair_edges
 
 
-def dual_triangles(pg: PlaneGraph):
-    """All 3-edge-cuts as (cut_edges, cut_faces) with distinct faces.
-
-    cut_edges = (l1, l2, l3) where l1 joins faces[0]|faces[1], l2 joins
-    faces[1]|faces[2] and l3 joins faces[2]|faces[0] in the dual.
-    """
-    pair_edges = _pair_edges(pg)
-    nbrs = defaultdict(set)
-    for pair in pair_edges:
-        a, b = tuple(pair)
-        nbrs[a].add(b)
-        nbrs[b].add(a)
-    seen = set()
-    out = []
-    for pair in list(pair_edges):
-        f1, f2 = sorted(pair)
-        for f3 in nbrs[f1] & nbrs[f2]:
-            for l1 in pair_edges[pair]:
-                for l2 in pair_edges[frozenset((f2, f3))]:
-                    for l3 in pair_edges[frozenset((f3, f1))]:
-                        key = frozenset((l1, l2, l3))
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                        out.append(((l1, l2, l3), (f1, f2, f3)))
-    return out
-
-
-def _facial_apex(pg, cut):
-    """The vertex all three cut edges meet in, or None."""
-    common = set(pg.edge(cut[0])).intersection(*map(pg.edge, cut[1:]))
-    return common.pop() if common else None
-
-
 def _face_index(pg: PlaneGraph):
     """Per face, the faces across its boundary darts in walk order, and
     each boundary edge's position on that walk."""
@@ -146,6 +119,46 @@ def _class_index(pg: PlaneGraph):
         raise NotTriconnectedCubic(
             "3-cycle records need a triconnected cubic graph")
     return across, pos
+
+
+def _separating_pairs(across, f):
+    """Positions (i, j, k) where g = across[f][i] and h = across[f][k]
+    close a separating dual triangle with face f, through the edge at
+    position j of g's walk (across[g][j] == h); each triangle at f comes
+    once per order of g and h.
+
+    Two adjacent dual neighbours of f close a dual triangle with it. When
+    they are consecutive around f, all three cut edges meet in the vertex
+    between them and the triangle is facial; otherwise no two of the cut
+    edges share a vertex.
+    """
+    nbrs = across[f]
+    at = {g: i for i, g in enumerate(nbrs)}
+    for i, g in enumerate(nbrs):
+        for j, h in enumerate(across[g]):
+            k = at.get(h)
+            if k is not None and (k - i) % len(nbrs) not in (1, len(nbrs) - 1):
+                yield i, j, k
+
+
+def dual_triangles(pg: PlaneGraph, across):
+    """The separating 3-edge-cuts of pg as (cut_edges, cut_faces), each
+    once; `across` is _face_index(pg)[0] of a pg in the class of
+    three_cycle_records.
+
+    cut_faces = (f, g, h) with f < g < h, and cut_edges = (l1, l2, l3)
+    where l1 joins f|g, l2 joins g|h and l3 joins h|f in the dual. Facial
+    triangles, one round each vertex, are not listed.
+    """
+    out = []
+    for f, nbrs in enumerate(across):
+        walk = pg.faces[f].boundary
+        for i, j, k in _separating_pairs(across, f):
+            g, h = nbrs[i], nbrs[k]
+            if f < g < h:
+                out.append(((walk[i][0], pg.faces[g].boundary[j][0],
+                             walk[k][0]), (f, g, h)))
+    return out
 
 
 def _dual_side(across, blocked, start_a, start_b):
@@ -215,8 +228,26 @@ def _contour(pg: PlaneGraph, pos, cut, x, faces_inside):
     return arcs[k + 1:] + arcs[:k + 1], vertices
 
 
+def _record(pg, pos, cycle_id, cut, tri, inside, x, kind, degenerate,
+            phi=None):
+    """The record of the cycle next to the cut with the dual triangle
+    `tri` on the side of x, an end of cut[0], whose inside is `inside`."""
+    contour = _contour(pg, pos, cut, x, not tri.isdisjoint(inside))
+    assert contour is not None, "cut arcs close no cycle with three legs"
+    legs, faces, paths = zip(*contour[0])
+    return CycleRecord(
+        cycle_id=cycle_id, kind=kind,
+        edges=frozenset(e for path in paths for e, _ in path),
+        vertices=contour[1], legs=legs,
+        leg_vertices=tuple(pg.dart_tail(path[0]) for path in paths),
+        leg_faces=faces, contour_paths=tuple(map(tuple, paths)),
+        inside_faces=inside, degenerate=degenerate, phi_partner=phi)
+
+
 def three_cycle_records(pg: PlaneGraph):
-    """All 3-extrovert and 3-introvert cycles of pg, with phi links.
+    """The non-degenerate 3-extrovert and 3-introvert cycles of pg, two
+    per separating 3-edge-cut, with phi links; facial_records has the
+    degenerate ones.
 
     Raises NotTriconnectedCubic unless pg's graph is cubic and
     triconnected, that is, unless every edge joins its own pair of faces:
@@ -227,45 +258,50 @@ def three_cycle_records(pg: PlaneGraph):
     all_faces = frozenset(range(len(pg.faces)))
     records = []
 
-    def add(cut, tri, inside, x, kind, degenerate, phi=None):
-        contour = _contour(pg, pos, cut, x, not tri.isdisjoint(inside))
-        assert contour is not None, "cut arcs close no cycle with three legs"
-        legs, faces, paths = zip(*contour[0])
-        records.append(CycleRecord(
-            cycle_id=len(records), kind=kind,
-            edges=frozenset(e for path in paths for e, _ in path),
-            vertices=contour[1], legs=legs,
-            leg_vertices=tuple(pg.dart_tail(path[0]) for path in paths),
-            leg_faces=faces, contour_paths=tuple(map(tuple, paths)),
-            inside_faces=inside, degenerate=degenerate, phi_partner=phi))
+    def add(cut, tri, inside, x, kind, phi=None):
+        records.append(_record(pg, pos, len(records), cut, tri, inside, x,
+                               kind, False, phi))
 
-    for cut, tri_faces in dual_triangles(pg):
+    for cut, tri_faces in dual_triangles(pg, across):
         tri = frozenset(tri_faces)
         u0, v0 = pg.edge(cut[0])
-        apex = _facial_apex(pg, cut)
-        if apex is not None:
-            # the cycle runs round the apex's face fan; the apex is
-            # external exactly when a face of its fan is, and an internal
-            # apex has its face fan inside
-            outer = ext in tri
-            add(cut, tri, all_faces - tri if outer else tri,
-                v0 if apex == u0 else u0,
-                "extrovert" if outer else "introvert", True)
-            continue
         side, is_a = _dual_side(across, tri, *(
             [f for e in pg.rotation[w] for f in pg.faces_of_edge(e)]
             for w in (u0, v0)))
         other = all_faces - tri - side
         a, b = ((side, u0), (other, v0)) if is_a else ((other, u0), (side, v0))
         if ext in tri:
-            add(cut, tri, *a, "extrovert", False)
-            add(cut, tri, *b, "extrovert", False)
+            add(cut, tri, *a, "extrovert")
+            add(cut, tri, *b, "extrovert")
         else:
             if ext not in b[0]:  # keep the external face on the b side
                 a, b = b, a
             i = len(records)
-            add(cut, tri, *a, "extrovert", False, i + 1)
-            add(cut, tri, all_faces - b[0], b[1], "introvert", False, i)
+            add(cut, tri, *a, "extrovert", i + 1)
+            add(cut, tri, all_faces - b[0], b[1], "introvert", i)
+    return records
+
+
+def facial_records(pg: PlaneGraph):
+    """The degenerate 3-cycles of pg, one per vertex v with cycle id
+    -1 - v: the cycle round v's face fan, whose legs are v's three edges.
+
+    The cycle is 3-extrovert, with every face but the fan inside, when v
+    lies on the external face, and 3-introvert with the fan inside when v
+    is internal. Raises NotTriconnectedCubic as three_cycle_records does.
+    """
+    _, pos = _class_index(pg)
+    ext = pg.external_face
+    all_faces = frozenset(range(len(pg.faces)))
+    records = []
+    for v, cut in enumerate(pg.rotation):
+        fan = frozenset(f for e in cut for f in pg.faces_of_edge(e))
+        outer = ext in fan
+        u, w = pg.edge(cut[0])
+        records.append(_record(
+            pg, pos, -1 - v, tuple(cut), fan,
+            all_faces - fan if outer else fan, w if u == v else u,
+            "extrovert" if outer else "introvert", True))
     return records
 
 
@@ -316,20 +352,6 @@ def _two_record(pg, pos, cut, x, inside):
 # reference embeddings
 
 
-def _on_separating_triangle(across, f):
-    """True iff face f lies on a separating triangle of the dual.
-
-    Two adjacent dual neighbours of f close a dual triangle with it. When
-    they are consecutive around f, all three cut edges meet in the vertex
-    between them and the triangle is facial; otherwise no two of the cut
-    edges share a vertex.
-    """
-    nbrs = across[f]
-    at = {g: i for i, g in enumerate(nbrs)}
-    return any((at[h] - i) % len(nbrs) not in (1, len(nbrs) - 1)
-               for i, g in enumerate(nbrs) for h in across[g] if h in at)
-
-
 def is_reference_embedding(pg: PlaneGraph) -> bool:
     """True iff no non-degenerate 3-extrovert cycle touches the external
     face, that is, the external face is on no separating triangle; raises
@@ -348,7 +370,7 @@ def compute_reference_embedding(g) -> PlaneGraph:
     pg = g if isinstance(g, PlaneGraph) else embed(g)
     across, _ = _class_index(pg)
     for f in (pg.external_face, *range(len(pg.faces))):
-        if not _on_separating_triangle(across, f):
+        if next(_separating_pairs(across, f), None) is None:
             return pg if f == pg.external_face else pg.with_external_face(f)
     raise AssertionError("every face lies on a separating triangle")
 
@@ -495,7 +517,7 @@ def fx_counts(tree: InclusionTree, reps=None):
 # coloring
 
 
-def color_3_extrovert(tree: InclusionTree, reps=None):
+def color_3_extrovert(tree: InclusionTree, reps=None, fx=None):
     """Two-step red-green-orange coloring of the non-degenerate
     3-extrovert cycles; returns (records, D, D_f).
 
@@ -506,7 +528,8 @@ def color_3_extrovert(tree: InclusionTree, reps=None):
     """
     if reps is None:
         reps = contour_paths_explicit(tree)
-    fx = fx_counts(tree, reps)
+    if fx is None:
+        fx = fx_counts(tree, reps)
     colors = {}
     for cid in sorted(tree.nodes, key=tree.depth, reverse=True):
         cols = []
@@ -539,7 +562,7 @@ def _face_flex_count(pg, f):
                if pg.graph.flexibility(e) > 0)
 
 
-def color_3_introvert(tree: InclusionTree, reps=None):
+def color_3_introvert(tree: InclusionTree, reps=None, fx=None):
     """Color the partner 3-introvert cycles without expanding them.
 
     The tree's 3-extrovert cycles must already be colored by
@@ -553,7 +576,8 @@ def color_3_introvert(tree: InclusionTree, reps=None):
     pg = tree.pg
     if reps is None:
         reps = contour_paths_explicit(tree)
-    fx = fx_counts(tree, reps)
+    if fx is None:
+        fx = fx_counts(tree, reps)
     face_fx = {}
     out = []
     for node in tree.preorder():
@@ -611,7 +635,9 @@ def color_3_introvert(tree: InclusionTree, reps=None):
 
 @dataclass
 class DemandingSets:
-    records: list  # pg's 3-cycles; phi links are the reference embedding's
+    # pg's two 3-cycles per separating cut, no facial ones; phi links are
+    # the reference embedding's
+    records: list
     d_set: list  # pairwise non-intersecting demanding 3-extrovert cycles
     d_f: list  # members of d_set with the external face as a leg face
     reference_face: int
@@ -650,19 +676,19 @@ def demanding_sets(pg: PlaneGraph) -> DemandingSets:
     ref = compute_reference_embedding(pg)
     tree = inclusion_tree(ref)
     reps = contour_paths_explicit(tree)
-    color_3_extrovert(tree, reps)
-    color_3_introvert(tree, reps)
+    fx = fx_counts(tree, reps)
+    color_3_extrovert(tree, reps, fx)
+    color_3_introvert(tree, reps, fx)
 
     ext = pg.external_face
     all_faces = frozenset(range(len(pg.faces)))
     records = [_inside_out(r, all_faces) if ext in r.inside_faces else r
                for r in tree.records]
     i_f = {r.cycle_id for r in tree.records
-           if r.kind == "introvert" and not r.degenerate and r.demanding
-           and ext in r.leg_faces}
+           if r.kind == "introvert" and r.demanding and ext in r.leg_faces}
     drop = i_f if len(i_f) >= 2 else set()
     d_set = [r for r in records
-             if r.kind == "extrovert" and not r.degenerate and r.demanding
+             if r.kind == "extrovert" and r.demanding
              and r.cycle_id not in drop]
     d_f = [r for r in d_set if ext in r.leg_faces]
     return DemandingSets(records, d_set, d_f, ref.external_face)
@@ -695,7 +721,10 @@ def intersecting_cover(pg: PlaneGraph, cycles, records=None):
     """Two non-adjacent external edges e1, e2 such that every cycle of a
     pairwise-intersecting family contains one of them."""
     boundary = pg.faces[pg.external_face].edge_ids()
-    assert len(boundary) >= 4
+    if len(boundary) < 4:
+        raise ShortExternalFace(
+            f"external face {pg.external_face} has {len(boundary)} edges; "
+            "a cover needs two non-adjacent ones")
     nondeg = [c for c in cycles if not c.degenerate]
     if nondeg:
         c1 = nondeg[0]

@@ -62,6 +62,10 @@ class NoTwin(DomainError):
     pass
 
 
+class ShortExternalFace(DomainError):
+    """The external face has fewer than four edges."""
+
+
 class NotGood(DomainError):
     pass
 

@@ -14,6 +14,7 @@ them) but rejected by Graph, which is the graph of every PlaneGraph.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import networkx as nx
@@ -146,12 +147,9 @@ class PlaneGraph:
     def __init__(self, graph, rotation, external_face=0):
         self.graph = graph
         self.rotation = [list(r) for r in rotation]
-        self.faces = trace_faces(graph.n, graph.edges, self.rotation)
-        if not (0 <= external_face < len(self.faces)):
-            raise ParseError(f"external face {external_face} out of range")
+        self.faces = _marked(trace_faces(graph.n, graph.edges, self.rotation),
+                             external_face)
         self.external_face = external_face
-        for f in self.faces:
-            f.is_external = f.id == external_face
         if graph.n - len(graph.edges) + len(self.faces) != 2:
             raise NotPlanar("rotation system is not planar (Euler check)")
         self._dart_face = {}
@@ -200,11 +198,26 @@ class PlaneGraph:
         raise KeyError(f"face {f} not incident to edge {e}")
 
     def with_external_face(self, f: int) -> "PlaneGraph":
-        """Same embedding, different external face. Face ids are stable."""
-        return PlaneGraph(self.graph, self.rotation, f)
+        """Same embedding, different external face. Face ids are stable.
+
+        The faces are not traced again: the copy has its own Face objects
+        over the same boundary lists and shares every map with self.
+        """
+        other = copy.copy(self)
+        other.faces = _marked(self.faces, f)
+        other.external_face = f
+        return other
 
     def external_boundary_edges(self):
         return set(self.faces[self.external_face].edge_ids())
+
+
+def _marked(faces, external_face):
+    """Fresh Face objects over the boundaries of `faces`, with exactly the
+    one numbered external_face external; ParseError when there is none."""
+    if not (0 <= external_face < len(faces)):
+        raise ParseError(f"external face {external_face} out of range")
+    return [Face(f.id, f.boundary, f.id == external_face) for f in faces]
 
 
 def trace_faces(n, edges, rotation):

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import networkx as nx
 
-from .cycles import find_2_extrovert, three_cycle_records
+from .cycles import facial_records, find_2_extrovert, three_cycle_records
 from .errors import NotGood, NotRectangularizable
 from .graph import Graph, PlaneGraph, dart_reverse
 from .orthorep import OrthoRep, validate
@@ -107,7 +107,8 @@ def check_good(pg: PlaneGraph) -> GoodCheck:
             return GoodCheck(
                 False, "ii",
                 tuple(sorted(verts)), tuple(sorted(rec.edges)))
-    threes = [r for r in three_cycle_records(pg) if r.kind == "extrovert"]
+    threes = [r for r in three_cycle_records(pg) + facial_records(pg)
+              if r.kind == "extrovert"]
     for rec in sorted(threes, key=lambda r: sorted(r.edges)):
         if not any(_degree(pg, v) == 2 for v in rec.vertices):
             return GoodCheck(
@@ -127,7 +128,7 @@ def _bad_cycles(pg: PlaneGraph, corners) -> list[BadCycle]:
         if len(cset & verts) < 2:
             out.append(BadCycle(2, rec.edges, verts, rec.legs,
                                 rec.inside_faces, rec.darts, False))
-    for rec in three_cycle_records(pg):
+    for rec in three_cycle_records(pg) + facial_records(pg):
         if rec.kind != "extrovert":
             continue
         darts = tuple(d for path in rec.contour_paths for d in path)

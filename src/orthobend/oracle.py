@@ -316,6 +316,47 @@ def two_extrovert(pg: PlaneGraph):
             if r["kind"] == "extrovert" and r["k"] == 2]
 
 
+# -- 3-edge-cuts as dual triangles --------------------------------------------
+
+def all_dual_triangles(pg: PlaneGraph):
+    """All 3-edge-cuts as (cut_edges, cut_faces) with distinct faces, by
+    trying every pair of dual edges that meet at a face.
+
+    cut_edges = (l1, l2, l3) where l1 joins faces[0]|faces[1], l2 joins
+    faces[1]|faces[2] and l3 joins faces[2]|faces[0] in the dual.
+    """
+    pair_edges = defaultdict(list)
+    for e in range(pg.m):
+        fa, fb = pg.faces_of_edge(e)
+        if fa != fb:
+            pair_edges[frozenset((fa, fb))].append(e)
+    nbrs = defaultdict(set)
+    for pair in pair_edges:
+        a, b = tuple(pair)
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    seen = set()
+    out = []
+    for pair in list(pair_edges):
+        f1, f2 = sorted(pair)
+        for f3 in nbrs[f1] & nbrs[f2]:
+            for l1 in pair_edges[pair]:
+                for l2 in pair_edges[frozenset((f2, f3))]:
+                    for l3 in pair_edges[frozenset((f3, f1))]:
+                        key = frozenset((l1, l2, l3))
+                        if key in seen:
+                            continue
+                        seen.add(key)
+                        out.append(((l1, l2, l3), (f1, f2, f3)))
+    return out
+
+
+def facial_apex(pg: PlaneGraph, cut):
+    """The vertex all three cut edges meet in, or None."""
+    common = set(pg.edge(cut[0])).intersection(*map(pg.edge, cut[1:]))
+    return common.pop() if common else None
+
+
 # -- demanding classification -------------------------------------------------
 
 def color_records(pg: PlaneGraph, recs, flex: dict | None = None):

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from orthobend import cycles, oracle
 from orthobend.errors import (
-    NoTwin, NotReferenceEmbedding, NotTriconnectedCubic,
+    NoTwin, NotReferenceEmbedding, NotTriconnectedCubic, ShortExternalFace,
 )
 from orthobend.graph import Graph, dart_reverse, embed
 from orthobend.orthorep import subdivide_plane
@@ -38,6 +38,11 @@ def all_faces(g):
     return [pg0.with_external_face(f) for f in range(len(pg0.faces))]
 
 
+def all_records(pg):
+    """Every 3-extrovert and 3-introvert cycle of pg, facial ones too."""
+    return cycles.three_cycle_records(pg) + cycles.facial_records(pg)
+
+
 def vertex_set(g, edge_ids):
     out = set()
     for e in edge_ids:
@@ -61,7 +66,7 @@ def test_three_cycle_detection_matches_exhaustive_search(builder):
     for pg in all_faces(builder()):
         want = oracle_keys(oracle.three_extrovert(pg)
                            + oracle.three_introvert(pg))
-        got = production_keys(cycles.three_cycle_records(pg))
+        got = production_keys(all_records(pg))
         assert got == want
 
 
@@ -70,7 +75,7 @@ def test_three_cycle_detection_on_grown_corpus():
         pg = embed(g)
         want = oracle_keys(oracle.three_extrovert(pg)
                            + oracle.three_introvert(pg))
-        assert production_keys(cycles.three_cycle_records(pg)) == want
+        assert production_keys(all_records(pg)) == want
 
 
 def test_three_cycle_records_reject_graphs_outside_the_class():
@@ -123,7 +128,7 @@ def test_partner_pairing_is_an_involution(i):
 def test_record_structure_invariants(i):
     g = CORPUS[i]
     pg = embed(g)
-    for r in cycles.three_cycle_records(pg):
+    for r in all_records(pg):
         assert len(r.legs) == 3 and len(r.contour_paths) == 3
         # each leg has exactly one endpoint on the cycle
         for leg in r.legs:
@@ -156,7 +161,7 @@ def test_records_on_deeply_nested_graphs(g):
     its inside by a plain flood, its sides dart by dart, its walk."""
     pg0 = embed(g)
     for pg in (pg0, cycles.compute_reference_embedding(pg0)):
-        for r in cycles.three_cycle_records(pg):
+        for r in all_records(pg):
             assert r.inside_faces == inside_by_flood(pg, r)
             darts = [d for path in r.contour_paths for d in path]
             for j, path in enumerate(r.contour_paths):
@@ -200,8 +205,8 @@ def test_cut_floods_pay_for_the_smaller_side(g):
     counted = CountingList(across)
     all_faces = frozenset(range(len(pg.faces)))
     separating = 0
-    for cut, faces in cycles.dual_triangles(pg):
-        if cycles._facial_apex(pg, cut) is not None:
+    for cut, faces in oracle.all_dual_triangles(pg):
+        if oracle.facial_apex(pg, cut) is not None:
             continue
         separating += 1
         tri = frozenset(faces)
@@ -224,6 +229,53 @@ def test_cut_floods_pay_for_the_smaller_side(g):
         assert side == (a if is_a else b)
         assert counted.reads <= 2 * len(side) + 1
     assert separating > g.n // 3
+
+
+def test_separating_cuts_and_facial_records_match_the_oracle():
+    """The face index lists each separating dual triangle once, l1 f|g,
+    l2 g|h and l3 h|f, and facial_records has the cycle round each vertex
+    v with id -1 - v; both refereed by the brute dual-triangle search, and
+    the facial cycles on the small graphs by the simple-cycle search."""
+    for g in CORPUS + NESTED[:1]:
+        for pg in all_faces(g):
+            across, _ = cycles._face_index(pg)
+            got = cycles.dual_triangles(pg, across)
+            for cut, faces in got:
+                for j, e in enumerate(cut):
+                    assert set(pg.faces_of_edge(e)) \
+                        == {faces[j], faces[(j + 1) % 3]}
+            apex = {frozenset(cut): oracle.facial_apex(pg, cut)
+                    for cut, _ in oracle.all_dual_triangles(pg)}
+            assert Counter(frozenset(cut) for cut, _ in got) \
+                == Counter(cut for cut, v in apex.items() if v is None)
+            facial = cycles.facial_records(pg)
+            assert {frozenset(r.legs): -1 - r.cycle_id for r in facial} \
+                == {cut: v for cut, v in apex.items() if v is not None}
+            if g.n <= 16:
+                want = [r for r in oracle.three_extrovert(pg)
+                        + oracle.three_introvert(pg) if r["degenerate"]]
+                assert production_keys(facial) == oracle_keys(want)
+
+
+def test_demanding_sets_build_no_facial_record(monkeypatch):
+    """Two records per separating cut and none round a vertex, at every
+    face of a graph grown like the benchmark's every-face queries."""
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(record(*args, **kwargs))
+        return built[-1]
+
+    record = cycles._record
+    monkeypatch.setattr(cycles, "_record", counted)
+    for pg in all_faces(nested(1, 60)):
+        built.clear()
+        cycles.demanding_sets(pg)
+        separating = sum(1 for cut, _ in oracle.all_dual_triangles(pg)
+                         if oracle.facial_apex(pg, cut) is None)
+        assert separating > 0
+        assert len(built) == 2 * separating
+        assert not any(r.degenerate for r in built)
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +345,8 @@ def test_reference_faces_are_on_no_separating_dual_triangle():
         for pg in all_faces(g):
             on_separating = any(
                 pg.external_face in faces
-                for cut, faces in cycles.dual_triangles(pg)
-                if cycles._facial_apex(pg, cut) is None)
+                for cut, faces in oracle.all_dual_triangles(pg)
+                if oracle.facial_apex(pg, cut) is None)
             assert cycles.is_reference_embedding(pg) == (not on_separating)
 
 
@@ -563,7 +615,7 @@ def test_twin_undefined_off_the_boundary_and_for_degenerate_cycles():
     with pytest.raises(NoTwin):
         cycles.twin(pg, tri, recs)
     pg4 = embed(k4())
-    degen = next(r for r in cycles.three_cycle_records(pg4)
+    degen = next(r for r in all_records(pg4)
                  if r.kind == "extrovert" and r.degenerate)
     with pytest.raises(NoTwin):
         cycles.twin(pg4, degen)
@@ -597,7 +649,7 @@ def test_cover_for_single_and_paired_families():
 def test_cover_for_degenerate_and_empty_families():
     g = cube()
     pg = embed(g)
-    recs = cycles.three_cycle_records(pg)
+    recs = all_records(pg)
     family = [r for r in recs if r.kind == "extrovert" and r.degenerate
               and set(r.legs) & pg.external_boundary_edges()]
     assert len(family) == 4
@@ -608,6 +660,22 @@ def test_cover_for_degenerate_and_empty_families():
     e1, e2 = cycles.intersecting_cover(pg, [], recs)
     assert {e1, e2} <= pg.external_boundary_edges()
     assert not set(g.edges[e1]) & set(g.edges[e2])
+
+
+def test_cover_rejects_a_triangular_external_face():
+    """A triangle has no two non-adjacent edges: the prism's two triangles
+    and every face of K4 are refused with a typed error naming the face."""
+    refused = 0
+    for g in (prism(), k4()):
+        for pg in all_faces(g):
+            if len(pg.faces[pg.external_face]) != 3:
+                continue
+            refused += 1
+            with pytest.raises(ShortExternalFace,
+                               match=f"external face {pg.external_face} "
+                                     "has 3 edges"):
+                cycles.intersecting_cover(pg, [], all_records(pg))
+    assert refused == 2 + 4
 
 
 # ---------------------------------------------------------------------------

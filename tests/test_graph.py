@@ -88,13 +88,26 @@ def test_face_structure_of_the_cube():
             pg.other_face(e, 99)
 
 
+def plane_state(pg):
+    return ([(x.id, x.boundary, x.is_external) for x in pg.faces],
+            pg.external_face, pg.rotation, pg._dart_face, pg._edge_faces)
+
+
 def test_external_face_selection_is_stable():
-    pg = embed(prism())
-    for f in range(len(pg.faces)):
-        pg2 = pg.with_external_face(f)
-        assert pg2.external_face == f
-        assert [x.boundary for x in pg2.faces] == [x.boundary for x in pg.faces]
-        assert sum(x.is_external for x in pg2.faces) == 1
+    """Moving the external face gives what tracing the faces afresh would,
+    and leaves the source graph as it was."""
+    for g in [prism()] + CORPUS:
+        pg = embed(g)
+        before = plane_state(pg)
+        for f in range(len(pg.faces)):
+            pg2 = pg.with_external_face(f)
+            assert pg2.external_face == f
+            assert plane_state(pg2) \
+                == plane_state(PlaneGraph(g, pg.rotation, f))
+            assert sum(x.is_external for x in pg2.faces) == 1
+            assert plane_state(pg) == before
+        with pytest.raises(ParseError):
+            pg.with_external_face(len(pg.faces))
 
 
 def test_dart_bookkeeping():
