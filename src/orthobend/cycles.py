@@ -101,19 +101,10 @@ def _pair_edges(pg: PlaneGraph):
     return pair_edges
 
 
-def _face_index(pg: PlaneGraph):
-    """Per face, the faces across its boundary darts in walk order, and
-    each boundary edge's position on that walk."""
-    across = [[pg.faces_of_edge(e)[1 - o] for e, o in f.boundary]
-              for f in pg.faces]
-    pos = [{e: i for i, (e, _) in enumerate(f.boundary)} for f in pg.faces]
-    return across, pos
-
-
 def _class_index(pg: PlaneGraph):
-    """_face_index(pg); NotTriconnectedCubic outside the class of
+    """pg.face_index; NotTriconnectedCubic outside the class of
     three_cycle_records."""
-    across, pos = _face_index(pg)
+    across, pos = pg.face_index
     if not pg.graph.is_cubic() or any(f in nbrs or len(set(nbrs)) < len(nbrs)
                                       for f, nbrs in enumerate(across)):
         raise NotTriconnectedCubic(
@@ -143,7 +134,7 @@ def _separating_pairs(across, f):
 
 def dual_triangles(pg: PlaneGraph, across):
     """The separating 3-edge-cuts of pg as (cut_edges, cut_faces), each
-    once; `across` is _face_index(pg)[0] of a pg in the class of
+    once; `across` is pg.face_index[0] of a pg in the class of
     three_cycle_records.
 
     cut_faces = (f, g, h) with f < g < h, and cut_edges = (l1, l2, l3)
@@ -307,7 +298,7 @@ def facial_records(pg: PlaneGraph):
 
 def find_2_extrovert(pg: PlaneGraph):
     """2-extrovert cycles via parallel dual edges (2-edge-cuts)."""
-    across, pos = _face_index(pg)
+    across, pos = pg.face_index
     all_faces = frozenset(range(len(pg.faces)))
     out = {}
     for pair, es in _pair_edges(pg).items():
@@ -495,10 +486,9 @@ def contour_paths_explicit(tree: InclusionTree):
     return reps
 
 
-def fx_counts(tree: InclusionTree, reps=None):
-    """Number of flexible edges per extrovert contour path (post-order)."""
-    if reps is None:
-        reps = contour_paths_explicit(tree)
+def fx_counts(tree: InclusionTree, reps):
+    """Number of flexible edges per extrovert contour path (post-order);
+    reps is contour_paths_explicit(tree)."""
     pg = tree.pg
     fx = {}
     for cid in sorted(tree.nodes, key=tree.depth, reverse=True):
@@ -517,19 +507,16 @@ def fx_counts(tree: InclusionTree, reps=None):
 # coloring
 
 
-def color_3_extrovert(tree: InclusionTree, reps=None, fx=None):
+def color_3_extrovert(tree: InclusionTree, reps, fx):
     """Two-step red-green-orange coloring of the non-degenerate
     3-extrovert cycles; returns (records, D, D_f).
 
     Step 1 marks a path orange when it carries a flexible edge and green
     when one of its child-path pointers is already green; step 2 turns
     all-undefined cycles green (these are the demanding ones) and the
-    remaining undefined paths red.
+    remaining undefined paths red. reps is contour_paths_explicit(tree)
+    and fx is fx_counts(tree, reps).
     """
-    if reps is None:
-        reps = contour_paths_explicit(tree)
-    if fx is None:
-        fx = fx_counts(tree, reps)
     colors = {}
     for cid in sorted(tree.nodes, key=tree.depth, reverse=True):
         cols = []
@@ -562,7 +549,7 @@ def _face_flex_count(pg, f):
                if pg.graph.flexibility(e) > 0)
 
 
-def color_3_introvert(tree: InclusionTree, reps=None, fx=None):
+def color_3_introvert(tree: InclusionTree, fx):
     """Color the partner 3-introvert cycles without expanding them.
 
     The tree's 3-extrovert cycles must already be colored by
@@ -571,13 +558,9 @@ def color_3_introvert(tree: InclusionTree, reps=None, fx=None):
     path on leg face f' is flexible-free exactly when
     fx(face) - fx(extrovert path) - flexible legs = 0, and it contains a
     green path of another S-cycle exactly when that cycle has a green
-    path incident to f'.
+    path incident to f'. fx is fx_counts of the tree.
     """
     pg = tree.pg
-    if reps is None:
-        reps = contour_paths_explicit(tree)
-    if fx is None:
-        fx = fx_counts(tree, reps)
     face_fx = {}
     out = []
     for node in tree.preorder():
@@ -678,7 +661,7 @@ def demanding_sets(pg: PlaneGraph) -> DemandingSets:
     reps = contour_paths_explicit(tree)
     fx = fx_counts(tree, reps)
     color_3_extrovert(tree, reps, fx)
-    color_3_introvert(tree, reps, fx)
+    color_3_introvert(tree, fx)
 
     ext = pg.external_face
     all_faces = frozenset(range(len(pg.faces)))

@@ -23,7 +23,6 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 import random
-from typing import NamedTuple
 
 import networkx as nx
 
@@ -441,134 +440,6 @@ def _split_series(W, cls, fresh_pair):
     assert sum(1 for e in skel if id(e) in in_cls) == len(cls), \
         "series walk missed class edges"
     return skel, pieces
-
-
-# ---------------------------------------------------------------- rooting
-
-
-class RootedSpqr:
-    """A rooting of the tree at one Q-node.
-
-    ref[mu] is the reference edge: for a non-leaf it lives in mu's own
-    skeleton (real for the root child, virtual with its twin in the
-    parent otherwise); for a Q-leaf it is the real skeleton edge that
-    represents it in the parent. poles[mu] are its endpoints.
-    """
-
-    def __init__(self, tree, root):
-        self.tree = tree
-        self.root = root
-        n = len(tree.nodes)
-        self.parent = [None] * n
-        self.children = [[] for _ in range(n)]
-        self.ref = [None] * n
-        self._orient()
-
-    def _orient(self):
-        t = self.tree
-        root_node = t.nodes[self.root]
-        assert root_node.kind == "Q", "root must be a Q-node"
-        first = t.owner_edge[root_node.edge_id]
-        self.parent[self.root] = None
-        self.ref[self.root] = first
-        self.children[self.root] = [first.node]
-        queue = [(first.node, self.root, first)]
-        head = 0
-        while head < len(queue):
-            mu, par, ref = queue[head]
-            head += 1
-            self.parent[mu] = par
-            self.ref[mu] = ref
-            node = t.nodes[mu]
-            # children come out in skeleton order, reference edge skipped
-            for e in node.edges:
-                if e is ref:
-                    continue
-                if e.is_real:
-                    q = t.q_of_edge[e.edge_id]
-                    self.parent[q] = mu
-                    self.ref[q] = e
-                    self.children[mu].append(q)
-                else:
-                    self.children[mu].append(e.twin.node)
-                    queue.append((e.twin.node, mu, e.twin))
-
-    def poles(self, mu):
-        e = self.ref[mu]
-        return (e.u, e.v)
-
-    def is_inner(self, mu):
-        return self.parent[mu] is not None and \
-            self.parent[mu] != self.root and mu != self.root
-
-    def root_child(self):
-        return self.children[self.root][0]
-
-
-def root_at(tree: SpqrTree, q: int) -> RootedSpqr:
-    return RootedSpqr(tree, q)
-
-
-class Pertinent(NamedTuple):
-    """The edge ids under a node of a rooted tree, and the node's poles."""
-
-    edges: frozenset
-    poles: tuple
-
-
-def pertinent_graph(rt: RootedSpqr, mu: int) -> Pertinent:
-    """Edge ids under mu, with the poles of mu."""
-    assert mu != rt.root, "the root has no pertinent graph"
-    t = rt.tree
-    out = []
-    stack = [mu]
-    while stack:
-        x = stack.pop()
-        node = t.nodes[x]
-        if node.kind == "Q":
-            out.append(node.edge_id)
-        else:
-            stack.extend(rt.children[x])
-    return Pertinent(frozenset(out), rt.poles(mu))
-
-
-def check_rooted_properties(rt: RootedSpqr):
-    """Degree-3 structure facts the labeling pass relies on.
-
-    P-nodes have exactly two children, at least one an S-node (both,
-    for the root child). R-node children are S or Q. In an S-skeleton
-    no two virtual edges share a vertex, and for an inner S-node the
-    non-reference skeleton edges at the poles are real.
-    """
-    t = rt.tree
-    for node in t.nodes:
-        mu = node.index
-        if node.kind == "Q":
-            continue
-        kids = [t.nodes[c].kind for c in rt.children[mu]]
-        if node.kind == "P":
-            assert len(kids) == 2, f"P-node {mu} has {len(kids)} children"
-            assert "S" in kids and set(kids) <= {"S", "Q"}
-            if rt.parent[mu] == rt.root:
-                assert kids == ["S", "S"]
-        if node.kind == "R":
-            assert set(kids) <= {"S", "Q"}
-        if node.kind == "S":
-            seen = set()
-            for e in node.edges:
-                if e.is_real:
-                    continue
-                assert e.u not in seen and e.v not in seen, \
-                    f"S-node {mu} with adjacent virtual edges"
-                seen.update(e.ends())
-            if rt.is_inner(mu):
-                pu, pv = rt.poles(mu)
-                for e in node.edges:
-                    if e is rt.ref[mu]:
-                        continue
-                    if pu in e.ends() or pv in e.ends():
-                        assert e.is_real, \
-                            f"inner S-node {mu}: virtual edge at a pole"
 
 
 # ------------------------------------------------------------- reporting

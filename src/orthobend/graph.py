@@ -8,8 +8,9 @@ clockwise, which is what the angle arithmetic in orthorep expects.
 
 Edges are identified by their index into the edge list. Darts are
 (edge_id, orient) pairs; orient 0 runs u -> v as stored, orient 1 the
-reverse. Parallel edges are tolerated by trace_faces (SPQR skeletons need
-them) but rejected by Graph, which is the graph of every PlaneGraph.
+reverse. trace_faces walks parallel edges too, as it orients each dart by
+the vertex it leaves, but Graph, the graph of every PlaneGraph, rejects
+them.
 """
 
 from __future__ import annotations
@@ -142,7 +143,11 @@ class Face:
 
 
 class PlaneGraph:
-    """A graph plus rotation system plus a choice of external face."""
+    """A graph plus rotation system plus a choice of external face.
+
+    face_index is (across, pos): per face, the faces across its boundary
+    darts in walk order, and each boundary edge's position on that walk.
+    """
 
     def __init__(self, graph, rotation, external_face=0):
         self.graph = graph
@@ -160,9 +165,11 @@ class PlaneGraph:
             (self._dart_face[(e, 0)], self._dart_face[(e, 1)])
             for e in range(len(graph.edges))
         ]
-        self._rotpos = [
-            {e: i for i, e in enumerate(r)} for r in self.rotation
-        ]
+        self.face_index = (
+            [[self._edge_faces[e][1 - o] for e, o in f.boundary]
+             for f in self.faces],
+            [{e: i for i, (e, _) in enumerate(f.boundary)} for f in self.faces],
+        )
 
     @property
     def n(self):

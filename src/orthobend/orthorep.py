@@ -30,7 +30,6 @@ from .graph import (
     Graph,
     PlaneGraph,
     check_rotation,
-    dart_reverse,
 )
 
 ANGLES = (90, 180, 270, 360)
@@ -124,33 +123,6 @@ def _arrival_dart(pg: PlaneGraph, e: int, w: int) -> Dart:
     return (e, 0) if v == w else (e, 1)
 
 
-def flip(h: OrthoRep) -> OrthoRep:
-    """Mirror image: reverse rotations, swap bend letters, re-key corners."""
-    pg = h.plane
-    new_rot = [list(reversed(r)) for r in pg.rotation]
-    shell = PlaneGraph(pg.graph, new_rot, 0)
-    # locate the flipped external face by any dart of the old one
-    old_ext = pg.faces[pg.external_face]
-    if old_ext.boundary:
-        ext = shell.face_of_dart(dart_reverse(old_ext.boundary[0]))
-    else:
-        ext = 0
-    flipped = PlaneGraph(pg.graph, new_rot, ext)
-    angles = {}
-    for w in range(pg.n):
-        rot = pg.rotation[w]
-        k = len(rot)
-        for i, e in enumerate(rot):
-            # old corner keyed by arrival along e spans the cw gap (e, e');
-            # after mirroring the same gap is keyed by arrival along e'.
-            e2 = rot[(i + 1) % k]
-            d_old = _arrival_dart(pg, e, w)
-            d_new = _arrival_dart(flipped, e2, w)
-            angles[d_new] = h.angles[d_old]
-    bends = {e: swap_letters(s) for e, s in h.bends.items()}
-    return OrthoRep(flipped, angles, bends)
-
-
 def rectilinear_image(h: OrthoRep):
     """Replace each bend by a degree-2 vertex.
 
@@ -236,16 +208,14 @@ def subdivide_plane(pg: PlaneGraph, counts: dict):
     return sub, hosts, seg_of_edge
 
 
-def smooth(h_sub: OrthoRep, original: PlaneGraph, hosts: dict,
-           seg_of_edge: dict | None = None) -> OrthoRep:
+def smooth(h_sub: OrthoRep, original: PlaneGraph, hosts: dict) -> OrthoRep:
     """Inverse of rectilinear_image: fold marked degree-2 vertices into bends.
 
     h_sub must be bend-free on the segments of subdivided edges. A marked
     vertex whose two corners are (180, 180) vanishes without a bend.
     """
     pg_sub = h_sub.plane
-    if seg_of_edge is None:
-        seg_of_edge = _recover_segments(pg_sub, original, hosts)
+    seg_of_edge = _recover_segments(original, hosts)
     angles = {}
     for w in range(original.n):
         for e in original.rotation[w]:
@@ -283,7 +253,7 @@ def _far_end(pg_sub, seg, near):
     return b if a == near else a
 
 
-def _recover_segments(pg_sub, original, hosts):
+def _recover_segments(original, hosts):
     by_edge = {}
     for nv, (e, idx) in hosts.items():
         by_edge.setdefault(e, []).append((idx, nv))

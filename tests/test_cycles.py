@@ -201,7 +201,7 @@ def test_cut_floods_pay_for_the_smaller_side(g):
     fewer faces (the side of cut[0]'s first end on a tie) after expanding
     at most twice as many faces as that side holds, plus one."""
     pg = embed(g)
-    across, _ = cycles._face_index(pg)
+    across, _ = pg.face_index
     counted = CountingList(across)
     all_faces = frozenset(range(len(pg.faces)))
     separating = 0
@@ -238,7 +238,7 @@ def test_separating_cuts_and_facial_records_match_the_oracle():
     the facial cycles on the small graphs by the simple-cycle search."""
     for g in CORPUS + NESTED[:1]:
         for pg in all_faces(g):
-            across, _ = cycles._face_index(pg)
+            across, _ = pg.face_index
             got = cycles.dual_triangles(pg, across)
             for cut, faces in got:
                 for j, e in enumerate(cut):
@@ -377,8 +377,11 @@ def test_compute_reference_embedding_keeps_valid_input():
     assert ref.external_face == good
     bad = next(f for f in range(len(pg0.faces))
                if not cycles.is_reference_embedding(pg0.with_external_face(f)))
-    ref2 = cycles.compute_reference_embedding(pg0.with_external_face(bad))
+    pg = pg0.with_external_face(bad)
+    ref2 = cycles.compute_reference_embedding(pg)
     assert cycles.is_reference_embedding(ref2)
+    # the reference copy reuses the face index built with the embedding
+    assert ref2 is not pg and ref2.face_index is pg.face_index
 
 
 def test_inclusion_tree_shapes():
@@ -430,6 +433,12 @@ def test_inclusion_tree_depth_counts_the_parent_chain():
                 cycles.genealogical_tree(ref, tree.by_id[c], recs))
     ref = cycles.compute_reference_embedding(embed(NESTED[0]))
     _assert_depth_is_parent_chain(cycles.inclusion_tree(ref))
+
+
+def stage_inputs(tree):
+    """The contour paths and flexible-edge counts the colour stages take."""
+    reps = cycles.contour_paths_explicit(tree)
+    return reps, cycles.fx_counts(tree, reps)
 
 
 def ext_on_vertices(g, verts):
@@ -490,7 +499,7 @@ def test_flexible_edge_counts_accumulate_through_pointers():
     g = Graph(8, g0.edges, {eid(5, 6): 2, eid(5, 2): 1, eid(0, 3): 3})
     pg = ext_on_vertices(g, {2, 3, 4})
     tree = cycles.inclusion_tree(pg)
-    fx = cycles.fx_counts(tree)
+    reps, fx = stage_inputs(tree)
     pent = next(c for c in tree.nodes if len(tree.by_id[c].edges) == 5)
     tri = next(c for c in tree.nodes if len(tree.by_id[c].edges) == 3)
     assert sorted(fx[(tri, j)] for j in range(3)) == [0, 0, 1]
@@ -498,7 +507,6 @@ def test_flexible_edge_counts_accumulate_through_pointers():
 
     # flex on a parent's own edge and on the child path it points to
     # are both visible from the parent
-    reps = cycles.contour_paths_explicit(tree)
     j = next(j for j in range(3)
              if any(it[0] == "p" for it in reps[(pent, j)]))
     own = next(it[1] for it in reps[(pent, j)] if it[0] == "e")
@@ -507,7 +515,7 @@ def test_flexible_edge_counts_accumulate_through_pointers():
     g2 = Graph(8, g0.edges, {own: 2, child_edge: 3})
     pg2 = ext_on_vertices(g2, {2, 3, 4})
     tree2 = cycles.inclusion_tree(pg2)
-    fx2 = cycles.fx_counts(tree2)
+    _, fx2 = stage_inputs(tree2)
     assert fx2[(pent, j)] == 2
 
 
@@ -519,7 +527,7 @@ def test_extrovert_coloring_matches_exhaustive_search():
     for g in CORPUS:
         ref = cycles.compute_reference_embedding(embed(g))
         tree = cycles.inclusion_tree(ref)
-        cycles.color_3_extrovert(tree)
+        cycles.color_3_extrovert(tree, *stage_inputs(tree))
         want = {}
         for r in oracle.color_records(ref, oracle.three_extrovert(ref)):
             if not r["degenerate"]:
@@ -758,9 +766,9 @@ def test_nested_blobs_color_patterns():
     g = nested_blobs()
     ref = cycles.compute_reference_embedding(embed(g))
     tree = cycles.inclusion_tree(ref)
-    reps = cycles.contour_paths_explicit(tree)
-    cycles.color_3_extrovert(tree, reps)
-    cycles.color_3_introvert(tree, reps)
+    reps, fx = stage_inputs(tree)
+    cycles.color_3_extrovert(tree, reps, fx)
+    cycles.color_3_introvert(tree, fx)
     seen = {}
     for r in tree.records:
         nm = BLOB_NAMES.get(vertex_set(g, r.edges))
@@ -790,8 +798,9 @@ def test_nested_blobs_color_patterns():
 def colored_partners(g, ext_verts):
     pg = ext_on_vertices(g, ext_verts)
     tree = cycles.inclusion_tree(pg)
-    cycles.color_3_extrovert(tree)
-    cycles.color_3_introvert(tree)
+    reps, fx = stage_inputs(tree)
+    cycles.color_3_extrovert(tree, reps, fx)
+    cycles.color_3_introvert(tree, fx)
     by_id = {r.cycle_id: r for r in tree.records}
 
     def pair(verts):
@@ -834,10 +843,9 @@ def test_partner_flexibility_arithmetic():
     g = Graph(8, g0.edges, {eid(5, 6): 2, eid(5, 2): 1, eid(0, 3): 3})
     pg = ext_on_vertices(g, {2, 3, 4})
     tree = cycles.inclusion_tree(pg)
-    reps = cycles.contour_paths_explicit(tree)
-    cycles.color_3_extrovert(tree, reps)
-    cycles.color_3_introvert(tree, reps)
-    fx = cycles.fx_counts(tree, reps)
+    reps, fx = stage_inputs(tree)
+    cycles.color_3_extrovert(tree, reps, fx)
+    cycles.color_3_introvert(tree, fx)
     by_id = {r.cycle_id: r for r in tree.records}
 
     pent = next(c for c in tree.nodes if len(tree.by_id[c].edges) == 5)

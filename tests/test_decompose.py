@@ -291,100 +291,6 @@ def test_grown_trees_stay_canonical(seed):
     _check_tree_shape(g, t)
 
 
-# ---------------------------------------------------------------- rooting
-
-
-def test_k4_root_child_is_r():
-    g = k4()
-    t = dc.build_spqr_tree(g)
-    for eid in range(6):
-        rt = dc.root_at(t, t.q_of_edge[eid])
-        assert t.nodes[rt.root_child()].kind == "R"
-        assert set(rt.poles(rt.root_child())) == set(g.edges[eid])
-
-
-def test_cycle_root_child_is_s_with_q_children():
-    t = dc.build_spqr_tree(ring(8))
-    rt = dc.root_at(t, t.q_of_edge[3])
-    rc = rt.root_child()
-    assert t.nodes[rc].kind == "S"
-    assert [t.nodes[c].kind for c in rt.children[rc]] == ["Q"] * 7
-
-
-def test_k23_root_child_is_always_s():
-    t = dc.build_spqr_tree(theta(2, 2, 2))
-    for eid in range(6):
-        rt = dc.root_at(t, t.q_of_edge[eid])
-        assert t.nodes[rt.root_child()].kind == "S"
-
-
-def test_rooted_properties_hold_for_every_rooting():
-    for g in SP_CORPUS + [k4(), prism(), theta(1, 2, 2), ring(5)]:
-        t = dc.build_spqr_tree(g)
-        for eid in range(len(g.edges)):
-            rt = dc.root_at(t, t.q_of_edge[eid])
-            dc.check_rooted_properties(rt)
-
-
-def test_parent_child_agree():
-    t = dc.build_spqr_tree(SP_CORPUS[0])
-    rt = dc.root_at(t, t.q_of_edge[0])
-    for mu, par in enumerate(rt.parent):
-        if par is None:
-            assert mu == rt.root
-        else:
-            assert mu in rt.children[par]
-
-
-# ------------------------------------------------------- pertinent graphs
-
-
-def test_pertinent_of_q_node_is_its_edge():
-    t = dc.build_spqr_tree(theta(1, 2, 2))
-    rt = dc.root_at(t, t.q_of_edge[1])
-    comp = dc.pertinent_graph(rt, t.q_of_edge[3])
-    assert comp.edges == frozenset({3})
-    assert set(comp.poles) == set(t.g.edges[3])
-
-
-def test_pertinent_of_cycle_root_child_is_the_rest():
-    g = ring(8)
-    t = dc.build_spqr_tree(g)
-    rt = dc.root_at(t, t.q_of_edge[2])
-    comp = dc.pertinent_graph(rt, rt.root_child())
-    assert comp.edges == frozenset(range(8)) - {2}
-    assert set(comp.poles) == set(g.edges[2])
-
-
-def test_pertinent_of_s_child_under_p():
-    t = dc.build_spqr_tree(theta(2, 2, 2))
-    rt = dc.root_at(t, t.q_of_edge[0])
-    rc = rt.root_child()  # S-node holding edges 0,1
-    p = next(c for c in rt.children[rc] if t.nodes[c].kind == "P")
-    for c in rt.children[p]:
-        comp = dc.pertinent_graph(rt, c)
-        assert len(comp.edges) == 2  # each branch is a 2-edge path
-        assert set(comp.poles) == {0, 1}
-    # subtree edges of the P-node itself: both branches
-    assert dc.pertinent_graph(rt, p).edges == frozenset({2, 3, 4, 5})
-
-
-def test_pertinent_partitions_at_every_node():
-    for g in SP_CORPUS[:5]:
-        t = dc.build_spqr_tree(g)
-        rt = dc.root_at(t, t.q_of_edge[0])
-        rc = rt.root_child()
-        assert dc.pertinent_graph(rt, rc).edges == \
-            frozenset(range(len(g.edges))) - {0}
-        for node in t.structural_nodes():
-            union = set()
-            for c in rt.children[node.index]:
-                part = dc.pertinent_graph(rt, c).edges
-                assert not (union & part)
-                union |= part
-            assert union == dc.pertinent_graph(rt, node.index).edges
-
-
 # ------------------------------------------------------------- reporting
 
 
