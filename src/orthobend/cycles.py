@@ -8,14 +8,26 @@ simple-cycle enumeration happens in production code (the brute-force
 route lives in the oracle module and is only used to cross-check this
 one).
 
-A record is its cut plus the set of faces on its inside. The smaller
-side of a cut is found in the dual, by two floods from the two ends of a
-cut edge that never enter the cut's own faces and run in lockstep until
-one closes; the other side is every remaining face. Each cut face holds
-two cut edges, and its boundary between them splits into two arcs, one
-facing each side. The cycle bounding a side is the chain of the arcs
-facing it, walked with the inside on the left; each contour path is one
-arc, its leg the cut edge at its tail and its leg face the arc's face.
+A record is its cut plus the faces on its inside. The sides of the
+separating cuts are laminar, so one numbering of the faces makes the side
+of every cut away from a root face, on no separating triangle, a single
+interval; their tree is the 4-block tree of the dual triangulation (Kant,
+1997). A spanning tree of the graph gives each such side's size and the
+end of cut[0] on it without a flood: the vertices under an odd number of
+the cut's tree edges lie on that side, and a cubic side with S vertices
+bounds (S - 1) / 2 faces. Taken from the smallest up, each side floods
+only the faces no smaller side took, stepping over a finished smaller
+side to its cut faces, so each face is expanded once; numbering the faces
+by a depth-first walk of the resulting cut tree, each side's own faces
+first, makes every side an interval. An inside is that interval or its
+complement, with the cut's faces in or out, so membership and size are
+O(1) and turning a record inside out flips two flags.
+
+Each cut face holds two cut edges, and its boundary between them splits
+into two arcs, one facing each side. The cycle bounding a side is the
+chain of the arcs facing it, walked with the inside on the left; each
+contour path is one arc, its leg the cut edge at its tail and its leg
+face the arc's face.
 
 A dual triangle whose three cut edges share a primal vertex v is facial:
 its one degenerate cycle runs round v's face fan, 3-extrovert with every
@@ -55,7 +67,7 @@ from .errors import (
 from .graph import PlaneGraph, dart_reverse, embed
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class CycleRecord:
     """One k=3 cycle with its legs, contour structure and coloring.
 
@@ -74,11 +86,47 @@ class CycleRecord:
     leg_vertices: tuple
     leg_faces: tuple
     contour_paths: tuple
-    inside_faces: frozenset
+    inside_faces: Inside
     degenerate: bool
     phi_partner: int | None = None
     colors: tuple | None = None
     demanding: bool | None = None
+
+
+class Inside:
+    """The inside faces of a record in O(1) space: `in` and len are O(1).
+
+    numbering is (order, at), a face numbering shared by the records of
+    one call and its inverse, in which faces lo..hi-1 are one side of the
+    cut with faces `tri`. The inside is that side, or with `out` every face
+    outside it and `tri`, plus `tri` exactly when `cut_faces`.
+    """
+
+    __slots__ = ("numbering", "lo", "hi", "tri", "out", "cut_faces")
+
+    def __init__(self, numbering, lo, hi, tri, out, cut_faces):
+        self.numbering = numbering
+        self.lo, self.hi, self.tri = lo, hi, tri
+        self.out, self.cut_faces = out, cut_faces
+
+    def __contains__(self, f):
+        if f in self.tri:
+            return self.cut_faces
+        return (self.lo <= self.numbering[1][f] < self.hi) != self.out
+
+    def __len__(self):
+        k = self.hi - self.lo
+        if self.out:
+            k = len(self.numbering[0]) - len(self.tri) - k
+        return k + len(self.tri) * self.cut_faces
+
+    def __iter__(self):  # O(faces), for checks
+        return (f for f in self.numbering[0] if f in self)
+
+    def flipped(self):
+        """The faces not in self."""
+        return Inside(self.numbering, self.lo, self.hi, self.tri,
+                      not self.out, not self.cut_faces)
 
 
 @dataclass
@@ -219,11 +267,10 @@ def _contour(pg: PlaneGraph, pos, cut, x, faces_inside):
     return arcs[k + 1:] + arcs[:k + 1], vertices
 
 
-def _record(pg, pos, cycle_id, cut, tri, inside, x, kind, degenerate,
-            phi=None):
-    """The record of the cycle next to the cut with the dual triangle
-    `tri` on the side of x, an end of cut[0], whose inside is `inside`."""
-    contour = _contour(pg, pos, cut, x, not tri.isdisjoint(inside))
+def _record(pg, pos, cycle_id, cut, inside, x, kind, degenerate, phi=None):
+    """The record of the cycle next to the cut on the side of x, an end of
+    cut[0], whose inside is `inside`."""
+    contour = _contour(pg, pos, cut, x, inside.cut_faces)
     assert contour is not None, "cut arcs close no cycle with three legs"
     legs, faces, paths = zip(*contour[0])
     return CycleRecord(
@@ -233,6 +280,99 @@ def _record(pg, pos, cycle_id, cut, tri, inside, x, kind, degenerate,
         leg_vertices=tuple(pg.dart_tail(path[0]) for path in paths),
         leg_faces=faces, contour_paths=tuple(map(tuple, paths)),
         inside_faces=inside, degenerate=degenerate, phi_partner=phi)
+
+
+def _spanning_tree(pg: PlaneGraph, root):
+    """A depth-first spanning tree of pg's graph from vertex root: per
+    vertex its preorder number, its subtree's size and the edge to its
+    parent (-1 at the root)."""
+    edges, adj = pg.graph.edges, pg.graph.adj
+    pre, up, order = [-1] * pg.n, [-1] * pg.n, []
+    stack = [(root, -1)]
+    while stack:
+        v, e = stack.pop()
+        if pre[v] < 0:
+            pre[v], up[v] = len(order), e
+            order.append(v)
+            stack.extend((w, d) for w, d in adj[v] if pre[w] < 0)
+    size = [1] * pg.n
+    for v in reversed(order[1:]):
+        a, b = edges[up[v]]
+        size[a if b == v else b] += size[v]
+    return pre, size, up
+
+
+def _away_sides(pg: PlaneGraph, across, cuts, root):
+    """A face numbering (order, at) and, per cut of `cuts`, the interval
+    (lo, hi) of its side away from face `root`, on no cut, in that
+    numbering, with the end of cut[0] on that side.
+
+    A side holds the vertices under an odd number of its cut's tree edges,
+    and S such vertices bound (S - 1) / 2 faces. Smallest first, each side
+    floods the faces no smaller side took and steps over a finished
+    smaller side, now its child, to that side's cut faces, so each face is
+    expanded once. A depth-first walk of the cut tree, each side's own
+    faces first, numbers every side as one interval.
+    """
+    pre, size, up = _spanning_tree(
+        pg, pg.dart_tail(pg.faces[root].boundary[0]))
+
+    def under(c, v):  # v lies in the subtree of c
+        return pre[c] <= pre[v] < pre[c] + size[c]
+
+    count, ends = [], []
+    for cut, _ in cuts:
+        kids = [v for e in cut for v in pg.edge(e) if up[v] == e]
+        s = sum(size[c] * (-1) ** sum(under(d, c) for d in kids if d != c)
+                for c in kids)
+        u, v = pg.edge(cut[0])
+        count.append((s - 1) // 2)
+        ends.append(u if sum(under(c, u) for c in kids) % 2 else v)
+
+    owner = [-1] * len(across)  # the smallest side holding each face
+    parent = [-1] * len(cuts)
+    merged = list(range(len(cuts)))  # union-find over the finished sides
+
+    def top(c):
+        while merged[c] != c:
+            merged[c] = c = merged[merged[c]]
+        return c
+
+    for c in sorted(range(len(cuts)), key=count.__getitem__):
+        tri = cuts[c][1]
+        stack = [f for e in pg.rotation[ends[c]] for f in pg.faces_of_edge(e)]
+        took = 0
+        while stack:
+            f = stack.pop()
+            if f in tri:
+                continue
+            if owner[f] < 0:
+                owner[f] = c
+                took += 1
+                stack.extend(across[f])
+            elif (t := top(owner[f])) != c:
+                merged[t] = parent[t] = c
+                took += count[t]
+                stack.extend(cuts[t][1])
+        assert took == count[c], "a side's flood and Euler count disagree"
+
+    own = [[] for _ in range(len(cuts) + 1)]  # the last one is the root's
+    kids = [[] for _ in range(len(cuts) + 1)]
+    for f, c in enumerate(owner):
+        own[c].append(f)
+    for c, p in enumerate(parent):
+        kids[p].append(c)
+    order, lo, stack = [], [0] * (len(cuts) + 1), [-1]
+    while stack:
+        c = stack.pop()
+        lo[c] = len(order)
+        order += own[c]
+        stack += kids[c]
+    at = [0] * len(order)
+    for i, f in enumerate(order):
+        at[f] = i
+    return (order, at), [(lo[c], lo[c] + count[c], ends[c])
+                         for c in range(len(cuts))]
 
 
 def three_cycle_records(pg: PlaneGraph):
@@ -246,30 +386,31 @@ def three_cycle_records(pg: PlaneGraph):
     """
     across, pos = _class_index(pg)
     ext = pg.external_face
-    all_faces = frozenset(range(len(pg.faces)))
+    cuts = dual_triangles(pg, across)
+    numbering, sides = _away_sides(pg, across, cuts,
+                                   _reference_face(across, ext))
     records = []
 
-    def add(cut, tri, inside, x, kind, phi=None):
-        records.append(_record(pg, pos, len(records), cut, tri, inside, x,
-                               kind, False, phi))
+    def add(cut, inside, x, kind, phi=None):
+        records.append(_record(pg, pos, len(records), cut, inside, x, kind,
+                               False, phi))
 
-    for cut, tri_faces in dual_triangles(pg, across):
-        tri = frozenset(tri_faces)
+    for (cut, tri), (lo, hi, x) in zip(cuts, sides):
         u0, v0 = pg.edge(cut[0])
-        side, is_a = _dual_side(across, tri, *(
-            [f for e in pg.rotation[w] for f in pg.faces_of_edge(e)]
-            for w in (u0, v0)))
-        other = all_faces - tri - side
-        a, b = ((side, u0), (other, v0)) if is_a else ((other, u0), (side, v0))
+        y = v0 if x == u0 else u0  # the end of cut[0] on the root's side
+
+        def side(out, cut_faces):
+            return Inside(numbering, lo, hi, tri, out, cut_faces)
+
         if ext in tri:
-            add(cut, tri, *a, "extrovert")
-            add(cut, tri, *b, "extrovert")
+            away, near = (side(False, False), x), (side(True, False), y)
+            add(cut, *(away if x == u0 else near), "extrovert")
+            add(cut, *(near if x == u0 else away), "extrovert")
         else:
-            if ext not in b[0]:  # keep the external face on the b side
-                a, b = b, a
+            flip = lo <= numbering[1][ext] < hi  # ext is on the away side
             i = len(records)
-            add(cut, tri, *a, "extrovert", i + 1)
-            add(cut, tri, all_faces - b[0], b[1], "introvert", i)
+            add(cut, side(flip, False), y if flip else x, "extrovert", i + 1)
+            add(cut, side(flip, True), x if flip else y, "introvert", i)
     return records
 
 
@@ -283,16 +424,16 @@ def facial_records(pg: PlaneGraph):
     """
     _, pos = _class_index(pg)
     ext = pg.external_face
-    all_faces = frozenset(range(len(pg.faces)))
+    faces = range(len(pg.faces))
     records = []
     for v, cut in enumerate(pg.rotation):
         fan = frozenset(f for e in cut for f in pg.faces_of_edge(e))
         outer = ext in fan
         u, w = pg.edge(cut[0])
         records.append(_record(
-            pg, pos, -1 - v, tuple(cut), fan,
-            all_faces - fan if outer else fan, w if u == v else u,
-            "extrovert" if outer else "introvert", True))
+            pg, pos, -1 - v, tuple(cut),
+            Inside((faces, faces), 0, 0, fan, outer, not outer),
+            w if u == v else u, "extrovert" if outer else "introvert", True))
     return records
 
 
@@ -350,6 +491,15 @@ def is_reference_embedding(pg: PlaneGraph) -> bool:
     return compute_reference_embedding(pg) is pg
 
 
+def _reference_face(across, f0):
+    """f0 when it is on no separating triangle, else the lowest face that
+    is on none."""
+    for f in (f0, *range(len(across))):
+        if next(_separating_pairs(across, f), None) is None:
+            return f
+    raise AssertionError("every face lies on a separating triangle")
+
+
 def compute_reference_embedding(g) -> PlaneGraph:
     """Choose an external face on no separating triangle: the given one
     when it qualifies, else the lowest face id that does.
@@ -360,48 +510,50 @@ def compute_reference_embedding(g) -> PlaneGraph:
     """
     pg = g if isinstance(g, PlaneGraph) else embed(g)
     across, _ = _class_index(pg)
-    for f in (pg.external_face, *range(len(pg.faces))):
-        if next(_separating_pairs(across, f), None) is None:
-            return pg if f == pg.external_face else pg.with_external_face(f)
-    raise AssertionError("every face lies on a separating triangle")
+    f = _reference_face(across, pg.external_face)
+    return pg if f == pg.external_face else pg.with_external_face(f)
 
 
 # ---------------------------------------------------------------------------
-# inclusion / genealogical trees
+# inclusion trees
 
 
 class InclusionTree:
-    """Containment tree over non-degenerate 3-extrovert cycles.
+    """Containment tree over the non-degenerate 3-extrovert cycles of a
+    reference embedding.
 
     The root is the sentinel None standing for the external boundary.
     A cycle's parent is the smallest member whose inside holds its own;
-    depth() counts the steps from a cycle up to the root.
+    depth() counts the steps from a cycle up to the root. Every member's
+    inside is an interval of one face numbering, and the intervals are
+    laminar, so one stack pass over them in order finds every parent.
     """
 
-    def __init__(self, pg, records, root=None, members=None):
+    root = None
+
+    def __init__(self, pg, records):
         self.pg = pg
         self.records = records
         self.by_id = {r.cycle_id: r for r in records}
-        if members is None:
-            members = [r for r in records
-                       if r.kind == "extrovert" and not r.degenerate]
+        members = [r for r in records
+                   if r.kind == "extrovert" and not r.degenerate]
         self.nodes = [r.cycle_id for r in members]
-        self.root = root
         self.parent = {}
         self.children = defaultdict(list)
-        by_size = sorted(members, key=lambda r: len(r.inside_faces))
-        for i, r in enumerate(by_size):
-            par = root
-            for s in by_size[i + 1:]:
-                if r.inside_faces < s.inside_faces:
-                    par = s.cycle_id
-                    break
+        self._depth = {None: 0}
+        stack = []  # the members whose interval holds the current one
+        for r in sorted(members, key=lambda r: (r.inside_faces.lo,
+                                                -r.inside_faces.hi)):
+            inside = r.inside_faces
+            assert not (inside.out or inside.cut_faces), \
+                "a member's inside is not an interval"
+            while stack and stack[-1].inside_faces.hi <= inside.lo:
+                stack.pop()
+            par = stack[-1].cycle_id if stack else None
             self.parent[r.cycle_id] = par
             self.children[par].append(r.cycle_id)
-        # a parent holds strictly more faces, so it comes first here
-        self._depth = {root: 0}
-        for r in reversed(by_size):
-            self._depth[r.cycle_id] = self._depth[self.parent[r.cycle_id]] + 1
+            self._depth[r.cycle_id] = len(stack) + 1
+            stack.append(r)
 
     def depth(self, cid) -> int:
         return self._depth[cid]
@@ -425,18 +577,6 @@ def inclusion_tree(pg: PlaneGraph, records=None) -> InclusionTree:
         raise NotReferenceEmbedding(
             f"external face {pg.external_face} lies on a separating triangle")
     return InclusionTree(pg, records)
-
-
-def genealogical_tree(pg: PlaneGraph, c: CycleRecord,
-                      records=None) -> InclusionTree:
-    """Containment tree T_C over the 3-extrovert cycles inside G(C)."""
-    if records is None:
-        records = three_cycle_records(pg)
-    members = [r for r in records
-               if r.kind == "extrovert" and not r.degenerate
-               and r.cycle_id != c.cycle_id
-               and r.inside_faces < c.inside_faces]
-    return InclusionTree(pg, records, root=c.cycle_id, members=members)
 
 
 # ---------------------------------------------------------------------------
@@ -626,14 +766,14 @@ class DemandingSets:
     reference_face: int
 
 
-def _inside_out(rec: CycleRecord, all_faces: frozenset) -> CycleRecord:
+def _inside_out(rec: CycleRecord) -> CycleRecord:
     """rec as seen from an external face inside it: the other kind, the
     complementary inside, and the walk reversed so that the new inside
     stays on the left. Each contour path keeps its leg face and color."""
     return replace(
         rec,
         kind="introvert" if rec.kind == "extrovert" else "extrovert",
-        inside_faces=all_faces - rec.inside_faces,
+        inside_faces=rec.inside_faces.flipped(),
         legs=tuple(rec.legs[j] for j in (0, 2, 1)),
         leg_vertices=tuple(rec.leg_vertices[j] for j in (0, 2, 1)),
         leg_faces=rec.leg_faces[::-1],
@@ -664,8 +804,7 @@ def demanding_sets(pg: PlaneGraph) -> DemandingSets:
     color_3_introvert(tree, fx)
 
     ext = pg.external_face
-    all_faces = frozenset(range(len(pg.faces)))
-    records = [_inside_out(r, all_faces) if ext in r.inside_faces else r
+    records = [_inside_out(r) if ext in r.inside_faces else r
                for r in tree.records]
     i_f = {r.cycle_id for r in tree.records
            if r.kind == "introvert" and r.demanding and ext in r.leg_faces}

@@ -18,8 +18,6 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 
-import networkx as nx
-
 from .errors import (
     DegreeTooHigh,
     Disconnected,
@@ -47,6 +45,8 @@ class Graph:
         self.flex = dict(flexibility or {})
         self._validate()
         self.adj = adjacency(self.n, self.edges)
+        if self.n > 0 and not _connected(self.adj):
+            raise Disconnected("graph is not connected")
 
     def _validate(self):
         if self.n < 0:
@@ -76,8 +76,6 @@ class Graph:
             if not (isinstance(e, int) and isinstance(k, int)
                     and 0 <= e < len(self.edges) and 0 <= k <= 4):
                 raise ParseError(f"bad flexibility entry {e}: {k}")
-        if self.n > 0 and not _connected(self.n, self.edges):
-            raise Disconnected("graph is not connected")
 
     def degree(self, v):
         return len(self.adj[v])
@@ -113,8 +111,8 @@ def adjacency(n, edges):
     return adj
 
 
-def _connected(n, edges):
-    adj = adjacency(n, edges)
+def _connected(adj):
+    n = len(adj)
     seen = [False] * n
     stack = [0]
     seen[0] = True
@@ -265,6 +263,8 @@ def trace_faces(n, edges, rotation):
 
 def rotations_from_networkx(g: Graph):
     """Clockwise rotation lists from a networkx planar embedding."""
+    import networkx as nx  # only texts without rotation lines need it
+
     G = nx.Graph()
     G.add_nodes_from(range(g.n))
     G.add_edges_from(g.edges)

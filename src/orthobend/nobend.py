@@ -30,7 +30,9 @@ from dataclasses import dataclass
 
 import networkx as nx
 
-from .cycles import facial_records, find_2_extrovert, three_cycle_records
+from .cycles import (
+    Inside, facial_records, find_2_extrovert, three_cycle_records,
+)
 from .errors import NotGood, NotRectangularizable
 from .graph import Graph, PlaneGraph, dart_reverse
 from .orthorep import OrthoRep, validate
@@ -58,7 +60,7 @@ class BadCycle:
     edges: frozenset
     vertices: frozenset
     legs: tuple
-    inside_faces: frozenset
+    inside_faces: frozenset | Inside
     darts: tuple
     maximal: bool
 
@@ -141,7 +143,7 @@ def _bad_cycles(pg: PlaneGraph, corners) -> list[BadCycle]:
 def _region_edges(pg: PlaneGraph, cyc: BadCycle) -> frozenset:
     inside = cyc.inside_faces
     grabbed = {e for e in range(pg.m)
-               if inside & set(pg.faces_of_edge(e))}
+               if any(f in inside for f in pg.faces_of_edge(e))}
     return frozenset(grabbed | cyc.edges)
 
 

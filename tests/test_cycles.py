@@ -162,7 +162,7 @@ def test_records_on_deeply_nested_graphs(g):
     pg0 = embed(g)
     for pg in (pg0, cycles.compute_reference_embedding(pg0)):
         for r in all_records(pg):
-            assert r.inside_faces == inside_by_flood(pg, r)
+            assert frozenset(r.inside_faces) == inside_by_flood(pg, r)
             darts = [d for path in r.contour_paths for d in path]
             for j, path in enumerate(r.contour_paths):
                 assert pg.dart_tail(path[0]) == r.leg_vertices[j]
@@ -193,6 +193,21 @@ class CountingList(list):
     def __getitem__(self, i):
         self.reads += 1
         return super().__getitem__(i)
+
+
+def test_three_cycle_records_expand_each_face_a_bounded_number_of_times():
+    """No cut pays a flood of its own. On nested(1, 1600), with 796
+    separating cuts over 802 faces, listing the cuts reads the faces' dual
+    neighbour lists F + 2m times and flooding the sides F times more; a
+    flood per cut reads them Θ(F²) times."""
+    pg = embed(nested(1, 1600))
+    across, pos = pg.face_index
+    counted = CountingList(across)
+    pg.face_index = (counted, pos)
+    cuts = len(cycles.three_cycle_records(pg)) // 2
+    faces = len(pg.faces)
+    assert cuts > faces * 9 // 10
+    assert counted.reads <= 2 * faces + 2 * pg.m + cuts
 
 
 @pytest.mark.parametrize("g", NESTED, ids=lambda g: f"n{g.n}")
@@ -422,17 +437,34 @@ def _assert_depth_is_parent_chain(tree):
         assert tree.depth(c) == steps
 
 
+def reference_faces(g):
+    return [pg for pg in all_faces(g) if cycles.is_reference_embedding(pg)]
+
+
 def test_inclusion_tree_depth_counts_the_parent_chain():
     for g in CORPUS:
-        ref = cycles.compute_reference_embedding(embed(g))
-        recs = cycles.three_cycle_records(ref)
-        tree = cycles.inclusion_tree(ref, recs)
-        _assert_depth_is_parent_chain(tree)
-        for c in tree.nodes:
-            _assert_depth_is_parent_chain(
-                cycles.genealogical_tree(ref, tree.by_id[c], recs))
+        for pg in reference_faces(g):
+            _assert_depth_is_parent_chain(cycles.inclusion_tree(pg))
     ref = cycles.compute_reference_embedding(embed(NESTED[0]))
     _assert_depth_is_parent_chain(cycles.inclusion_tree(ref))
+
+
+def test_inclusion_tree_parents_are_the_smallest_flooded_supersets():
+    """Each parent is the member whose inside, flooded from scratch, is the
+    smallest strict superset of the cycle's own, and the root when no
+    member's is; at every reference face of CORPUS and on NESTED."""
+    cases = [pg for g in CORPUS for pg in reference_faces(g)]
+    cases += [cycles.compute_reference_embedding(embed(g)) for g in NESTED]
+    non_root = 0
+    for pg in cases:
+        tree = cycles.inclusion_tree(pg)
+        flood = {c: inside_by_flood(pg, tree.by_id[c]) for c in tree.nodes}
+        for c in tree.nodes:
+            want = min((d for d in tree.nodes if flood[c] < flood[d]),
+                       key=lambda d: len(flood[d]), default=tree.root)
+            assert tree.parent[c] == want
+            non_root += want is not tree.root
+    assert non_root > NESTED[1].n // 4
 
 
 def stage_inputs(tree):
@@ -555,7 +587,7 @@ def test_demanding_sets_match_exhaustive_everywhere():
 def full_record_key(r):
     sides = frozenset(zip(r.leg_vertices, r.legs, r.leg_faces,
                           r.contour_paths))
-    return (r.kind, r.degenerate, r.edges, r.inside_faces, sides)
+    return (r.kind, r.degenerate, r.edges, frozenset(r.inside_faces), sides)
 
 
 def test_records_at_any_face_are_reference_records_turned_inside_out():
@@ -734,29 +766,30 @@ def test_nested_blobs_demanding_sets_and_cost():
 
 
 def test_nested_blobs_genealogy():
-    g, embeddings = blob_faces()
-    pg = embeddings[0]
-    recs = cycles.three_cycle_records(pg)
-    ring7 = next(r for r in recs if r.kind == "extrovert"
-                 and vertex_set(g, r.edges) == frozenset(range(14, 21)))
-    tree = cycles.genealogical_tree(pg, ring7, recs)
-    name = lambda cid: BLOB_NAMES.get(vertex_set(g, tree.by_id[cid].edges))
-    assert sorted(name(c) for c in tree.nodes) \
-        == ["A1", "A2", "A3", "collar1", "collar2", "hexA", "ring9A"]
-    parent_names = {name(c): ("ring7A" if tree.parent[c] == tree.root
-                              else name(tree.parent[c]))
-                    for c in tree.nodes}
-    assert parent_names == {
-        "hexA": "ring7A", "collar2": "hexA", "collar1": "collar2",
-        "ring9A": "collar1", "A1": "ring9A", "A2": "ring9A", "A3": "ring9A",
+    """A cycle's genealogical tree is its subtree in the inclusion tree:
+    ring7A's and ring9B's at every reference face where each is a member."""
+    g = nested_blobs()
+    want = {
+        "ring7A": {"hexA": "ring7A", "collar2": "hexA", "collar1": "collar2",
+                   "ring9A": "collar1", "A1": "ring9A", "A2": "ring9A",
+                   "A3": "ring9A"},
+        "ring9B": {"B1": "ring9B", "B2": "ring9B", "B3": "ring9B"},
     }
-
-    ring9b = next(r for r in recs if r.kind == "extrovert"
-                  and vertex_set(g, r.edges) == frozenset(range(21, 30)))
-    tree_b = cycles.genealogical_tree(pg, ring9b, recs)
-    assert sorted(BLOB_NAMES.get(vertex_set(g, tree_b.by_id[c].edges))
-                  for c in tree_b.nodes) == ["B1", "B2", "B3"]
-    assert all(tree_b.parent[c] == tree_b.root for c in tree_b.nodes)
+    seen = Counter()
+    for pg in reference_faces(g):
+        tree = cycles.inclusion_tree(pg)
+        name = lambda cid: BLOB_NAMES.get(vertex_set(g, tree.by_id[cid].edges))
+        for top in tree.nodes:
+            if name(top) not in want:
+                continue
+            seen[name(top)] += 1
+            got, stack = {}, [top]
+            while stack:
+                for c in tree.children[stack.pop()]:
+                    got[name(c)] = name(tree.parent[c])
+                    stack.append(c)
+            assert got == want[name(top)]
+    assert seen["ring7A"] > 0 and seen["ring9B"] > 0
 
 
 def test_nested_blobs_color_patterns():
