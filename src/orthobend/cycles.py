@@ -51,9 +51,13 @@ external face lies among its inside faces. The records, their inclusion
 tree and their colors are therefore computed once, in a reference
 embedding, and carried to any other external face by that rule.
 
-Coloring follows the two-step green-counter formulation so that contour
-paths are consumed as sequences of edges and child-path pointers and
-never flattened.
+Coloring follows the two-step green-counter formulation and reads each
+record's own contour paths. A child's path on a leg face is a contiguous
+slice of its parent's path on that face, and sibling slices do not
+overlap, so a parent path is green exactly when a child path on its leg
+face is green. Flexible edges are counted along the darts each record
+already stores: a second copy of the paths, with pointers to the child
+paths, would cost as much to build as those darts and save nothing.
 """
 
 from __future__ import annotations
@@ -88,6 +92,9 @@ class CycleRecord:
     contour_paths: tuple
     inside_faces: Inside
     degenerate: bool
+    # the cycle id of the other record of the same cut: the 3-introvert
+    # partner of a 3-extrovert cycle, or its twin when the external face is
+    # a cut face; None round a vertex
     phi_partner: int | None = None
     colors: tuple | None = None
     demanding: bool | None = None
@@ -238,7 +245,8 @@ def _contour(pg: PlaneGraph, pos, cut, x, faces_inside):
     with its face on the left; when the cut faces lie outside the cycle
     the chain is reversed, so the inside is always on the left. A path's
     leg is the cut edge at its tail and its leg face the arc's face. The
-    path holding the cycle's smallest edge comes last.
+    path holding the cycle's smallest edge comes last; a record turned
+    inside out keeps its root record's paths, so there it need not.
     """
     start = (cut[0], 0) if pg.edge(cut[0])[1] == x else (cut[0], 1)
     d, arcs = start, []
@@ -377,41 +385,33 @@ def _away_sides(pg: PlaneGraph, across, cuts, root):
 
 def three_cycle_records(pg: PlaneGraph):
     """The non-degenerate 3-extrovert and 3-introvert cycles of pg, two
-    per separating 3-edge-cut, with phi links; facial_records has the
-    degenerate ones.
+    per separating 3-edge-cut, each phi-linked to the other record of its
+    cut; facial_records has the degenerate ones.
 
-    Raises NotTriconnectedCubic unless pg's graph is cubic and
-    triconnected, that is, unless every edge joins its own pair of faces:
-    the dual has no loop and no parallel edges.
+    Both records of every cut are built at the reference face that
+    compute_reference_embedding picks, the 3-extrovert one with the side
+    away from it inside and the 3-introvert one with that side and the cut
+    faces; every record whose inside holds pg's external face is then
+    turned inside out. Raises NotTriconnectedCubic unless pg's graph is
+    cubic and triconnected, that is, unless every edge joins its own pair
+    of faces: the dual has no loop and no parallel edges.
     """
     across, pos = _class_index(pg)
-    ext = pg.external_face
     cuts = dual_triangles(pg, across)
     numbering, sides = _away_sides(pg, across, cuts,
-                                   _reference_face(across, ext))
+                                   _reference_face(across, pg.external_face))
     records = []
-
-    def add(cut, inside, x, kind, phi=None):
-        records.append(_record(pg, pos, len(records), cut, inside, x, kind,
-                               False, phi))
-
     for (cut, tri), (lo, hi, x) in zip(cuts, sides):
-        u0, v0 = pg.edge(cut[0])
-        y = v0 if x == u0 else u0  # the end of cut[0] on the root's side
-
-        def side(out, cut_faces):
-            return Inside(numbering, lo, hi, tri, out, cut_faces)
-
-        if ext in tri:
-            away, near = (side(False, False), x), (side(True, False), y)
-            add(cut, *(away if x == u0 else near), "extrovert")
-            add(cut, *(near if x == u0 else away), "extrovert")
-        else:
-            flip = lo <= numbering[1][ext] < hi  # ext is on the away side
-            i = len(records)
-            add(cut, side(flip, False), y if flip else x, "extrovert", i + 1)
-            add(cut, side(flip, True), x if flip else y, "introvert", i)
-    return records
+        u, v = pg.edge(cut[0])
+        y = v if x == u else u  # the end of cut[0] on the root's side
+        i = len(records)
+        records.append(_record(pg, pos, i, cut,
+                               Inside(numbering, lo, hi, tri, False, False),
+                               x, "extrovert", False, i + 1))
+        records.append(_record(pg, pos, i + 1, cut,
+                               Inside(numbering, lo, hi, tri, False, True),
+                               y, "introvert", False, i))
+    return _seen_from(records, pg.external_face)
 
 
 def facial_records(pg: PlaneGraph):
@@ -568,9 +568,8 @@ class InclusionTree:
         return order
 
 
-def inclusion_tree(pg: PlaneGraph, records=None) -> InclusionTree:
-    if records is None:
-        records = three_cycle_records(pg)
+def inclusion_tree(pg: PlaneGraph) -> InclusionTree:
+    records = three_cycle_records(pg)
     # the leg faces of a non-degenerate record are its separating triangle
     if any(not r.degenerate and pg.external_face in r.leg_faces
            for r in records):
@@ -579,109 +578,44 @@ def inclusion_tree(pg: PlaneGraph, records=None) -> InclusionTree:
     return InclusionTree(pg, records)
 
 
-# ---------------------------------------------------------------------------
-# explicit contour-path representations (edges + child-path pointers)
-
-
-def contour_paths_explicit(tree: InclusionTree):
-    """Per extrovert contour path, its sequence of ("e", edge) items and
-    ("p", child_id, path_index) pointers. Every edge is stored in exactly
-    one sequence and each path is pointed at most once, so the whole
-    structure is linear in the graph size (asserted)."""
-    pg = tree.pg
-    reps = {}
-    for cid in tree.nodes:
-        rec = tree.by_id[cid]
-        kids = tree.children.get(cid, [])
-        for j, path in enumerate(rec.contour_paths):
-            f = rec.leg_faces[j]
-            pos = {d[0]: i for i, d in enumerate(path)}
-            intervals = []
-            for kid in kids:
-                krec = tree.by_id[kid]
-                for jj, kf in enumerate(krec.leg_faces):
-                    if kf != f:
-                        continue
-                    kpath = krec.contour_paths[jj]
-                    lo = pos[kpath[0][0]]
-                    hi = pos[kpath[-1][0]]
-                    assert hi - lo + 1 == len(kpath), \
-                        "child path is not a contiguous slice"
-                    intervals.append((lo, hi, kid, jj))
-            intervals.sort()
-            items = []
-            at = 0
-            for lo, hi, kid, jj in intervals:
-                assert at <= lo, "child paths overlap"
-                items.extend(("e", path[i][0]) for i in range(at, lo))
-                items.append(("p", kid, jj))
-                at = hi + 1
-            items.extend(("e", path[i][0]) for i in range(at, len(path)))
-            reps[(cid, j)] = tuple(items)
-
-    stored = [it[1] for seq in reps.values() for it in seq if it[0] == "e"]
-    assert len(stored) == len(set(stored)), "an edge is stored twice"
-    pointers = sum(1 for seq in reps.values() for it in seq if it[0] == "p")
-    assert len(stored) + pointers <= pg.m + 3 * len(tree.nodes)
-    return reps
-
-
-def fx_counts(tree: InclusionTree, reps):
-    """Number of flexible edges per extrovert contour path (post-order);
-    reps is contour_paths_explicit(tree)."""
-    pg = tree.pg
-    fx = {}
-    for cid in sorted(tree.nodes, key=tree.depth, reverse=True):
-        for j in range(3):
-            total = 0
-            for it in reps[(cid, j)]:
-                if it[0] == "e":
-                    total += 1 if pg.graph.flexibility(it[1]) > 0 else 0
-                else:
-                    total += fx[(it[1], it[2])]
-            fx[(cid, j)] = total
-    return fx
+def fx_counts(tree: InclusionTree):
+    """Number of flexible edges per extrovert contour path, keyed by
+    (cycle id, path index)."""
+    flex = tree.pg.graph.flexibility
+    return {(cid, j): sum(1 for e, _ in path if flex(e) > 0)
+            for cid in tree.nodes
+            for j, path in enumerate(tree.by_id[cid].contour_paths)}
 
 
 # ---------------------------------------------------------------------------
 # coloring
 
 
-def color_3_extrovert(tree: InclusionTree, reps, fx):
+def color_3_extrovert(tree: InclusionTree, fx):
     """Two-step red-green-orange coloring of the non-degenerate
-    3-extrovert cycles; returns (records, D, D_f).
+    3-extrovert cycles.
 
     Step 1 marks a path orange when it carries a flexible edge and green
-    when one of its child-path pointers is already green; step 2 turns
-    all-undefined cycles green (these are the demanding ones) and the
-    remaining undefined paths red. reps is contour_paths_explicit(tree)
-    and fx is fx_counts(tree, reps).
+    when a child's path on the same leg face, a slice of it, is already
+    green; step 2 turns all-undefined cycles green (these are the
+    demanding ones) and the remaining undefined paths red. fx is
+    fx_counts(tree).
     """
-    colors = {}
+    green = set()  # (parent id, leg face) of every green path
     for cid in sorted(tree.nodes, key=tree.depth, reverse=True):
-        cols = []
-        for j in range(3):
-            if fx[(cid, j)] > 0:
-                cols.append("orange")
-            elif any(it[0] == "p" and colors[(it[1], it[2])] == "green"
-                     for it in reps[(cid, j)]):
-                cols.append("green")
-            else:
-                cols.append(None)
         rec = tree.by_id[cid]
+        cols = ["orange" if fx[(cid, j)] > 0
+                else "green" if (cid, f) in green else None
+                for j, f in enumerate(rec.leg_faces)]
         if all(c is None for c in cols):
             rec.colors = ("green",) * 3
             rec.demanding = True
         else:
             rec.colors = tuple(c if c is not None else "red" for c in cols)
             rec.demanding = False
-        for j in range(3):
-            colors[(cid, j)] = rec.colors[j]
-    ext = tree.pg.external_face
-    d_set = [tree.by_id[cid] for cid in tree.nodes
-             if tree.by_id[cid].demanding]
-    d_f = [r for r in d_set if ext in r.leg_faces]
-    return tree.records, d_set, d_f
+        green.update((tree.parent[cid], f)
+                     for f, c in zip(rec.leg_faces, rec.colors)
+                     if c == "green")
 
 
 def _face_flex_count(pg, f):
@@ -702,17 +636,13 @@ def color_3_introvert(tree: InclusionTree, fx):
     """
     pg = tree.pg
     face_fx = {}
-    out = []
     for node in tree.preorder():
         kids = tree.children.get(node, [])
         if not kids:
             continue
         s_cycles = [tree.by_id[k] for k in kids]
-        partner = None
-        if node is not None and tree.by_id[node].phi_partner is not None:
-            partner = tree.by_id[tree.by_id[node].phi_partner]
-        if partner is not None:
-            s_cycles = s_cycles + [partner]
+        if node is not None:
+            s_cycles.append(tree.by_id[tree.by_id[node].phi_partner])
         green = defaultdict(int)
         for r in s_cycles:
             for j, f in enumerate(r.leg_faces):
@@ -720,8 +650,6 @@ def color_3_introvert(tree: InclusionTree, fx):
                     green[f] += 1
         for kid in kids:
             ext_rec = tree.by_id[kid]
-            if ext_rec.phi_partner is None:
-                continue
             intro = tree.by_id[ext_rec.phi_partner]
             cols = {}
             for j, f in enumerate(ext_rec.leg_faces):
@@ -748,8 +676,6 @@ def color_3_introvert(tree: InclusionTree, fx):
                     cols[f] if cols[f] is not None else "red"
                     for f in intro.leg_faces)
                 intro.demanding = False
-            out.append(intro)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -758,8 +684,8 @@ def color_3_introvert(tree: InclusionTree, fx):
 
 @dataclass
 class DemandingSets:
-    # pg's two 3-cycles per separating cut, no facial ones; phi links are
-    # the reference embedding's
+    # three_cycle_records(pg), colored: the reference records with every
+    # one whose inside holds pg's external face turned inside out
     records: list
     d_set: list  # pairwise non-intersecting demanding 3-extrovert cycles
     d_f: list  # members of d_set with the external face as a leg face
@@ -783,6 +709,11 @@ def _inside_out(rec: CycleRecord) -> CycleRecord:
     )
 
 
+def _seen_from(records, f):
+    """records, built at a reference face, as seen from external face f."""
+    return [_inside_out(r) if f in r.inside_faces else r for r in records]
+
+
 def demanding_sets(pg: PlaneGraph) -> DemandingSets:
     """D(G) and D_f(G) for pg's own embedding.
 
@@ -798,14 +729,12 @@ def demanding_sets(pg: PlaneGraph) -> DemandingSets:
     """
     ref = compute_reference_embedding(pg)
     tree = inclusion_tree(ref)
-    reps = contour_paths_explicit(tree)
-    fx = fx_counts(tree, reps)
-    color_3_extrovert(tree, reps, fx)
+    fx = fx_counts(tree)
+    color_3_extrovert(tree, fx)
     color_3_introvert(tree, fx)
 
     ext = pg.external_face
-    records = [_inside_out(r) if ext in r.inside_faces else r
-               for r in tree.records]
+    records = _seen_from(tree.records, ext)
     i_f = {r.cycle_id for r in tree.records
            if r.kind == "introvert" and r.demanding and ext in r.leg_faces}
     drop = i_f if len(i_f) >= 2 else set()
@@ -821,7 +750,7 @@ def demanding_sets(pg: PlaneGraph) -> DemandingSets:
 
 
 def twin(pg: PlaneGraph, c: CycleRecord, records=None) -> CycleRecord:
-    """The other boundary cycle of c's own 3-edge-cut.
+    """The other boundary cycle of c's own 3-edge-cut: its phi partner.
 
     Defined exactly when c is non-degenerate and shares an edge with the
     external boundary (equivalently the external face is a leg face)."""
@@ -831,12 +760,7 @@ def twin(pg: PlaneGraph, c: CycleRecord, records=None) -> CycleRecord:
         raise NoTwin("cycle does not touch the external boundary")
     if records is None:
         records = three_cycle_records(pg)
-    legs = frozenset(c.legs)
-    for r in records:
-        if r.cycle_id != c.cycle_id and frozenset(r.legs) == legs \
-                and r.edges != c.edges:
-            return r
-    raise NoTwin("no cycle shares these legs")
+    return next(r for r in records if r.cycle_id == c.phi_partner)
 
 
 def intersecting_cover(pg: PlaneGraph, cycles, records=None):

@@ -156,17 +156,6 @@ def theta_fixture() -> Graph:
     ])
 
 
-def flatten(reps: dict, key) -> list:
-    """Expand a contour-path pointer sequence into its edge list."""
-    out = []
-    for item in reps[key]:
-        if item[0] == "e":
-            out.append(item[1])
-        else:
-            out.extend(flatten(reps, (item[1], item[2])))
-    return out
-
-
 def record_key(edges, legs, kind, degenerate):
     return (frozenset(edges), frozenset(legs), kind, bool(degenerate))
 

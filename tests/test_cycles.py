@@ -18,7 +18,7 @@ from orthobend.graph import Graph, dart_reverse, embed
 from orthobend.orthorep import subdivide_plane
 
 from corpus import (
-    cube, flatten, grown, k4, nested, nested_blobs, oracle_keys, prism,
+    cube, grown, k4, nested, nested_blobs, oracle_keys, prism,
     production_keys, record_key, sibling_fixture, theta_fixture,
     truncated_prism,
 )
@@ -111,13 +111,11 @@ def test_partner_pairing_is_an_involution(i):
     for r in recs:
         if r.kind != "extrovert" or r.degenerate:
             continue
-        if pg.external_face in r.leg_faces:
-            # legs on the boundary: the flip side is another 3-extrovert
-            # cycle, not a partner
-            assert r.phi_partner is None
-            continue
         partner = by_id[r.phi_partner]
-        assert partner.kind == "introvert"
+        # legs on the boundary: the partner is the other 3-extrovert cycle
+        # of the cut, its twin
+        assert partner.kind == ("extrovert" if pg.external_face in r.leg_faces
+                                else "introvert")
         assert frozenset(partner.legs) == frozenset(r.legs)
         assert partner.phi_partner == r.cycle_id
         assert partner.edges != r.edges
@@ -467,12 +465,6 @@ def test_inclusion_tree_parents_are_the_smallest_flooded_supersets():
     assert non_root > NESTED[1].n // 4
 
 
-def stage_inputs(tree):
-    """The contour paths and flexible-edge counts the colour stages take."""
-    reps = cycles.contour_paths_explicit(tree)
-    return reps, cycles.fx_counts(tree, reps)
-
-
 def ext_on_vertices(g, verts):
     pg0 = embed(g)
     f = next(f for f in range(len(pg0.faces))
@@ -489,65 +481,60 @@ def test_inclusion_tree_rejects_non_reference_embedding():
 
 
 # ---------------------------------------------------------------------------
-# contour-path representations
+# contour paths of the inclusion tree
 
 
-def test_contour_paths_share_child_edges_by_pointer():
-    g = truncated_prism()
-    pg = ext_on_vertices(g, {2, 3, 4})
-    tree = cycles.inclusion_tree(pg)
-    reps = cycles.contour_paths_explicit(tree)
-    pent = next(c for c in tree.nodes if len(tree.by_id[c].edges) == 5)
-    tri = next(c for c in tree.nodes if len(tree.by_id[c].edges) == 3)
-    pointered = [j for j in range(3)
-                 if any(it[0] == "p" for it in reps[(pent, j)])]
-    assert len(pointered) == 2
-    for j in pointered:
-        items = reps[(pent, j)]
-        assert len(items) == 2
-        kinds = sorted(it[0] for it in items)
-        assert kinds == ["e", "p"]
-        ptr = next(it for it in items if it[0] == "p")
-        assert ptr[1] == tri
-    # triangle edges are stored once, under the triangle itself
-    tri_stored = {it[1] for j in range(3) for it in reps[(tri, j)]}
-    assert tri_stored == set(tree.by_id[tri].edges)
-
-
-def test_contour_paths_flatten_back_to_the_walk():
-    for g in CORPUS:
-        ref = cycles.compute_reference_embedding(embed(g))
-        tree = cycles.inclusion_tree(ref)
-        reps = cycles.contour_paths_explicit(tree)
+def test_child_paths_are_disjoint_slices_of_the_parent_path():
+    """A child's contour path on leg face f runs, dart for dart, along a
+    stretch of its parent's path on f, and the stretches of siblings do not
+    overlap; at every reference face of CORPUS and on NESTED."""
+    cases = [pg for g in CORPUS for pg in reference_faces(g)]
+    cases += [cycles.compute_reference_embedding(embed(g)) for g in NESTED]
+    sliced = 0
+    for pg in cases:
+        tree = cycles.inclusion_tree(pg)
         for cid in tree.nodes:
             rec = tree.by_id[cid]
-            for j, path in enumerate(rec.contour_paths):
-                assert flatten(reps, (cid, j)) == [d[0] for d in path]
+            for f, path in zip(rec.leg_faces, rec.contour_paths):
+                at = {d: i for i, d in enumerate(path)}
+                spans = []
+                for kid in tree.children[cid]:
+                    krec = tree.by_id[kid]
+                    for kf, kpath in zip(krec.leg_faces, krec.contour_paths):
+                        if kf == f:
+                            lo = at[kpath[0]]
+                            assert path[lo:lo + len(kpath)] == kpath
+                            spans.append((lo, lo + len(kpath)))
+                spans.sort()
+                assert all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
+                sliced += len(spans)
+    assert sliced > NESTED[1].n // 4
 
 
 def test_flexible_edge_counts_accumulate_through_pointers():
+    """A parent path's count takes in the flexible edges of the child path
+    that is a slice of it as well as its own."""
     g0 = truncated_prism()
     eid = g0.edge_id
     g = Graph(8, g0.edges, {eid(5, 6): 2, eid(5, 2): 1, eid(0, 3): 3})
     pg = ext_on_vertices(g, {2, 3, 4})
     tree = cycles.inclusion_tree(pg)
-    reps, fx = stage_inputs(tree)
+    fx = cycles.fx_counts(tree)
     pent = next(c for c in tree.nodes if len(tree.by_id[c].edges) == 5)
     tri = next(c for c in tree.nodes if len(tree.by_id[c].edges) == 3)
     assert sorted(fx[(tri, j)] for j in range(3)) == [0, 0, 1]
     assert sorted(fx[(pent, j)] for j in range(3)) == [0, 0, 1]
 
-    # flex on a parent's own edge and on the child path it points to
-    # are both visible from the parent
-    j = next(j for j in range(3)
-             if any(it[0] == "p" for it in reps[(pent, j)]))
-    own = next(it[1] for it in reps[(pent, j)] if it[0] == "e")
-    ptr = next(it for it in reps[(pent, j)] if it[0] == "p")
-    child_edge = flatten(reps, (ptr[1], ptr[2]))[0]
-    g2 = Graph(8, g0.edges, {own: 2, child_edge: 3})
+    # flex on a parent's own edge and on the child path on the same leg
+    # face are both visible from the parent
+    prec, trec = tree.by_id[pent], tree.by_id[tri]
+    f = next(f for f in prec.leg_faces if f in trec.leg_faces)
+    j = prec.leg_faces.index(f)
+    child = [e for e, _ in trec.contour_paths[trec.leg_faces.index(f)]]
+    own = next(e for e, _ in prec.contour_paths[j] if e not in child)
+    g2 = Graph(8, g0.edges, {own: 2, child[0]: 3})
     pg2 = ext_on_vertices(g2, {2, 3, 4})
-    tree2 = cycles.inclusion_tree(pg2)
-    _, fx2 = stage_inputs(tree2)
+    fx2 = cycles.fx_counts(cycles.inclusion_tree(pg2))
     assert fx2[(pent, j)] == 2
 
 
@@ -559,7 +546,7 @@ def test_extrovert_coloring_matches_exhaustive_search():
     for g in CORPUS:
         ref = cycles.compute_reference_embedding(embed(g))
         tree = cycles.inclusion_tree(ref)
-        cycles.color_3_extrovert(tree, *stage_inputs(tree))
+        cycles.color_3_extrovert(tree, cycles.fx_counts(tree))
         want = {}
         for r in oracle.color_records(ref, oracle.three_extrovert(ref)):
             if not r["degenerate"]:
@@ -799,8 +786,8 @@ def test_nested_blobs_color_patterns():
     g = nested_blobs()
     ref = cycles.compute_reference_embedding(embed(g))
     tree = cycles.inclusion_tree(ref)
-    reps, fx = stage_inputs(tree)
-    cycles.color_3_extrovert(tree, reps, fx)
+    fx = cycles.fx_counts(tree)
+    cycles.color_3_extrovert(tree, fx)
     cycles.color_3_introvert(tree, fx)
     seen = {}
     for r in tree.records:
@@ -831,8 +818,8 @@ def test_nested_blobs_color_patterns():
 def colored_partners(g, ext_verts):
     pg = ext_on_vertices(g, ext_verts)
     tree = cycles.inclusion_tree(pg)
-    reps, fx = stage_inputs(tree)
-    cycles.color_3_extrovert(tree, reps, fx)
+    fx = cycles.fx_counts(tree)
+    cycles.color_3_extrovert(tree, fx)
     cycles.color_3_introvert(tree, fx)
     by_id = {r.cycle_id: r for r in tree.records}
 
@@ -876,8 +863,8 @@ def test_partner_flexibility_arithmetic():
     g = Graph(8, g0.edges, {eid(5, 6): 2, eid(5, 2): 1, eid(0, 3): 3})
     pg = ext_on_vertices(g, {2, 3, 4})
     tree = cycles.inclusion_tree(pg)
-    reps, fx = stage_inputs(tree)
-    cycles.color_3_extrovert(tree, reps, fx)
+    fx = cycles.fx_counts(tree)
+    cycles.color_3_extrovert(tree, fx)
     cycles.color_3_introvert(tree, fx)
     by_id = {r.cycle_id: r for r in tree.records}
 
