@@ -47,9 +47,11 @@ faces, both sides are the insides of two 3-extrovert twins.
 Moving the external face never changes which cycles and legs exist, only
 which side of each cycle is its inside. A record is turned inside out,
 3-extrovert and 3-introvert trading places, exactly when the new
-external face lies among its inside faces. The records, their inclusion
-tree and their colors are therefore computed once, in a reference
-embedding, and carried to any other external face by that rule.
+external face lies among its inside faces. So each query checks its
+graph's class, picks a reference face on no separating triangle and builds
+the records and their inclusion tree once, rooted at that face, without a
+copy of the embedding; the records and their colors are carried to the
+query's own external face by that rule.
 
 Coloring follows the two-step green-counter formulation and reads each
 record's own contour paths. A child's path on a leg face is a contiguous
@@ -65,9 +67,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, replace
 
-from .errors import (
-    NoTwin, NotReferenceEmbedding, NotTriconnectedCubic, ShortExternalFace,
-)
+from .errors import NoTwin, NotTriconnectedCubic, ShortExternalFace
 from .graph import PlaneGraph, dart_reverse, embed
 
 
@@ -187,16 +187,15 @@ def _separating_pairs(across, f):
                 yield i, j, k
 
 
-def dual_triangles(pg: PlaneGraph, across):
-    """The separating 3-edge-cuts of pg as (cut_edges, cut_faces), each
-    once; `across` is pg.face_index[0] of a pg in the class of
-    three_cycle_records.
+def dual_triangles(pg: PlaneGraph):
+    """The separating 3-edge-cuts of a pg in the class of
+    three_cycle_records as (cut_edges, cut_faces), each once.
 
     cut_faces = (f, g, h) with f < g < h, and cut_edges = (l1, l2, l3)
     where l1 joins f|g, l2 joins g|h and l3 joins h|f in the dual. Facial
     triangles, one round each vertex, are not listed.
     """
-    out = []
+    across, out = pg.face_index[0], []
     for f, nbrs in enumerate(across):
         walk = pg.faces[f].boundary
         for i, j, k in _separating_pairs(across, f):
@@ -311,9 +310,10 @@ def _spanning_tree(pg: PlaneGraph, root):
 
 
 def _away_sides(pg: PlaneGraph, across, cuts, root):
-    """A face numbering (order, at) and, per cut of `cuts`, the interval
+    """A face numbering (order, at); per cut of `cuts`, the interval
     (lo, hi) of its side away from face `root`, on no cut, in that
-    numbering, with the end of cut[0] on that side.
+    numbering, with the end of cut[0] on that side; and the cut tree, as
+    each cut's parent (-1 at the root) and the cuts in preorder.
 
     A side holds the vertices under an odd number of its cut's tree edges,
     and S such vertices bound (S - 1) / 2 faces. Smallest first, each side
@@ -370,36 +370,34 @@ def _away_sides(pg: PlaneGraph, across, cuts, root):
         own[c].append(f)
     for c, p in enumerate(parent):
         kids[p].append(c)
-    order, lo, stack = [], [0] * (len(cuts) + 1), [-1]
+    order, lo, walk, stack = [], [0] * (len(cuts) + 1), [], [-1]
     while stack:
         c = stack.pop()
+        walk.append(c)
         lo[c] = len(order)
         order += own[c]
         stack += kids[c]
     at = [0] * len(order)
     for i, f in enumerate(order):
         at[f] = i
-    return (order, at), [(lo[c], lo[c] + count[c], ends[c])
-                         for c in range(len(cuts))]
+    return ((order, at), [(lo[c], lo[c] + count[c], ends[c])
+                          for c in range(len(cuts))], parent, walk[1:])
 
 
-def three_cycle_records(pg: PlaneGraph):
-    """The non-degenerate 3-extrovert and 3-introvert cycles of pg, two
-    per separating 3-edge-cut, each phi-linked to the other record of its
-    cut; facial_records has the degenerate ones.
+def _root_records(pg: PlaneGraph):
+    """(records, parent, preorder, reference_face): both records of every
+    separating cut c of pg, ids 2c and 2c + 1, built at the reference face
+    compute_reference_embedding picks, with the cut tree of _away_sides.
 
-    Both records of every cut are built at the reference face that
-    compute_reference_embedding picks, the 3-extrovert one with the side
-    away from it inside and the 3-introvert one with that side and the cut
-    faces; every record whose inside holds pg's external face is then
-    turned inside out. Raises NotTriconnectedCubic unless pg's graph is
-    cubic and triconnected, that is, unless every edge joins its own pair
-    of faces: the dual has no loop and no parallel edges.
+    The 3-extrovert record has the side away from the reference face
+    inside and the 3-introvert one that side and the cut faces. Works
+    from any external face of pg; raises NotTriconnectedCubic as
+    three_cycle_records does.
     """
     across, pos = _class_index(pg)
-    cuts = dual_triangles(pg, across)
-    numbering, sides = _away_sides(pg, across, cuts,
-                                   _reference_face(across, pg.external_face))
+    cuts = dual_triangles(pg)
+    ref = _reference_face(across, pg.external_face)
+    numbering, sides, parent, preorder = _away_sides(pg, across, cuts, ref)
     records = []
     for (cut, tri), (lo, hi, x) in zip(cuts, sides):
         u, v = pg.edge(cut[0])
@@ -411,7 +409,21 @@ def three_cycle_records(pg: PlaneGraph):
         records.append(_record(pg, pos, i + 1, cut,
                                Inside(numbering, lo, hi, tri, False, True),
                                y, "introvert", False, i))
-    return _seen_from(records, pg.external_face)
+    return records, parent, preorder, ref
+
+
+def three_cycle_records(pg: PlaneGraph):
+    """The non-degenerate 3-extrovert and 3-introvert cycles of pg, two
+    per separating 3-edge-cut, each phi-linked to the other record of its
+    cut; facial_records has the degenerate ones.
+
+    They are the root records of _root_records, built at a reference
+    face, with every record whose inside holds pg's external face turned
+    inside out. Raises NotTriconnectedCubic unless pg's graph is cubic and
+    triconnected, that is, unless every edge joins its own pair of faces:
+    the dual has no loop and no parallel edges.
+    """
+    return _seen_from(_root_records(pg)[0], pg.external_face)
 
 
 def facial_records(pg: PlaneGraph):
@@ -484,13 +496,6 @@ def _two_record(pg, pos, cut, x, inside):
 # reference embeddings
 
 
-def is_reference_embedding(pg: PlaneGraph) -> bool:
-    """True iff no non-degenerate 3-extrovert cycle touches the external
-    face, that is, the external face is on no separating triangle; raises
-    NotTriconnectedCubic as three_cycle_records does."""
-    return compute_reference_embedding(pg) is pg
-
-
 def _reference_face(across, f0):
     """f0 when it is on no separating triangle, else the lowest face that
     is on none."""
@@ -519,63 +524,42 @@ def compute_reference_embedding(g) -> PlaneGraph:
 
 
 class InclusionTree:
-    """Containment tree over the non-degenerate 3-extrovert cycles of a
-    reference embedding.
+    """Containment tree over the 3-extrovert root records of pg's
+    separating cuts, as built at reference_face.
 
-    The root is the sentinel None standing for the external boundary.
-    A cycle's parent is the smallest member whose inside holds its own;
-    depth() counts the steps from a cycle up to the root. Every member's
-    inside is an interval of one face numbering, and the intervals are
-    laminar, so one stack pass over them in order finds every parent.
+    The root is the sentinel None standing for the external boundary. A
+    cycle's parent is the smallest member whose inside holds its own,
+    which is the cut tree of _away_sides with cut c's 3-extrovert record,
+    id 2c, as its node; nodes lists the members in preorder, and depth()
+    counts the steps from a cycle up to the root. A root record's id is
+    its index, so by_id is the records list itself.
     """
 
     root = None
 
-    def __init__(self, pg, records):
+    def __init__(self, pg, records, parent, preorder, reference_face):
         self.pg = pg
-        self.records = records
-        self.by_id = {r.cycle_id: r for r in records}
-        members = [r for r in records
-                   if r.kind == "extrovert" and not r.degenerate]
-        self.nodes = [r.cycle_id for r in members]
+        self.records = self.by_id = records
+        self.reference_face = reference_face
+        self.nodes = [2 * c for c in preorder]
         self.parent = {}
         self.children = defaultdict(list)
         self._depth = {None: 0}
-        stack = []  # the members whose interval holds the current one
-        for r in sorted(members, key=lambda r: (r.inside_faces.lo,
-                                                -r.inside_faces.hi)):
-            inside = r.inside_faces
-            assert not (inside.out or inside.cut_faces), \
-                "a member's inside is not an interval"
-            while stack and stack[-1].inside_faces.hi <= inside.lo:
-                stack.pop()
-            par = stack[-1].cycle_id if stack else None
-            self.parent[r.cycle_id] = par
-            self.children[par].append(r.cycle_id)
-            self._depth[r.cycle_id] = len(stack) + 1
-            stack.append(r)
+        for c in preorder:
+            par = 2 * parent[c] if parent[c] >= 0 else None
+            self.parent[2 * c] = par
+            self.children[par].append(2 * c)
+            self._depth[2 * c] = self._depth[par] + 1
 
     def depth(self, cid) -> int:
         return self._depth[cid]
 
-    def preorder(self):
-        order = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            order.append(node)
-            stack.extend(reversed(self.children.get(node, [])))
-        return order
-
 
 def inclusion_tree(pg: PlaneGraph) -> InclusionTree:
-    records = three_cycle_records(pg)
-    # the leg faces of a non-degenerate record are its separating triangle
-    if any(not r.degenerate and pg.external_face in r.leg_faces
-           for r in records):
-        raise NotReferenceEmbedding(
-            f"external face {pg.external_face} lies on a separating triangle")
-    return InclusionTree(pg, records)
+    """The inclusion tree of pg's root records, built at the reference face
+    compute_reference_embedding would pick; pg may have any external face.
+    Raises NotTriconnectedCubic as three_cycle_records does."""
+    return InclusionTree(pg, *_root_records(pg))
 
 
 def fx_counts(tree: InclusionTree):
@@ -602,7 +586,7 @@ def color_3_extrovert(tree: InclusionTree, fx):
     fx_counts(tree).
     """
     green = set()  # (parent id, leg face) of every green path
-    for cid in sorted(tree.nodes, key=tree.depth, reverse=True):
+    for cid in reversed(tree.nodes):
         rec = tree.by_id[cid]
         cols = ["orange" if fx[(cid, j)] > 0
                 else "green" if (cid, f) in green else None
@@ -636,7 +620,7 @@ def color_3_introvert(tree: InclusionTree, fx):
     """
     pg = tree.pg
     face_fx = {}
-    for node in tree.preorder():
+    for node in (tree.root, *tree.nodes):
         kids = tree.children.get(node, [])
         if not kids:
             continue
@@ -717,18 +701,17 @@ def _seen_from(records, f):
 def demanding_sets(pg: PlaneGraph) -> DemandingSets:
     """D(G) and D_f(G) for pg's own embedding.
 
-    The 3-cycle records are built and colored once, in a reference
-    embedding. A cycle keeps its coloring in every embedding where it
-    stays 3-extrovert, and a 3-introvert cycle takes the coloring of the
-    same cycle as 3-extrovert in any embedding that turns it inside out;
-    pg's records are the reference ones with every record whose inside
-    holds pg's external face turned inside out. Demanding cycles that
-    were 3-introvert in the reference embedding and share the external
-    face as a leg face pairwise intersect, and drop out of D(G) when
-    there are two or more of them.
+    The 3-cycle records and their inclusion tree are built and colored
+    once, rooted at a reference face. A cycle keeps its coloring in every
+    embedding where it stays 3-extrovert, and a 3-introvert cycle takes
+    the coloring of the same cycle as 3-extrovert in any embedding that
+    turns it inside out; pg's records are the reference ones with every
+    record whose inside holds pg's external face turned inside out.
+    Demanding cycles that were 3-introvert at the reference face and share
+    the external face as a leg face pairwise intersect, and drop out of
+    D(G) when there are two or more of them.
     """
-    ref = compute_reference_embedding(pg)
-    tree = inclusion_tree(ref)
+    tree = inclusion_tree(pg)
     fx = fx_counts(tree)
     color_3_extrovert(tree, fx)
     color_3_introvert(tree, fx)
@@ -742,7 +725,7 @@ def demanding_sets(pg: PlaneGraph) -> DemandingSets:
              if r.kind == "extrovert" and r.demanding
              and r.cycle_id not in drop]
     d_f = [r for r in d_set if ext in r.leg_faces]
-    return DemandingSets(records, d_set, d_f, ref.external_face)
+    return DemandingSets(records, d_set, d_f, tree.reference_face)
 
 
 # ---------------------------------------------------------------------------

@@ -42,10 +42,6 @@ class NotTriconnectedCubic(DomainError):
     pass
 
 
-class NotReferenceEmbedding(DomainError):
-    pass
-
-
 class IsK4(DomainError):
     pass
 

@@ -93,9 +93,6 @@ class Graph:
     def m(self):
         return len(self.edges)
 
-    def degrees(self):
-        return [len(a) for a in self.adj]
-
     def is_cubic(self):
         return all(len(a) == 3 for a in self.adj)
 
@@ -193,14 +190,6 @@ class PlaneGraph:
 
     def faces_of_edge(self, e) -> tuple[int, int]:
         return self._edge_faces[e]
-
-    def other_face(self, e, f) -> int:
-        a, b = self._edge_faces[e]
-        if a == f:
-            return b
-        if b == f:
-            return a
-        raise KeyError(f"face {f} not incident to edge {e}")
 
     def with_external_face(self, f: int) -> "PlaneGraph":
         """Same embedding, different external face. Face ids are stable.

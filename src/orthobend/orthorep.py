@@ -54,9 +54,6 @@ class OrthoRep:
     def total_bends(self) -> int:
         return sum(len(s) for s in self.bends.values())
 
-    def bend_count(self, e) -> int:
-        return len(self.bends[e])
-
     def cost(self) -> int:
         """Sum over edges of max(0, bends - flexibility)."""
         g = self.plane.graph
@@ -106,14 +103,6 @@ def _h2_sum(h: OrthoRep, f: Face) -> int:
         for c in h.bends_of_dart(d):
             val += 1 if c == "L" else -1
     return val
-
-
-def is_valid(h: OrthoRep) -> bool:
-    try:
-        validate(h)
-        return True
-    except (H1Violation, H2Violation):
-        return False
 
 
 # -- basic transforms -------------------------------------------------------

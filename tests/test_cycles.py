@@ -11,10 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orthobend import cycles, oracle
-from orthobend.errors import (
-    NoTwin, NotReferenceEmbedding, NotTriconnectedCubic, ShortExternalFace,
-)
-from orthobend.graph import Graph, dart_reverse, embed
+from orthobend.errors import NoTwin, NotTriconnectedCubic, ShortExternalFace
+from orthobend.graph import Graph, PlaneGraph, dart_reverse, embed
 from orthobend.orthorep import subdivide_plane
 
 from corpus import (
@@ -41,6 +39,11 @@ def all_faces(g):
 def all_records(pg):
     """Every 3-extrovert and 3-introvert cycle of pg, facial ones too."""
     return cycles.three_cycle_records(pg) + cycles.facial_records(pg)
+
+
+def is_reference(pg):
+    """pg's external face is on no separating triangle."""
+    return cycles.compute_reference_embedding(pg) is pg
 
 
 def vertex_set(g, edge_ids):
@@ -251,8 +254,7 @@ def test_separating_cuts_and_facial_records_match_the_oracle():
     the facial cycles on the small graphs by the simple-cycle search."""
     for g in CORPUS + NESTED[:1]:
         for pg in all_faces(g):
-            across, _ = pg.face_index
-            got = cycles.dual_triangles(pg, across)
+            got = cycles.dual_triangles(pg)
             for cut, faces in got:
                 for j, e in enumerate(cut):
                     assert set(pg.faces_of_edge(e)) \
@@ -289,6 +291,29 @@ def test_demanding_sets_build_no_facial_record(monkeypatch):
         assert separating > 0
         assert len(built) == 2 * separating
         assert not any(r.degenerate for r in built)
+
+
+def test_demanding_sets_check_the_class_and_root_the_records_once(
+        monkeypatch):
+    """One class check, one reference-face pick and no copy of the
+    embedding per query, at every face of CORPUS."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("_class_index", "_reference_face"):
+        monkeypatch.setattr(cycles, name, counted(name, getattr(cycles, name)))
+    monkeypatch.setattr(PlaneGraph, "with_external_face", counted(
+        "with_external_face", PlaneGraph.with_external_face))
+    for g in CORPUS:
+        for pg in all_faces(g):
+            calls.clear()
+            cycles.demanding_sets(pg)
+            assert calls == {"_class_index": 1, "_reference_face": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +367,7 @@ def test_plain_quadrilateral_has_no_two_extrovert_cycle():
 
 def test_reference_embedding_detection():
     pg0 = embed(prism())
-    flags = {f: cycles.is_reference_embedding(pg0.with_external_face(f))
+    flags = {f: is_reference(pg0.with_external_face(f))
              for f in range(len(pg0.faces))}
     # exactly the two triangular faces qualify
     tri = {f for f in flags
@@ -350,7 +375,7 @@ def test_reference_embedding_detection():
     assert {f for f, ok in flags.items() if ok} == tri
     # no non-degenerate 3-extrovert cycle at all: every face qualifies
     for pg in all_faces(k4()):
-        assert cycles.is_reference_embedding(pg)
+        assert is_reference(pg)
 
 
 def test_reference_faces_are_on_no_separating_dual_triangle():
@@ -360,7 +385,7 @@ def test_reference_faces_are_on_no_separating_dual_triangle():
                 pg.external_face in faces
                 for cut, faces in oracle.all_dual_triangles(pg)
                 if oracle.facial_apex(pg, cut) is None)
-            assert cycles.is_reference_embedding(pg) == (not on_separating)
+            assert is_reference(pg) == (not on_separating)
 
 
 def test_reference_embedding_rejects_graphs_outside_the_class():
@@ -377,7 +402,7 @@ def test_reference_embedding_rejects_graphs_outside_the_class():
             with pytest.raises(NotTriconnectedCubic):
                 cycles.compute_reference_embedding(pg)
             with pytest.raises(NotTriconnectedCubic):
-                cycles.is_reference_embedding(pg)
+                is_reference(pg)
             with pytest.raises(NotTriconnectedCubic):
                 cycles.demanding_sets(pg)
 
@@ -385,14 +410,14 @@ def test_reference_embedding_rejects_graphs_outside_the_class():
 def test_compute_reference_embedding_keeps_valid_input():
     pg0 = embed(prism())
     good = next(f for f in range(len(pg0.faces))
-                if cycles.is_reference_embedding(pg0.with_external_face(f)))
+                if is_reference(pg0.with_external_face(f)))
     ref = cycles.compute_reference_embedding(pg0.with_external_face(good))
     assert ref.external_face == good
     bad = next(f for f in range(len(pg0.faces))
-               if not cycles.is_reference_embedding(pg0.with_external_face(f)))
+               if not is_reference(pg0.with_external_face(f)))
     pg = pg0.with_external_face(bad)
     ref2 = cycles.compute_reference_embedding(pg)
-    assert cycles.is_reference_embedding(ref2)
+    assert is_reference(ref2)
     # the reference copy reuses the face index built with the embedding
     assert ref2 is not pg and ref2.face_index is pg.face_index
 
@@ -436,7 +461,7 @@ def _assert_depth_is_parent_chain(tree):
 
 
 def reference_faces(g):
-    return [pg for pg in all_faces(g) if cycles.is_reference_embedding(pg)]
+    return [pg for pg in all_faces(g) if is_reference(pg)]
 
 
 def test_inclusion_tree_depth_counts_the_parent_chain():
@@ -472,12 +497,16 @@ def ext_on_vertices(g, verts):
     return pg0.with_external_face(f)
 
 
-def test_inclusion_tree_rejects_non_reference_embedding():
-    pg0 = embed(prism())
-    bad = next(f for f in range(len(pg0.faces))
-               if not cycles.is_reference_embedding(pg0.with_external_face(f)))
-    with pytest.raises(NotReferenceEmbedding):
-        cycles.inclusion_tree(pg0.with_external_face(bad))
+def test_inclusion_tree_is_the_same_at_every_face():
+    """Built at any external face, the tree is rooted at the reference face
+    and equals the tree of the reference copy."""
+    for g in CORPUS:
+        for pg in all_faces(g):
+            tree = cycles.inclusion_tree(pg)
+            ref = cycles.inclusion_tree(cycles.compute_reference_embedding(pg))
+            assert tree.reference_face == ref.reference_face \
+                == ref.pg.external_face
+            assert tree.nodes == ref.nodes and tree.parent == ref.parent
 
 
 # ---------------------------------------------------------------------------

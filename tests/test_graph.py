@@ -51,7 +51,7 @@ def test_validation_rejects_bad_graphs():
 
 def test_degrees_and_lookup():
     g = prism()
-    assert g.is_cubic() and g.degrees() == [3] * 6
+    assert g.is_cubic() and [g.degree(v) for v in range(6)] == [3] * 6
     assert g.edge_id(0, 1) == g.edge_id(1, 0)
     with pytest.raises(KeyError):
         g.edge_id(0, 5)
@@ -83,9 +83,6 @@ def test_face_structure_of_the_cube():
     for e in range(pg.m):
         f1, f2 = pg.faces_of_edge(e)
         assert f1 != f2
-        assert pg.other_face(e, f1) == f2
-        with pytest.raises(KeyError):
-            pg.other_face(e, 99)
 
 
 def plane_state(pg):
