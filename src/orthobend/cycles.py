@@ -21,7 +21,7 @@ side to its cut faces, so each face is expanded once; numbering the faces
 by a depth-first walk of the resulting cut tree, each side's own faces
 first, makes every side an interval. An inside is that interval or its
 complement, with the cut's faces in or out, so membership and size are
-O(1) and turning a record inside out flips two flags.
+O(1).
 
 Each cut face holds two cut edges, and its boundary between them splits
 into two arcs, one facing each side. The cycle bounding a side is the
@@ -45,13 +45,15 @@ with the same legs; with the external face one of the triangle's own
 faces, both sides are the insides of two 3-extrovert twins.
 
 Moving the external face never changes which cycles and legs exist, only
-which side of each cycle is its inside. A record is turned inside out,
-3-extrovert and 3-introvert trading places, exactly when the new
-external face lies among its inside faces. So each query checks its
-graph's class, picks a reference face on no separating triangle and builds
-the records and their inclusion tree once, rooted at that face, without a
-copy of the embedding; the records and their colors are carried to the
-query's own external face by that rule.
+which side of each cycle is its inside: the side that does not hold the
+external face. So each query checks its graph's class, picks a reference
+face on no separating triangle and numbers the faces once, rooted at that
+face, without a copy of the embedding; then it builds each record once,
+as the query's own external face sees it. The inclusion tree and the
+colors belong to the cut sides away from the reference face: a tree node
+is the cycle round such a side, 3-extrovert at the reference face, and
+is 3-introvert at the query's face when that face lies in its side. A
+color stays with its path's leg face, whichever way the path is walked.
 
 Coloring follows the two-step green-counter formulation and reads each
 record's own contour paths. A child's path on a leg face is a contiguous
@@ -65,7 +67,7 @@ paths, would cost as much to build as those darts and save nothing.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import NoTwin, NotTriconnectedCubic, ShortExternalFace
 from .graph import PlaneGraph, dart_reverse, embed
@@ -129,11 +131,6 @@ class Inside:
 
     def __iter__(self):  # O(faces), for checks
         return (f for f in self.numbering[0] if f in self)
-
-    def flipped(self):
-        """The faces not in self."""
-        return Inside(self.numbering, self.lo, self.hi, self.tri,
-                      not self.out, not self.cut_faces)
 
 
 @dataclass
@@ -244,8 +241,7 @@ def _contour(pg: PlaneGraph, pos, cut, x, faces_inside):
     with its face on the left; when the cut faces lie outside the cycle
     the chain is reversed, so the inside is always on the left. A path's
     leg is the cut edge at its tail and its leg face the arc's face. The
-    path holding the cycle's smallest edge comes last; a record turned
-    inside out keeps its root record's paths, so there it need not.
+    path holding the cycle's smallest dart comes last.
     """
     start = (cut[0], 0) if pg.edge(cut[0])[1] == x else (cut[0], 1)
     d, arcs = start, []
@@ -274,14 +270,16 @@ def _contour(pg: PlaneGraph, pos, cut, x, faces_inside):
     return arcs[k + 1:] + arcs[:k + 1], vertices
 
 
-def _record(pg, pos, cycle_id, cut, inside, x, kind, degenerate, phi=None):
+def _record(pg, pos, cycle_id, cut, inside, x, degenerate, phi=None):
     """The record of the cycle next to the cut on the side of x, an end of
-    cut[0], whose inside is `inside`."""
+    cut[0], whose inside is `inside`: 3-introvert exactly when the legs,
+    and so the cut faces, lie inside."""
     contour = _contour(pg, pos, cut, x, inside.cut_faces)
     assert contour is not None, "cut arcs close no cycle with three legs"
     legs, faces, paths = zip(*contour[0])
     return CycleRecord(
-        cycle_id=cycle_id, kind=kind,
+        cycle_id=cycle_id,
+        kind="introvert" if inside.cut_faces else "extrovert",
         edges=frozenset(e for path in paths for e, _ in path),
         vertices=contour[1], legs=legs,
         leg_vertices=tuple(pg.dart_tail(path[0]) for path in paths),
@@ -386,29 +384,35 @@ def _away_sides(pg: PlaneGraph, across, cuts, root):
 
 def _root_records(pg: PlaneGraph):
     """(records, parent, preorder, reference_face): both records of every
-    separating cut c of pg, ids 2c and 2c + 1, built at the reference face
-    compute_reference_embedding picks, with the cut tree of _away_sides.
+    separating cut c of pg, ids 2c and 2c + 1, as pg's external face sees
+    them, with the cut tree of _away_sides rooted at the reference face
+    compute_reference_embedding picks.
 
-    The 3-extrovert record has the side away from the reference face
-    inside and the 3-introvert one that side and the cut faces. Works
-    from any external face of pg; raises NotTriconnectedCubic as
+    Record 2c is the cycle round the cut's side A away from the reference
+    face and 2c + 1 the cycle round the other side B. Each has the side
+    that does not hold pg's external face inside: record 2c A, or B and
+    the cut faces when the face lies in A; record 2c + 1 B, or A and the
+    cut faces when the face lies in B. Raises NotTriconnectedCubic as
     three_cycle_records does.
     """
     across, pos = _class_index(pg)
     cuts = dual_triangles(pg)
-    ref = _reference_face(across, pg.external_face)
+    ext = pg.external_face
+    ref = _reference_face(across, ext)
     numbering, sides, parent, preorder = _away_sides(pg, across, cuts, ref)
     records = []
     for (cut, tri), (lo, hi, x) in zip(cuts, sides):
         u, v = pg.edge(cut[0])
         y = v if x == u else u  # the end of cut[0] on the root's side
+        in_a = ext in Inside(numbering, lo, hi, tri, False, False)
+        in_b = not in_a and ext not in tri
         i = len(records)
         records.append(_record(pg, pos, i, cut,
-                               Inside(numbering, lo, hi, tri, False, False),
-                               x, "extrovert", False, i + 1))
+                               Inside(numbering, lo, hi, tri, in_a, in_a),
+                               x, False, i + 1))
         records.append(_record(pg, pos, i + 1, cut,
-                               Inside(numbering, lo, hi, tri, False, True),
-                               y, "introvert", False, i))
+                               Inside(numbering, lo, hi, tri, not in_b, in_b),
+                               y, False, i))
     return records, parent, preorder, ref
 
 
@@ -417,13 +421,12 @@ def three_cycle_records(pg: PlaneGraph):
     per separating 3-edge-cut, each phi-linked to the other record of its
     cut; facial_records has the degenerate ones.
 
-    They are the root records of _root_records, built at a reference
-    face, with every record whose inside holds pg's external face turned
-    inside out. Raises NotTriconnectedCubic unless pg's graph is cubic and
-    triconnected, that is, unless every edge joins its own pair of faces:
-    the dual has no loop and no parallel edges.
+    They are the records of _root_records, ids 2c and 2c + 1 per cut c of
+    dual_triangles. Raises NotTriconnectedCubic unless pg's graph is cubic
+    and triconnected, that is, unless every edge joins its own pair of
+    faces: the dual has no loop and no parallel edges.
     """
-    return _seen_from(_root_records(pg)[0], pg.external_face)
+    return _root_records(pg)[0]
 
 
 def facial_records(pg: PlaneGraph):
@@ -445,7 +448,7 @@ def facial_records(pg: PlaneGraph):
         records.append(_record(
             pg, pos, -1 - v, tuple(cut),
             Inside((faces, faces), 0, 0, fan, outer, not outer),
-            w if u == v else u, "extrovert" if outer else "introvert", True))
+            w if u == v else u, True))
     return records
 
 
@@ -524,15 +527,17 @@ def compute_reference_embedding(g) -> PlaneGraph:
 
 
 class InclusionTree:
-    """Containment tree over the 3-extrovert root records of pg's
-    separating cuts, as built at reference_face.
+    """Containment tree over the cycles round the sides of pg's separating
+    cuts away from reference_face, as 3-extrovert cycles there.
 
-    The root is the sentinel None standing for the external boundary. A
-    cycle's parent is the smallest member whose inside holds its own,
-    which is the cut tree of _away_sides with cut c's 3-extrovert record,
-    id 2c, as its node; nodes lists the members in preorder, and depth()
-    counts the steps from a cycle up to the root. A root record's id is
-    its index, so by_id is the records list itself.
+    The root is the sentinel None standing for the reference face. A
+    cycle's parent is the smallest member whose side holds its own, which
+    is the cut tree of _away_sides with record 2c of cut c as its node;
+    nodes lists the members in preorder, and depth() counts the steps from
+    a cycle up to the root. records are three_cycle_records(pg), seen from
+    pg's own external face, so a node is 3-introvert there when that face
+    lies in its side. A record's id is its index, so by_id is the records
+    list itself.
     """
 
     root = None
@@ -556,19 +561,19 @@ class InclusionTree:
 
 
 def inclusion_tree(pg: PlaneGraph) -> InclusionTree:
-    """The inclusion tree of pg's root records, built at the reference face
-    compute_reference_embedding would pick; pg may have any external face.
-    Raises NotTriconnectedCubic as three_cycle_records does."""
+    """The inclusion tree of pg's 3-cycle records, rooted at the reference
+    face compute_reference_embedding would pick; pg may have any external
+    face. Raises NotTriconnectedCubic as three_cycle_records does."""
     return InclusionTree(pg, *_root_records(pg))
 
 
 def fx_counts(tree: InclusionTree):
-    """Number of flexible edges per extrovert contour path, keyed by
+    """Number of flexible edges per contour path of every record, keyed by
     (cycle id, path index)."""
     flex = tree.pg.graph.flexibility
-    return {(cid, j): sum(1 for e, _ in path if flex(e) > 0)
-            for cid in tree.nodes
-            for j, path in enumerate(tree.by_id[cid].contour_paths)}
+    return {(r.cycle_id, j): sum(1 for e, _ in path if flex(e) > 0)
+            for r in tree.records
+            for j, path in enumerate(r.contour_paths)}
 
 
 # ---------------------------------------------------------------------------
@@ -576,8 +581,8 @@ def fx_counts(tree: InclusionTree):
 
 
 def color_3_extrovert(tree: InclusionTree, fx):
-    """Two-step red-green-orange coloring of the non-degenerate
-    3-extrovert cycles.
+    """Two-step red-green-orange coloring of the tree's nodes, the
+    non-degenerate 3-extrovert cycles at its reference face.
 
     Step 1 marks a path orange when it carries a flexible edge and green
     when a child's path on the same leg face, a slice of it, is already
@@ -602,24 +607,17 @@ def color_3_extrovert(tree: InclusionTree, fx):
                      if c == "green")
 
 
-def _face_flex_count(pg, f):
-    return sum(1 for e in set(pg.faces[f].edge_ids())
-               if pg.graph.flexibility(e) > 0)
-
-
 def color_3_introvert(tree: InclusionTree, fx):
-    """Color the partner 3-introvert cycles without expanding them.
+    """Color the nodes' phi partners, the 3-introvert cycles at the tree's
+    reference face, without expanding them.
 
-    The tree's 3-extrovert cycles must already be colored by
-    color_3_extrovert. Works top-down: for the children C_1..C_k of a node C, the relevant
-    cycle set S is the children plus the partner of C itself. A partner
-    path on leg face f' is flexible-free exactly when
-    fx(face) - fx(extrovert path) - flexible legs = 0, and it contains a
-    green path of another S-cycle exactly when that cycle has a green
-    path incident to f'. fx is fx_counts of the tree.
+    The tree's nodes must already be colored by color_3_extrovert. Works
+    top-down: for the children C_1..C_k of a node C, the relevant cycle
+    set S is the children plus the partner of C itself. A partner path on
+    leg face f' is orange exactly when it carries a flexible edge, and it
+    contains a green path of another S-cycle exactly when that cycle has a
+    green path incident to f'. fx is fx_counts of the tree.
     """
-    pg = tree.pg
-    face_fx = {}
     for node in (tree.root, *tree.nodes):
         kids = tree.children.get(node, [])
         if not kids:
@@ -634,31 +632,19 @@ def color_3_introvert(tree: InclusionTree, fx):
                     green[f] += 1
         for kid in kids:
             ext_rec = tree.by_id[kid]
+            ext_colors = dict(zip(ext_rec.leg_faces, ext_rec.colors))
             intro = tree.by_id[ext_rec.phi_partner]
-            cols = {}
-            for j, f in enumerate(ext_rec.leg_faces):
-                if f not in face_fx:
-                    face_fx[f] = _face_flex_count(pg, f)
-                legs_on_f = (ext_rec.legs[j], ext_rec.legs[(j + 1) % 3])
-                c = sum(1 for e in legs_on_f
-                        if pg.graph.flexibility(e) > 0)
-                fx_p = face_fx[f] - fx[(kid, j)] - c
-                assert fx_p >= 0
-                if fx_p > 0:
-                    cols[f] = "orange"
-                elif green[f] > 1:
-                    cols[f] = "green"
-                elif green[f] == 1 and ext_rec.colors[j] != "green":
-                    cols[f] = "green"
-                else:
-                    cols[f] = None
-            if all(v is None for v in cols.values()):
+            cols = ["orange" if fx[(intro.cycle_id, j)] > 0
+                    else "green" if green[f] > 1
+                    or (green[f] == 1 and ext_colors[f] != "green")
+                    else None
+                    for j, f in enumerate(intro.leg_faces)]
+            if all(c is None for c in cols):
                 intro.colors = ("green",) * 3
                 intro.demanding = True
             else:
-                intro.colors = tuple(
-                    cols[f] if cols[f] is not None else "red"
-                    for f in intro.leg_faces)
+                intro.colors = tuple(c if c is not None else "red"
+                                     for c in cols)
                 intro.demanding = False
 
 
@@ -668,48 +654,25 @@ def color_3_introvert(tree: InclusionTree, fx):
 
 @dataclass
 class DemandingSets:
-    # three_cycle_records(pg), colored: the reference records with every
-    # one whose inside holds pg's external face turned inside out
+    # three_cycle_records(pg), colored: each record's colors belong to its
+    # cycle as 3-extrovert or 3-introvert at the reference face
     records: list
     d_set: list  # pairwise non-intersecting demanding 3-extrovert cycles
     d_f: list  # members of d_set with the external face as a leg face
     reference_face: int
 
 
-def _inside_out(rec: CycleRecord) -> CycleRecord:
-    """rec as seen from an external face inside it: the other kind, the
-    complementary inside, and the walk reversed so that the new inside
-    stays on the left. Each contour path keeps its leg face and color."""
-    return replace(
-        rec,
-        kind="introvert" if rec.kind == "extrovert" else "extrovert",
-        inside_faces=rec.inside_faces.flipped(),
-        legs=tuple(rec.legs[j] for j in (0, 2, 1)),
-        leg_vertices=tuple(rec.leg_vertices[j] for j in (0, 2, 1)),
-        leg_faces=rec.leg_faces[::-1],
-        contour_paths=tuple(tuple(dart_reverse(d) for d in reversed(p))
-                            for p in reversed(rec.contour_paths)),
-        colors=rec.colors and rec.colors[::-1],
-    )
-
-
-def _seen_from(records, f):
-    """records, built at a reference face, as seen from external face f."""
-    return [_inside_out(r) if f in r.inside_faces else r for r in records]
-
-
 def demanding_sets(pg: PlaneGraph) -> DemandingSets:
     """D(G) and D_f(G) for pg's own embedding.
 
-    The 3-cycle records and their inclusion tree are built and colored
-    once, rooted at a reference face. A cycle keeps its coloring in every
-    embedding where it stays 3-extrovert, and a 3-introvert cycle takes
-    the coloring of the same cycle as 3-extrovert in any embedding that
-    turns it inside out; pg's records are the reference ones with every
-    record whose inside holds pg's external face turned inside out.
-    Demanding cycles that were 3-introvert at the reference face and share
-    the external face as a leg face pairwise intersect, and drop out of
-    D(G) when there are two or more of them.
+    The 3-cycle records are built once, as pg's external face sees them,
+    and their inclusion tree is rooted and colored at a reference face. A
+    cycle keeps its coloring in every embedding where it stays
+    3-extrovert, and a 3-introvert cycle takes the coloring of the same
+    cycle as 3-extrovert in any embedding that turns it inside out.
+    Demanding cycles that were 3-introvert at the reference face, the
+    nodes' partners, and share the external face as a leg face pairwise
+    intersect, and drop out of D(G) when there are two or more of them.
     """
     tree = inclusion_tree(pg)
     fx = fx_counts(tree)
@@ -717,38 +680,38 @@ def demanding_sets(pg: PlaneGraph) -> DemandingSets:
     color_3_introvert(tree, fx)
 
     ext = pg.external_face
-    records = _seen_from(tree.records, ext)
-    i_f = {r.cycle_id for r in tree.records
-           if r.kind == "introvert" and r.demanding and ext in r.leg_faces}
+    partners = (tree.by_id[tree.by_id[c].phi_partner] for c in tree.nodes)
+    i_f = {r.cycle_id for r in partners
+           if r.demanding and ext in r.leg_faces}
     drop = i_f if len(i_f) >= 2 else set()
-    d_set = [r for r in records
+    d_set = [r for r in tree.records
              if r.kind == "extrovert" and r.demanding
              and r.cycle_id not in drop]
     d_f = [r for r in d_set if ext in r.leg_faces]
-    return DemandingSets(records, d_set, d_f, tree.reference_face)
+    return DemandingSets(tree.records, d_set, d_f, tree.reference_face)
 
 
 # ---------------------------------------------------------------------------
 # twins and covers
 
 
-def twin(pg: PlaneGraph, c: CycleRecord, records=None) -> CycleRecord:
+def twin(pg: PlaneGraph, c: CycleRecord, records) -> CycleRecord:
     """The other boundary cycle of c's own 3-edge-cut: its phi partner.
 
     Defined exactly when c is non-degenerate and shares an edge with the
-    external boundary (equivalently the external face is a leg face)."""
+    external boundary (equivalently the external face is a leg face); it
+    is read from records, three_cycle_records(pg)."""
     if c.degenerate:
         raise NoTwin("degenerate cycles have no twin")
     if pg.external_face not in c.leg_faces:
         raise NoTwin("cycle does not touch the external boundary")
-    if records is None:
-        records = three_cycle_records(pg)
     return next(r for r in records if r.cycle_id == c.phi_partner)
 
 
-def intersecting_cover(pg: PlaneGraph, cycles, records=None):
+def intersecting_cover(pg: PlaneGraph, cycles, records):
     """Two non-adjacent external edges e1, e2 such that every cycle of a
-    pairwise-intersecting family contains one of them."""
+    pairwise-intersecting family contains one of them; records are
+    three_cycle_records(pg), where twin finds a cycle's twin."""
     boundary = pg.faces[pg.external_face].edge_ids()
     if len(boundary) < 4:
         raise ShortExternalFace(

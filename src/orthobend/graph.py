@@ -128,7 +128,6 @@ def _connected(adj):
 class Face:
     id: int
     boundary: list  # darts in walk order, face on the left of each
-    is_external: bool = False
 
     def edge_ids(self):
         return [e for e, _ in self.boundary]
@@ -147,9 +146,8 @@ class PlaneGraph:
     def __init__(self, graph, rotation, external_face=0):
         self.graph = graph
         self.rotation = [list(r) for r in rotation]
-        self.faces = _marked(trace_faces(graph.n, graph.edges, self.rotation),
-                             external_face)
-        self.external_face = external_face
+        self.faces = trace_faces(graph.n, graph.edges, self.rotation)
+        self.external_face = _face_id(self.faces, external_face)
         if graph.n - len(graph.edges) + len(self.faces) != 2:
             raise NotPlanar("rotation system is not planar (Euler check)")
         self._dart_face = {}
@@ -194,24 +192,22 @@ class PlaneGraph:
     def with_external_face(self, f: int) -> "PlaneGraph":
         """Same embedding, different external face. Face ids are stable.
 
-        The faces are not traced again: the copy has its own Face objects
-        over the same boundary lists and shares every map with self.
+        The faces are not traced again: the copy shares the faces and
+        every map with self.
         """
         other = copy.copy(self)
-        other.faces = _marked(self.faces, f)
-        other.external_face = f
+        other.external_face = _face_id(self.faces, f)
         return other
 
     def external_boundary_edges(self):
         return set(self.faces[self.external_face].edge_ids())
 
 
-def _marked(faces, external_face):
-    """Fresh Face objects over the boundaries of `faces`, with exactly the
-    one numbered external_face external; ParseError when there is none."""
-    if not (0 <= external_face < len(faces)):
-        raise ParseError(f"external face {external_face} out of range")
-    return [Face(f.id, f.boundary, f.id == external_face) for f in faces]
+def _face_id(faces, f):
+    """f, the id of one of `faces`; ParseError when it is none."""
+    if not (0 <= f < len(faces)):
+        raise ParseError(f"external face {f} out of range")
+    return f
 
 
 def trace_faces(n, edges, rotation):

@@ -49,7 +49,7 @@ def flow_min_bends(pg: PlaneGraph, cap: int | None = None,
         deg = sum(1 for f in pg.faces for d in f.boundary if pg.dart_head(d) == v)
         net.add_node(("v", v), demand=-(4 - deg))
     for f in pg.faces:
-        want = len(f.boundary) + (4 if f.is_external else -4)
+        want = len(f.boundary) + (4 if f.id == pg.external_face else -4)
         net.add_node(("f", f.id), demand=want)
         for d in f.boundary:
             net.add_edge(("v", pg.dart_head(d)), ("f", f.id),

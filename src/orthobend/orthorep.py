@@ -84,7 +84,7 @@ def validate(h: OrthoRep) -> bool:
             raise H1Violation(v, per_vertex[v])
     for f in pg.faces:
         val = _h2_sum(h, f)
-        expected = -4 if f.is_external else 4
+        expected = -4 if f.id == pg.external_face else 4
         if val != expected:
             raise H2Violation(f.id, val, expected)
     return True

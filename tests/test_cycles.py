@@ -8,7 +8,6 @@ adjudicates the counting formula itself.
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from orthobend import cycles, oracle
 from orthobend.errors import NoTwin, NotTriconnectedCubic, ShortExternalFace
@@ -75,10 +74,10 @@ def test_three_cycle_detection_matches_exhaustive_search(builder):
 
 def test_three_cycle_detection_on_grown_corpus():
     for g in CORPUS:
-        pg = embed(g)
-        want = oracle_keys(oracle.three_extrovert(pg)
-                           + oracle.three_introvert(pg))
-        assert production_keys(all_records(pg)) == want
+        for pg in all_faces(g):
+            want = oracle_keys(r for r in oracle.cycle_records(pg)
+                               if r["k"] == 3)
+            assert production_keys(all_records(pg)) == want
 
 
 def test_three_cycle_records_reject_graphs_outside_the_class():
@@ -105,41 +104,42 @@ def test_three_cycle_records_reject_graphs_outside_the_class():
                 cycles.three_cycle_records(pg)
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.integers(0, len(CORPUS) - 1))
-def test_partner_pairing_is_an_involution(i):
-    pg = embed(CORPUS[i])
-    recs = cycles.three_cycle_records(pg)
-    by_id = {r.cycle_id: r for r in recs}
-    for r in recs:
-        if r.kind != "extrovert" or r.degenerate:
-            continue
-        partner = by_id[r.phi_partner]
-        # legs on the boundary: the partner is the other 3-extrovert cycle
-        # of the cut, its twin
-        assert partner.kind == ("extrovert" if pg.external_face in r.leg_faces
-                                else "introvert")
-        assert frozenset(partner.legs) == frozenset(r.legs)
-        assert partner.phi_partner == r.cycle_id
-        assert partner.edges != r.edges
+def test_partner_pairing_is_an_involution():
+    for g in CORPUS:
+        for pg in all_faces(g):
+            recs = cycles.three_cycle_records(pg)
+            by_id = {r.cycle_id: r for r in recs}
+            for r in recs:
+                if r.kind != "extrovert":
+                    continue
+                partner = by_id[r.phi_partner]
+                # legs on the boundary: the partner is the other
+                # 3-extrovert cycle of the cut, its twin
+                assert partner.kind == (
+                    "extrovert" if pg.external_face in r.leg_faces
+                    else "introvert")
+                assert frozenset(partner.legs) == frozenset(r.legs)
+                assert partner.phi_partner == r.cycle_id
+                assert partner.edges != r.edges
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.integers(0, len(CORPUS) - 1))
-def test_record_structure_invariants(i):
-    g = CORPUS[i]
-    pg = embed(g)
-    for r in all_records(pg):
-        assert len(r.legs) == 3 and len(r.contour_paths) == 3
-        # each leg has exactly one endpoint on the cycle
-        for leg in r.legs:
-            u, v = g.edges[leg]
-            assert (u in r.vertices) + (v in r.vertices) == 1
-        walked = [d[0] for path in r.contour_paths for d in path]
-        assert frozenset(walked) == r.edges and len(walked) == len(r.edges)
-        far = {u if v in r.vertices else v
-               for leg in r.legs for u, v in [g.edges[leg]]}
-        assert r.degenerate == (len(far) == 1)
+def test_record_structure_invariants():
+    for g in CORPUS:
+        for pg in all_faces(g):
+            for r in all_records(pg):
+                assert len(r.legs) == 3 and len(r.contour_paths) == 3
+                # each leg has exactly one endpoint on the cycle
+                for leg in r.legs:
+                    u, v = g.edges[leg]
+                    assert (u in r.vertices) + (v in r.vertices) == 1
+                walked = [d for path in r.contour_paths for d in path]
+                assert frozenset(e for e, _ in walked) == r.edges
+                assert len(walked) == len(r.edges)
+                # the path holding the smallest dart comes last
+                assert min(walked) in r.contour_paths[-1]
+                far = {u if v in r.vertices else v
+                       for leg in r.legs for u, v in [g.edges[leg]]}
+                assert r.degenerate == (len(far) == 1)
 
 
 def inside_by_flood(pg, r):
@@ -295,8 +295,9 @@ def test_demanding_sets_build_no_facial_record(monkeypatch):
 
 def test_demanding_sets_check_the_class_and_root_the_records_once(
         monkeypatch):
-    """One class check, one reference-face pick and no copy of the
-    embedding per query, at every face of CORPUS."""
+    """One class check, one reference-face pick, no copy of the embedding
+    and two records per separating cut, copies included, per query at
+    every face of CORPUS."""
     calls = Counter()
 
     def counted(name, fn):
@@ -309,11 +310,16 @@ def test_demanding_sets_check_the_class_and_root_the_records_once(
         monkeypatch.setattr(cycles, name, counted(name, getattr(cycles, name)))
     monkeypatch.setattr(PlaneGraph, "with_external_face", counted(
         "with_external_face", PlaneGraph.with_external_face))
+    monkeypatch.setattr(cycles.CycleRecord, "__init__", counted(
+        "CycleRecord", cycles.CycleRecord.__init__))
     for g in CORPUS:
         for pg in all_faces(g):
+            separating = sum(1 for cut, _ in oracle.all_dual_triangles(pg)
+                             if oracle.facial_apex(pg, cut) is None)
             calls.clear()
             cycles.demanding_sets(pg)
-            assert calls == {"_class_index": 1, "_reference_face": 1}
+            assert calls == Counter(_class_index=1, _reference_face=1,
+                                    CycleRecord=2 * separating)
 
 
 # ---------------------------------------------------------------------------
@@ -671,10 +677,10 @@ def test_twin_undefined_off_the_boundary_and_for_degenerate_cycles():
     with pytest.raises(NoTwin):
         cycles.twin(pg, tri, recs)
     pg4 = embed(k4())
-    degen = next(r for r in all_records(pg4)
-                 if r.kind == "extrovert" and r.degenerate)
+    recs4 = all_records(pg4)
+    degen = next(r for r in recs4 if r.kind == "extrovert" and r.degenerate)
     with pytest.raises(NoTwin):
-        cycles.twin(pg4, degen)
+        cycles.twin(pg4, degen, recs4)
 
 
 def test_cover_for_single_and_paired_families():
@@ -884,9 +890,9 @@ def test_partner_colors_on_sibling_triangles():
 
 
 def test_partner_flexibility_arithmetic():
-    """A partner path is orange exactly when the face still has flexible
-    edges left over after its own path and the shared legs are accounted
-    for."""
+    """A partner path is orange exactly when it carries a flexible edge:
+    its count is what its face has left after the extrovert path on that
+    face and the two legs they share."""
     g0 = truncated_prism()
     eid = g0.edge_id
     g = Graph(8, g0.edges, {eid(5, 6): 2, eid(5, 2): 1, eid(0, 3): 3})
@@ -914,6 +920,7 @@ def test_partner_flexibility_arithmetic():
     legs_on_f = (trec.legs[jj], trec.legs[(jj + 1) % 3])
     flex_legs = sum(1 for e in legs_on_f if g.flexibility(e) > 0)
     assert face_flex == 3 and fx[(tri, jj)] == 1 and flex_legs == 1
+    assert fx[(phi_t.cycle_id, j)] == face_flex - fx[(tri, jj)] - flex_legs
 
 
 def test_demanding_pair_across_a_shared_edge():

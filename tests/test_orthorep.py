@@ -63,7 +63,7 @@ def rect_rep(n, corners, bends=None, flat=()):
             if w in flat or w not in corners:
                 angles[d] = 180
             else:
-                angles[d] = 270 if f.is_external else 90
+                angles[d] = 270 if f.id == pg.external_face else 90
     return OrthoRep(pg, angles, bends or {})
 
 
@@ -88,7 +88,7 @@ def theta_rep():
     }
     angles = {}
     for f in pg.faces:
-        cls = ("E" if f.is_external
+        cls = ("E" if f.id == pg.external_face
                else "L" if set(f.edge_ids()) == {0, 1, 2} else "R")
         for d in f.boundary:
             angles[d] = table[(pg.dart_head(d), cls)]
@@ -110,7 +110,7 @@ def theta_nested_rep(middle=("L", "L")):
     }
     angles = {}
     for f in pg.faces:
-        cls = ("E" if f.is_external
+        cls = ("E" if f.id == pg.external_face
                else "M" if set(f.edge_ids()) == {0, 3, 4} else "B")
         for d in f.boundary:
             angles[d] = table[(pg.dart_head(d), cls)]
@@ -161,7 +161,7 @@ def test_triangle_with_three_corners_and_a_bend_validates():
     pg0 = ring_plane(3)
     internal = pg0.face_of_dart((0, 0))
     pg = pg0.with_external_face(1 - internal)
-    angles = {d: (270 if f.is_external else 90)
+    angles = {d: (270 if f.id == pg.external_face else 90)
               for f in pg.faces for d in f.boundary}
     # dart (2, 0) lies in the internal face, so its L puts the 90 inside
     h = OrthoRep(pg, angles, {2: "L"})
