@@ -398,7 +398,7 @@ def _root_records(pg: PlaneGraph):
     across, pos = _class_index(pg)
     cuts = dual_triangles(pg)
     ext = pg.external_face
-    ref = _reference_face(across, ext)
+    ref = _reference_face(cuts, pg.faces, ext)
     numbering, sides, parent, preorder = _away_sides(pg, across, cuts, ref)
     records = []
     for (cut, tri), (lo, hi, x) in zip(cuts, sides):
@@ -499,11 +499,13 @@ def _two_record(pg, pos, cut, x, inside):
 # reference embeddings
 
 
-def _reference_face(across, f0):
-    """f0 when it is on no separating triangle, else the lowest face that
-    is on none."""
-    for f in (f0, *range(len(across))):
-        if next(_separating_pairs(across, f), None) is None:
+def _reference_face(cuts, faces, f0):
+    """f0 when it is on none of `cuts`, the separating triangles
+    dual_triangles lists, else the lowest face of `faces` that is on
+    none."""
+    on_cut = {f for _, tri in cuts for f in tri}
+    for f in (f0, *range(len(faces))):
+        if f not in on_cut:
             return f
     raise AssertionError("every face lies on a separating triangle")
 
@@ -517,8 +519,8 @@ def compute_reference_embedding(g) -> PlaneGraph:
     NotTriconnectedCubic as three_cycle_records does.
     """
     pg = g if isinstance(g, PlaneGraph) else embed(g)
-    across, _ = _class_index(pg)
-    f = _reference_face(across, pg.external_face)
+    _class_index(pg)
+    f = _reference_face(dual_triangles(pg), pg.faces, pg.external_face)
     return pg if f == pg.external_face else pg.with_external_face(f)
 
 
@@ -569,9 +571,13 @@ def inclusion_tree(pg: PlaneGraph) -> InclusionTree:
 
 def fx_counts(tree: InclusionTree):
     """Number of flexible edges per contour path of every record, keyed by
-    (cycle id, path index)."""
-    flex = tree.pg.graph.flexibility
-    return {(r.cycle_id, j): sum(1 for e, _ in path if flex(e) > 0)
+    (cycle id, path index).
+
+    The graph's flexible edges are gathered once; when there are none,
+    every count is 0 and no path is walked."""
+    flexible = {e for e, k in tree.pg.graph.flex.items() if k > 0}
+    return {(r.cycle_id, j): sum(e in flexible for e, _ in path)
+            if flexible else 0
             for r in tree.records
             for j, path in enumerate(r.contour_paths)}
 
@@ -628,7 +634,7 @@ def color_3_introvert(tree: InclusionTree, fx):
         green = defaultdict(int)
         for r in s_cycles:
             for j, f in enumerate(r.leg_faces):
-                if r.colors and r.colors[j] == "green":
+                if r.colors[j] == "green":
                     green[f] += 1
         for kid in kids:
             ext_rec = tree.by_id[kid]

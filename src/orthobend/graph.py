@@ -139,8 +139,10 @@ class Face:
 class PlaneGraph:
     """A graph plus rotation system plus a choice of external face.
 
-    face_index is (across, pos): per face, the faces across its boundary
-    darts in walk order, and each boundary edge's position on that walk.
+    _edge_faces[e] is (face of dart (e, 0), face of dart (e, 1)), the one
+    dart -> face table. face_index is (across, pos): per face, the faces
+    across its boundary darts in walk order, and each boundary edge's
+    position on that walk.
     """
 
     def __init__(self, graph, rotation, external_face=0):
@@ -150,14 +152,11 @@ class PlaneGraph:
         self.external_face = _face_id(self.faces, external_face)
         if graph.n - len(graph.edges) + len(self.faces) != 2:
             raise NotPlanar("rotation system is not planar (Euler check)")
-        self._dart_face = {}
+        sides = ([0] * len(graph.edges), [0] * len(graph.edges))
         for f in self.faces:
-            for d in f.boundary:
-                self._dart_face[d] = f.id
-        self._edge_faces = [
-            (self._dart_face[(e, 0)], self._dart_face[(e, 1)])
-            for e in range(len(graph.edges))
-        ]
+            for e, o in f.boundary:
+                sides[o][e] = f.id
+        self._edge_faces = list(zip(*sides))
         self.face_index = (
             [[self._edge_faces[e][1 - o] for e, o in f.boundary]
              for f in self.faces],
@@ -184,7 +183,7 @@ class PlaneGraph:
         return v if d[1] == 0 else u
 
     def face_of_dart(self, d: Dart) -> int:
-        return self._dart_face[d]
+        return self._edge_faces[d[0]][d[1]]
 
     def faces_of_edge(self, e) -> tuple[int, int]:
         return self._edge_faces[e]

@@ -23,31 +23,26 @@ EMBED_LIMIT = 14
 
 # -- min-cost flow over angle assignments ------------------------------------
 
-def flow_min_bends(pg: PlaneGraph, cap: int | None = None,
-                   flex: dict | None = None):
+def flow_min_bends(pg: PlaneGraph, cap: int | None = None):
     """Minimum total cost of an orthogonal representation of pg.
 
-    Cost is sum over edges of max(0, bends(e) - flex(e)). `cap` bounds the
-    number of bends per edge; `flex` overrides per-edge flexibilities.
-    Returns (cost, OrthoRep witness). Raises Infeasible when no orthogonal
-    representation satisfies the cap.
+    Cost is sum over edges of max(0, bends(e) - flex(e)), with flex(e)
+    the flexibility pg's graph stores. `cap` bounds the number of bends
+    per edge. Returns (cost, OrthoRep witness). Raises Infeasible when no
+    orthogonal representation satisfies the cap.
 
     The model ships one unit of flow per quarter turn: vertices supply
     4 - deg(v) units, faces demand len(f) -+ 4, corners carry up to 3
     units and bends move units between the two faces of an edge.
     """
-    g = pg.graph
+    flex = pg.graph.flexibility
     if pg.m == 0:
         return 0, OrthoRep(pg, {})
-    eff = {e: g.flexibility(e) for e in range(pg.m)}
-    if flex:
-        eff.update(flex)
     big = 4 * pg.m + 16
 
     net = nx.MultiDiGraph()
     for v in range(pg.n):
-        deg = sum(1 for f in pg.faces for d in f.boundary if pg.dart_head(d) == v)
-        net.add_node(("v", v), demand=-(4 - deg))
+        net.add_node(("v", v), demand=len(pg.rotation[v]) - 4)
     for f in pg.faces:
         want = len(f.boundary) + (4 if f.id == pg.external_face else -4)
         net.add_node(("f", f.id), demand=want)
@@ -59,7 +54,7 @@ def flow_min_bends(pg: PlaneGraph, cap: int | None = None,
         if f1 == f2:
             # both sides of a bridge see the same face, bends cancel
             continue
-        free = eff[e] if cap is None else min(eff[e], cap)
+        free = flex(e) if cap is None else min(flex(e), cap)
         paid = big if cap is None else max(0, cap - free)
         for o, src, dst in ((0, f1, f2), (1, f2, f1)):
             if free:
@@ -90,7 +85,7 @@ def flow_min_bends(pg: PlaneGraph, cap: int | None = None,
         right = _bend_flow(flow, f2, f1, e, 1)
         nbend = left - right
         bends[e] = "L" * nbend if nbend >= 0 else "R" * (-nbend)
-        cost += max(0, abs(nbend) - eff[e])
+        cost += max(0, abs(nbend) - flex(e))
     h = OrthoRep(pg, angles, bends)
     validate(h)
     return cost, h
@@ -129,14 +124,14 @@ def enumerate_embeddings(g: Graph, limit: int = EMBED_LIMIT,
     return out
 
 
-def brute_min(g: Graph, cap: int | None = None, flex: dict | None = None,
-              limit: int = EMBED_LIMIT):
-    """Minimum cost over every embedding and every external face."""
+def brute_min(g: Graph, cap: int | None = None):
+    """Minimum cost over every embedding of g, at most EMBED_LIMIT
+    vertices, and every external face, with g's own flexibilities."""
     best = None
-    for pg in enumerate_embeddings(g, limit):
+    for pg in enumerate_embeddings(g):
         for f in range(len(pg.faces)):
             try:
-                cost, h = flow_min_bends(pg.with_external_face(f), cap, flex)
+                cost, h = flow_min_bends(pg.with_external_face(f), cap)
             except Infeasible:
                 continue
             if best is None or cost < best[0]:
@@ -359,17 +354,14 @@ def facial_apex(pg: PlaneGraph, cut):
 
 # -- demanding classification -------------------------------------------------
 
-def color_records(pg: PlaneGraph, recs, flex: dict | None = None):
+def color_records(pg: PlaneGraph, recs):
     """Bottom-up contour coloring; sets recs[i]['colors'] and ['demanding'].
 
     Children-first over the containment forest: a cycle is demanding when
-    none of its contour paths carries a flexible edge or shares an edge
-    with a green contour path of a child.
+    none of its contour paths carries an edge pg's graph makes flexible or
+    shares an edge with a green contour path of a child.
     """
-    g = pg.graph
-    eff = {e: g.flexibility(e) for e in range(pg.m)}
-    if flex:
-        eff.update(flex)
+    flex = pg.graph.flexibility
     order = sorted(range(len(recs)), key=lambda i: len(recs[i]["inside_faces"]))
     # Direct children = transitive reduction of region containment.  Outside
     # a reference embedding two incomparable cycles may both contain a third,
@@ -395,7 +387,7 @@ def color_records(pg: PlaneGraph, recs, flex: dict | None = None):
         flags = []
         for path in recs[i]["contour_paths"]:
             pe = {e for e, _ in path}
-            flags.append((any(eff[e] > 0 for e in pe),
+            flags.append((any(flex(e) > 0 for e in pe),
                           bool(pe & green_child_edges)))
         if not recs[i]["contour_paths"]:
             recs[i]["colors"] = ()
@@ -426,14 +418,15 @@ def records_intersect(r1, r2) -> bool:
     return True
 
 
-def brute_demanding(pg: PlaneGraph, flex: dict | None = None):
-    """All 3-extrovert records of pg, colored, plus (D, D_f).
+def brute_demanding(pg: PlaneGraph):
+    """All 3-extrovert records of pg, colored by color_records, plus
+    (D, D_f).
 
     D is the set of non-degenerate demanding cycles after discarding every
     member of an intersecting pair; D_f those sharing edges with the
     external face.
     """
-    recs = color_records(pg, three_extrovert(pg), flex)
+    recs = color_records(pg, three_extrovert(pg))
     cand = [r for r in recs if r["demanding"] and not r["degenerate"]]
     drop = set()
     for i in range(len(cand)):
@@ -447,8 +440,9 @@ def brute_demanding(pg: PlaneGraph, flex: dict | None = None):
     return recs, D, D_f
 
 
-def brute_cost_formula(pg: PlaneGraph, flex: dict | None = None) -> int:
-    """Fixed-embedding cost via cycle counting (triconnected cubic only).
+def brute_cost_formula(pg: PlaneGraph) -> int:
+    """Fixed-embedding cost via cycle counting (triconnected cubic only),
+    with the flexibilities pg's graph stores.
 
     Uses the raw sum of external flexibilities, which overstates the usable
     relief when one or two external edges carry most of the slack; the result
@@ -456,10 +450,7 @@ def brute_cost_formula(pg: PlaneGraph, flex: dict | None = None) -> int:
     flexible.  The exact discount for flexible external edges is not
     implemented.
     """
-    g = pg.graph
-    eff = {e: g.flexibility(e) for e in range(pg.m)}
-    if flex:
-        eff.update(flex)
-    _, D, D_f = brute_demanding(pg, flex)
-    ext_flex = sum(eff[e] for e in pg.faces[pg.external_face].edge_ids())
+    flex = pg.graph.flexibility
+    _, D, D_f = brute_demanding(pg)
+    ext_flex = sum(flex(e) for e in pg.faces[pg.external_face].edge_ids())
     return len(D) + 4 - min(4, len(D_f) + ext_flex)

@@ -115,11 +115,11 @@ def _arrival_dart(pg: PlaneGraph, e: int, w: int) -> Dart:
 def rectilinear_image(h: OrthoRep):
     """Replace each bend by a degree-2 vertex.
 
-    Returns (image, hosts) where hosts maps every new vertex id to
-    (host edge id, index along orientation 0). `smooth` inverts this.
+    Returns (image, seg_of_edge) where seg_of_edge lists, per edge, the
+    ids of its segments in the image from u to v, as subdivide_plane
+    numbers them. `smooth` inverts this given that map.
     """
     pg = h.plane
-    g = pg.graph
     counts = {e: len(h.bends[e]) for e in range(pg.m)}
     sub_pg, hosts, seg_of_edge = subdivide_plane(pg, counts)
     angles = {}
@@ -146,7 +146,7 @@ def rectilinear_image(h: OrthoRep):
         else:
             angles[d_before] = 270
             angles[d_after] = 90
-    return OrthoRep(sub_pg, angles), hosts
+    return OrthoRep(sub_pg, angles), seg_of_edge
 
 
 def subdivide_plane(pg: PlaneGraph, counts: dict):
@@ -156,7 +156,6 @@ def subdivide_plane(pg: PlaneGraph, counts: dict):
     the one corresponding to the old one. Flexibilities are dropped; the
     caller tracks budgets itself.
     """
-    g = pg.graph
     n_new = pg.n
     new_edges = []
     seg_of_edge = {}
@@ -197,14 +196,17 @@ def subdivide_plane(pg: PlaneGraph, counts: dict):
     return sub, hosts, seg_of_edge
 
 
-def smooth(h_sub: OrthoRep, original: PlaneGraph, hosts: dict) -> OrthoRep:
-    """Inverse of rectilinear_image: fold marked degree-2 vertices into bends.
+def smooth(h_sub: OrthoRep, original: PlaneGraph,
+           seg_of_edge: dict) -> OrthoRep:
+    """Inverse of rectilinear_image: fold the vertices between the segments
+    of each edge into bends.
 
-    h_sub must be bend-free on the segments of subdivided edges. A marked
-    vertex whose two corners are (180, 180) vanishes without a bend.
+    seg_of_edge is the map rectilinear_image or subdivide_plane returned
+    with h_sub's plane graph. h_sub must be bend-free on the segments of
+    subdivided edges. A vertex whose two corners are (180, 180) vanishes
+    without a bend.
     """
     pg_sub = h_sub.plane
-    seg_of_edge = _recover_segments(original, hosts)
     angles = {}
     for w in range(original.n):
         for e in original.rotation[w]:
@@ -240,20 +242,6 @@ def smooth(h_sub: OrthoRep, original: PlaneGraph, hosts: dict) -> OrthoRep:
 def _far_end(pg_sub, seg, near):
     a, b = pg_sub.edge(seg)
     return b if a == near else a
-
-
-def _recover_segments(original, hosts):
-    by_edge = {}
-    for nv, (e, idx) in hosts.items():
-        by_edge.setdefault(e, []).append((idx, nv))
-    seg_of_edge = {}
-    # segment edges were generated in edge order, walk them back
-    seg_iter = 0
-    for e in range(original.m):
-        k = len(by_edge.get(e, []))
-        seg_of_edge[e] = list(range(seg_iter, seg_iter + k + 1))
-        seg_iter += k + 1
-    return seg_of_edge
 
 
 # -- JSON -------------------------------------------------------------------

@@ -87,8 +87,7 @@ def test_face_structure_of_the_cube():
 
 def plane_state(pg):
     return ([(x.id, x.boundary) for x in pg.faces],
-            pg.external_face, pg.rotation, pg._dart_face, pg._edge_faces,
-            pg.face_index)
+            pg.external_face, pg.rotation, pg._edge_faces, pg.face_index)
 
 
 def test_external_face_selection_is_stable():

@@ -204,11 +204,11 @@ def test_cost_counts_only_bends_beyond_flexibility():
 
 def test_rectilinear_image_and_smooth_round_trip():
     h = theta_rep()
-    img, hosts = rectilinear_image(h)
+    img, segs = rectilinear_image(h)
     validate(img)
     assert img.total_bends() == 0
     assert img.plane.n == h.plane.n + 4
-    back = smooth(img, h.plane, hosts)
+    back = smooth(img, h.plane, segs)
     assert back.angles == h.angles and back.bends == h.bends
 
 
@@ -224,7 +224,7 @@ def test_smooth_drops_straightened_vertices():
     nv = next(iter(hosts))
     for e2 in sub.rotation[nv]:
         angles[arrival(sub, e2, nv)] = 180
-    back = smooth(OrthoRep(sub, angles), h.plane, hosts)
+    back = smooth(OrthoRep(sub, angles), h.plane, segs)
     assert back.bends[0] == "" and back.angles == h.angles
 
 
@@ -304,8 +304,8 @@ def test_mutated_json_raises_only_package_errors(data):
 def test_oracle_reps_survive_round_trip():
     for h in ORACLE_REPS:
         validate(h)
-        img, hosts = rectilinear_image(h)
+        img, segs = rectilinear_image(h)
         validate(img)
-        back = smooth(img, h.plane, hosts)
+        back = smooth(img, h.plane, segs)
         assert back.angles == h.angles and back.bends == h.bends
 

@@ -1,6 +1,8 @@
 """Every module of the package imports on its own."""
 
+import ast
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -55,3 +57,33 @@ def test_every_leaf_error_is_raised_somewhere():
     unraised = {c.__name__ for c in leaves
                 if f"raise {c.__name__}(" not in src}
     assert unraised == set(UNRAISED)
+
+
+# Public functions waiting for a caller; each entry says which.
+UNCALLED = {
+    "nobend.find_maximal_bad_cycles":
+        "the nobend referee of ROADMAP direction 1",
+    "nobend.no_bend_rep": "the nobend referee of ROADMAP direction 1",
+}
+
+
+def test_every_public_function_is_called_somewhere():
+    """Every module-level public function of the package is called by name
+    in the package, its tests or the benchmark, or is listed in UNCALLED
+    with its reason."""
+    root = Path(orthobend.__file__).parents[2]
+    called = set()
+    for d in ("src", "tests", "perfbench"):
+        for path in (root / d).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    called.add(f.id if isinstance(f, ast.Name)
+                               else getattr(f, "attr", None))
+    public = [f"{name.split('.', 1)[1]}.{fn}" for name in MODULES
+              for fn, obj in vars(importlib.import_module(name)).items()
+              if inspect.isfunction(obj) and obj.__module__ == name
+              and not fn.startswith("_")]
+    assert public
+    uncalled = {q for q in public if q.split(".")[1] not in called}
+    assert uncalled == set(UNCALLED)
