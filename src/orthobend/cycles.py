@@ -1,4 +1,5 @@
-"""Cycle machinery for plane triconnected cubic graphs.
+"""Cycle machinery for plane triconnected cubic graphs, plus the 2- and
+3-extrovert cycles of any biconnected plane 3-graph.
 
 Everything here revolves around one fact: in a triconnected cubic plane
 graph, the three legs of a 3-extrovert or 3-introvert cycle form a
@@ -62,14 +63,25 @@ overlap, so a parent path is green exactly when a child path on its leg
 face is green. Flexible edges are counted along the darts each record
 already stores: a second copy of the paths, with pointers to the child
 paths, would cost as much to build as those darts and save nothing.
+
+extrovert_cycles serves the no-bend drawing alone, on a wider class: any
+biconnected plane 3-graph, chains of degree-2 vertices included, so the
+dual may have parallel edges. Each k-edge-cut, k = 2 or 3, is a dual
+k-cycle over k distinct faces; the same arcs give the cycle next to each
+of its sides, and a dual flood that never enters a cut face gives that
+cycle's inside. It costs O(faces) per cut, so it is not linear, and the
+demanding path never calls it.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import combinations, product
 
-from .errors import NoTwin, NotTriconnectedCubic, ShortExternalFace
+from .errors import (
+    NoTwin, NotBiconnected, NotTriconnectedCubic, ShortExternalFace,
+)
 from .graph import PlaneGraph, dart_reverse, embed
 
 
@@ -133,26 +145,6 @@ class Inside:
         return (f for f in self.numbering[0] if f in self)
 
 
-@dataclass
-class TwoExtrovert:
-    """A 2-extrovert cycle: both legs outside, no external chord."""
-
-    edges: frozenset
-    legs: tuple
-    inside_faces: frozenset
-    darts: tuple
-
-
-def _pair_edges(pg: PlaneGraph):
-    """The dual without its loops: edges per pair of faces they join."""
-    pair_edges = defaultdict(list)
-    for e in range(pg.m):
-        fa, fb = pg.faces_of_edge(e)
-        if fa != fb:
-            pair_edges[frozenset((fa, fb))].append(e)
-    return pair_edges
-
-
 def _class_index(pg: PlaneGraph):
     """pg.face_index; NotTriconnectedCubic outside the class of
     three_cycle_records."""
@@ -201,27 +193,6 @@ def dual_triangles(pg: PlaneGraph):
                 out.append(((walk[i][0], pg.faces[g].boundary[j][0],
                              walk[k][0]), (f, g, h)))
     return out
-
-
-def _dual_side(across, blocked, start_a, start_b):
-    """The smaller side of a cut whose faces are `blocked`, and whether it
-    is the side of the faces `start_a`.
-
-    Two floods in the dual, from `start_a` and from `start_b`, never enter
-    a blocked face and expand one face each per round, `start_a` first;
-    the first to run dry holds its whole side. That costs at most twice
-    the smaller side, and a tie goes to the `start_a` side.
-    """
-    floods = [(set(blocked).union(s), list(set(s) - blocked))
-              for s in (start_a, start_b)]
-    while True:
-        for k, (seen, stack) in enumerate(floods):
-            if not stack:
-                return frozenset(seen - blocked), k == 0
-            for g in across[stack.pop()]:
-                if g not in seen:
-                    seen.add(g)
-                    stack.append(g)
 
 
 def _between(seq, i, j):
@@ -452,47 +423,77 @@ def facial_records(pg: PlaneGraph):
     return records
 
 
-def find_2_extrovert(pg: PlaneGraph):
-    """2-extrovert cycles via parallel dual edges (2-edge-cuts)."""
+# ---------------------------------------------------------------------------
+# 2- and 3-extrovert cycles of any biconnected plane 3-graph
+
+
+@dataclass(frozen=True)
+class ExtrovertCycle:
+    """A k-extrovert cycle, k = 2 or 3: its k legs hang outside and no
+    chord does. darts walk the cycle with its inside on the left and meet
+    the legs in their order."""
+
+    k: int
+    edges: frozenset
+    vertices: frozenset
+    legs: tuple
+    inside_faces: frozenset
+    darts: tuple
+
+
+def _dual_cycles(pg: PlaneGraph, k):
+    """The k-edge-cuts of pg, k = 2 or 3, each once: the dual k-cycles over
+    k distinct faces. A triangle over faces f < g < h is (f|g, g|h, h|f).
+    Raises NotBiconnected when an edge has one face on both sides."""
+    joins = defaultdict(list)  # (f, g), f < g -> the edges joining them
+    above = defaultdict(set)  # f -> the faces g > f that an edge joins it to
+    for e in range(pg.m):
+        f, g = sorted(pg.faces_of_edge(e))
+        if f == g:
+            raise NotBiconnected(f"edge {e} is a bridge")
+        joins[f, g].append(e)
+        above[f].add(g)
+    if k == 2:
+        return [cut for es in joins.values() for cut in combinations(es, 2)]
+    return [cut for (f, g), es in joins.items() for h in above[f] & above[g]
+            for cut in product(es, joins[g, h], joins[f, h])]
+
+
+def extrovert_cycles(pg: PlaneGraph, k):
+    """The k-extrovert cycles of pg, k = 2 or 3, as ExtrovertCycle.
+
+    pg may be any biconnected plane 3-graph; an edge with one face on both
+    sides, a bridge, raises NotBiconnected. Each side of a k-edge-cut is
+    bounded by the cycle _contour reads off the cut faces' arcs, when that
+    is a simple cycle with every cut edge a leg. Its inside is a dual flood
+    from the faces on its left that never enters a cut face, and the cycle
+    is k-extrovert when that inside does not hold the external face. A
+    k-extrovert cycle's legs are its cut, and each cut is listed once, so
+    no cycle comes twice. O(faces) per cut.
+    """
     across, pos = pg.face_index
-    all_faces = frozenset(range(len(pg.faces)))
-    out = {}
-    for pair, es in _pair_edges(pg).items():
-        if len(es) < 2:
-            continue
-        fa = min(pair)
-        for i in range(len(es)):
-            for j in range(i + 1, len(es)):
-                cut = (es[i], es[j])
-                # the faces across fa's two arcs between the cut edges;
-                # the arc after cut[0] faces the side of that dart's head
-                k, q = pos[fa][cut[0]], pos[fa][cut[1]]
-                ends = pg.edge(cut[0])
-                starts = [_between(across[fa], k, q),
-                          _between(across[fa], q, k)]
-                if pg.dart_head(pg.faces[fa].boundary[k]) != ends[0]:
-                    starts.reverse()
-                side, is_a = _dual_side(across, pair, *starts)
-                other = all_faces - pair - side
-                for x, inside in zip(ends, (side, other) if is_a
-                                     else (other, side)):
-                    rec = _two_record(pg, pos, cut, x, inside)
-                    if rec is not None:
-                        out.setdefault(rec.edges, rec)
-    return list(out.values())
-
-
-def _two_record(pg, pos, cut, x, inside):
-    if pg.external_face in inside:
-        return None  # that side contains the external face: legs inward
-    contour = _contour(pg, pos, cut, x, False)
-    if contour is None:
-        return None  # no simple cycle with both cut edges as legs
-    darts = [d for _, _, path in contour[0] for d in path]
-    k = darts.index(min(darts))
-    return TwoExtrovert(edges=frozenset(e for e, _ in darts),
-                        legs=tuple(sorted(cut)), inside_faces=inside,
-                        darts=tuple(darts[k:] + darts[:k]))
+    found = []
+    for cut in _dual_cycles(pg, k):
+        blocked = {f for e in cut for f in pg.faces_of_edge(e)}
+        for x in pg.edge(cut[0]):
+            contour = _contour(pg, pos, cut, x, False)
+            if contour is None:
+                continue
+            arcs, vertices = contour
+            darts = [d for _, _, path in arcs for d in path]
+            inside = {pg.face_of_dart(d) for d in darts}
+            stack = list(inside)
+            while stack:
+                for f in across[stack.pop()]:
+                    if f not in inside and f not in blocked:
+                        inside.add(f)
+                        stack.append(f)
+            if pg.external_face not in inside:
+                found.append(ExtrovertCycle(
+                    k, frozenset(e for e, _ in darts), vertices,
+                    tuple(leg for leg, _, _ in arcs), frozenset(inside),
+                    tuple(darts)))
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,10 @@ at least four degree-2 vertices, (ii) every 2-extrovert cycle carries at
 least two and (iii) every 3-extrovert cycle at least one. Good graphs are
 exactly the ones drawable with zero bends, and this module produces such
 a representation once four degree-2 external vertices are designated as
-corners.
+corners. Both conditions on cycles, and the bad cycles below, read the
+2- and 3-extrovert cycles from cycles.extrovert_cycles, which takes any
+biconnected plane 3-graph, chains of degree-2 vertices included, and
+raises NotBiconnected on a bridge.
 
 The construction collapses every maximal bad cycle (one that misses the
 designated corners it would need) into a supernode, draws the coarse
@@ -30,9 +33,7 @@ from dataclasses import dataclass
 
 import networkx as nx
 
-from .cycles import (
-    Inside, facial_records, find_2_extrovert, three_cycle_records,
-)
+from .cycles import ExtrovertCycle, extrovert_cycles
 from .errors import NotGood, NotRectangularizable
 from .graph import Graph, PlaneGraph, dart_reverse
 from .orthorep import OrthoRep, validate
@@ -49,23 +50,6 @@ class GoodCheck:
 
 
 @dataclass(frozen=True)
-class BadCycle:
-    """A 2- or 3-extrovert cycle short of designated corners.
-
-    darts walk the cycle with its inside region on the left; legs are the
-    cut edges hanging outside, one per leg vertex.
-    """
-
-    k: int
-    edges: frozenset
-    vertices: frozenset
-    legs: tuple
-    inside_faces: frozenset | Inside
-    darts: tuple
-    maximal: bool
-
-
-@dataclass(frozen=True)
 class GoodPlaneGraph:
     plane: PlaneGraph
     corners: tuple
@@ -77,7 +61,7 @@ class GoodPlaneGraph:
             raise NotGood(f"need four distinct corners, got {self.corners}")
         ext = _boundary_vertices(pg)
         for v in self.corners:
-            if not (0 <= v < pg.n) or len(pg.rotation[v]) != 2:
+            if not (0 <= v < pg.n) or pg.graph.degree(v) != 2:
                 raise NotGood(f"corner {v} is not a degree-2 vertex")
             if v not in ext:
                 raise NotGood(f"corner {v} is not on the external face")
@@ -87,79 +71,56 @@ def _boundary_vertices(pg: PlaneGraph) -> set:
     return {pg.dart_head(d) for d in pg.faces[pg.external_face].boundary}
 
 
-def _degree(pg: PlaneGraph, v: int) -> int:
-    return len(pg.rotation[v])
-
-
 # -- the three conditions -----------------------------------------------------
 
 
 def check_good(pg: PlaneGraph) -> GoodCheck:
-    """Report the first violated drawability condition, if any."""
+    """Report the first violated drawability condition, if any. Raises
+    NotBiconnected, before testing any condition, when pg has a bridge."""
+    found = [(k, extrovert_cycles(pg, k)) for k in (2, 3)]
     outer = pg.faces[pg.external_face]
     outer_vertices = sorted({pg.dart_head(d) for d in outer.boundary})
-    deg2_outer = [v for v in outer_vertices if _degree(pg, v) == 2]
+    deg2_outer = [v for v in outer_vertices if pg.graph.degree(v) == 2]
     if len(deg2_outer) < 4:
         return GoodCheck(
             False, "i",
             tuple(outer_vertices), tuple(sorted(set(outer.edge_ids()))))
-    for rec in sorted(find_2_extrovert(pg), key=lambda r: sorted(r.edges)):
-        verts = {pg.dart_tail(d) for d in rec.darts}
-        if sum(1 for v in verts if _degree(pg, v) == 2) < 2:
-            return GoodCheck(
-                False, "ii",
-                tuple(sorted(verts)), tuple(sorted(rec.edges)))
-    threes = [r for r in three_cycle_records(pg) + facial_records(pg)
-              if r.kind == "extrovert"]
-    for rec in sorted(threes, key=lambda r: sorted(r.edges)):
-        if not any(_degree(pg, v) == 2 for v in rec.vertices):
-            return GoodCheck(
-                False, "iii",
-                tuple(sorted(rec.vertices)), tuple(sorted(rec.edges)))
+    for k, cycles in found:
+        for cyc in sorted(cycles, key=lambda c: sorted(c.edges)):
+            if sum(pg.graph.degree(v) == 2 for v in cyc.vertices) < 4 - k:
+                return GoodCheck(
+                    False, "i" * k,  # (ii) for k = 2, (iii) for k = 3
+                    tuple(sorted(cyc.vertices)), tuple(sorted(cyc.edges)))
     return GoodCheck(True)
 
 
 # -- bad cycles ---------------------------------------------------------------
 
 
-def _bad_cycles(pg: PlaneGraph, corners) -> list[BadCycle]:
+def _bad_cycles(pg: PlaneGraph, corners) -> list[ExtrovertCycle]:
+    """The k-extrovert cycles, k = 2 or 3, holding fewer than 4 - k of the
+    designated corners."""
     cset = set(corners)
-    out = []
-    for rec in find_2_extrovert(pg):
-        verts = frozenset(pg.dart_tail(d) for d in rec.darts)
-        if len(cset & verts) < 2:
-            out.append(BadCycle(2, rec.edges, verts, rec.legs,
-                                rec.inside_faces, rec.darts, False))
-    for rec in three_cycle_records(pg) + facial_records(pg):
-        if rec.kind != "extrovert":
-            continue
-        darts = tuple(d for path in rec.contour_paths for d in path)
-        if len(cset & rec.vertices) < 1:
-            out.append(BadCycle(3, rec.edges, rec.vertices, rec.legs,
-                                rec.inside_faces, darts, False))
-    return out
+    return [cyc for k in (2, 3) for cyc in extrovert_cycles(pg, k)
+            if len(cset & cyc.vertices) < 4 - k]
 
 
-def _region_edges(pg: PlaneGraph, cyc: BadCycle) -> frozenset:
+def _region_edges(pg: PlaneGraph, cyc: ExtrovertCycle) -> frozenset:
     inside = cyc.inside_faces
     grabbed = {e for e in range(pg.m)
                if any(f in inside for f in pg.faces_of_edge(e))}
     return frozenset(grabbed | cyc.edges)
 
 
-def find_maximal_bad_cycles(g: GoodPlaneGraph) -> list[BadCycle]:
+def find_maximal_bad_cycles(g: GoodPlaneGraph) -> list[ExtrovertCycle]:
     return _maximal_bad(g.plane, g.corners)
 
 
-def _maximal_bad(pg: PlaneGraph, corners) -> list[BadCycle]:
+def _maximal_bad(pg: PlaneGraph, corners) -> list[ExtrovertCycle]:
     bad = _bad_cycles(pg, corners)
     regions = [_region_edges(pg, c) for c in bad]
-    maximal = []
-    for i, c in enumerate(bad):
-        if any(j != i and regions[i] < regions[j] for j in range(len(bad))):
-            continue
-        maximal.append(BadCycle(c.k, c.edges, c.vertices, c.legs,
-                                c.inside_faces, c.darts, True))
+    maximal = [c for c, r in zip(bad, regions)
+               if not any(r < other for other in regions)]
     maximal.sort(key=lambda c: (c.k, min(c.edges)))
     seen = set()
     for c in maximal:
@@ -185,7 +146,7 @@ def rectangular_drawing(pg: PlaneGraph, corners) -> OrthoRep:
     ext = pg.external_face
     boundary = _boundary_vertices(pg)
     for v in corners:
-        if _degree(pg, v) != 2 or v not in boundary:
+        if pg.graph.degree(v) != 2 or v not in boundary:
             raise NotRectangularizable(
                 f"corner {v} must be a degree-2 external vertex")
 
@@ -280,7 +241,7 @@ class _Side:
 
 @dataclass(eq=False)
 class _RegionPlan:
-    cyc: BadCycle
+    cyc: ExtrovertCycle
     sides: list
     sub_pg: PlaneGraph
     sub_corners: tuple
@@ -290,14 +251,14 @@ class _RegionPlan:
     leg_vertices: frozenset
 
 
-def _leg_vertex(pg, cyc: BadCycle, leg: int) -> int:
+def _leg_vertex(pg, cyc: ExtrovertCycle, leg: int) -> int:
     u, v = pg.edge(leg)
     if u in cyc.vertices and v in cyc.vertices:
         raise AssertionError(f"leg {leg} has both ends on the cycle")
     return u if u in cyc.vertices else v
 
 
-def _split_sides(pg: PlaneGraph, cyc: BadCycle) -> list[_Side]:
+def _split_sides(pg: PlaneGraph, cyc: ExtrovertCycle) -> list[_Side]:
     legs = {_leg_vertex(pg, cyc, e) for e in cyc.legs}
     darts = list(cyc.darts)
     marks = [i for i, d in enumerate(darts) if pg.dart_head(d) in legs]
@@ -319,7 +280,7 @@ def _split_sides(pg: PlaneGraph, cyc: BadCycle) -> list[_Side]:
     return sides
 
 
-def _subgraph(pg: PlaneGraph, cyc: BadCycle):
+def _subgraph(pg: PlaneGraph, cyc: ExtrovertCycle):
     """Plane subgraph of the cycle plus everything inside it."""
     redges = sorted(_region_edges(pg, cyc))
     rverts = sorted({w for e in redges for w in pg.edge(e)})
@@ -470,7 +431,7 @@ def _plan_two(pg, plan: _RegionPlan, thetas, inherited):
     """Distribute the two free sub-corners over the sides of a 2-cycle."""
     a, b = plan.sides
     a.theta, b.theta = thetas
-    avail = [[w for w in s.interior if _degree(pg, w) == 2]
+    avail = [[w for w in s.interior if pg.graph.degree(w) == 2]
              for s in (a, b)]
     combos = [(ka, 2 - ka) for ka in (1, 0, 2)
               if _allowed_sums(a.theta, ka) is not None
@@ -498,6 +459,7 @@ def _plan_two(pg, plan: _RegionPlan, thetas, inherited):
                 chosen.append(w)
         s.spares = tuple(chosen)
         assert len(s.spares) == k
+    fixed = None
     for s in (a, b):
         total = _allowed_sums(s.theta, s.k)
         if total == 180:
@@ -512,7 +474,13 @@ def _plan_two(pg, plan: _RegionPlan, thetas, inherited):
                 other = next(w for w in s.spares if w != inherited)
                 before = s.interior.index(other) < s.interior.index(inherited)
                 s.x, s.y = (90, 180) if before else (180, 90)
-    # the two seam angles at a shared leg vertex must sum to 270
+                fixed = s
+    # the two seam angles at a shared leg vertex must sum to 270. The sides'
+    # totals sum to 540, so they miss only when both totals are 270 and the
+    # inherited corner fixed one side's order; swap the other side's pair
+    if a.x + b.y != 270:
+        free = b if fixed is a else a
+        free.x, free.y = free.y, free.x
     assert a.x + b.y == 270 and a.y + b.x == 270
 
 
@@ -522,7 +490,7 @@ def _plan_three(pg, plan: _RegionPlan, thetas):
         s.theta = th
         s.k = 0
         s.spares = ()
-    avail = [[w for w in s.interior if _degree(pg, w) == 2] for s in sides]
+    avail = [[w for w in s.interior if pg.graph.degree(w) == 2] for s in sides]
     spot = next(j for j in range(3) if avail[j])
     sides[spot].k = 1
     sides[spot].spares = (avail[spot][0],)
@@ -685,14 +653,15 @@ def _draw(pg: PlaneGraph, corners) -> OrthoRep:
     return out
 
 
-def no_bend_rep(g: GoodPlaneGraph, verify: bool = True) -> OrthoRep:
-    """Zero-bend representation with 270 at every designated corner."""
-    if verify:
-        rc = check_good(g.plane)
-        if not rc.ok:
-            raise NotGood(
-                f"condition ({rc.condition}) fails on "
-                f"cycle {list(rc.witness_vertices)}")
+def no_bend_rep(g: GoodPlaneGraph) -> OrthoRep:
+    """Zero-bend representation with 270 at every designated corner.
+    Raises NotGood when g fails a drawability condition, and
+    NotBiconnected when it has a bridge."""
+    rc = check_good(g.plane)
+    if not rc.ok:
+        raise NotGood(
+            f"condition ({rc.condition}) fails on "
+            f"cycle {list(rc.witness_vertices)}")
     h = _draw(g.plane, g.corners)
     validate(h)
     assert h.total_bends() == 0

@@ -211,42 +211,6 @@ def test_three_cycle_records_expand_each_face_a_bounded_number_of_times():
     assert counted.reads <= 2 * faces + 2 * pg.m + cuts
 
 
-@pytest.mark.parametrize("g", NESTED, ids=lambda g: f"n{g.n}")
-def test_cut_floods_pay_for_the_smaller_side(g):
-    """For every separating 3-edge-cut, the flood returns the side with
-    fewer faces (the side of cut[0]'s first end on a tie) after expanding
-    at most twice as many faces as that side holds, plus one."""
-    pg = embed(g)
-    across, _ = pg.face_index
-    counted = CountingList(across)
-    all_faces = frozenset(range(len(pg.faces)))
-    separating = 0
-    for cut, faces in oracle.all_dual_triangles(pg):
-        if oracle.facial_apex(pg, cut) is not None:
-            continue
-        separating += 1
-        tri = frozenset(faces)
-        u0, v0 = g.edges[cut[0]]
-        start_a, start_b = (
-            [f for e in pg.rotation[w] for f in pg.faces_of_edge(e)]
-            for w in (u0, v0))
-        a = set(start_a) - tri
-        stack = list(a)
-        while stack:
-            for e in pg.faces[stack.pop()].edge_ids():
-                for f in pg.faces_of_edge(e):
-                    if f not in a and f not in tri:
-                        a.add(f)
-                        stack.append(f)
-        b = all_faces - tri - a
-        counted.reads = 0
-        side, is_a = cycles._dual_side(counted, tri, start_a, start_b)
-        assert is_a == (len(a) <= len(b))
-        assert side == (a if is_a else b)
-        assert counted.reads <= 2 * len(side) + 1
-    assert separating > g.n // 3
-
-
 def test_separating_cuts_and_facial_records_match_the_oracle():
     """The face index lists each separating dual triangle once, l1 f|g,
     l2 g|h and l3 h|f, and facial_records has the cycle round each vertex
@@ -329,7 +293,7 @@ def test_demanding_sets_check_the_class_and_root_the_records_once(
 def test_no_two_extrovert_cycles_in_triconnected_graphs():
     for builder in (prism, cube, theta_fixture):
         for pg in all_faces(builder()):
-            assert cycles.find_2_extrovert(pg) == []
+            assert cycles.extrovert_cycles(pg, 2) == []
 
 
 def test_two_extrovert_from_external_subdivision():
@@ -341,7 +305,7 @@ def test_two_extrovert_from_external_subdivision():
         for e in sorted(pg.external_boundary_edges()):
             for count in (1, 2, 3):
                 real, _, segs = subdivide_plane(pg, {e: count})
-                two = cycles.find_2_extrovert(real)
+                two = cycles.extrovert_cycles(real, 2)
                 assert len(two) == 1
                 cyc = two[0]
                 ends = (segs[e][0], segs[e][-1])
@@ -359,12 +323,12 @@ def test_no_two_extrovert_from_internal_subdivision():
     pg = embed(prism())
     internal = sorted(set(range(pg.m)) - pg.external_boundary_edges())[0]
     sub, _, _ = subdivide_plane(pg, {internal: 1})
-    assert cycles.find_2_extrovert(sub) == []
+    assert cycles.extrovert_cycles(sub, 2) == []
 
 
 def test_plain_quadrilateral_has_no_two_extrovert_cycle():
     pg = embed(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
-    assert cycles.find_2_extrovert(pg) == []
+    assert cycles.extrovert_cycles(pg, 2) == []
 
 
 # ---------------------------------------------------------------------------

@@ -60,11 +60,7 @@ def test_every_leaf_error_is_raised_somewhere():
 
 
 # Public functions waiting for a caller; each entry says which.
-UNCALLED = {
-    "nobend.find_maximal_bad_cycles":
-        "the nobend referee of ROADMAP direction 1",
-    "nobend.no_bend_rep": "the nobend referee of ROADMAP direction 1",
-}
+UNCALLED = {}
 
 
 def test_every_public_function_is_called_somewhere():
