@@ -7,7 +7,9 @@ graph, the three legs of a 3-extrovert or 3-introvert cycle form a
 three distinct faces. Detection therefore enumerates dual triangles; no
 simple-cycle enumeration happens in production code (the brute-force
 route lives in the oracle module and is only used to cross-check this
-one).
+one). One enumerator, _dual_cycles, lists the dual 2- and 3-cycles for
+both layers: it groups the edges by the pair of faces they join, and
+closes each joined pair f < g with every face h > g joined to both.
 
 A record is its cut plus the faces on its inside. The sides of the
 separating cuts are laminar, so one numbering of the faces makes the side
@@ -35,9 +37,9 @@ its one degenerate cycle runs round v's face fan, 3-extrovert with every
 face but the fan inside when v lies on the external boundary, and
 3-introvert with the fan inside when v is internal. The count reads no
 degenerate cycle, so the demanding path never builds one:
-three_cycle_records lists only the separating triangles, each a face
-with two adjacent dual neighbours that are not consecutive around it,
-and facial_records builds the degenerate cycles on request.
+three_cycle_records lists only the separating triangles, those whose
+three cut edges share no vertex, and facial_records builds the
+degenerate cycles on request.
 
 A separating triangle splits the other faces into two sides. With the
 external face in side B, side A is the inside of a 3-extrovert cycle
@@ -68,9 +70,11 @@ extrovert_cycles serves the no-bend drawing alone, on a wider class: any
 biconnected plane 3-graph, chains of degree-2 vertices included, so the
 dual may have parallel edges. Each k-edge-cut, k = 2 or 3, is a dual
 k-cycle over k distinct faces; the same arcs give the cycle next to each
-of its sides, and a dual flood that never enters a cut face gives that
-cycle's inside. It costs O(faces) per cut, so it is not linear, and the
-demanding path never calls it.
+of its sides as a CycleRecord built as the 3-cycle records are, with its
+legs, leg vertices, leg faces and contour paths, and a dual flood that
+never enters a cut face gives that cycle's inside as a frozenset. It
+costs O(faces) per cut, so it is not linear, and the demanding path
+never calls it.
 """
 
 from __future__ import annotations
@@ -87,16 +91,20 @@ from .graph import PlaneGraph, dart_reverse, embed
 
 @dataclass(eq=False, slots=True)
 class CycleRecord:
-    """One k=3 cycle with its legs, contour structure and coloring.
+    """One cycle with k = 2 or 3 legs, its contour structure and coloring.
 
-    contour_paths[j] runs from leg_vertices[j] to leg_vertices[(j+1)%3]
-    with the cycle's inside region on the left of every dart;
-    leg_faces[j] is the face the two bounding legs share along path j.
-    colors/demanding stay None until a coloring pass fills them, after
-    which the record is treated as immutable.
+    legs[j] is the leg at leg_vertices[j]. contour_paths[j] runs from
+    leg_vertices[j] to leg_vertices[(j+1)%k] with the cycle's inside
+    region on the left of every dart; leg_faces[j] is the face the two
+    bounding legs share along path j. A 3-cycle is degenerate when its
+    legs meet in one vertex off it. colors/demanding stay None until a
+    coloring pass fills them, after which the record is treated as
+    immutable; only 3-cycle records are colored.
     """
 
-    cycle_id: int  # from 0 when separating; -1 - v round vertex v
+    # from 0 when separating; -1 - v round vertex v; the index in the list
+    # extrovert_cycles returns
+    cycle_id: int
     kind: str  # "extrovert" | "introvert"
     edges: frozenset
     vertices: frozenset
@@ -104,7 +112,8 @@ class CycleRecord:
     leg_vertices: tuple
     leg_faces: tuple
     contour_paths: tuple
-    inside_faces: Inside
+    # an Inside for the 3-cycle records, a frozenset from extrovert_cycles
+    inside_faces: Inside | frozenset
     degenerate: bool
     # the cycle id of the other record of the same cut: the 3-introvert
     # partner of a 3-extrovert cycle, or its twin when the external face is
@@ -156,24 +165,25 @@ def _class_index(pg: PlaneGraph):
     return across, pos
 
 
-def _separating_pairs(across, f):
-    """Positions (i, j, k) where g = across[f][i] and h = across[f][k]
-    close a separating dual triangle with face f, through the edge at
-    position j of g's walk (across[g][j] == h); each triangle at f comes
-    once per order of g and h.
-
-    Two adjacent dual neighbours of f close a dual triangle with it. When
-    they are consecutive around f, all three cut edges meet in the vertex
-    between them and the triangle is facial; otherwise no two of the cut
-    edges share a vertex.
-    """
-    nbrs = across[f]
-    at = {g: i for i, g in enumerate(nbrs)}
-    for i, g in enumerate(nbrs):
-        for j, h in enumerate(across[g]):
-            k = at.get(h)
-            if k is not None and (k - i) % len(nbrs) not in (1, len(nbrs) - 1):
-                yield i, j, k
+def _dual_cycles(pg: PlaneGraph, k):
+    """The k-edge-cuts of pg, k = 2 or 3, each once, as (cut_edges,
+    cut_faces): the dual k-cycles over k distinct faces, the faces in
+    increasing order. A triangle over faces (f, g, h) is (f|g, g|h, h|f).
+    Raises NotBiconnected when an edge has one face on both sides."""
+    joins = defaultdict(list)  # (f, g), f < g -> the edges joining them
+    above = defaultdict(set)  # f -> the faces g > f that an edge joins it to
+    for e in range(pg.m):
+        f, g = sorted(pg.faces_of_edge(e))
+        if f == g:
+            raise NotBiconnected(f"edge {e} is a bridge")
+        joins[f, g].append(e)
+        above[f].add(g)
+    if k == 2:
+        return [(cut, fg) for fg, es in joins.items()
+                for cut in combinations(es, 2)]
+    return [(cut, (f, g, h)) for (f, g), es in joins.items()
+            for h in above[f] & above[g]
+            for cut in product(es, joins[g, h], joins[f, h])]
 
 
 def dual_triangles(pg: PlaneGraph):
@@ -181,18 +191,13 @@ def dual_triangles(pg: PlaneGraph):
     three_cycle_records as (cut_edges, cut_faces), each once.
 
     cut_faces = (f, g, h) with f < g < h, and cut_edges = (l1, l2, l3)
-    where l1 joins f|g, l2 joins g|h and l3 joins h|f in the dual. Facial
-    triangles, one round each vertex, are not listed.
+    where l1 joins f|g, l2 joins g|h and l3 joins h|f in the dual. They
+    are the dual triangles of _dual_cycles whose cut edges share no
+    vertex; the others are facial, one round each vertex, and not listed.
     """
-    across, out = pg.face_index[0], []
-    for f, nbrs in enumerate(across):
-        walk = pg.faces[f].boundary
-        for i, j, k in _separating_pairs(across, f):
-            g, h = nbrs[i], nbrs[k]
-            if f < g < h:
-                out.append(((walk[i][0], pg.faces[g].boundary[j][0],
-                             walk[k][0]), (f, g, h)))
-    return out
+    ends = pg.graph.edges
+    return [(cut, faces) for cut, faces in _dual_cycles(pg, 3)
+            if len({v for e in cut for v in ends[e]}) == 6]
 
 
 def _between(seq, i, j):
@@ -247,12 +252,20 @@ def _record(pg, pos, cycle_id, cut, inside, x, degenerate, phi=None):
     and so the cut faces, lie inside."""
     contour = _contour(pg, pos, cut, x, inside.cut_faces)
     assert contour is not None, "cut arcs close no cycle with three legs"
-    legs, faces, paths = zip(*contour[0])
+    return _cycle_record(
+        pg, cycle_id, "introvert" if inside.cut_faces else "extrovert",
+        contour, inside, degenerate, phi)
+
+
+def _cycle_record(pg, cycle_id, kind, contour, inside, degenerate,
+                  phi=None):
+    """The CycleRecord of the cycle whose contour _contour returned."""
+    arcs, vertices = contour
+    legs, faces, paths = zip(*arcs)
     return CycleRecord(
-        cycle_id=cycle_id,
-        kind="introvert" if inside.cut_faces else "extrovert",
+        cycle_id=cycle_id, kind=kind,
         edges=frozenset(e for path in paths for e, _ in path),
-        vertices=contour[1], legs=legs,
+        vertices=vertices, legs=legs,
         leg_vertices=tuple(pg.dart_tail(path[0]) for path in paths),
         leg_faces=faces, contour_paths=tuple(map(tuple, paths)),
         inside_faces=inside, degenerate=degenerate, phi_partner=phi)
@@ -427,72 +440,44 @@ def facial_records(pg: PlaneGraph):
 # 2- and 3-extrovert cycles of any biconnected plane 3-graph
 
 
-@dataclass(frozen=True)
-class ExtrovertCycle:
-    """A k-extrovert cycle, k = 2 or 3: its k legs hang outside and no
-    chord does. darts walk the cycle with its inside on the left and meet
-    the legs in their order."""
-
-    k: int
-    edges: frozenset
-    vertices: frozenset
-    legs: tuple
-    inside_faces: frozenset
-    darts: tuple
-
-
-def _dual_cycles(pg: PlaneGraph, k):
-    """The k-edge-cuts of pg, k = 2 or 3, each once: the dual k-cycles over
-    k distinct faces. A triangle over faces f < g < h is (f|g, g|h, h|f).
-    Raises NotBiconnected when an edge has one face on both sides."""
-    joins = defaultdict(list)  # (f, g), f < g -> the edges joining them
-    above = defaultdict(set)  # f -> the faces g > f that an edge joins it to
-    for e in range(pg.m):
-        f, g = sorted(pg.faces_of_edge(e))
-        if f == g:
-            raise NotBiconnected(f"edge {e} is a bridge")
-        joins[f, g].append(e)
-        above[f].add(g)
-    if k == 2:
-        return [cut for es in joins.values() for cut in combinations(es, 2)]
-    return [cut for (f, g), es in joins.items() for h in above[f] & above[g]
-            for cut in product(es, joins[g, h], joins[f, h])]
-
-
 def extrovert_cycles(pg: PlaneGraph, k):
-    """The k-extrovert cycles of pg, k = 2 or 3, as ExtrovertCycle.
+    """The k-extrovert cycles of pg, k = 2 or 3, as CycleRecords of kind
+    "extrovert" with ids 0, 1, ... in the order listed.
 
     pg may be any biconnected plane 3-graph; an edge with one face on both
-    sides, a bridge, raises NotBiconnected. Each side of a k-edge-cut is
-    bounded by the cycle _contour reads off the cut faces' arcs, when that
-    is a simple cycle with every cut edge a leg. Its inside is a dual flood
-    from the faces on its left that never enters a cut face, and the cycle
-    is k-extrovert when that inside does not hold the external face. A
-    k-extrovert cycle's legs are its cut, and each cut is listed once, so
-    no cycle comes twice. O(faces) per cut.
+    sides, a bridge, raises NotBiconnected, and a k other than 2 or 3
+    ValueError. Each side of a k-edge-cut is bounded by the cycle _contour
+    reads off the cut faces' arcs, when that is a simple cycle with every
+    cut edge a leg. Its inside, a frozenset, is a dual flood from the faces
+    on its left that never enters a cut face, and the cycle is k-extrovert
+    when that inside does not hold the external face. A 3-extrovert cycle
+    is degenerate when its legs meet in one vertex off it. A k-extrovert
+    cycle's legs are its cut, and each cut is listed once, so no cycle
+    comes twice. O(faces) per cut.
     """
+    if k not in (2, 3):
+        raise ValueError(f"extrovert cycles have 2 or 3 legs, not {k}")
     across, pos = pg.face_index
+    ends = pg.graph.edges
     found = []
-    for cut in _dual_cycles(pg, k):
-        blocked = {f for e in cut for f in pg.faces_of_edge(e)}
-        for x in pg.edge(cut[0]):
+    for cut, faces in _dual_cycles(pg, k):
+        for x in ends[cut[0]]:
             contour = _contour(pg, pos, cut, x, False)
             if contour is None:
                 continue
             arcs, vertices = contour
-            darts = [d for _, _, path in arcs for d in path]
-            inside = {pg.face_of_dart(d) for d in darts}
+            inside = {pg.face_of_dart(d) for _, _, path in arcs for d in path}
             stack = list(inside)
             while stack:
                 for f in across[stack.pop()]:
-                    if f not in inside and f not in blocked:
+                    if f not in inside and f not in faces:
                         inside.add(f)
                         stack.append(f)
             if pg.external_face not in inside:
-                found.append(ExtrovertCycle(
-                    k, frozenset(e for e, _ in darts), vertices,
-                    tuple(leg for leg, _, _ in arcs), frozenset(inside),
-                    tuple(darts)))
+                far = {v for e in cut for v in ends[e] if v not in vertices}
+                found.append(_cycle_record(
+                    pg, len(found), "extrovert", contour, frozenset(inside),
+                    k == 3 and len(far) == 1))
     return found
 
 

@@ -8,16 +8,21 @@ a representation once four degree-2 external vertices are designated as
 corners. Both conditions on cycles, and the bad cycles below, read the
 2- and 3-extrovert cycles from cycles.extrovert_cycles, which takes any
 biconnected plane 3-graph, chains of degree-2 vertices included, and
-raises NotBiconnected on a bridge.
+raises NotBiconnected on a bridge. Its records carry everything the
+collapse needs: the legs and their vertices, the contour paths with the
+leg face each borders, and the inside faces, whose boundary edges are
+the region a cycle encloses.
 
 The construction collapses every maximal bad cycle (one that misses the
-designated corners it would need) into a supernode, draws the coarse
-graph with all faces rectangular, and recurses into the collapsed
-regions, using the leg vertices plus fresh degree-2 picks as the
-designated corners of each region. Child representations are stitched
-back by splitting the 270 angle a region shows to its surroundings among
-the two corners the leg edge cuts it into; the split is solved per side
-of the region from the rectangular drawing's angle at the supernode.
+designated corners it would need, and whose inside lies in no other bad
+cycle's inside) into a supernode, draws the coarse graph with all faces
+rectangular, and recurses into the collapsed regions, using the leg
+vertices plus fresh degree-2 picks as the designated corners of each
+region. Each contour path is one side of its region. Child
+representations are stitched back by splitting the 270 angle a region
+shows to its surroundings among the two corners the leg edge cuts it
+into; the split is solved per side of the region from the rectangular
+drawing's angle at the supernode.
 
 The rectangular subroutine itself is a feasibility flow. Once corners
 are pinned, every angle is forced except the choice, per internal
@@ -33,7 +38,7 @@ from dataclasses import dataclass
 
 import networkx as nx
 
-from .cycles import ExtrovertCycle, extrovert_cycles
+from .cycles import CycleRecord, extrovert_cycles
 from .errors import NotGood, NotRectangularizable
 from .graph import Graph, PlaneGraph, dart_reverse
 from .orthorep import OrthoRep, validate
@@ -57,6 +62,9 @@ class GoodPlaneGraph:
     def __post_init__(self):
         object.__setattr__(self, "corners", tuple(self.corners))
         pg = self.plane
+        for v in self.corners:
+            if not isinstance(v, int):
+                raise NotGood(f"corner {v!r} is not a vertex id")
         if len(set(self.corners)) != 4:
             raise NotGood(f"need four distinct corners, got {self.corners}")
         ext = _boundary_vertices(pg)
@@ -97,7 +105,7 @@ def check_good(pg: PlaneGraph) -> GoodCheck:
 # -- bad cycles ---------------------------------------------------------------
 
 
-def _bad_cycles(pg: PlaneGraph, corners) -> list[ExtrovertCycle]:
+def _bad_cycles(pg: PlaneGraph, corners) -> list[CycleRecord]:
     """The k-extrovert cycles, k = 2 or 3, holding fewer than 4 - k of the
     designated corners."""
     cset = set(corners)
@@ -105,27 +113,24 @@ def _bad_cycles(pg: PlaneGraph, corners) -> list[ExtrovertCycle]:
             if len(cset & cyc.vertices) < 4 - k]
 
 
-def _region_edges(pg: PlaneGraph, cyc: ExtrovertCycle) -> frozenset:
-    inside = cyc.inside_faces
-    grabbed = {e for e in range(pg.m)
-               if any(f in inside for f in pg.faces_of_edge(e))}
-    return frozenset(grabbed | cyc.edges)
+def _region_edges(pg: PlaneGraph, cyc: CycleRecord) -> frozenset:
+    """The edges of the cycle and inside it: those on its inside faces."""
+    return frozenset(e for f in cyc.inside_faces
+                     for e in pg.faces[f].edge_ids())
 
 
-def find_maximal_bad_cycles(g: GoodPlaneGraph) -> list[ExtrovertCycle]:
+def find_maximal_bad_cycles(g: GoodPlaneGraph) -> list[CycleRecord]:
     return _maximal_bad(g.plane, g.corners)
 
 
-def _maximal_bad(pg: PlaneGraph, corners) -> list[ExtrovertCycle]:
+def _maximal_bad(pg: PlaneGraph, corners) -> list[CycleRecord]:
     bad = _bad_cycles(pg, corners)
-    regions = [_region_edges(pg, c) for c in bad]
-    maximal = [c for c, r in zip(bad, regions)
-               if not any(r < other for other in regions)]
-    maximal.sort(key=lambda c: (c.k, min(c.edges)))
+    maximal = [c for c in bad
+               if not any(c.inside_faces < o.inside_faces for o in bad)]
+    maximal.sort(key=lambda c: (len(c.legs), min(c.edges)))
     seen = set()
     for c in maximal:
-        verts = c.vertices | {w for e in _region_edges(pg, c)
-                              for w in pg.edge(e)}
+        verts = {w for e in _region_edges(pg, c) for w in pg.edge(e)}
         assert not (seen & verts), "maximal bad cycles intersect"
         seen |= verts
     return maximal
@@ -231,7 +236,6 @@ class _Side:
     w1: int
     interior: list
     gface: int
-    darts: tuple
     theta: int = 0
     k: int = 0
     spares: tuple = ()
@@ -241,46 +245,23 @@ class _Side:
 
 @dataclass(eq=False)
 class _RegionPlan:
-    cyc: ExtrovertCycle
+    cyc: CycleRecord
     sides: list
     sub_pg: PlaneGraph
     sub_corners: tuple
     e_sub: dict  # host edge id -> sub edge id
     e_host: dict  # sub edge id -> (host edge id, flipped)
     v_host: dict  # sub vertex -> host vertex
-    leg_vertices: frozenset
 
 
-def _leg_vertex(pg, cyc: ExtrovertCycle, leg: int) -> int:
-    u, v = pg.edge(leg)
-    if u in cyc.vertices and v in cyc.vertices:
-        raise AssertionError(f"leg {leg} has both ends on the cycle")
-    return u if u in cyc.vertices else v
+def _sides(pg: PlaneGraph, cyc: CycleRecord) -> list[_Side]:
+    """One side per contour path, bordering the path's leg face."""
+    return [_Side(w0=pg.dart_tail(path[0]), w1=pg.dart_head(path[-1]),
+                  interior=[pg.dart_head(d) for d in path[:-1]], gface=f)
+            for f, path in zip(cyc.leg_faces, cyc.contour_paths)]
 
 
-def _split_sides(pg: PlaneGraph, cyc: ExtrovertCycle) -> list[_Side]:
-    legs = {_leg_vertex(pg, cyc, e) for e in cyc.legs}
-    darts = list(cyc.darts)
-    marks = [i for i, d in enumerate(darts) if pg.dart_head(d) in legs]
-    assert len(marks) == cyc.k, "leg vertices do not split the walk"
-    n = len(darts)
-    sides = []
-    for j in range(len(marks)):
-        a, b = marks[j], marks[(j + 1) % len(marks)]
-        span = [(a + 1 + t) % n for t in range((b - a) % n or n)]
-        arc = [darts[i] for i in span]
-        outside = {pg.face_of_dart(dart_reverse(d)) for d in arc}
-        assert len(outside) == 1, "side borders several outer faces"
-        sides.append(_Side(
-            w0=pg.dart_tail(arc[0]),
-            w1=pg.dart_head(arc[-1]),
-            interior=[pg.dart_head(d) for d in arc[:-1]],
-            gface=outside.pop(),
-            darts=tuple(arc)))
-    return sides
-
-
-def _subgraph(pg: PlaneGraph, cyc: ExtrovertCycle):
+def _subgraph(pg: PlaneGraph, cyc: CycleRecord):
     """Plane subgraph of the cycle plus everything inside it."""
     redges = sorted(_region_edges(pg, cyc))
     rverts = sorted({w for e in redges for w in pg.edge(e)})
@@ -295,7 +276,7 @@ def _subgraph(pg: PlaneGraph, cyc: ExtrovertCycle):
     rotation = [[e_sub[e] for e in pg.rotation[w] if e in e_sub]
                 for w in rverts]
     sub = PlaneGraph(Graph(len(rverts), edges), rotation, 0)
-    d0 = dart_reverse(cyc.darts[0])
+    d0 = dart_reverse(cyc.contour_paths[0][0])
     ext = sub.face_of_dart((e_sub[d0[0]], d0[1]))
     if ext != sub.external_face:
         sub = sub.with_external_face(ext)
@@ -368,17 +349,11 @@ def _collapse(pg: PlaneGraph, corners, plans) -> _Coarse:
             continue
         rotation[img[w]] = [touch(e, w) for e in pg.rotation[w]]
     for i, plan in enumerate(plans):
-        ccw = []
-        legset = set(plan.cyc.legs)
-        for d in plan.cyc.darts:
-            w = pg.dart_head(d)
-            for e in pg.rotation[w]:
-                if e in legset and w == _leg_vertex(pg, plan.cyc, e):
-                    ccw.append(touch(e, w))
-        assert len(ccw) == plan.cyc.k
         # the inside-left walk meets the legs counterclockwise; rotation
         # lists are clockwise
-        rotation[super_at[i]] = list(reversed(ccw))
+        rotation[super_at[i]] = [
+            touch(e, w) for e, w in zip(reversed(plan.cyc.legs),
+                                        reversed(plan.cyc.leg_vertices))]
     for e, hs in halves.items():
         if hs[0] != hs[1]:
             mid = edges[hs[0]][1]
@@ -547,11 +522,9 @@ class _Prep:
 def _prepare(pg: PlaneGraph, corners, bad) -> _Prep:
     plans = []
     for cyc in bad:
-        sides = _split_sides(pg, cyc)
         sub, e_sub, e_host, v_host = _subgraph(pg, cyc)
         plans.append(_RegionPlan(
-            cyc, sides, sub, (), e_sub, e_host, v_host,
-            frozenset(_leg_vertex(pg, cyc, e) for e in cyc.legs)))
+            cyc, _sides(pg, cyc), sub, (), e_sub, e_host, v_host))
     coarse = _collapse(pg, corners, plans)
     r = rectangular_drawing(coarse.pg, coarse.corners)
 
@@ -585,13 +558,13 @@ def _prepare(pg: PlaneGraph, corners, bad) -> _Prep:
         if hit:
             assert len(hit) == 1
             inherited = next(iter(hit))
-        if plan.cyc.k == 2:
+        if len(plan.cyc.legs) == 2:
             _plan_two(pg, plan, thetas, inherited)
         else:
             assert inherited is None, "bad 3-cycles never hold a corner"
             _plan_three(pg, plan, thetas)
         v_sub = {w: i2 for i2, w in plan.v_host.items()}
-        subc = [v_sub[w] for w in sorted(plan.leg_vertices)]
+        subc = [v_sub[w] for w in sorted(plan.cyc.leg_vertices)]
         for s in plan.sides:
             subc.extend(v_sub[w] for w in s.spares)
         plan.sub_corners = tuple(subc)
@@ -601,7 +574,7 @@ def _prepare(pg: PlaneGraph, corners, bad) -> _Prep:
 def _merge(pg: PlaneGraph, prep: _Prep, plan: _RegionPlan, rep: OrthoRep):
     sub = plan.sub_pg
     ext = sub.external_face
-    legs = plan.leg_vertices
+    legs = plan.cyc.leg_vertices
     for (es, o), val in rep.angles.items():
         e, flipped = plan.e_host[es]
         go = o ^ (1 if flipped else 0)

@@ -198,9 +198,10 @@ class CountingList(list):
 
 def test_three_cycle_records_expand_each_face_a_bounded_number_of_times():
     """No cut pays a flood of its own. On nested(1, 1600), with 796
-    separating cuts over 802 faces, listing the cuts reads the faces' dual
-    neighbour lists F + 2m times and flooding the sides F times more; a
-    flood per cut reads them Θ(F²) times."""
+    separating cuts over 802 faces, listing the cuts reads none of the
+    faces' dual neighbour lists, and flooding the sides reads the list of
+    each face a side takes once, at most F times in all; a flood per cut
+    reads them Θ(F²) times."""
     pg = embed(nested(1, 1600))
     across, pos = pg.face_index
     counted = CountingList(across)
@@ -208,7 +209,7 @@ def test_three_cycle_records_expand_each_face_a_bounded_number_of_times():
     cuts = len(cycles.three_cycle_records(pg)) // 2
     faces = len(pg.faces)
     assert cuts > faces * 9 // 10
-    assert counted.reads <= 2 * faces + 2 * pg.m + cuts
+    assert counted.reads <= faces
 
 
 def test_separating_cuts_and_facial_records_match_the_oracle():

@@ -7,16 +7,17 @@ rectilinear image of each flow optimum, where bends are degree-2 vertices.
 
 import random
 from collections import Counter
+from functools import partial
 
 import pytest
 
 from orthobend import nobend, oracle
 from orthobend.cycles import extrovert_cycles
-from orthobend.errors import Infeasible, NotBiconnected
-from orthobend.graph import Graph, embed
+from orthobend.errors import Infeasible, NotBiconnected, NotGood
+from orthobend.graph import Graph, PlaneGraph, embed
 from orthobend.orthorep import rectilinear_image, subdivide_plane, validate
 
-from corpus import grown
+from corpus import cube, grown, nested
 
 SMALL = [Graph(g.n, g.edges) for g in grown(7, 20) if g.n <= 16]
 
@@ -40,14 +41,36 @@ def subdivisions():
     return out
 
 
+FIELDS = ("edges", "legs", "inside_faces", "contour_paths", "leg_faces",
+          "leg_vertices", "degenerate")
+
+
+def cycle_key(field):
+    """What the referee compares of a cycle, field(name) reading its
+    fields: each contour path with its leg face and leg vertex, so the
+    paths and legs match whichever path comes first."""
+    edges, legs, inside, paths, faces, ends, degenerate = map(field, FIELDS)
+    return (edges, frozenset(legs), inside,
+            frozenset(zip(paths, faces, ends)), degenerate)
+
+
 def extrovert_keys(pg, k):
-    return Counter((c.edges, frozenset(c.legs), c.inside_faces)
+    return Counter(cycle_key(partial(getattr, c))
                    for c in extrovert_cycles(pg, k))
 
 
 def oracle_extrovert(pg, k):
     return [r for r in oracle.cycle_records(pg)
             if r["kind"] == "extrovert" and r["k"] == k]
+
+
+def image_corners(image):
+    """The four external degree-2 vertices of a rectilinear image at
+    270."""
+    ip = image.plane
+    return [ip.dart_head(d) for d in ip.faces[ip.external_face].boundary
+            if ip.graph.degree(ip.dart_head(d)) == 2
+            and image.angles[d] == 270]
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +86,7 @@ def drawn():
         return maximal_bad(pg, corners)
 
     def spy_plans(pg, corners, bad):
-        planned.extend(c.k for c in bad)
+        planned.extend(len(c.legs) for c in bad)
         return prepare(pg, corners, bad)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -72,20 +95,17 @@ def drawn():
         for g in SMALL:
             for pg in every_face(g):
                 image = rectilinear_image(oracle.flow_min_bends(pg)[1])[0]
-                ip = image.plane
-                corners = [ip.dart_head(d)
-                           for d in ip.faces[ip.external_face].boundary
-                           if ip.graph.degree(ip.dart_head(d)) == 2
-                           and image.angles[d] == 270]
+                corners = image_corners(image)
                 assert len(corners) == 4
-                good = nobend.GoodPlaneGraph(ip, corners)
+                good = nobend.GoodPlaneGraph(image.plane, corners)
                 out.append((good, nobend.no_bend_rep(good)))
     return out, frames, planned
 
 
 def test_extrovert_cycles_match_the_oracle(drawn):
-    """By edges, legs and inside faces, each cycle once, for k = 2 and 3:
-    at every face of SMALL, on a random subdivision of each, and on every
+    """By edges, legs, inside faces, contour paths with their leg faces and
+    leg vertices, and degeneracy, each cycle once, for k = 2 and 3: at
+    every face of SMALL, on a random subdivision of each, and on every
     subproblem the drawings recurse into."""
     _, frames, _ = drawn
     cases = [pg for g in SMALL for pg in every_face(g)]
@@ -97,12 +117,20 @@ def test_extrovert_cycles_match_the_oracle(drawn):
         want = {2: Counter(), 3: Counter()}
         for r in oracle.cycle_records(pg):
             if r["kind"] == "extrovert" and r["k"] in want:
-                want[r["k"]][
-                    r["edges"], frozenset(r["legs"]), r["inside_faces"]] += 1
+                want[r["k"]][cycle_key(r.__getitem__)] += 1
         for k in (2, 3):
             assert extrovert_keys(pg, k) == want[k]
             seen[k] += want[k].total()
     assert min(seen.values()) > 100
+
+
+def test_extrovert_cycles_take_two_or_three_legs():
+    """Any other k is refused, not read as a triangle."""
+    pg = embed(cube())
+    for k in (1, 4):
+        with pytest.raises(ValueError):
+            extrovert_cycles(pg, k)
+    assert len(extrovert_cycles(pg, 3)) == 4
 
 
 def test_check_good_matches_the_flow_referee(drawn):
@@ -143,6 +171,37 @@ def test_no_bend_rep_draws_every_flow_optimum(drawn):
             if pg.dart_head(d) in good.corners:
                 assert h.angles[d] == 270
     assert planned.count(2) > 10 and planned.count(3) > 10
+
+
+def test_maximal_bad_reads_each_edge_a_bounded_number_of_times(monkeypatch):
+    """A bad cycle's region is read off its inside faces, not found by a
+    scan of every edge per cycle: on the rectilinear image of the flow
+    optimum of nested(1, 200), one _maximal_bad over its many bad cycles
+    asks for an edge's faces at most 10 times per edge; a scan per bad
+    cycle asks about 100 times."""
+    image = rectilinear_image(
+        oracle.flow_min_bends(embed(nested(1, 200)))[1])[0]
+    ip, corners = image.plane, image_corners(image)
+    assert len(nobend._bad_cycles(ip, corners)) > 50
+    calls = []
+    faces_of_edge = PlaneGraph.faces_of_edge
+
+    def counted(self, e):
+        calls.append(e)
+        return faces_of_edge(self, e)
+
+    monkeypatch.setattr(PlaneGraph, "faces_of_edge", counted)
+    nobend._maximal_bad(ip, corners)
+    assert len(calls) <= 10 * ip.m
+
+
+def test_corners_must_be_vertex_ids():
+    """A corner that is not an int is refused with NotGood, as are corners
+    that are not four distinct external degree-2 vertices."""
+    pg = embed(cube())
+    for corners in (["a", 1, 2, 3], [0, 1, 2], [0, 1, 2, 3]):
+        with pytest.raises(NotGood):
+            nobend.GoodPlaneGraph(pg, corners)
 
 
 def test_a_bridge_is_rejected_up_front():
