@@ -245,26 +245,17 @@ def trace_faces(n, edges, rotation):
     return faces
 
 
-def rotations_from_networkx(g: Graph):
-    """Clockwise rotation lists from a networkx planar embedding."""
-    import networkx as nx  # only texts without rotation lines need it
-
-    G = nx.Graph()
-    G.add_nodes_from(range(g.n))
-    G.add_edges_from(g.edges)
-    ok, emb = nx.check_planarity(G)
-    if not ok:
-        raise NotPlanar("graph admits no planar embedding")
-    rotation = []
-    for v in range(g.n):
-        order = list(emb.neighbors_cw_order(v)) if g.degree(v) else []
-        rotation.append([g.edge_id(v, w) for w in order])
-    return rotation
-
-
 def embed(g: Graph, external_face=0) -> PlaneGraph:
-    """Any correct combinatorial embedding with an arbitrary external face."""
-    return PlaneGraph(g, rotations_from_networkx(g), external_face)
+    """The left-right planarity test's embedding of g, with face
+    `external_face` outside; NotPlanar if g has none.
+
+    The rotation lists are identical to those of networkx's
+    `check_planarity` on the same vertex and edge order, so face ids match
+    its embedding.
+    """
+    from .planarity import lr_rotation  # only texts without rotation lines
+
+    return PlaneGraph(g, lr_rotation(g), external_face)
 
 
 def load_graph(text: str) -> Graph:
@@ -273,7 +264,11 @@ def load_graph(text: str) -> Graph:
 
 
 def load_plane_graph(text: str) -> PlaneGraph:
-    """Like load_graph but honors optional rotation/external lines."""
+    """Like load_graph but honors optional rotation/external lines.
+
+    A text without rotation lines gets `embed`'s embedding: the left-right
+    planarity test's, identical to networkx's `check_planarity`.
+    """
     g, rotation, external = _parse(text)
     if rotation is None:
         return embed(g, external)

@@ -119,10 +119,6 @@ def _region_edges(pg: PlaneGraph, cyc: CycleRecord) -> frozenset:
                      for e in pg.faces[f].edge_ids())
 
 
-def find_maximal_bad_cycles(g: GoodPlaneGraph) -> list[CycleRecord]:
-    return _maximal_bad(g.plane, g.corners)
-
-
 def _maximal_bad(pg: PlaneGraph, corners) -> list[CycleRecord]:
     bad = _bad_cycles(pg, corners)
     maximal = [c for c in bad

@@ -1,5 +1,8 @@
 """Graph core: parsing, embeddings, faces."""
 
+import random
+
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,7 +25,17 @@ from orthobend.graph import (
     trace_faces,
 )
 
-from corpus import cube, grown, k4, prism
+from corpus import (
+    cube,
+    grown,
+    k4,
+    nested,
+    nested_blobs,
+    prism,
+    sibling_fixture,
+    theta_fixture,
+    truncated_prism,
+)
 
 
 CORPUS = grown(11, 12)
@@ -195,3 +208,103 @@ def test_grown_corpus_embeds_and_round_trips(i):
     pg = embed(g)
     assert pg.n - pg.m + len(pg.faces) == 2
     assert load_graph(dump_graph(g)).edges == g.edges
+
+
+# ---------------------------------------------------------------------------
+# the embedder against networkx's left-right planarity test
+
+
+def networkx_rotation(g):
+    """networkx's clockwise rotation lists for g, or None if not planar."""
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(g.edges)
+    ok, emb = nx.check_planarity(G)
+    if not ok:
+        return None
+    return [[g.edge_id(v, w) for w in emb.neighbors_cw_order(v)]
+            for v in range(g.n)]
+
+
+def embeds_like_networkx(g):
+    """Assert that embed gives networkx's verdict and rotation lists, and
+    that the rotation passes the Euler check; return the verdict."""
+    want = networkx_rotation(g)
+    if want is None:
+        with pytest.raises(NotPlanar):
+            embed(g)
+        return False
+    assert embed(g).rotation == want
+    return True
+
+
+def random_subcubic(rng, n):
+    """A connected graph on n vertices of degree at most 3: a random
+    spanning tree, so bridges and degree-1 and -2 vertices abound, plus
+    random chords."""
+    deg = [0] * n
+    edges = set()
+
+    def join(u, v):
+        edges.add((u, v))
+        deg[u] += 1
+        deg[v] += 1
+
+    for v in range(1, n):
+        join(rng.choice([u for u in range(v) if deg[u] < 3]), v)
+    for _ in range(rng.randrange(n + 1)):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v and deg[u] < 3 and deg[v] < 3 \
+                and (u, v) not in edges and (v, u) not in edges:
+            join(u, v)
+    edges = sorted(edges)
+    rng.shuffle(edges)
+    labels = list(range(n))
+    rng.shuffle(labels)
+    return Graph(n, [(labels[u], labels[v]) for u, v in edges])
+
+
+def random_cubic(rng, n):
+    """A random connected simple cubic graph on n vertices: three stubs
+    per vertex paired at random, again until the result is a Graph."""
+    while True:
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        try:
+            return Graph(n, list(zip(stubs[::2], stubs[1::2])))
+        except (NotSimple, Disconnected):
+            continue
+
+
+def test_embed_is_networkx_left_right_embedding_on_the_corpora():
+    fixtures = [k4(), prism(), cube(), sibling_fixture(), truncated_prism(),
+                nested_blobs(), theta_fixture(), nested(1, 400)]
+    for g in fixtures + CORPUS + grown(3, 20, 6):
+        assert embeds_like_networkx(g)
+
+
+def test_embed_is_networkx_left_right_embedding_on_random_graphs():
+    rng = random.Random(16)
+    planar = [embeds_like_networkx(random_subcubic(rng, rng.randint(1, 40)))
+              for _ in range(300)]
+    assert 100 < sum(planar) < 300
+
+
+def test_embed_rejects_what_networkx_rejects():
+    k33 = Graph(6, [(a, b) for a in range(3) for b in range(3, 6)])
+    petersen = Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                     + [(i, i + 5) for i in range(5)]
+                     + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+    assert not embeds_like_networkx(k33)
+    assert not embeds_like_networkx(petersen)
+    rng = random.Random(16)
+    planar = [embeds_like_networkx(random_cubic(rng, 2 * rng.randint(2, 15)))
+              for _ in range(100)]
+    assert 0 < sum(planar) < 50
+
+
+def test_embed_is_iterative():
+    """A 10 000-vertex ring is one DFS path far deeper than the recursion
+    limit."""
+    n = 10_000
+    assert embeds_like_networkx(Graph(n, [(i, (i + 1) % n) for i in range(n)]))

@@ -220,6 +220,4 @@ def test_a_bridge_is_rejected_up_front():
         if len(corners) == 4:
             good = nobend.GoodPlaneGraph(pg, corners)
             with pytest.raises(NotBiconnected):
-                nobend.find_maximal_bad_cycles(good)
-            with pytest.raises(NotBiconnected):
                 nobend.no_bend_rep(good)

@@ -151,3 +151,48 @@ def test_theta_minimum():
     g = Graph(4, [(0, 1), (0, 2), (2, 1), (0, 3), (3, 1)])
     assert oracle.brute_min(g)[0] == 2
     assert oracle.brute_min(g, cap=1)[0] == 2
+
+
+# ---------------------------------------------------------------------------
+# curve complexity: how few bends per edge the optimum needs
+
+
+def test_two_bends_per_edge_keep_the_optimum_at_every_face():
+    """At every face of inflexible graphs, a cap of 2 bends per edge costs
+    nothing. A cap of 1 costs nothing either when the external face is not
+    a triangle, and admits no representation when it is one."""
+    faces = triangles = 0
+    for g in grown(2, 40, 4, flex_prob=0):
+        pg = embed(g)
+        for f in range(len(pg.faces)):
+            q = pg.with_external_face(f)
+            best = oracle.flow_min_bends(q)[0]
+            assert oracle.flow_min_bends(q, cap=2)[0] == best
+            if len(pg.faces[f]) == 3:
+                triangles += 1
+                with pytest.raises(Infeasible):
+                    oracle.flow_min_bends(q, cap=1)
+            else:
+                assert oracle.flow_min_bends(q, cap=1)[0] == best
+            faces += 1
+    assert faces == 283 and triangles == 91
+
+
+def test_one_bend_per_edge_keeps_the_variable_embedding_optimum():
+    """brute_min with a cap of 1 equals brute_min on inflexible graphs with
+    n <= 14, K4 aside (test_k4_exceeds_every_one_bend_budget). One graph
+    per face-size profile keeps the brute force affordable: every profile
+    with n <= 12 and the first with n = 14."""
+    picked = {}
+    for seed in (1, 2, 3):
+        for g in grown(seed, 40, 5, flex_prob=0):
+            if g.n > 4:
+                sizes = sorted(len(f) for f in embed(g).faces)
+                picked.setdefault((g.n, tuple(sizes)), g)
+    profiles = sorted(picked)
+    checked = [k for k in profiles if k[0] <= 12] \
+        + [next(k for k in profiles if k[0] == 14)]
+    assert len(checked) == 13
+    for k in checked:
+        g = picked[k]
+        assert oracle.brute_min(g, cap=1)[0] == oracle.brute_min(g)[0]

@@ -28,15 +28,23 @@ def test_module_imports(name):
 
 
 def test_solve_path_imports_no_networkx():
-    """A text with rotation lines is solved without networkx, so importing
-    the solve path does not load it."""
+    """Solving an edge-list text, which has no rotation lines and so is
+    embedded first, loads no networkx. Importing the solve path alone does
+    not load the embedder either, so the import stays as small as it was."""
     probe = ("import sys, orthobend.graph, orthobend.cycles\n"
+             "print('orthobend.planarity' in sys.modules)\n"
+             "from corpus import nested\n"
+             "from orthobend.graph import dump_graph, load_plane_graph\n"
+             "text = dump_graph(nested(1, 50))\n"
+             "orthobend.cycles.demanding_sets(load_plane_graph(text))\n"
              "print('networkx' in sys.modules)")
     src = os.path.dirname(os.path.dirname(orthobend.__file__))
+    tests = os.path.dirname(os.path.abspath(__file__))
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True, timeout=60,
-                         env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout.strip() == "False"
+                         env=dict(os.environ,
+                                  PYTHONPATH=os.pathsep.join([src, tests])))
+    assert out.stdout.split() == ["False", "False"]
 
 
 # Declared for a caller that is still to come; each entry says which.
