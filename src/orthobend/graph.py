@@ -297,6 +297,8 @@ def _parse(text: str):
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise ParseError(f"bad header {lines[0]!r}") from None
+    if m < 0:
+        raise ParseError(f"negative edge count {m}")
     edges = []
     flex = {}
     orders = {}
@@ -326,6 +328,8 @@ def _parse(text: str):
                 order = [int(x) for x in rhs.split()]
             except (ValueError, IndexError):
                 raise ParseError(f"bad rotation line {ln!r}") from None
+            if v in orders:
+                raise ParseError(f"two rotation lines for vertex {v}")
             orders[v] = order
         elif ln.startswith("external"):
             try:

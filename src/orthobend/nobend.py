@@ -11,18 +11,30 @@ biconnected plane 3-graph, chains of degree-2 vertices included, and
 raises NotBiconnected on a bridge. Its records carry everything the
 collapse needs: the legs and their vertices, the contour paths with the
 leg face each borders, and the inside faces, whose boundary edges are
-the region a cycle encloses.
+the region a cycle encloses. no_bend_rep lists them once per graph it
+draws, the input's list serving the conditions too.
 
 The construction collapses every maximal bad cycle (one that misses the
 designated corners it would need, and whose inside lies in no other bad
 cycle's inside) into a supernode, draws the coarse graph with all faces
-rectangular, and recurses into the collapsed regions, using the leg
-vertices plus fresh degree-2 picks as the designated corners of each
-region. Each contour path is one side of its region. Child
+rectangular, and recurses into the collapsed regions. A region with k
+legs takes its leg vertices plus 4 - k fresh degree-2 picks as its
+designated corners, and each contour path is one side of it. Child
 representations are stitched back by splitting the 270 angle a region
-shows to its surroundings among the two corners the leg edge cuts it
-into; the split is solved per side of the region from the rectangular
-drawing's angle at the supernode.
+shows its surroundings at each leg vertex into two seam angles, one in
+each side's leg face.
+
+One planner chooses the picks and the seams for k = 2 and 3. Side j runs
+from leg vertex w0 to leg vertex w1 and borders the leg face where the
+coarse drawing gives the supernode the angle theta_j. With k_j picks at
+270 between them, its seam angles x_j at w0 and y_j at w1 must turn as
+the supernode did, and the sides meeting at a leg vertex share its 270:
+
+    x_j + y_j = 180 + theta_j - 90 k_j,    y_j + x_(j+1) = 270.
+
+The planner tries the splits of the picks over the sides in a fixed
+order and takes the first whose walk round these equations, from x_0 =
+90 or else 180, closes with every seam at 90 or 180.
 
 The rectangular subroutine itself is a feasibility flow. Once corners
 are pinned, every angle is forced except the choice, per internal
@@ -41,7 +53,7 @@ import networkx as nx
 from .cycles import CycleRecord, extrovert_cycles
 from .errors import NotGood, NotRectangularizable
 from .graph import Graph, PlaneGraph, dart_reverse
-from .orthorep import OrthoRep, validate
+from .orthorep import OrthoRep, arrival_dart, validate
 
 
 @dataclass(frozen=True)
@@ -82,10 +94,19 @@ def _boundary_vertices(pg: PlaneGraph) -> set:
 # -- the three conditions -----------------------------------------------------
 
 
+def _extrovert(pg: PlaneGraph) -> list[CycleRecord]:
+    """The 2-extrovert and then the 3-extrovert cycles of pg."""
+    return [cyc for k in (2, 3) for cyc in extrovert_cycles(pg, k)]
+
+
 def check_good(pg: PlaneGraph) -> GoodCheck:
     """Report the first violated drawability condition, if any. Raises
     NotBiconnected, before testing any condition, when pg has a bridge."""
-    found = [(k, extrovert_cycles(pg, k)) for k in (2, 3)]
+    return _check(pg, _extrovert(pg))
+
+
+def _check(pg: PlaneGraph, cycles) -> GoodCheck:
+    """check_good on the 2- and 3-extrovert cycles of pg."""
     outer = pg.faces[pg.external_face]
     outer_vertices = sorted({pg.dart_head(d) for d in outer.boundary})
     deg2_outer = [v for v in outer_vertices if pg.graph.degree(v) == 2]
@@ -93,24 +114,24 @@ def check_good(pg: PlaneGraph) -> GoodCheck:
         return GoodCheck(
             False, "i",
             tuple(outer_vertices), tuple(sorted(set(outer.edge_ids()))))
-    for k, cycles in found:
-        for cyc in sorted(cycles, key=lambda c: sorted(c.edges)):
-            if sum(pg.graph.degree(v) == 2 for v in cyc.vertices) < 4 - k:
-                return GoodCheck(
-                    False, "i" * k,  # (ii) for k = 2, (iii) for k = 3
-                    tuple(sorted(cyc.vertices)), tuple(sorted(cyc.edges)))
+    for cyc in sorted(cycles, key=lambda c: (len(c.legs), sorted(c.edges))):
+        k = len(cyc.legs)
+        if sum(pg.graph.degree(v) == 2 for v in cyc.vertices) < 4 - k:
+            return GoodCheck(
+                False, "i" * k,  # (ii) for k = 2, (iii) for k = 3
+                tuple(sorted(cyc.vertices)), tuple(sorted(cyc.edges)))
     return GoodCheck(True)
 
 
 # -- bad cycles ---------------------------------------------------------------
 
 
-def _bad_cycles(pg: PlaneGraph, corners) -> list[CycleRecord]:
-    """The k-extrovert cycles, k = 2 or 3, holding fewer than 4 - k of the
-    designated corners."""
+def _bad_cycles(corners, cycles) -> list[CycleRecord]:
+    """Those of the k-extrovert cycles, k = 2 or 3, holding fewer than
+    4 - k of the designated corners."""
     cset = set(corners)
-    return [cyc for k in (2, 3) for cyc in extrovert_cycles(pg, k)
-            if len(cset & cyc.vertices) < 4 - k]
+    return [cyc for cyc in cycles
+            if len(cset & cyc.vertices) < 4 - len(cyc.legs)]
 
 
 def _region_edges(pg: PlaneGraph, cyc: CycleRecord) -> frozenset:
@@ -119,8 +140,8 @@ def _region_edges(pg: PlaneGraph, cyc: CycleRecord) -> frozenset:
                      for e in pg.faces[f].edge_ids())
 
 
-def _maximal_bad(pg: PlaneGraph, corners) -> list[CycleRecord]:
-    bad = _bad_cycles(pg, corners)
+def _maximal_bad(pg: PlaneGraph, corners, cycles) -> list[CycleRecord]:
+    bad = _bad_cycles(corners, cycles)
     maximal = [c for c in bad
                if not any(c.inside_faces < o.inside_faces for o in bad)]
     maximal.sort(key=lambda c: (len(c.legs), min(c.edges)))
@@ -142,6 +163,9 @@ def rectangular_drawing(pg: PlaneGraph, corners) -> OrthoRep:
     produced by the collapse step that signals a bug upstream.
     """
     corners = tuple(corners)
+    for v in corners:
+        if not isinstance(v, int) or not 0 <= v < pg.n:
+            raise NotRectangularizable(f"corner {v!r} is not a vertex id")
     if len(set(corners)) != 4:
         raise NotRectangularizable(f"need four distinct corners: {corners}")
     ext = pg.external_face
@@ -159,8 +183,7 @@ def rectangular_drawing(pg: PlaneGraph, corners) -> OrthoRep:
     for v in range(pg.n):
         vcorners = []
         for e in pg.rotation[v]:
-            u, w = pg.edge(e)
-            d = (e, 0) if w == v else (e, 1)
+            d = arrival_dart(pg, e, v)
             vcorners.append((d, pg.face_of_dart(d)))
         deg = len(vcorners)
         on_ext = v in boundary
@@ -232,9 +255,7 @@ class _Side:
     w1: int
     interior: list
     gface: int
-    theta: int = 0
-    k: int = 0
-    spares: tuple = ()
+    spares: tuple = ()  # the side's fresh sub-corners
     x: int = 0  # seam angle at w0 inside gface
     y: int = 0  # seam angle at w1 inside gface
 
@@ -244,10 +265,9 @@ class _RegionPlan:
     cyc: CycleRecord
     sides: list
     sub_pg: PlaneGraph
-    sub_corners: tuple
-    e_sub: dict  # host edge id -> sub edge id
-    e_host: dict  # sub edge id -> (host edge id, flipped)
-    v_host: dict  # sub vertex -> host vertex
+    edges: list  # sub edge id -> host edge id, in the same orientation
+    vmap: dict  # host vertex -> sub vertex
+    sub_corners: tuple = ()
 
 
 def _sides(pg: PlaneGraph, cyc: CycleRecord) -> list[_Side]:
@@ -258,17 +278,16 @@ def _sides(pg: PlaneGraph, cyc: CycleRecord) -> list[_Side]:
 
 
 def _subgraph(pg: PlaneGraph, cyc: CycleRecord):
-    """Plane subgraph of the cycle plus everything inside it."""
+    """Plane subgraph of the cycle plus everything inside it, with the host
+    edge of each of its edges and the host-to-sub vertex map."""
     redges = sorted(_region_edges(pg, cyc))
     rverts = sorted({w for e in redges for w in pg.edge(e)})
     vmap = {w: i for i, w in enumerate(rverts)}
     e_sub = {e: i for i, e in enumerate(redges)}
-    e_host = {}
     edges = []
-    for i, e in enumerate(redges):
+    for e in redges:
         u, v = pg.edge(e)
         edges.append((vmap[u], vmap[v]))
-        e_host[i] = (e, False)
     rotation = [[e_sub[e] for e in pg.rotation[w] if e in e_sub]
                 for w in rverts]
     sub = PlaneGraph(Graph(len(rverts), edges), rotation, 0)
@@ -276,100 +295,68 @@ def _subgraph(pg: PlaneGraph, cyc: CycleRecord):
     ext = sub.face_of_dart((e_sub[d0[0]], d0[1]))
     if ext != sub.external_face:
         sub = sub.with_external_face(ext)
-    v_host = {i: w for w, i in vmap.items()}
-    return sub, e_sub, e_host, v_host
+    return sub, redges, vmap
 
 
-@dataclass(eq=False)
-class _Coarse:
-    pg: PlaneGraph
-    corners: tuple
-    e_prov: dict  # coarse edge -> host edge
-    img: dict  # host vertex -> coarse vertex (outside the regions)
-    super_at: list  # region index -> coarse vertex
-    cface_of_gface: dict
-
-
-def _collapse(pg: PlaneGraph, corners, plans) -> _Coarse:
-    owner = {}
-    for i, plan in enumerate(plans):
-        for w in plan.v_host.values():
-            owner[w] = i
+def _collapse(pg: PlaneGraph, corners, plans):
+    """Collapse each region to a supernode. Returns the coarse plane graph,
+    its corners, the coarse vertex of each host vertex outside the regions,
+    and corner(e, w): the coarse corner dart of host edge e at its host end
+    w, the dart that arrives at w's image."""
+    owner = {w: i for i, plan in enumerate(plans) for w in plan.vmap}
     img = {}
     for w in range(pg.n):
         if w not in owner:
             img[w] = len(img)
-    super_at = [len(img) + i for i in range(len(plans))]
-    nverts = len(img) + len(plans)
 
+    def image(w):
+        return img[w] if w not in owner else len(img) + owner[w]
+
+    nverts = len(img) + len(plans)
     edges = []
-    e_prov = {}
     halves = {}  # host edge -> [edge id near tail, edge id near head]
     pair_seen = set()
-    dummy = []
     for e in range(pg.m):
         u, v = pg.edge(e)
-        iu, iv = owner.get(u), owner.get(v)
-        if iu is not None and iv is not None and iu == iv:
+        if u in owner and owner[u] == owner.get(v):
             continue  # swallowed by the region
-        cu = img[u] if iu is None else super_at[iu]
-        cv = img[v] if iv is None else super_at[iv]
+        cu, cv = image(u), image(v)
         key = (min(cu, cv), max(cu, cv))
         if key in pair_seen:
             # parallel after contraction: split with a throwaway vertex
-            d = nverts + len(dummy)
-            dummy.append(d)
-            a = len(edges)
-            edges.append((cu, d))
-            e_prov[a] = e
-            b = len(edges)
-            edges.append((d, cv))
-            e_prov[b] = e
-            halves[e] = [a, b]
+            mid = nverts
+            nverts += 1
+            halves[e] = [len(edges), len(edges) + 1]
+            edges += [(cu, mid), (mid, cv)]
         else:
             pair_seen.add(key)
-            i = len(edges)
+            halves[e] = [len(edges)] * 2
             edges.append((cu, cv))
-            e_prov[i] = e
-            halves[e] = [i, i]
-        assert cu != cv, "edge collapsed onto a single supernode"
 
-    def touch(e, w):
-        """Coarse edge id of host edge e at its endpoint w."""
-        u, v = pg.edge(e)
-        return halves[e][0] if w == u else halves[e][1]
+    def corner(e, w):
+        return (halves[e][1], 0) if w == pg.edge(e)[1] else (halves[e][0], 1)
 
-    rotation = [None] * (nverts + len(dummy))
-    for w in range(pg.n):
-        if w in owner:
-            continue
-        rotation[img[w]] = [touch(e, w) for e in pg.rotation[w]]
+    rotation = [None] * nverts
+    for w, cw in img.items():
+        rotation[cw] = [corner(e, w)[0] for e in pg.rotation[w]]
     for i, plan in enumerate(plans):
         # the inside-left walk meets the legs counterclockwise; rotation
         # lists are clockwise
-        rotation[super_at[i]] = [
-            touch(e, w) for e, w in zip(reversed(plan.cyc.legs),
-                                        reversed(plan.cyc.leg_vertices))]
-    for e, hs in halves.items():
+        rotation[len(img) + i] = [
+            corner(e, w)[0] for e, w in zip(reversed(plan.cyc.legs),
+                                            reversed(plan.cyc.leg_vertices))]
+    for hs in halves.values():
         if hs[0] != hs[1]:
-            mid = edges[hs[0]][1]
-            rotation[mid] = [hs[0], hs[1]]
-
-    graph = Graph(nverts + len(dummy), edges)
-    coarse = PlaneGraph(graph, rotation, 0)
-
-    def image_dart(e, o):
-        return (halves[e][0 if o == 0 else 1], o)
+            rotation[edges[hs[0]][1]] = list(hs)
+    coarse = PlaneGraph(Graph(nverts, edges), rotation, 0)
 
     ext = None
-    cface_of_gface = {}
-    for e in range(pg.m):
-        if e not in halves:
-            continue
-        for o in (0, 1):
-            gf = pg.face_of_dart((e, o))
-            cf = coarse.face_of_dart(image_dart(e, o))
-            prev = cface_of_gface.setdefault(gf, cf)
+    face_image = {}
+    for e in halves:
+        for w in pg.edge(e):
+            gf = pg.face_of_dart(arrival_dart(pg, e, w))
+            cf = coarse.face_of_dart(corner(e, w))
+            prev = face_image.setdefault(gf, cf)
             assert prev == cf, "face image is ambiguous"
             if gf == pg.external_face:
                 ext = cf
@@ -377,17 +364,10 @@ def _collapse(pg: PlaneGraph, corners, plans) -> _Coarse:
     if ext != coarse.external_face:
         coarse = coarse.with_external_face(ext)
 
-    ccorners = []
     for v in corners:
-        if v in owner:
-            i = owner[v]
-            assert v in plans[i].cyc.vertices, \
-                "designated corner buried strictly inside a region"
-            ccorners.append(super_at[i])
-        else:
-            ccorners.append(img[v])
-    return _Coarse(coarse, tuple(ccorners), e_prov, img, super_at,
-                   cface_of_gface)
+        assert v not in owner or v in plans[owner[v]].cyc.vertices, \
+            "designated corner buried strictly inside a region"
+    return coarse, tuple(image(v) for v in corners), img, corner
 
 
 # -- corner budgeting per region ---------------------------------------------
@@ -398,97 +378,52 @@ def _allowed_sums(theta, k):
     return s if s in (180, 270, 360) else None
 
 
-def _plan_two(pg, plan: _RegionPlan, thetas, inherited):
-    """Distribute the two free sub-corners over the sides of a 2-cycle."""
-    a, b = plan.sides
-    a.theta, b.theta = thetas
-    avail = [[w for w in s.interior if pg.graph.degree(w) == 2]
-             for s in (a, b)]
-    combos = [(ka, 2 - ka) for ka in (1, 0, 2)
-              if _allowed_sums(a.theta, ka) is not None
-              and _allowed_sums(b.theta, 2 - ka) is not None]
-    pick = None
-    for ka, kb in combos:
-        need = [ka, kb]
-        if inherited is not None:
-            side = 0 if inherited in a.interior else 1
-            if need[side] == 0:
-                continue
-        if len(avail[0]) >= need[0] and len(avail[1]) >= need[1]:
-            pick = (ka, kb)
-            break
-    assert pick is not None, "no feasible corner split for a 2-cycle"
-    for s, k, cand in zip((a, b), pick, avail):
-        s.k = k
-        chosen = []
-        if inherited is not None and inherited in s.interior:
-            chosen.append(inherited)
-        for w in cand:
-            if len(chosen) == k:
-                break
-            if w not in chosen:
-                chosen.append(w)
-        s.spares = tuple(chosen)
-        assert len(s.spares) == k
-    fixed = None
-    for s in (a, b):
-        total = _allowed_sums(s.theta, s.k)
-        if total == 180:
-            s.x, s.y = 90, 90
-        elif total == 360:
-            s.x, s.y = 180, 180
-        else:
-            s.x, s.y = 90, 180
-            if inherited is not None and inherited in s.interior and s.k == 2:
-                # keep the walk flat up to the real corner: the filler 270
-                # must pair with the 90 on its own stretch
-                other = next(w for w in s.spares if w != inherited)
-                before = s.interior.index(other) < s.interior.index(inherited)
-                s.x, s.y = (90, 180) if before else (180, 90)
-                fixed = s
-    # the two seam angles at a shared leg vertex must sum to 270. The sides'
-    # totals sum to 540, so they miss only when both totals are 270 and the
-    # inherited corner fixed one side's order; swap the other side's pair
-    if a.x + b.y != 270:
-        free = b if fixed is a else a
-        free.x, free.y = free.y, free.x
-    assert a.x + b.y == 270 and a.y + b.x == 270
+# the splits of a region's 4 - k fresh sub-corners over its k sides, in the
+# order they are tried
+_SPLITS = {2: ((1, 1), (0, 2), (2, 0)), 3: ((1, 0, 0), (0, 1, 0), (0, 0, 1))}
 
 
-def _plan_three(pg, plan: _RegionPlan, thetas):
+def _plan(pg: PlaneGraph, plan: _RegionPlan, thetas, inherited):
+    """Pick each side's fresh sub-corners and seam angles for the first
+    split that solves the seam equations of the module docstring. thetas
+    are the supernode's angles in the sides' leg faces; inherited, when not
+    None, is the designated corner on the cycle and is picked first on its
+    side."""
     sides = plan.sides
-    for s, th in zip(sides, thetas):
-        s.theta = th
-        s.k = 0
-        s.spares = ()
-    avail = [[w for w in s.interior if pg.graph.degree(w) == 2] for s in sides]
-    spot = next(j for j in range(3) if avail[j])
-    sides[spot].k = 1
-    sides[spot].spares = (avail[spot][0],)
-    sums = [_allowed_sums(s.theta, s.k) for s in sides]
-    assert all(t is not None for t in sums), "corner split beats the angles"
-    for x0 in (90, 180):
-        vals = [x0]
-        ok = True
-        for j in range(3):
-            y = sums[j] - vals[j]
-            if y not in (90, 180):
-                ok = False
-                break
-            if j < 2:
-                vals.append(270 - y)
-        if ok and 270 - (sums[2] - vals[2]) == x0:
-            for j in range(3):
-                sides[j].x = vals[j]
-                sides[j].y = sums[j] - vals[j]
-            return
-    raise AssertionError("seam angles at a 3-cycle have no solution")
+    avail = [sorted((w for w in s.interior if pg.graph.degree(w) == 2),
+                    key=lambda w: w != inherited) for s in sides]
+    for split in _SPLITS[len(sides)]:
+        picks = [a[:k] for a, k in zip(avail, split)]
+        if any(len(p) < k or inherited in a[k:]
+               for p, a, k in zip(picks, avail, split)):
+            continue
+        sums = [_allowed_sums(t, k) for t, k in zip(thetas, split)]
+        if None in sums:
+            continue
+        # keep the walk flat up to the real corner: on a side at 270 that
+        # holds the inherited corner and a filler, the filler's 270 pairs
+        # with the 90 seam on its own stretch
+        fixed = [None] * len(sides)
+        for j, (s, p, total) in enumerate(zip(sides, picks, sums)):
+            if total == 270 and len(p) == 2 and p[0] == inherited:
+                before = s.interior.index(p[1]) < s.interior.index(inherited)
+                fixed[j] = 90 if before else 180
+        for x0 in (90, 180):
+            xs = [x0]
+            for total in sums:
+                xs.append(270 - (total - xs[-1]))
+            ys = [total - x for total, x in zip(sums, xs)]
+            if (xs[-1] == x0 and all(v in (90, 180) for v in xs + ys)
+                    and all(f in (None, x) for f, x in zip(fixed, xs))):
+                for s, p, x, y in zip(sides, picks, xs, ys):
+                    s.spares, s.x, s.y = tuple(p), x, y
+                return
+    raise AssertionError("no corner split solves the region's seam angles")
 
 
 def _corner_dart(pg: PlaneGraph, w: int, face: int):
     for e in pg.rotation[w]:
-        u, v = pg.edge(e)
-        d = (e, 0) if v == w else (e, 1)
+        d = arrival_dart(pg, e, w)
         if pg.face_of_dart(d) == face:
             return d
     raise AssertionError(f"vertex {w} has no corner in face {face}")
@@ -501,6 +436,7 @@ def _corner_dart(pg: PlaneGraph, w: int, face: int):
 class _Frame:
     pg: PlaneGraph
     corners: tuple
+    cycles: list  # the 2- and 3-extrovert cycles of pg
     parent: object
     ctx: object
     state: str = "new"
@@ -516,54 +452,30 @@ class _Prep:
 
 
 def _prepare(pg: PlaneGraph, corners, bad) -> _Prep:
-    plans = []
-    for cyc in bad:
-        sub, e_sub, e_host, v_host = _subgraph(pg, cyc)
-        plans.append(_RegionPlan(
-            cyc, _sides(pg, cyc), sub, (), e_sub, e_host, v_host))
-    coarse = _collapse(pg, corners, plans)
-    r = rectangular_drawing(coarse.pg, coarse.corners)
+    plans = [_RegionPlan(cyc, _sides(pg, cyc), *_subgraph(pg, cyc))
+             for cyc in bad]
+    coarse, ccorners, img, corner = _collapse(pg, corners, plans)
+    r = rectangular_drawing(coarse, ccorners)
 
     angles = {}
-    back = {}
-    for w in range(pg.n):
-        if w in coarse.img:
-            back[coarse.img[w]] = w
-    for ce in range(coarse.pg.m):
-        for o in (0, 1):
-            d = (ce, o)
-            cw = coarse.pg.dart_head(d)
-            if cw not in back:
-                continue  # supernode or throwaway midpoint corner
-            w = back[cw]
-            e = coarse.e_prov[ce]
-            u, v = pg.edge(e)
-            gd = (e, 0) if v == w else (e, 1)
-            angles[gd] = r.angles[d]
+    for w in img:
+        for e in pg.rotation[w]:
+            angles[arrival_dart(pg, e, w)] = r.angles[corner(e, w)]
 
     cset = set(corners)
-    for i, plan in enumerate(plans):
-        sup = coarse.super_at[i]
-        thetas = []
+    for plan in plans:
+        cyc = plan.cyc
+        k = len(cyc.legs)
+        # side j ends at leg vertex j + 1, whose leg arrives at the
+        # supernode in the side's leg face
+        thetas = [r.angles[corner(cyc.legs[(j + 1) % k],
+                                  cyc.leg_vertices[(j + 1) % k])]
+                  for j in range(k)]
+        _plan(pg, plan, thetas, next(iter(cset & cyc.vertices), None))
+        subc = sorted(cyc.leg_vertices)
         for s in plan.sides:
-            cf = coarse.cface_of_gface[s.gface]
-            cd = _corner_dart(coarse.pg, sup, cf)
-            thetas.append(r.angles[cd])
-        inherited = None
-        hit = cset & plan.cyc.vertices
-        if hit:
-            assert len(hit) == 1
-            inherited = next(iter(hit))
-        if len(plan.cyc.legs) == 2:
-            _plan_two(pg, plan, thetas, inherited)
-        else:
-            assert inherited is None, "bad 3-cycles never hold a corner"
-            _plan_three(pg, plan, thetas)
-        v_sub = {w: i2 for i2, w in plan.v_host.items()}
-        subc = [v_sub[w] for w in sorted(plan.cyc.leg_vertices)]
-        for s in plan.sides:
-            subc.extend(v_sub[w] for w in s.spares)
-        plan.sub_corners = tuple(subc)
+            subc.extend(s.spares)
+        plan.sub_corners = tuple(plan.vmap[w] for w in subc)
     return _Prep(angles, plans)
 
 
@@ -572,32 +484,30 @@ def _merge(pg: PlaneGraph, prep: _Prep, plan: _RegionPlan, rep: OrthoRep):
     ext = sub.external_face
     legs = plan.cyc.leg_vertices
     for (es, o), val in rep.angles.items():
-        e, flipped = plan.e_host[es]
-        go = o ^ (1 if flipped else 0)
-        gd = (e, go)
+        gd = (plan.edges[es], o)
         w = pg.dart_head(gd)
         if w in legs and sub.face_of_dart((es, o)) == ext:
             continue  # the leg splits this corner; seams replace it
         prep.angles[gd] = val
-    v_sub = {w: i for i, w in plan.v_host.items()}
     for s in plan.sides:
         drift = 0
         for w in s.interior:
-            d = _corner_dart(sub, v_sub[w], ext)
+            d = _corner_dart(sub, plan.vmap[w], ext)
             drift += 180 - rep.angles[d]
-        assert drift == -90 * s.k, "child drawing bent between its corners"
+        assert drift == -90 * len(s.spares), \
+            "child drawing bent between its corners"
         prep.angles[_corner_dart(pg, s.w0, s.gface)] = s.x
         prep.angles[_corner_dart(pg, s.w1, s.gface)] = s.y
 
 
-def _draw(pg: PlaneGraph, corners) -> OrthoRep:
-    root = _Frame(pg, tuple(corners), None, None)
+def _draw(pg: PlaneGraph, corners, cycles) -> OrthoRep:
+    root = _Frame(pg, tuple(corners), cycles, None, None)
     stack = [root]
     out = None
     while stack:
         fr = stack[-1]
         if fr.state == "new":
-            bad = _maximal_bad(fr.pg, fr.corners)
+            bad = _maximal_bad(fr.pg, fr.corners, fr.cycles)
             if not bad:
                 fr.rep = rectangular_drawing(fr.pg, fr.corners)
                 fr.state = "done"
@@ -608,7 +518,8 @@ def _draw(pg: PlaneGraph, corners) -> OrthoRep:
             if fr.i < len(fr.prep.plans):
                 plan = fr.prep.plans[fr.i]
                 fr.i += 1
-                stack.append(_Frame(plan.sub_pg, plan.sub_corners, fr, plan))
+                stack.append(_Frame(plan.sub_pg, plan.sub_corners,
+                                    _extrovert(plan.sub_pg), fr, plan))
             else:
                 fr.rep = OrthoRep(fr.pg, fr.prep.angles)
                 validate(fr.rep)
@@ -626,15 +537,17 @@ def no_bend_rep(g: GoodPlaneGraph) -> OrthoRep:
     """Zero-bend representation with 270 at every designated corner.
     Raises NotGood when g fails a drawability condition, and
     NotBiconnected when it has a bridge."""
-    rc = check_good(g.plane)
+    pg = g.plane
+    cycles = _extrovert(pg)
+    rc = _check(pg, cycles)
     if not rc.ok:
         raise NotGood(
             f"condition ({rc.condition}) fails on "
             f"cycle {list(rc.witness_vertices)}")
-    h = _draw(g.plane, g.corners)
+    h = _draw(pg, g.corners, cycles)
     validate(h)
     assert h.total_bends() == 0
     for v in g.corners:
-        d = _corner_dart(g.plane, v, g.plane.external_face)
+        d = _corner_dart(pg, v, pg.external_face)
         assert h.angles[d] == 270, f"corner {v} lost its reflex angle"
     return h

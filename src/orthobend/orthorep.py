@@ -35,6 +35,13 @@ from .graph import (
 ANGLES = (90, 180, 270, 360)
 
 
+def arrival_dart(pg: PlaneGraph, e: int, w: int) -> Dart:
+    """The dart of edge e that arrives at its end w: the key of w's corner
+    in the face whose walk holds that dart."""
+    u, v = pg.edge(e)
+    return (e, 0) if v == w else (e, 1)
+
+
 def swap_letters(s: str) -> str:
     return s.translate(str.maketrans("LR", "RL"))
 
@@ -107,11 +114,6 @@ def _h2_sum(h: OrthoRep, f: Face) -> int:
 
 # -- basic transforms -------------------------------------------------------
 
-def _arrival_dart(pg: PlaneGraph, e: int, w: int) -> Dart:
-    u, v = pg.edge(e)
-    return (e, 0) if v == w else (e, 1)
-
-
 def rectilinear_image(h: OrthoRep):
     """Replace each bend by a degree-2 vertex.
 
@@ -127,19 +129,19 @@ def rectilinear_image(h: OrthoRep):
     # arriving edge
     for w in range(pg.n):
         for e in pg.rotation[w]:
-            d_old = _arrival_dart(pg, e, w)
+            d_old = arrival_dart(pg, e, w)
             segs = seg_of_edge[e]
             u, v = pg.edge(e)
             arr_seg = segs[-1] if w == v else segs[0]
-            d_new = _arrival_dart(sub_pg, arr_seg, w)
+            d_new = arrival_dart(sub_pg, arr_seg, w)
             angles[d_new] = h.angles[d_old]
     # bend vertices become corners
     for nv, (e, idx) in hosts.items():
         letter = h.bends[e][idx]
         segs = seg_of_edge[e]
         before, after = segs[idx], segs[idx + 1]
-        d_before = _arrival_dart(sub_pg, before, nv)
-        d_after = _arrival_dart(sub_pg, after, nv)
+        d_before = arrival_dart(sub_pg, before, nv)
+        d_after = arrival_dart(sub_pg, after, nv)
         if letter == "L":
             angles[d_before] = 90
             angles[d_after] = 270
@@ -213,8 +215,8 @@ def smooth(h_sub: OrthoRep, original: PlaneGraph,
             segs = seg_of_edge[e]
             u, v = original.edge(e)
             arr_seg = segs[-1] if w == v else segs[0]
-            d_new = _arrival_dart(pg_sub, arr_seg, w)
-            d_old = _arrival_dart(original, e, w)
+            d_new = arrival_dart(pg_sub, arr_seg, w)
+            d_old = arrival_dart(original, e, w)
             angles[d_old] = h_sub.angles[d_new]
     bends = {}
     for e in range(original.m):
@@ -227,7 +229,7 @@ def smooth(h_sub: OrthoRep, original: PlaneGraph,
             merged.append(h_sub.bends_of_dart((seg, 0)))
             if i + 1 < len(segs):
                 nv = _far_end(pg_sub, seg, prev)
-                ang = h_sub.angles[_arrival_dart(pg_sub, seg, nv)]
+                ang = h_sub.angles[arrival_dart(pg_sub, seg, nv)]
                 if ang == 90:
                     merged.append("L")
                 elif ang == 270:
@@ -251,7 +253,7 @@ def to_json(h: OrthoRep) -> str:
     verts = []
     for v in range(pg.n):
         rot = pg.rotation[v]
-        angs = [h.angles[_arrival_dart(pg, e, v)] for e in rot]
+        angs = [h.angles[arrival_dart(pg, e, v)] for e in rot]
         verts.append({"id": v, "rotation": rot, "angles": angs})
     edges = [
         {"id": e, "u": pg.edge(e)[0], "v": pg.edge(e)[1], "bends": h.bends[e]}
@@ -299,5 +301,5 @@ def from_json(text: str) -> OrthoRep:
     angles = {}
     for v in range(n):
         for e, a in zip(rotation[v], ang_rows[v]):
-            angles[_arrival_dart(pg, e, v)] = a
+            angles[arrival_dart(pg, e, v)] = a
     return OrthoRep(pg, angles, bends)

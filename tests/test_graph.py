@@ -170,6 +170,18 @@ external: 2
         load_plane_graph(text + "rotation 99: 0 1 2\n")
 
 
+def test_load_rejects_a_negative_edge_count_and_a_repeated_rotation():
+    """Neither is read as something else: "3 -1" is not three vertices
+    with no edge, and a second rotation line for a vertex does not
+    replace the first."""
+    with pytest.raises(ParseError):
+        load_graph("3 -1")
+    square = "4 4\n0 1\n1 2\n2 3\n3 0\nrotation 0: 0 3\n"
+    load_plane_graph(square)
+    with pytest.raises(ParseError):
+        load_plane_graph(square + "rotation 0: 3 0\n")
+
+
 TOKENS = st.one_of(
     st.integers(-2, 9).map(str),
     st.sampled_from(["rotation", "external", ":", "#", "x", "1.5"]))

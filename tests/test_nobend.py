@@ -13,7 +13,8 @@ import pytest
 
 from orthobend import nobend, oracle
 from orthobend.cycles import extrovert_cycles
-from orthobend.errors import Infeasible, NotBiconnected, NotGood
+from orthobend.errors import (
+    Infeasible, NotBiconnected, NotGood, NotRectangularizable)
 from orthobend.graph import Graph, PlaneGraph, embed
 from orthobend.orthorep import rectilinear_image, subdivide_plane, validate
 
@@ -77,17 +78,25 @@ def image_corners(image):
 def drawn():
     """no_bend_rep on the rectilinear image of a flow optimum at each face
     of SMALL, its corners the image's four external degree-2 vertices at
-    270; with every subproblem _draw met and the bad cycles it planned."""
+    270; with every subproblem _draw met, the bad cycles it planned, and
+    the number of plans with a side at 270 whose fresh corners are the
+    frame's corner on the cycle plus a filler."""
     frames, planned, out = [], [], []
+    filled = 0
     maximal_bad, prepare = nobend._maximal_bad, nobend._prepare
 
-    def spy_frames(pg, corners):
+    def spy_frames(pg, corners, cycles):
         frames.append(pg)
-        return maximal_bad(pg, corners)
+        return maximal_bad(pg, corners, cycles)
 
     def spy_plans(pg, corners, bad):
+        nonlocal filled
         planned.extend(len(c.legs) for c in bad)
-        return prepare(pg, corners, bad)
+        prep = prepare(pg, corners, bad)
+        filled += sum(any(len(s.spares) == 2 and set(s.spares) & set(corners)
+                          and s.x + s.y == 270 for s in plan.sides)
+                      for plan in prep.plans)
+        return prep
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nobend, "_maximal_bad", spy_frames)
@@ -99,7 +108,7 @@ def drawn():
                 assert len(corners) == 4
                 good = nobend.GoodPlaneGraph(image.plane, corners)
                 out.append((good, nobend.no_bend_rep(good)))
-    return out, frames, planned
+    return out, frames, planned, filled
 
 
 def test_extrovert_cycles_match_the_oracle(drawn):
@@ -107,7 +116,7 @@ def test_extrovert_cycles_match_the_oracle(drawn):
     leg vertices, and degeneracy, each cycle once, for k = 2 and 3: at
     every face of SMALL, on a random subdivision of each, and on every
     subproblem the drawings recurse into."""
-    _, frames, _ = drawn
+    frames = drawn[1]
     cases = [pg for g in SMALL for pg in every_face(g)]
     cases += subdivisions()
     cases += frames
@@ -161,8 +170,10 @@ def test_check_good_matches_the_flow_referee(drawn):
 
 def test_no_bend_rep_draws_every_flow_optimum(drawn):
     """Each drawing validates, has no bend and keeps 270 at each corner;
-    the drawings collapse both bad 2-cycles and bad 3-cycles."""
-    out, _, planned = drawn
+    the drawings collapse both bad 2-cycles and bad 3-cycles, and some
+    plans put the inherited corner and a filler on a side at 270, whose
+    seam order that corner fixes."""
+    out, _, planned, filled = drawn
     for good, h in out:
         pg = good.plane
         validate(h)
@@ -171,6 +182,7 @@ def test_no_bend_rep_draws_every_flow_optimum(drawn):
             if pg.dart_head(d) in good.corners:
                 assert h.angles[d] == 270
     assert planned.count(2) > 10 and planned.count(3) > 10
+    assert filled > 0
 
 
 def test_maximal_bad_reads_each_edge_a_bounded_number_of_times(monkeypatch):
@@ -182,7 +194,7 @@ def test_maximal_bad_reads_each_edge_a_bounded_number_of_times(monkeypatch):
     image = rectilinear_image(
         oracle.flow_min_bends(embed(nested(1, 200)))[1])[0]
     ip, corners = image.plane, image_corners(image)
-    assert len(nobend._bad_cycles(ip, corners)) > 50
+    assert len(nobend._bad_cycles(corners, nobend._extrovert(ip))) > 50
     calls = []
     faces_of_edge = PlaneGraph.faces_of_edge
 
@@ -191,17 +203,47 @@ def test_maximal_bad_reads_each_edge_a_bounded_number_of_times(monkeypatch):
         return faces_of_edge(self, e)
 
     monkeypatch.setattr(PlaneGraph, "faces_of_edge", counted)
-    nobend._maximal_bad(ip, corners)
+    nobend._maximal_bad(ip, corners, nobend._extrovert(ip))
     assert len(calls) <= 10 * ip.m
+
+
+def test_no_bend_rep_lists_the_cycles_once_per_frame(monkeypatch):
+    """extrovert_cycles runs twice (k = 2 and 3) for each frame _draw
+    meets, the root's listing serving the conditions too."""
+    image = rectilinear_image(
+        oracle.flow_min_bends(embed(nested(1, 20)))[1])[0]
+    good = nobend.GoodPlaneGraph(image.plane, image_corners(image))
+    calls, frames = [], []
+    listing, maximal_bad = nobend.extrovert_cycles, nobend._maximal_bad
+
+    def counted(pg, k):
+        calls.append(k)
+        return listing(pg, k)
+
+    def spy_frames(pg, corners, cycles):
+        frames.append(pg)
+        return maximal_bad(pg, corners, cycles)
+
+    monkeypatch.setattr(nobend, "extrovert_cycles", counted)
+    monkeypatch.setattr(nobend, "_maximal_bad", spy_frames)
+    nobend.no_bend_rep(good)
+    assert len(frames) > 1
+    assert len(calls) == 2 * len(frames)
 
 
 def test_corners_must_be_vertex_ids():
     """A corner that is not an int is refused with NotGood, as are corners
-    that are not four distinct external degree-2 vertices."""
+    that are not four distinct external degree-2 vertices;
+    rectangular_drawing refuses a corner that is not a vertex id with
+    NotRectangularizable."""
     pg = embed(cube())
     for corners in (["a", 1, 2, 3], [0, 1, 2], [0, 1, 2, 3]):
         with pytest.raises(NotGood):
             nobend.GoodPlaneGraph(pg, corners)
+    square = embed(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
+    for corners in ((0, 1, 2, 99), ("a", 1, 2, 3)):
+        with pytest.raises(NotRectangularizable):
+            nobend.rectangular_drawing(square, corners)
 
 
 def test_a_bridge_is_rejected_up_front():
