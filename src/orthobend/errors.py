@@ -66,10 +66,6 @@ class NotGood(DomainError):
     pass
 
 
-class NotRectangularizable(OrthobendError):
-    """Signals an upstream bug: the collapsed graph must be drawable."""
-
-
 class H1Violation(OrthobendError):
     def __init__(self, vertex, total):
         self.vertex = vertex

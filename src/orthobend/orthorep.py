@@ -52,6 +52,8 @@ class OrthoRep:
         self.angles = dict(angles)
         self.bends = {e: "" for e in range(plane.m)}
         for e, s in (bends or {}).items():
+            if e not in self.bends:
+                raise ParseError(f"bends on edge {e!r}, which is not an edge")
             self.bends[e] = s
 
     def bends_of_dart(self, d: Dart) -> str:

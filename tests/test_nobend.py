@@ -2,20 +2,22 @@
 
 extrovert_cycles is checked against the simple-cycle search, check_good
 against the min-cost flow with no bend allowed, and no_bend_rep on the
-rectilinear image of each flow optimum, where bends are degree-2 vertices.
+rectilinear image of each flow optimum, where bends are degree-2 vertices,
+and against check_good on subdivisions with several corner choices.
 """
 
 import random
 from collections import Counter
 from functools import partial
+from itertools import combinations
 
+import networkx as nx
 import pytest
 
 from orthobend import nobend, oracle
 from orthobend.cycles import extrovert_cycles
-from orthobend.errors import (
-    Infeasible, NotBiconnected, NotGood, NotRectangularizable)
-from orthobend.graph import Graph, PlaneGraph, embed
+from orthobend.errors import Infeasible, NotBiconnected, NotGood
+from orthobend.graph import Graph, embed
 from orthobend.orthorep import rectilinear_image, subdivide_plane, validate
 
 from corpus import cube, grown, nested
@@ -65,6 +67,13 @@ def oracle_extrovert(pg, k):
             if r["kind"] == "extrovert" and r["k"] == k]
 
 
+def external_degree_2(pg):
+    """The degree-2 vertices on pg's external face, in increasing order:
+    the candidates for its corners."""
+    return sorted(v for v in nobend._boundary_vertices(pg)
+                  if pg.graph.degree(v) == 2)
+
+
 def image_corners(image):
     """The four external degree-2 vertices of a rectilinear image at
     270."""
@@ -78,48 +87,26 @@ def image_corners(image):
 def drawn():
     """no_bend_rep on the rectilinear image of a flow optimum at each face
     of SMALL, its corners the image's four external degree-2 vertices at
-    270; with every subproblem _draw met, the bad cycles it planned, and
-    the number of plans with a side at 270 whose fresh corners are the
-    frame's corner on the cycle plus a filler."""
-    frames, planned, out = [], [], []
-    filled = 0
-    maximal_bad, prepare = nobend._maximal_bad, nobend._prepare
-
-    def spy_frames(pg, corners, cycles):
-        frames.append(pg)
-        return maximal_bad(pg, corners, cycles)
-
-    def spy_plans(pg, corners, bad):
-        nonlocal filled
-        planned.extend(len(c.legs) for c in bad)
-        prep = prepare(pg, corners, bad)
-        filled += sum(any(len(s.spares) == 2 and set(s.spares) & set(corners)
-                          and s.x + s.y == 270 for s in plan.sides)
-                      for plan in prep.plans)
-        return prep
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(nobend, "_maximal_bad", spy_frames)
-        mp.setattr(nobend, "_prepare", spy_plans)
-        for g in SMALL:
-            for pg in every_face(g):
-                image = rectilinear_image(oracle.flow_min_bends(pg)[1])[0]
-                corners = image_corners(image)
-                assert len(corners) == 4
-                good = nobend.GoodPlaneGraph(image.plane, corners)
-                out.append((good, nobend.no_bend_rep(good)))
-    return out, frames, planned, filled
+    270."""
+    out = []
+    for g in SMALL:
+        for pg in every_face(g):
+            image = rectilinear_image(oracle.flow_min_bends(pg)[1])[0]
+            corners = image_corners(image)
+            assert len(corners) == 4
+            good = nobend.GoodPlaneGraph(image.plane, corners)
+            out.append((good, nobend.no_bend_rep(good)))
+    return out
 
 
 def test_extrovert_cycles_match_the_oracle(drawn):
     """By edges, legs, inside faces, contour paths with their leg faces and
     leg vertices, and degeneracy, each cycle once, for k = 2 and 3: at
-    every face of SMALL, on a random subdivision of each, and on every
-    subproblem the drawings recurse into."""
-    frames = drawn[1]
+    every face of SMALL, on a random subdivision of each, and on the
+    rectilinear image of each flow optimum."""
     cases = [pg for g in SMALL for pg in every_face(g)]
     cases += subdivisions()
-    cases += frames
+    cases += [good.plane for good, _ in drawn]
     assert len(cases) > 300
     seen = {2: 0, 3: 0}
     for pg in cases:
@@ -146,7 +133,7 @@ def test_check_good_matches_the_flow_referee(drawn):
     """check_good(sp).ok holds exactly when sp has a representation with
     no bend; a failure under (ii) or (iii) names a k-extrovert cycle of
     the oracle with fewer than 4 - k degree-2 vertices."""
-    cases = subdivisions() + [good.plane for good, _ in drawn[0]]
+    cases = subdivisions() + [good.plane for good, _ in drawn]
     verdicts = {True: 0, False: 0}
     for sp in cases:
         rc = nobend.check_good(sp)
@@ -169,81 +156,89 @@ def test_check_good_matches_the_flow_referee(drawn):
 
 
 def test_no_bend_rep_draws_every_flow_optimum(drawn):
-    """Each drawing validates, has no bend and keeps 270 at each corner;
-    the drawings collapse both bad 2-cycles and bad 3-cycles, and some
-    plans put the inherited corner and a filler on a side at 270, whose
-    seam order that corner fixes."""
-    out, _, planned, filled = drawn
-    for good, h in out:
+    """Each drawing validates, has no bend and keeps 270 at each corner."""
+    for good, h in drawn:
         pg = good.plane
         validate(h)
         assert h.total_bends() == 0
         for d in pg.faces[pg.external_face].boundary:
             if pg.dart_head(d) in good.corners:
                 assert h.angles[d] == 270
-    assert planned.count(2) > 10 and planned.count(3) > 10
-    assert filled > 0
 
 
-def test_maximal_bad_reads_each_edge_a_bounded_number_of_times(monkeypatch):
-    """A bad cycle's region is read off its inside faces, not found by a
-    scan of every edge per cycle: on the rectilinear image of the flow
-    optimum of nested(1, 200), one _maximal_bad over its many bad cycles
-    asks for an edge's faces at most 10 times per edge; a scan per bad
-    cycle asks about 100 times."""
-    image = rectilinear_image(
-        oracle.flow_min_bends(embed(nested(1, 200)))[1])[0]
-    ip, corners = image.plane, image_corners(image)
-    assert len(nobend._bad_cycles(corners, nobend._extrovert(ip))) > 50
-    calls = []
-    faces_of_edge = PlaneGraph.faces_of_edge
+def test_no_bend_rep_draws_exactly_the_good_subdivisions():
+    """On each subdivision with at least four external degree-2 vertices,
+    for up to six seeded choices of its corners, no_bend_rep draws the
+    graph when check_good passes it and raises NotGood otherwise."""
+    rng = random.Random(2)
+    verdicts = {True: 0, False: 0}
+    for sp in subdivisions():
+        choices = list(combinations(external_degree_2(sp), 4))
+        if not choices:
+            continue
+        ok = nobend.check_good(sp).ok
+        for corners in rng.sample(choices, min(6, len(choices))):
+            good = nobend.GoodPlaneGraph(sp, corners)
+            if ok:
+                h = nobend.no_bend_rep(good)
+                validate(h)
+                assert h.total_bends() == 0
+            else:
+                with pytest.raises(NotGood):
+                    nobend.no_bend_rep(good)
+            verdicts[ok] += 1
+    assert min(verdicts.values()) > 20
 
-    def counted(self, e):
-        calls.append(e)
-        return faces_of_edge(self, e)
 
-    monkeypatch.setattr(PlaneGraph, "faces_of_edge", counted)
-    nobend._maximal_bad(ip, corners, nobend._extrovert(ip))
-    assert len(calls) <= 10 * ip.m
+def count_calls(good):
+    """no_bend_rep(good)'s calls to extrovert_cycles, by k, and to
+    nx.maximum_flow, and the NotGood it raised, if any."""
+    listed, flows = [], []
+    listing, max_flow = nobend.extrovert_cycles, nx.maximum_flow
 
-
-def test_no_bend_rep_lists_the_cycles_once_per_frame(monkeypatch):
-    """extrovert_cycles runs twice (k = 2 and 3) for each frame _draw
-    meets, the root's listing serving the conditions too."""
-    image = rectilinear_image(
-        oracle.flow_min_bends(embed(nested(1, 20)))[1])[0]
-    good = nobend.GoodPlaneGraph(image.plane, image_corners(image))
-    calls, frames = [], []
-    listing, maximal_bad = nobend.extrovert_cycles, nobend._maximal_bad
-
-    def counted(pg, k):
-        calls.append(k)
+    def counted_listing(pg, k):
+        listed.append(k)
         return listing(pg, k)
 
-    def spy_frames(pg, corners, cycles):
-        frames.append(pg)
-        return maximal_bad(pg, corners, cycles)
+    def counted_flow(*args, **kwargs):
+        flows.append(1)
+        return max_flow(*args, **kwargs)
 
-    monkeypatch.setattr(nobend, "extrovert_cycles", counted)
-    monkeypatch.setattr(nobend, "_maximal_bad", spy_frames)
-    nobend.no_bend_rep(good)
-    assert len(frames) > 1
-    assert len(calls) == 2 * len(frames)
+    raised = None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nobend, "extrovert_cycles", counted_listing)
+        mp.setattr(nx, "maximum_flow", counted_flow)
+        try:
+            nobend.no_bend_rep(good)
+        except NotGood as exc:
+            raised = exc
+    return listed, len(flows), raised
+
+
+def test_no_bend_rep_lists_cycles_only_to_name_a_failure():
+    """A good graph is drawn by one flow with no cycle listed: on the
+    rectilinear image of the flow optimum of nested(1, 200). A subdivision
+    that fails (ii) or (iii) lists the 2- and 3-extrovert cycles once, to
+    name the cycle in NotGood."""
+    image = rectilinear_image(
+        oracle.flow_min_bends(embed(nested(1, 200)))[1])[0]
+    good = nobend.GoodPlaneGraph(image.plane, image_corners(image))
+    assert count_calls(good) == ([], 1, None)
+    sp = next(sp for sp in subdivisions()
+              if nobend.check_good(sp).condition in ("ii", "iii"))
+    corners = external_degree_2(sp)[:4]
+    listed, _, raised = count_calls(nobend.GoodPlaneGraph(sp, corners))
+    assert listed == [2, 3]
+    assert isinstance(raised, NotGood)
 
 
 def test_corners_must_be_vertex_ids():
-    """A corner that is not an int is refused with NotGood, as are corners
-    that are not four distinct external degree-2 vertices;
-    rectangular_drawing refuses a corner that is not a vertex id with
-    NotRectangularizable."""
+    """Corners that are not a sequence of four distinct external degree-2
+    vertex ids are refused with NotGood."""
     pg = embed(cube())
-    for corners in (["a", 1, 2, 3], [0, 1, 2], [0, 1, 2, 3]):
+    for corners in (None, 5, ["a", 1, 2, 3], [0, 1, 2], [0, 1, 2, 3]):
         with pytest.raises(NotGood):
             nobend.GoodPlaneGraph(pg, corners)
-    square = embed(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
-    for corners in ((0, 1, 2, 99), ("a", 1, 2, 3)):
-        with pytest.raises(NotRectangularizable):
-            nobend.rectangular_drawing(square, corners)
 
 
 def test_a_bridge_is_rejected_up_front():
@@ -257,8 +252,7 @@ def test_a_bridge_is_rejected_up_front():
             extrovert_cycles(pg, 2)
         with pytest.raises(NotBiconnected):
             nobend.check_good(pg)
-        outer = {pg.dart_head(d) for d in pg.faces[pg.external_face].boundary}
-        corners = sorted(v for v in outer if pg.graph.degree(v) == 2)[:4]
+        corners = external_degree_2(pg)[:4]
         if len(corners) == 4:
             good = nobend.GoodPlaneGraph(pg, corners)
             with pytest.raises(NotBiconnected):

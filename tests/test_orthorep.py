@@ -198,6 +198,13 @@ def test_cost_counts_only_bends_beyond_flexibility():
     assert h.total_bends() == 4 and h.cost() == 2
 
 
+def test_bends_on_a_missing_edge_are_refused():
+    """Bends keyed by an id that is no edge of the plane graph would count
+    in total_bends but not in cost; they are a ParseError."""
+    with pytest.raises(ParseError):
+        rect_rep(4, {0, 1, 2, 3}, {99: "LR"})
+
+
 # ---------------------------------------------------------------------------
 # round trips
 
