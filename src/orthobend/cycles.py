@@ -30,7 +30,12 @@ Each cut face holds two cut edges, and its boundary between them splits
 into two arcs, one facing each side. The cycle bounding a side is the
 chain of the arcs facing it, walked with the inside on the left; each
 contour path is one arc, its leg the cut edge at its tail and its leg
-face the arc's face.
+face the arc's face. A record holds no dart: it keeps each arc as a span
+(face, i, j) of boundary positions, plus one flag for a chain walked
+backwards, into per-face tables of darts, tails and edge ids built once
+per call. The checks that the arcs close a simple cycle run on the tails
+when the record is built; the darts, edges and vertices are read off the
+tables on request.
 
 A dual triangle whose three cut edges share a primal vertex v is facial:
 its one degenerate cycle runs round v's face fan, 3-extrovert with every
@@ -62,9 +67,9 @@ Coloring follows the two-step green-counter formulation and reads each
 record's own contour paths. A child's path on a leg face is a contiguous
 slice of its parent's path on that face, and sibling slices do not
 overlap, so a parent path is green exactly when a child path on its leg
-face is green. Flexible edges are counted along the darts each record
-already stores: a second copy of the paths, with pointers to the child
-paths, would cost as much to build as those darts and save nothing.
+face is green. Flexible edges are counted by per-face prefix sums along
+the boundaries, so a path's count is a difference across its span and no
+dart is walked.
 
 extrovert_cycles serves the no-bend drawing alone, on a wider class: any
 biconnected plane 3-graph, chains of degree-2 vertices included, so the
@@ -80,13 +85,13 @@ never calls it.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
-from itertools import combinations, product
+from dataclasses import dataclass, field
+from itertools import accumulate, chain, combinations, product
 
 from .errors import (
     NoTwin, NotBiconnected, NotTriconnectedCubic, ShortExternalFace,
 )
-from .graph import PlaneGraph, dart_reverse, embed
+from .graph import PlaneGraph, embed
 
 
 @dataclass(eq=False, slots=True)
@@ -100,27 +105,62 @@ class CycleRecord:
     legs meet in one vertex off it. colors/demanding stay None until a
     coloring pass fills them, after which the record is treated as
     immutable; only 3-cycle records are colored.
+
+    The record holds no dart. Path j is the span spans[j] = (f, i, j') of
+    leg face f: the arc of f's boundary strictly between positions i and
+    j', walked backwards with every dart reversed when `reverse`. The
+    spans index `tables`, per-face lists of boundary darts, their tails
+    and their edge ids that all records of one call share, and
+    contour_paths, edges, vertices and leg_vertices read them on request.
     """
 
     # from 0 when separating; -1 - v round vertex v; the index in the list
     # extrovert_cycles returns
     cycle_id: int
     kind: str  # "extrovert" | "introvert"
-    edges: frozenset
-    vertices: frozenset
     legs: tuple
-    leg_vertices: tuple
     leg_faces: tuple
-    contour_paths: tuple
+    spans: tuple
+    reverse: bool
     # an Inside for the 3-cycle records, a frozenset from extrovert_cycles
     inside_faces: Inside | frozenset
     degenerate: bool
+    tables: tuple = field(repr=False)  # (darts, tails, edge ids) per face
     # the cycle id of the other record of the same cut: the 3-introvert
     # partner of a 3-extrovert cycle, or its twin when the external face is
     # a cut face; None round a vertex
     phi_partner: int | None = None
     colors: tuple | None = None
     demanding: bool | None = None
+
+    def _arcs(self, k):
+        """Per span, its stretch of face table k: 0 darts, 1 tails, 2 edge
+        ids, in forward order."""
+        table = self.tables[k]
+        return (_between(table[f], i, j) for f, i, j in self.spans)
+
+    @property
+    def contour_paths(self):
+        if not self.reverse:
+            return tuple(map(tuple, self._arcs(0)))
+        return tuple(tuple((e, 1 - o) for e, o in reversed(arc))
+                     for arc in self._arcs(0))
+
+    @property
+    def edges(self):
+        return frozenset(chain.from_iterable(self._arcs(2)))
+
+    @property
+    def vertices(self):  # the darts' tails, the same set walked either way
+        return frozenset(chain.from_iterable(self._arcs(1)))
+
+    @property
+    def leg_vertices(self):
+        tails = self.tables[1]
+        if self.reverse:  # the head of the arc's last dart
+            return tuple(tails[f][j] for f, _, j in self.spans)
+        return tuple(tails[f][(i + 1) % len(tails[f])]
+                     for f, i, _ in self.spans)
 
 
 class Inside:
@@ -206,69 +246,81 @@ def _between(seq, i, j):
     return seq[i + 1:j] if i < j else seq[i + 1:] + seq[:j]
 
 
-def _contour(pg: PlaneGraph, pos, cut, x, faces_inside):
+def _face_tables(pg: PlaneGraph):
+    """The tables a record's spans index: per face, its boundary darts,
+    their tails and their edge ids."""
+    ends = pg.graph.edges
+    darts = [f.boundary for f in pg.faces]
+    return (darts, [[ends[e][o] for e, o in b] for b in darts],
+            [[e for e, _ in b] for b in darts])
+
+
+def _contour(pg: PlaneGraph, tables, cut, x, reverse):
     """The cycle next to the cut on the side of x, an end of cut[0], as
-    contour paths (leg, leg face, darts) plus its vertex set; None unless
-    the paths close one simple cycle with every cut edge a leg.
+    (spans, legs, vertex set); None unless the spans close one simple
+    cycle with every cut edge a leg.
 
     Each cut face holds two cut edges, and its boundary between them
     splits into two arcs, one facing each side. The arcs facing x's side
     chain head to tail from the dart of cut[0] that ends at x, each walked
-    with its face on the left; when the cut faces lie outside the cycle
-    the chain is reversed, so the inside is always on the left. A path's
-    leg is the cut edge at its tail and its leg face the arc's face. The
-    path holding the cycle's smallest dart comes last.
+    with its face on the left, a span (face, i, j) of the positions
+    strictly between the two cut edges; when the cut faces lie outside
+    the cycle, `reverse`, the chain is walked backwards, so the inside is
+    always on the left. A path's leg is the cut edge at its tail and its
+    leg face the arc's face. The path holding the cycle's smallest edge
+    comes last.
     """
-    start = (cut[0], 0) if pg.edge(cut[0])[1] == x else (cut[0], 1)
-    d, arcs = start, []
+    darts, tails, eids = tables
+    pos = pg.face_index[1]
+    e = cut[0]
+    f = pg.faces_of_edge(e)[pg.edge(e)[0] == x]  # that of the dart to x
+    spans = []
     for _ in cut:
-        f = pg.face_of_dart(d)
-        i = pos[f][d[0]]
-        j = next(pos[f][e] for e in cut if e != d[0] and e in pos[f])
-        boundary = pg.faces[f].boundary
-        arcs.append((d[0], f, _between(boundary, i, j)))
-        d = dart_reverse(boundary[j])
-    if d != start:
+        at = pos[f]
+        i = at[e]
+        j = next(at[c] for c in cut if c != e and c in at)
+        spans.append((f, i, j))
+        e, o = darts[f][j]
+        f = pg.faces_of_edge(e)[1 - o]  # the face of the reversed dart
+    if (e, f) != (cut[0], spans[0][0]):
         return None
-    if not faces_inside:
-        n = len(arcs)
-        arcs = [(arcs[(i + 1) % n][0], arcs[i][1],
-                 [(e, 1 - o) for e, o in reversed(arcs[i][2])])
-                for i in reversed(range(n))]
-    darts = [d for _, _, path in arcs for d in path]
-    ends = pg.graph.edges
-    vertices = frozenset(ends[e][o] for e, o in darts)  # the darts' tails
-    if len(darts) < 3 or len(vertices) < len(darts) or any(
+    walked = []
+    for f, i, j in spans:
+        walked += _between(tails[f], i, j)
+    vertices = set(walked)
+    if len(walked) < 3 or len(vertices) < len(walked) or any(
             (u in vertices) == (v in vertices) for u, v in map(pg.edge, cut)):
         return None
-    low = min(darts)
-    k = next(i for i, (_, _, path) in enumerate(arcs) if low in path)
-    return arcs[k + 1:] + arcs[:k + 1], vertices
+    if reverse:
+        spans.reverse()
+    low = [min(_between(eids[f], i, j)) for f, i, j in spans]
+    k = low.index(min(low)) + 1
+    spans = spans[k:] + spans[:k]
+    legs = tuple(eids[f][j] if reverse else eids[f][i] for f, i, j in spans)
+    return tuple(spans), legs, vertices
 
 
-def _record(pg, pos, cycle_id, cut, inside, x, degenerate, phi=None):
+def _record(pg, tables, cycle_id, cut, inside, x, degenerate, phi=None):
     """The record of the cycle next to the cut on the side of x, an end of
     cut[0], whose inside is `inside`: 3-introvert exactly when the legs,
     and so the cut faces, lie inside."""
-    contour = _contour(pg, pos, cut, x, inside.cut_faces)
+    reverse = not inside.cut_faces
+    contour = _contour(pg, tables, cut, x, reverse)
     assert contour is not None, "cut arcs close no cycle with three legs"
     return _cycle_record(
-        pg, cycle_id, "introvert" if inside.cut_faces else "extrovert",
-        contour, inside, degenerate, phi)
+        tables, cycle_id, "extrovert" if reverse else "introvert",
+        contour, reverse, inside, degenerate, phi)
 
 
-def _cycle_record(pg, cycle_id, kind, contour, inside, degenerate,
-                  phi=None):
+def _cycle_record(tables, cycle_id, kind, contour, reverse, inside,
+                  degenerate, phi=None):
     """The CycleRecord of the cycle whose contour _contour returned."""
-    arcs, vertices = contour
-    legs, faces, paths = zip(*arcs)
+    spans, legs, _ = contour
     return CycleRecord(
-        cycle_id=cycle_id, kind=kind,
-        edges=frozenset(e for path in paths for e, _ in path),
-        vertices=vertices, legs=legs,
-        leg_vertices=tuple(pg.dart_tail(path[0]) for path in paths),
-        leg_faces=faces, contour_paths=tuple(map(tuple, paths)),
-        inside_faces=inside, degenerate=degenerate, phi_partner=phi)
+        cycle_id=cycle_id, kind=kind, legs=legs,
+        leg_faces=tuple(f for f, _, _ in spans), spans=spans,
+        reverse=reverse, inside_faces=inside, degenerate=degenerate,
+        tables=tables, phi_partner=phi)
 
 
 def _spanning_tree(pg: PlaneGraph, root):
@@ -379,11 +431,12 @@ def _root_records(pg: PlaneGraph):
     cut faces when the face lies in B. Raises NotTriconnectedCubic as
     three_cycle_records does.
     """
-    across, pos = _class_index(pg)
+    across, _ = _class_index(pg)
     cuts = dual_triangles(pg)
     ext = pg.external_face
     ref = _reference_face(cuts, pg.faces, ext)
     numbering, sides, parent, preorder = _away_sides(pg, across, cuts, ref)
+    tables = _face_tables(pg)
     records = []
     for (cut, tri), (lo, hi, x) in zip(cuts, sides):
         u, v = pg.edge(cut[0])
@@ -391,10 +444,10 @@ def _root_records(pg: PlaneGraph):
         in_a = ext in Inside(numbering, lo, hi, tri, False, False)
         in_b = not in_a and ext not in tri
         i = len(records)
-        records.append(_record(pg, pos, i, cut,
+        records.append(_record(pg, tables, i, cut,
                                Inside(numbering, lo, hi, tri, in_a, in_a),
                                x, False, i + 1))
-        records.append(_record(pg, pos, i + 1, cut,
+        records.append(_record(pg, tables, i + 1, cut,
                                Inside(numbering, lo, hi, tri, not in_b, in_b),
                                y, False, i))
     return records, parent, preorder, ref
@@ -421,7 +474,8 @@ def facial_records(pg: PlaneGraph):
     lies on the external face, and 3-introvert with the fan inside when v
     is internal. Raises NotTriconnectedCubic as three_cycle_records does.
     """
-    _, pos = _class_index(pg)
+    _class_index(pg)
+    tables = _face_tables(pg)
     ext = pg.external_face
     faces = range(len(pg.faces))
     records = []
@@ -430,7 +484,7 @@ def facial_records(pg: PlaneGraph):
         outer = ext in fan
         u, w = pg.edge(cut[0])
         records.append(_record(
-            pg, pos, -1 - v, tuple(cut),
+            pg, tables, -1 - v, tuple(cut),
             Inside((faces, faces), 0, 0, fan, outer, not outer),
             w if u == v else u, True))
     return records
@@ -457,16 +511,19 @@ def extrovert_cycles(pg: PlaneGraph, k):
     """
     if k not in (2, 3):
         raise ValueError(f"extrovert cycles have 2 or 3 legs, not {k}")
-    across, pos = pg.face_index
+    across = pg.face_index[0]
+    tables = _face_tables(pg)
     ends = pg.graph.edges
     found = []
     for cut, faces in _dual_cycles(pg, k):
         for x in ends[cut[0]]:
-            contour = _contour(pg, pos, cut, x, False)
+            contour = _contour(pg, tables, cut, x, True)
             if contour is None:
                 continue
-            arcs, vertices = contour
-            inside = {pg.face_of_dart(d) for _, _, path in arcs for d in path}
+            spans, _, vertices = contour
+            # the faces on the left of the reversed darts
+            inside = {g for f, i, j in spans
+                      for g in _between(across[f], i, j)}
             stack = list(inside)
             while stack:
                 for f in across[stack.pop()]:
@@ -476,8 +533,8 @@ def extrovert_cycles(pg: PlaneGraph, k):
             if pg.external_face not in inside:
                 far = {v for e in cut for v in ends[e] if v not in vertices}
                 found.append(_cycle_record(
-                    pg, len(found), "extrovert", contour, frozenset(inside),
-                    k == 3 and len(far) == 1))
+                    tables, len(found), "extrovert", contour, True,
+                    frozenset(inside), k == 3 and len(far) == 1))
     return found
 
 
@@ -559,13 +616,22 @@ def fx_counts(tree: InclusionTree):
     """Number of flexible edges per contour path of every record, keyed by
     (cycle id, path index).
 
-    The graph's flexible edges are gathered once; when there are none,
-    every count is 0 and no path is walked."""
+    Each face's boundary gets prefix sums of its flexible edges once, and
+    a path's count is the difference across its span; when the graph has
+    no flexible edge, every count is 0 and no face is summed."""
     flexible = {e for e, k in tree.pg.graph.flex.items() if k > 0}
-    return {(r.cycle_id, j): sum(e in flexible for e, _ in path)
-            if flexible else 0
-            for r in tree.records
-            for j, path in enumerate(r.contour_paths)}
+    if not flexible:
+        return {(r.cycle_id, j): 0
+                for r in tree.records for j in range(len(r.spans))}
+    sums = [list(accumulate((e in flexible for e, _ in f.boundary),
+                            initial=0)) for f in tree.pg.faces]
+
+    def count(f, i, j):  # the flexible edges strictly between i and j
+        a = sums[f]
+        return a[j] - a[i + 1] if i < j else a[-1] - a[i + 1] + a[j]
+
+    return {(r.cycle_id, j): count(*span)
+            for r in tree.records for j, span in enumerate(r.spans)}
 
 
 # ---------------------------------------------------------------------------

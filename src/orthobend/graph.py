@@ -138,6 +138,7 @@ class Face:
 
 class PlaneGraph:
     """A graph plus rotation system plus a choice of external face.
+    Raises ParseError unless rotation[v] lists each of v's edges once.
 
     _edge_faces[e] is (face of dart (e, 0), face of dart (e, 1)), the one
     dart -> face table. face_index is (across, pos): per face, the faces
@@ -147,8 +148,8 @@ class PlaneGraph:
 
     def __init__(self, graph, rotation, external_face=0):
         self.graph = graph
+        self.faces = trace_faces(graph.n, graph.edges, rotation)
         self.rotation = [list(r) for r in rotation]
-        self.faces = trace_faces(graph.n, graph.edges, self.rotation)
         self.external_face = _face_id(self.faces, external_face)
         if graph.n - len(graph.edges) + len(self.faces) != 2:
             raise NotPlanar("rotation system is not planar (Euler check)")
@@ -209,22 +210,43 @@ def _face_id(faces, f):
     return f
 
 
-def trace_faces(n, edges, rotation):
-    """Decompose darts into faces (face on the left of each dart)."""
-    rotpos = [{e: i for i, e in enumerate(r)} for r in rotation]
-    adj_count = [len(r) for r in rotation]
+def _rotation_slots(n, edges, rotation):
+    """at[2e + o], the position of edge e in the rotation of its end
+    edges[e][o]. Raises ParseError unless rotation has n rows and row v
+    lists each of v's edges exactly once: the rows name 2m edge ends in
+    all, and each names a fresh one."""
+    at = [-1] * (2 * len(edges))
+    try:
+        fits = len(rotation) == n and sum(map(len, rotation)) == len(at)
+    except TypeError:
+        fits = False
+    if not fits:
+        raise ParseError(f"rotation does not list {len(at)} edge ends "
+                         f"over {n} vertices")
+    for v, row in enumerate(rotation):
+        for i, e in enumerate(row):
+            try:
+                k = 2 * e + edges[e].index(v)  # negative exactly when e is
+            except (IndexError, TypeError, ValueError):
+                k = -1
+            if k < 0 or at[k] >= 0:
+                raise ParseError(f"rotation at {v} does not list its edges")
+            at[k] = i
+    return at
 
-    def head(d):
-        u, v = edges[d[0]]
-        return v if d[1] == 0 else u
+
+def trace_faces(n, edges, rotation):
+    """Decompose darts into faces (face on the left of each dart).
+    Raises ParseError unless rotation[v] lists v's edges, each once."""
+    at = _rotation_slots(n, edges, rotation)
 
     def next_dart(d):
-        w = head(d)
-        i = rotpos[w][d[0]]
-        e2 = rotation[w][(i + 1) % adj_count[w]]
-        u2, v2 = edges[e2]
+        e, o = d
+        w = edges[e][1 - o]  # the head of d
+        row = rotation[w]
+        e2 = row[(at[2 * e + 1 - o] + 1) % len(row)]
         # leave w along e2; parallel edges share endpoints so orient by w
-        return (e2, 0) if u2 == w else (e2, 1)
+        return (e2, edges[e2].index(w))
 
     assigned = {}
     faces = []
@@ -259,7 +281,11 @@ def embed(g: Graph, external_face=0) -> PlaneGraph:
 
 
 def load_graph(text: str) -> Graph:
-    g, _, _ = _parse(text)
+    """The graph of a text; ParseError when its rotation lines, which
+    the graph does not keep, do not list each vertex's edges once."""
+    g, rotation, _ = _parse(text)
+    if rotation is not None:
+        _rotation_slots(g.n, g.edges, rotation)
     return g
 
 
@@ -273,16 +299,6 @@ def load_plane_graph(text: str) -> PlaneGraph:
     if rotation is None:
         return embed(g, external)
     return PlaneGraph(g, rotation, external)
-
-
-def check_rotation(g: Graph, rotation):
-    """Raise ParseError unless rotation[v] lists exactly v's edges."""
-    for v, order in enumerate(rotation):
-        incident = sorted(e for _, e in g.adj[v])
-        if not (isinstance(order, list)
-                and all(isinstance(e, int) for e in order)
-                and sorted(order) == incident):
-            raise ParseError(f"rotation at {v} does not list its edges")
 
 
 def _parse(text: str):
@@ -344,7 +360,6 @@ def _parse(text: str):
         if not all(0 <= v < n for v in orders):
             raise ParseError(f"rotation line for a vertex outside 0..{n - 1}")
         rotation = [orders.get(v, [e for _, e in g.adj[v]]) for v in range(n)]
-        check_rotation(g, rotation)
     return g, rotation, external
 
 

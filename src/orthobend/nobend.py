@@ -19,14 +19,13 @@ external face len + 4. A designated corner sends both its spares into
 the external face, which makes it 270 there. The spares supplied equal
 the spares needed by Euler's formula, so there is a drawing exactly when
 the flow carries every spare. Only when it does not does no_bend_rep list
-the cycles, to name the condition that fails.
+the cycles, to name the condition that fails. networkx, which solves the
+flow, is loaded on the first flow, not on import.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
 
 from .cycles import extrovert_cycles
 from .errors import NotBiconnected, NotGood
@@ -98,6 +97,8 @@ def _angles(pg: PlaneGraph, corners) -> dict | None:
     representation with no bend and 270 in the external face at each
     designated corner; None when there is none. The flow network's nodes
     are the vertices, the faces shifted by n, and s and t."""
+    import networkx as nx  # loaded on the first flow, not on import
+
     n, ext = pg.n, pg.external_face
     cset = set(corners)
     net = nx.DiGraph()

@@ -5,14 +5,15 @@ is done with a min-cost flow over angle assignments, embeddings are
 enumerated as rotation systems, and cycle classification works geometrically
 from face incidences. The test suite cross-checks the production pipeline
 against these routines; nothing here is used by the pipeline itself.
+networkx, which solves the flow, is loaded on the first flow_min_bends
+call, not on import, so a process that imports this module and runs no
+flow carries none of it.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-
-import networkx as nx
 
 from .errors import Infeasible, NotPlanar, TooLarge
 from .graph import Graph, PlaneGraph, dart_reverse
@@ -35,6 +36,8 @@ def flow_min_bends(pg: PlaneGraph, cap: int | None = None):
     4 - deg(v) units, faces demand len(f) -+ 4, corners carry up to 3
     units and bends move units between the two faces of an edge.
     """
+    import networkx as nx  # loaded on the first flow, not on import
+
     flex = pg.graph.flexibility
     if pg.m == 0:
         return 0, OrthoRep(pg, {})

@@ -24,13 +24,7 @@ from __future__ import annotations
 import json
 
 from .errors import H1Violation, H2Violation, ParseError
-from .graph import (
-    Dart,
-    Face,
-    Graph,
-    PlaneGraph,
-    check_rotation,
-)
+from .graph import Dart, Face, Graph, PlaneGraph
 
 ANGLES = (90, 180, 270, 360)
 
@@ -294,12 +288,10 @@ def from_json(text: str) -> OrthoRep:
         raise ParseError("bends must be strings over L and R")
     if not isinstance(ext, int):
         raise ParseError(f"external face {ext!r} is not an integer")
-    g = Graph(n, edges, flex)
-    check_rotation(g, rotation)
+    pg = PlaneGraph(Graph(n, edges, flex), rotation, ext)
     for v, row in enumerate(ang_rows):
         if not (isinstance(row, list) and len(row) == len(rotation[v])):
             raise ParseError(f"vertex {v} needs one angle per rotation entry")
-    pg = PlaneGraph(g, rotation, ext)
     angles = {}
     for v in range(n):
         for e, a in zip(rotation[v], ang_rows[v]):

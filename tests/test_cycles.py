@@ -5,6 +5,7 @@ production code computes via 3-edge-cuts; the min-cost-flow oracle
 adjudicates the counting formula itself.
 """
 
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -537,6 +538,27 @@ def test_flexible_edge_counts_include_the_child_slice():
     pg2 = ext_on_vertices(g2, {2, 3, 4})
     fx2 = cycles.fx_counts(cycles.inclusion_tree(pg2))
     assert fx2[(pent, j)] == 2
+
+
+def test_flexible_edge_counts_match_a_count_along_the_paths():
+    """fx_counts reads each path's count off per-face prefix sums; at
+    every face of seeded grown graphs, that is the number of flexible
+    edges on the path's darts. The records hold spans: no field stores
+    the paths, their edges, vertices or leg vertices."""
+    names = {f.name for f in dataclasses.fields(cycles.CycleRecord)}
+    assert not names & {"contour_paths", "edges", "vertices", "leg_vertices"}
+    counted = 0
+    for seed in (1, 2, 3):
+        for g in grown(seed, 20, 6, 0.3):
+            for pg in all_faces(g):
+                tree = cycles.inclusion_tree(pg)
+                want = {(r.cycle_id, j): sum(g.flexibility(e) > 0
+                                             for e, _ in path)
+                        for r in tree.records
+                        for j, path in enumerate(r.contour_paths)}
+                assert cycles.fx_counts(tree) == want
+                counted += sum(v > 0 for v in want.values())
+    assert counted > 0
 
 
 # ---------------------------------------------------------------------------

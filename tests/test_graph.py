@@ -182,6 +182,39 @@ def test_load_rejects_a_negative_edge_count_and_a_repeated_rotation():
         load_plane_graph(square + "rotation 0: 3 0\n")
 
 
+C4 = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+
+
+@pytest.mark.parametrize("rotation", [
+    [[0, 3], [0, 1], [1, 2]],  # a row short
+    [[0, 3], [0, 1], [1, 2], [2, 3], []],  # a row too many
+    [[3, 0], [0, 1], [1, 2], [2, 0]],  # edge 0 is not at vertex 3
+    [[0, 3], [0, 0], [1, 2], [2, 3]],  # a row repeats an edge
+    [[0, 3], [0, 1, 1], [1, 2], [2, 3]],  # ... with one entry too many
+    [[0, 3], [0, 1], [1, 2], [2, -1]],  # -1 would read the last edge
+    [[0, 3], [0, 1.0], [1, 2], [2, 3]],
+    [[0, 3], [0, 9], [1, 2], [2, 3]],
+    [[0, 3], None, [1, 2], [2, 3]],
+])
+def test_plane_graph_rejects_a_rotation_that_misses_an_edge_end(rotation):
+    """Each row must list its vertex's edges, each once, and nothing
+    else, or PlaneGraph raises ParseError instead of tracing faces off
+    it."""
+    PlaneGraph(C4, [[0, 3], [0, 1], [1, 2], [2, 3]])
+    with pytest.raises(ParseError):
+        PlaneGraph(C4, rotation)
+
+
+def test_load_graph_rejects_bad_rotation_lines():
+    """load_graph keeps no rotation but still checks the lines."""
+    square = "4 4\n0 1\n1 2\n2 3\n3 0\n"
+    assert load_graph(square + "rotation 0: 3 0\n").m == 4
+    for bad in ("rotation 0: 3 1\n", "rotation 1: 0 0\n",
+                "rotation 1: 0 1 2\n", "rotation 2: 1\n"):
+        with pytest.raises(ParseError):
+            load_graph(square + bad)
+
+
 TOKENS = st.one_of(
     st.integers(-2, 9).map(str),
     st.sampled_from(["rotation", "external", ":", "#", "x", "1.5"]))

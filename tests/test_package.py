@@ -30,13 +30,22 @@ def test_module_imports(name):
 def test_solve_path_imports_no_networkx():
     """Solving an edge-list text, which has no rotation lines and so is
     embedded first, loads no networkx. Importing the solve path alone does
-    not load the embedder either, so the import stays as small as it was."""
+    not load the embedder either, so the import stays as small as it was.
+    Importing every other module but decompose loads no networkx either:
+    the flows load it when they first run, and the first one returns
+    K4's known cost."""
+    others = [m for m in MODULES if m != "orthobend.decompose"]
     probe = ("import sys, orthobend.graph, orthobend.cycles\n"
              "print('orthobend.planarity' in sys.modules)\n"
-             "from corpus import nested\n"
-             "from orthobend.graph import dump_graph, load_plane_graph\n"
+             "from corpus import k4, nested\n"
+             "from orthobend.graph import dump_graph, embed, "
+             "load_plane_graph\n"
              "text = dump_graph(nested(1, 50))\n"
              "orthobend.cycles.demanding_sets(load_plane_graph(text))\n"
+             "print('networkx' in sys.modules)\n"
+             f"import {', '.join(others)}\n"
+             "print('networkx' in sys.modules)\n"
+             "print(orthobend.oracle.flow_min_bends(embed(k4()))[0])\n"
              "print('networkx' in sys.modules)")
     src = os.path.dirname(os.path.dirname(orthobend.__file__))
     tests = os.path.dirname(os.path.abspath(__file__))
@@ -44,7 +53,7 @@ def test_solve_path_imports_no_networkx():
                          text=True, check=True, timeout=60,
                          env=dict(os.environ,
                                   PYTHONPATH=os.pathsep.join([src, tests])))
-    assert out.stdout.split() == ["False", "False"]
+    assert out.stdout.split() == ["False", "False", "False", "4", "True"]
 
 
 # Declared for a caller that is still to come; each entry says which.
