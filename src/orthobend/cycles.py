@@ -7,9 +7,12 @@ graph, the three legs of a 3-extrovert or 3-introvert cycle form a
 three distinct faces. Detection therefore enumerates dual triangles; no
 simple-cycle enumeration happens in production code (the brute-force
 route lives in the oracle module and is only used to cross-check this
-one). One enumerator, _dual_cycles, lists the dual 2- and 3-cycles for
-both layers: it groups the edges by the pair of faces they join, and
-closes each joined pair f < g with every face h > g joined to both.
+one). In the class one edge joins each pair of adjacent faces, so
+dual_triangles maps each face's neighbours to the edges joining them
+and closes each joined pair f < g with every face h > g in the smaller
+of their two maps. _dual_cycles lists the dual 2- and 3-cycles of the
+wider class of extrovert_cycles, where two faces may share more than one
+edge.
 
 A record is its cut plus the faces on its inside. The sides of the
 separating cuts are laminar, so one numbering of the faces makes the side
@@ -26,16 +29,20 @@ first, makes every side an interval. An inside is that interval or its
 complement, with the cut's faces in or out, so membership and size are
 O(1).
 
-Each cut face holds two cut edges, and its boundary between them splits
-into two arcs, one facing each side. The cycle bounding a side is the
-chain of the arcs facing it, walked with the inside on the left; each
-contour path is one arc, its leg the cut edge at its tail and its leg
-face the arc's face. A record holds no dart: it keeps each arc as a span
-(face, i, j) of boundary positions, plus one flag for a chain walked
-backwards, into per-face tables of darts, tails and edge ids built once
-per call. The checks that the arcs close a simple cycle run on the tails
-when the record is built; the darts, edges and vertices are read off the
-tables on request.
+Each cut face holds two cut edges, at positions i and j of its
+boundary, and its boundary between them splits into two arcs, one facing
+each side. The cycle bounding a side is the chain of the arcs facing it,
+walked with the inside on the left; each contour path is one arc, its
+leg the cut edge at its tail and its leg face the arc's face. One walk of
+the cut faces, from the dart of cut[0] that ends on one side, chains
+that side's arcs as spans (f, i, j) of boundary positions; the other
+side's arcs are the same faces in reverse order, as spans (f, j, i). So
+each cut is walked once for both of its records, and the checks that a
+side's arcs close a simple cycle, with every cut edge a leg, run on the
+tails of that side's spans. A record holds no dart: it keeps its spans,
+plus one flag for a chain walked backwards, into the per-face tables of
+darts, tails and edge ids that its PlaneGraph built once; the darts,
+edges and vertices are read off those tables on request.
 
 A dual triangle whose three cut edges share a primal vertex v is facial:
 its one degenerate cycle runs round v's face fan, 3-extrovert with every
@@ -74,12 +81,12 @@ dart is walked.
 extrovert_cycles serves the no-bend drawing alone, on a wider class: any
 biconnected plane 3-graph, chains of degree-2 vertices included, so the
 dual may have parallel edges. Each k-edge-cut, k = 2 or 3, is a dual
-k-cycle over k distinct faces; the same arcs give the cycle next to each
-of its sides as a CycleRecord built as the 3-cycle records are, with its
-legs, leg vertices, leg faces and contour paths, and a dual flood that
-never enters a cut face gives that cycle's inside as a frozenset. It
-costs O(faces) per cut, so it is not linear, and the demanding path
-never calls it.
+k-cycle over k distinct faces; the same walk gives the cycle next to
+each of its sides as a CycleRecord built as the 3-cycle records are,
+with its legs, leg vertices, leg faces and contour paths, and a dual
+flood that never enters a cut face gives that cycle's inside as a
+frozenset. It costs O(faces) per cut, so it is not linear, and the
+demanding path never calls it.
 """
 
 from __future__ import annotations
@@ -109,9 +116,9 @@ class CycleRecord:
     The record holds no dart. Path j is the span spans[j] = (f, i, j') of
     leg face f: the arc of f's boundary strictly between positions i and
     j', walked backwards with every dart reversed when `reverse`. The
-    spans index `tables`, per-face lists of boundary darts, their tails
-    and their edge ids that all records of one call share, and
-    contour_paths, edges, vertices and leg_vertices read them on request.
+    spans index `tables`, the PlaneGraph's face_tables: per face its flat
+    boundary darts, their tails and their edge ids. contour_paths, edges,
+    vertices and leg_vertices read them on request.
     """
 
     # from 0 when separating; -1 - v round vertex v; the index in the list
@@ -125,7 +132,7 @@ class CycleRecord:
     # an Inside for the 3-cycle records, a frozenset from extrovert_cycles
     inside_faces: Inside | frozenset
     degenerate: bool
-    tables: tuple = field(repr=False)  # (darts, tails, edge ids) per face
+    tables: tuple = field(repr=False)  # pg.face_tables
     # the cycle id of the other record of the same cut: the 3-introvert
     # partner of a 3-extrovert cycle, or its twin when the external face is
     # a cut face; None round a vertex
@@ -141,9 +148,9 @@ class CycleRecord:
 
     @property
     def contour_paths(self):
-        if not self.reverse:
-            return tuple(map(tuple, self._arcs(0)))
-        return tuple(tuple((e, 1 - o) for e, o in reversed(arc))
+        flip = 1 if self.reverse else 0  # reversing a flat dart flips bit 0
+        return tuple(tuple((d >> 1, (d & 1) ^ flip)
+                           for d in (arc[::-1] if flip else arc))
                      for arc in self._arcs(0))
 
     @property
@@ -195,14 +202,36 @@ class Inside:
 
 
 def _class_index(pg: PlaneGraph):
-    """pg.face_index; NotTriconnectedCubic outside the class of
-    three_cycle_records."""
+    """pg.face_index; NotTriconnectedCubic, naming a witness, outside the
+    class of three_cycle_records."""
     across, pos = pg.face_index
     if not pg.graph.is_cubic() or any(f in nbrs or len(set(nbrs)) < len(nbrs)
                                       for f, nbrs in enumerate(across)):
         raise NotTriconnectedCubic(
-            "3-cycle records need a triconnected cubic graph")
+            "3-cycle records need a triconnected cubic graph: "
+            + _class_witness(pg))
     return across, pos
+
+
+def _class_witness(pg: PlaneGraph):
+    """Why pg is outside the class of three_cycle_records: a vertex whose
+    degree is not 3, a bridge, which has one face on both sides, or two
+    edges joining one pair of faces."""
+    for v, nbrs in enumerate(pg.graph.adj):
+        if len(nbrs) != 3:
+            return f"vertex {v} has degree {len(nbrs)}"
+    across, eids = pg.face_index[0], pg.face_tables[2]
+    for f, nbrs in enumerate(across):
+        if f in nbrs:
+            return f"edge {eids[f][nbrs.index(f)]} has face {f} on both sides"
+    for f, nbrs in enumerate(across):
+        first = {}
+        for g, e in zip(nbrs, eids[f]):
+            if g in first:
+                return (f"edges {first[g]} and {e} both join faces "
+                        f"{min(f, g)} and {max(f, g)}")
+            first[g] = e
+    raise AssertionError("no witness outside the class")
 
 
 def _dual_cycles(pg: PlaneGraph, k):
@@ -228,16 +257,36 @@ def _dual_cycles(pg: PlaneGraph, k):
 
 def dual_triangles(pg: PlaneGraph):
     """The separating 3-edge-cuts of a pg in the class of
-    three_cycle_records as (cut_edges, cut_faces), each once.
+    three_cycle_records as (cut_edges, cut_faces), each once, by their
+    smallest face.
 
     cut_faces = (f, g, h) with f < g < h, and cut_edges = (l1, l2, l3)
-    where l1 joins f|g, l2 joins g|h and l3 joins h|f in the dual. They
-    are the dual triangles of _dual_cycles whose cut edges share no
-    vertex; the others are facial, one round each vertex, and not listed.
+    where l1 joins f|g, l2 joins g|h and l3 joins h|f in the dual. In the
+    class one edge joins each pair of adjacent faces, so each face maps
+    its neighbours to the edges joining them, and h ranges over the
+    smaller map of f and g. The other dual triangles are facial, one round
+    each vertex, and not listed: there l1 and l2 meet at the vertex, as
+    the third edge there joins h|f, and no two cut edges of a separating
+    triangle meet.
     """
     ends = pg.graph.edges
-    return [(cut, faces) for cut, faces in _dual_cycles(pg, 3)
-            if len({v for e in cut for v in ends[e]}) == 6]
+    joins = [dict(zip(nbrs, es))
+             for nbrs, es in zip(pg.face_index[0], pg.face_tables[2])]
+    found = []
+    for f, at_f in enumerate(joins):
+        for g, l1 in at_f.items():
+            if g < f:
+                continue
+            at_g = joins[g]
+            small, big = ((at_f, at_g) if len(at_f) < len(at_g)
+                          else (at_g, at_f))
+            u, v = ends[l1]
+            for h in small:
+                if h > g and h in big:
+                    l2 = at_g[h]
+                    if u not in ends[l2] and v not in ends[l2]:
+                        found.append(((l1, l2, at_f[h]), (f, g, h)))
+    return found
 
 
 def _between(seq, i, j):
@@ -246,81 +295,82 @@ def _between(seq, i, j):
     return seq[i + 1:j] if i < j else seq[i + 1:] + seq[:j]
 
 
-def _face_tables(pg: PlaneGraph):
-    """The tables a record's spans index: per face, its boundary darts,
-    their tails and their edge ids."""
-    ends = pg.graph.edges
-    darts = [f.boundary for f in pg.faces]
-    return (darts, [[ends[e][o] for e, o in b] for b in darts],
-            [[e for e, _ in b] for b in darts])
+def _cut_sides(pg: PlaneGraph, cut, x):
+    """The cycles next to the cut on its two sides, the side of x, an end
+    of cut[0], first: each as (spans, vertex set), or None unless its arcs
+    close one simple cycle with every cut edge a leg.
 
-
-def _contour(pg: PlaneGraph, tables, cut, x, reverse):
-    """The cycle next to the cut on the side of x, an end of cut[0], as
-    (spans, legs, vertex set); None unless the spans close one simple
-    cycle with every cut edge a leg.
-
-    Each cut face holds two cut edges, and its boundary between them
-    splits into two arcs, one facing each side. The arcs facing x's side
-    chain head to tail from the dart of cut[0] that ends at x, each walked
-    with its face on the left, a span (face, i, j) of the positions
-    strictly between the two cut edges; when the cut faces lie outside
-    the cycle, `reverse`, the chain is walked backwards, so the inside is
-    always on the left. A path's leg is the cut edge at its tail and its
-    leg face the arc's face. The path holding the cycle's smallest edge
-    comes last.
+    Each cut face holds two cut edges, at positions i and j of its
+    boundary, and the arcs strictly between them face the two sides. The
+    arcs facing x's side chain head to tail from the dart of cut[0] that
+    ends at x, each a span (face, i, j) walked with its face on the left;
+    the arcs facing the other side are the same faces in reverse order,
+    as spans (face, j, i). One walk of the cut faces gives both.
     """
-    darts, tails, eids = tables
     pos = pg.face_index[1]
+    tails, eids = pg.face_tables[1:]
+    ends = pg.graph.edges
     e = cut[0]
-    f = pg.faces_of_edge(e)[pg.edge(e)[0] == x]  # that of the dart to x
+    f = pg.faces_of_edge(e)[ends[e][0] == x]  # that of the dart to x
     spans = []
     for _ in cut:
         at = pos[f]
         i = at[e]
-        j = next(at[c] for c in cut if c != e and c in at)
+        for c in cut:
+            if c != e and c in at:
+                j = at[c]
+                break
+        else:
+            raise AssertionError(f"cut face {f} holds one cut edge")
         spans.append((f, i, j))
-        e, o = darts[f][j]
-        f = pg.faces_of_edge(e)[1 - o]  # the face of the reversed dart
-    if (e, f) != (cut[0], spans[0][0]):
-        return None
-    walked = []
-    for f, i, j in spans:
-        walked += _between(tails[f], i, j)
-    vertices = set(walked)
-    if len(walked) < 3 or len(vertices) < len(walked) or any(
-            (u in vertices) == (v in vertices) for u, v in map(pg.edge, cut)):
-        return None
+        e = eids[f][j]
+        g, h = pg.faces_of_edge(e)
+        f = h if g == f else g
+    if e != cut[0] or f != spans[0][0]:
+        return None, None
+    sides = []
+    for arcs in (tuple(spans), tuple([(f, j, i) for f, i, j in spans[::-1]])):
+        walked = []
+        for f, i, j in arcs:  # _between, inline on this hot path
+            t = tails[f]
+            walked += t[i + 1:j] if i < j else t[i + 1:] + t[:j]
+        vertices = set(walked)
+        simple = len(walked) >= 3 and len(vertices) == len(walked)
+        for c in cut if simple else ():
+            u, v = ends[c]
+            if (u in vertices) == (v in vertices):
+                simple = False
+                break
+        sides.append((arcs, vertices) if simple else None)
+    return sides
+
+
+def _record(pg: PlaneGraph, cycle_id, spans, inside, degenerate, phi=None):
+    """The record of the cycle whose arcs `spans` chain in walk order,
+    whose inside is `inside`: 3-introvert exactly when the cut faces lie
+    inside, and otherwise walked backwards, so the inside is always on the
+    left. A path's leg is the cut edge at its tail and its leg face the
+    arc's face. The path holding the cycle's smallest edge comes last."""
+    eids = pg.face_tables[2]
+    reverse = spans[0][0] not in inside
     if reverse:
-        spans.reverse()
-    low = [min(_between(eids[f], i, j)) for f, i, j in spans]
+        spans = spans[::-1]
+    low = []  # per span, its smallest edge: min(_between(...)), inline
+    for f, i, j in spans:
+        es = eids[f]
+        low.append(min(es[i + 1:j]) if i < j else min(es[i + 1:] + es[:j]))
     k = low.index(min(low)) + 1
     spans = spans[k:] + spans[:k]
-    legs = tuple(eids[f][j] if reverse else eids[f][i] for f, i, j in spans)
-    return tuple(spans), legs, vertices
-
-
-def _record(pg, tables, cycle_id, cut, inside, x, degenerate, phi=None):
-    """The record of the cycle next to the cut on the side of x, an end of
-    cut[0], whose inside is `inside`: 3-introvert exactly when the legs,
-    and so the cut faces, lie inside."""
-    reverse = not inside.cut_faces
-    contour = _contour(pg, tables, cut, x, reverse)
-    assert contour is not None, "cut arcs close no cycle with three legs"
-    return _cycle_record(
-        tables, cycle_id, "extrovert" if reverse else "introvert",
-        contour, reverse, inside, degenerate, phi)
-
-
-def _cycle_record(tables, cycle_id, kind, contour, reverse, inside,
-                  degenerate, phi=None):
-    """The CycleRecord of the cycle whose contour _contour returned."""
-    spans, legs, _ = contour
+    if reverse:
+        legs = tuple([eids[f][j] for f, _, j in spans])
+    else:
+        legs = tuple([eids[f][i] for f, i, _ in spans])
+    # positional, in field order: cycle_id, kind, legs, leg_faces, spans,
+    # reverse, inside_faces, degenerate, tables, phi_partner
     return CycleRecord(
-        cycle_id=cycle_id, kind=kind, legs=legs,
-        leg_faces=tuple(f for f, _, _ in spans), spans=spans,
-        reverse=reverse, inside_faces=inside, degenerate=degenerate,
-        tables=tables, phi_partner=phi)
+        cycle_id, "extrovert" if reverse else "introvert", legs,
+        tuple([f for f, _, _ in spans]), spans, reverse, inside, degenerate,
+        pg.face_tables, phi)
 
 
 def _spanning_tree(pg: PlaneGraph, root):
@@ -335,11 +385,13 @@ def _spanning_tree(pg: PlaneGraph, root):
         if pre[v] < 0:
             pre[v], up[v] = len(order), e
             order.append(v)
-            stack.extend((w, d) for w, d in adj[v] if pre[w] < 0)
+            for step in adj[v]:  # (neighbour, edge)
+                if pre[step[0]] < 0:
+                    stack.append(step)
     size = [1] * pg.n
     for v in reversed(order[1:]):
         a, b = edges[up[v]]
-        size[a if b == v else b] += size[v]
+        size[a + b - v] += size[v]  # v's parent
     return pre, size, up
 
 
@@ -356,20 +408,29 @@ def _away_sides(pg: PlaneGraph, across, cuts, root):
     expanded once. A depth-first walk of the cut tree, each side's own
     faces first, numbers every side as one interval.
     """
-    pre, size, up = _spanning_tree(
-        pg, pg.dart_tail(pg.faces[root].boundary[0]))
-
-    def under(c, v):  # v lies in the subtree of c
-        return pre[c] <= pre[v] < pre[c] + size[c]
-
+    edges = pg.graph.edges
+    pre, size, up = _spanning_tree(pg, pg.face_tables[1][root][0])
     count, ends = [], []
     for cut, _ in cuts:
-        kids = [v for e in cut for v in pg.edge(e) if up[v] == e]
-        s = sum(size[c] * (-1) ** sum(under(d, c) for d in kids if d != c)
-                for c in kids)
-        u, v = pg.edge(cut[0])
+        kids = []  # the ends of the cut's tree edges away from the root
+        for e in cut:
+            a, b = edges[e]
+            if up[a] == e:
+                kids.append(a)
+            elif up[b] == e:
+                kids.append(b)
+        u, v = edges[cut[0]]
+        s, odd = 0, False
+        for c in kids:  # a subtree counts with the sign of its parity
+            lo, hi = pre[c], pre[c] + size[c]
+            sign = 1
+            for d in kids:
+                if d != c and pre[d] <= lo < pre[d] + size[d]:
+                    sign = -sign
+            s += sign * size[c]
+            odd ^= lo <= pre[u] < hi
         count.append((s - 1) // 2)
-        ends.append(u if sum(under(c, u) for c in kids) % 2 else v)
+        ends.append(u if odd else v)
 
     owner = [-1] * len(across)  # the smallest side holding each face
     parent = [-1] * len(cuts)
@@ -382,20 +443,22 @@ def _away_sides(pg: PlaneGraph, across, cuts, root):
 
     for c in sorted(range(len(cuts)), key=count.__getitem__):
         tri = cuts[c][1]
-        stack = [f for e in pg.rotation[ends[c]] for f in pg.faces_of_edge(e)]
+        stack = []
+        for e in pg.rotation[ends[c]]:
+            stack += pg.faces_of_edge(e)
         took = 0
         while stack:
             f = stack.pop()
-            if f in tri:
+            if (o := owner[f]) == c or f in tri:
                 continue
-            if owner[f] < 0:
+            if o < 0:
                 owner[f] = c
                 took += 1
-                stack.extend(across[f])
-            elif (t := top(owner[f])) != c:
+                stack += across[f]
+            elif (t := top(o)) != c:
                 merged[t] = parent[t] = c
                 took += count[t]
-                stack.extend(cuts[t][1])
+                stack += cuts[t][1]
         assert took == count[c], "a side's flood and Euler count disagree"
 
     own = [[] for _ in range(len(cuts) + 1)]  # the last one is the root's
@@ -436,20 +499,20 @@ def _root_records(pg: PlaneGraph):
     ext = pg.external_face
     ref = _reference_face(cuts, pg.faces, ext)
     numbering, sides, parent, preorder = _away_sides(pg, across, cuts, ref)
-    tables = _face_tables(pg)
+    at_ext = numbering[1][ext]
     records = []
     for (cut, tri), (lo, hi, x) in zip(cuts, sides):
-        u, v = pg.edge(cut[0])
-        y = v if x == u else u  # the end of cut[0] on the root's side
-        in_a = ext in Inside(numbering, lo, hi, tri, False, False)
+        a, b = _cut_sides(pg, cut, x)
+        assert a and b, "cut arcs close no cycle with three legs"
+        in_a = lo <= at_ext < hi and ext not in tri
         in_b = not in_a and ext not in tri
         i = len(records)
-        records.append(_record(pg, tables, i, cut,
+        records.append(_record(pg, i, a[0],
                                Inside(numbering, lo, hi, tri, in_a, in_a),
-                               x, False, i + 1))
-        records.append(_record(pg, tables, i + 1, cut,
+                               False, i + 1))
+        records.append(_record(pg, i + 1, b[0],
                                Inside(numbering, lo, hi, tri, not in_b, in_b),
-                               y, False, i))
+                               False, i))
     return records, parent, preorder, ref
 
 
@@ -475,7 +538,6 @@ def facial_records(pg: PlaneGraph):
     is internal. Raises NotTriconnectedCubic as three_cycle_records does.
     """
     _class_index(pg)
-    tables = _face_tables(pg)
     ext = pg.external_face
     faces = range(len(pg.faces))
     records = []
@@ -483,10 +545,11 @@ def facial_records(pg: PlaneGraph):
         fan = frozenset(f for e in cut for f in pg.faces_of_edge(e))
         outer = ext in fan
         u, w = pg.edge(cut[0])
+        side, _ = _cut_sides(pg, tuple(cut), w if u == v else u)
+        assert side, "fan arcs close no cycle with three legs"
         records.append(_record(
-            pg, tables, -1 - v, tuple(cut),
-            Inside((faces, faces), 0, 0, fan, outer, not outer),
-            w if u == v else u, True))
+            pg, -1 - v, side[0],
+            Inside((faces, faces), 0, 0, fan, outer, not outer), True))
     return records
 
 
@@ -500,9 +563,9 @@ def extrovert_cycles(pg: PlaneGraph, k):
 
     pg may be any biconnected plane 3-graph; an edge with one face on both
     sides, a bridge, raises NotBiconnected, and a k other than 2 or 3
-    ValueError. Each side of a k-edge-cut is bounded by the cycle _contour
-    reads off the cut faces' arcs, when that is a simple cycle with every
-    cut edge a leg. Its inside, a frozenset, is a dual flood from the faces
+    ValueError. Each side of a k-edge-cut is bounded by the cycle
+    _cut_sides reads off the cut faces' arcs, when that is a simple cycle
+    with every cut edge a leg. Its inside, a frozenset, is a dual flood from the faces
     on its left that never enters a cut face, and the cycle is k-extrovert
     when that inside does not hold the external face. A 3-extrovert cycle
     is degenerate when its legs meet in one vertex off it. A k-extrovert
@@ -512,15 +575,13 @@ def extrovert_cycles(pg: PlaneGraph, k):
     if k not in (2, 3):
         raise ValueError(f"extrovert cycles have 2 or 3 legs, not {k}")
     across = pg.face_index[0]
-    tables = _face_tables(pg)
     ends = pg.graph.edges
     found = []
     for cut, faces in _dual_cycles(pg, k):
-        for x in ends[cut[0]]:
-            contour = _contour(pg, tables, cut, x, True)
-            if contour is None:
+        for side in _cut_sides(pg, cut, ends[cut[0]][0]):
+            if side is None:
                 continue
-            spans, _, vertices = contour
+            spans, vertices = side
             # the faces on the left of the reversed darts
             inside = {g for f, i, j in spans
                       for g in _between(across[f], i, j)}
@@ -532,9 +593,9 @@ def extrovert_cycles(pg: PlaneGraph, k):
                         stack.append(f)
             if pg.external_face not in inside:
                 far = {v for e in cut for v in ends[e] if v not in vertices}
-                found.append(_cycle_record(
-                    tables, len(found), "extrovert", contour, True,
-                    frozenset(inside), k == 3 and len(far) == 1))
+                found.append(_record(pg, len(found), spans,
+                                     frozenset(inside),
+                                     k == 3 and len(far) == 1))
     return found
 
 
@@ -613,25 +674,24 @@ def inclusion_tree(pg: PlaneGraph) -> InclusionTree:
 
 
 def fx_counts(tree: InclusionTree):
-    """Number of flexible edges per contour path of every record, keyed by
-    (cycle id, path index).
+    """Number of flexible edges on each contour path that has one, keyed
+    by (cycle id, path index); a path that is not listed has none.
 
     Each face's boundary gets prefix sums of its flexible edges once, and
     a path's count is the difference across its span; when the graph has
-    no flexible edge, every count is 0 and no face is summed."""
+    no flexible edge, no face is summed and no path is listed."""
     flexible = {e for e, k in tree.pg.graph.flex.items() if k > 0}
     if not flexible:
-        return {(r.cycle_id, j): 0
-                for r in tree.records for j in range(len(r.spans))}
-    sums = [list(accumulate((e in flexible for e, _ in f.boundary),
-                            initial=0)) for f in tree.pg.faces]
-
-    def count(f, i, j):  # the flexible edges strictly between i and j
-        a = sums[f]
-        return a[j] - a[i + 1] if i < j else a[-1] - a[i + 1] + a[j]
-
-    return {(r.cycle_id, j): count(*span)
-            for r in tree.records for j, span in enumerate(r.spans)}
+        return {}
+    sums = [list(accumulate((e in flexible for e in es), initial=0))
+            for es in tree.pg.face_tables[2]]
+    fx = {}
+    for r in tree.records:
+        for j, (f, i, k) in enumerate(r.spans):
+            a = sums[f]  # the flexible edges strictly between i and k
+            if count := a[k] - a[i + 1] if i < k else a[-1] - a[i + 1] + a[k]:
+                fx[r.cycle_id, j] = count
+    return fx
 
 
 # ---------------------------------------------------------------------------
@@ -651,18 +711,20 @@ def color_3_extrovert(tree: InclusionTree, fx):
     green = set()  # (parent id, leg face) of every green path
     for cid in reversed(tree.nodes):
         rec = tree.by_id[cid]
-        cols = ["orange" if fx[(cid, j)] > 0
-                else "green" if (cid, f) in green else None
-                for j, f in enumerate(rec.leg_faces)]
-        if all(c is None for c in cols):
-            rec.colors = ("green",) * 3
-            rec.demanding = True
-        else:
-            rec.colors = tuple(c if c is not None else "red" for c in cols)
-            rec.demanding = False
-        green.update((tree.parent[cid], f)
-                     for f, c in zip(rec.leg_faces, rec.colors)
-                     if c == "green")
+        cols = []
+        for j, f in enumerate(rec.leg_faces):
+            if (cid, j) in fx:
+                cols.append("orange")
+            elif (cid, f) in green:
+                cols.append("green")
+            else:
+                cols.append(None)
+        _settle(rec, cols)
+        if "green" in rec.colors:
+            parent = tree.parent[cid]
+            for f, c in zip(rec.leg_faces, rec.colors):
+                if c == "green":
+                    green.add((parent, f))
 
 
 def color_3_introvert(tree: InclusionTree, fx):
@@ -676,34 +738,49 @@ def color_3_introvert(tree: InclusionTree, fx):
     contains a green path of another S-cycle exactly when that cycle has a
     green path incident to f'. fx is fx_counts of the tree.
     """
+    by_id = tree.by_id
+    green = [0] * len(tree.pg.faces)  # per face, green S-cycle paths on it
     for node in (tree.root, *tree.nodes):
-        kids = tree.children.get(node, [])
+        kids = tree.children.get(node)
         if not kids:
             continue
-        s_cycles = [tree.by_id[k] for k in kids]
+        s_cycles = [by_id[k] for k in kids]
         if node is not None:
-            s_cycles.append(tree.by_id[tree.by_id[node].phi_partner])
-        green = defaultdict(int)
-        for r in s_cycles:
-            for j, f in enumerate(r.leg_faces):
-                if r.colors[j] == "green":
+            s_cycles.append(by_id[by_id[node].phi_partner])
+        lit = [r for r in s_cycles if "green" in r.colors]
+        for r in lit:
+            for f, c in zip(r.leg_faces, r.colors):
+                if c == "green":
                     green[f] += 1
         for kid in kids:
-            ext_rec = tree.by_id[kid]
-            ext_colors = dict(zip(ext_rec.leg_faces, ext_rec.colors))
-            intro = tree.by_id[ext_rec.phi_partner]
-            cols = ["orange" if fx[(intro.cycle_id, j)] > 0
-                    else "green" if green[f] > 1
-                    or (green[f] == 1 and ext_colors[f] != "green")
-                    else None
-                    for j, f in enumerate(intro.leg_faces)]
-            if all(c is None for c in cols):
-                intro.colors = ("green",) * 3
-                intro.demanding = True
-            else:
-                intro.colors = tuple(c if c is not None else "red"
-                                     for c in cols)
-                intro.demanding = False
+            ext = by_id[kid]
+            intro = by_id[ext.phi_partner]
+            cols = []
+            for j, f in enumerate(intro.leg_faces):
+                if (intro.cycle_id, j) in fx:
+                    cols.append("orange")
+                # green when another S-cycle than ext has a green path on f
+                elif green[f] > (green[f] == 1 and ext.colors[
+                        ext.leg_faces.index(f)] == "green"):
+                    cols.append("green")
+                else:
+                    cols.append(None)
+            _settle(intro, cols)
+        for r in lit:
+            for f, c in zip(r.leg_faces, r.colors):
+                if c == "green":
+                    green[f] -= 1
+
+
+_ALL_GREEN = ("green",) * 3
+
+
+def _settle(rec, cols):
+    """Step 2 of the coloring: a record whose paths are all undefined is
+    demanding and all green, and its other undefined paths turn red."""
+    rec.demanding = not any(cols)
+    rec.colors = (_ALL_GREEN if rec.demanding
+                  else tuple([c or "red" for c in cols]))
 
 
 # ---------------------------------------------------------------------------

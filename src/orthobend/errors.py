@@ -67,10 +67,22 @@ class NotGood(DomainError):
 
 
 class H1Violation(OrthobendError):
-    def __init__(self, vertex, total):
+    """The corner angles at a vertex do not sum to 360, or, when `dart` is
+    given, the corner keyed by that dart has an angle that is none of 90,
+    180, 270 and 360: `total` is then that angle, None when it is
+    missing."""
+
+    def __init__(self, vertex, total, dart=None):
         self.vertex = vertex
         self.total = total
-        super().__init__(f"angles at vertex {vertex} sum to {total}, want 360")
+        self.dart = dart
+        if dart is None:
+            msg = f"angles at vertex {vertex} sum to {total}, want 360"
+        else:
+            angle = "no angle" if total is None else f"angle {total!r}"
+            msg = (f"corner of dart {dart} at vertex {vertex} has {angle}, "
+                   "want 90, 180, 270 or 360")
+        super().__init__(msg)
 
 
 class H2Violation(OrthobendError):

@@ -8,15 +8,19 @@ clockwise, which is what the angle arithmetic in orthorep expects.
 
 Edges are identified by their index into the edge list. Darts are
 (edge_id, orient) pairs; orient 0 runs u -> v as stored, orient 1 the
-reverse. trace_faces walks parallel edges too, as it orients each dart by
-the vertex it leaves, but Graph, the graph of every PlaneGraph, rejects
-them.
+reverse. Faces and the tables built from them hold each dart as the flat
+int 2 * edge_id + orient, whose reverse is d ^ 1. trace_faces walks
+parallel edges too, as it orients each dart by the vertex it leaves, but
+Graph, the graph of every PlaneGraph, rejects them.
 """
 
 from __future__ import annotations
 
 import copy
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+from operator import ne
 
 from .errors import (
     DegreeTooHigh,
@@ -55,6 +59,29 @@ class Graph:
             raise Disconnected(
                 f"{self.n} vertices cannot be connected by "
                 f"{len(self.edges)} edges")
+        if not self._plainly_simple():
+            self._edge_fault()
+        for e, k in self.flex.items():
+            if not (isinstance(e, int) and isinstance(k, int)
+                    and 0 <= e < len(self.edges) and 0 <= k <= 4):
+                raise ParseError(f"bad flexibility entry {e}: {k}")
+
+    def _plainly_simple(self):
+        """The edges are pairs of distinct ints in range, no two join the
+        same pair and no vertex has degree above 3: what _edge_fault
+        checks edge by edge, checked over whole lists at once."""
+        edges, n = self.edges, self.n
+        ends = list(chain.from_iterable(edges))
+        return (set(map(len, edges)) <= {2} and set(map(type, ends)) <= {int}
+                and (not ends or 0 <= min(ends) and max(ends) < n)
+                and all(map(ne, ends[::2], ends[1::2]))
+                and len({u * n + v if u < v else v * n + u
+                         for u, v in edges}) == len(edges)
+                and max(Counter(ends).values(), default=0) <= 3)
+
+    def _edge_fault(self):
+        """Raise for the first edge out of range, loop or parallel edge,
+        else for the first vertex of degree above 3."""
         seen = set()
         deg = [0] * self.n
         for i, (u, v) in enumerate(self.edges):
@@ -72,10 +99,6 @@ class Graph:
         for v, d in enumerate(deg):
             if d > 3:
                 raise DegreeTooHigh(f"vertex {v} has degree {d}")
-        for e, k in self.flex.items():
-            if not (isinstance(e, int) and isinstance(k, int)
-                    and 0 <= e < len(self.edges) and 0 <= k <= 4):
-                raise ParseError(f"bad flexibility entry {e}: {k}")
 
     def degree(self, v):
         return len(self.adj[v])
@@ -127,23 +150,29 @@ def _connected(adj):
 @dataclass
 class Face:
     id: int
-    boundary: list  # darts in walk order, face on the left of each
+    darts: list  # flat darts in walk order, face on the left of each
+
+    @property
+    def boundary(self):
+        """The darts as (edge_id, orient) pairs."""
+        return [(d >> 1, d & 1) for d in self.darts]
 
     def edge_ids(self):
-        return [e for e, _ in self.boundary]
+        return [d >> 1 for d in self.darts]
 
     def __len__(self):
-        return len(self.boundary)
+        return len(self.darts)
 
 
 class PlaneGraph:
     """A graph plus rotation system plus a choice of external face.
     Raises ParseError unless rotation[v] lists each of v's edges once.
 
-    _edge_faces[e] is (face of dart (e, 0), face of dart (e, 1)), the one
-    dart -> face table. face_index is (across, pos): per face, the faces
-    across its boundary darts in walk order, and each boundary edge's
-    position on that walk.
+    _dart_face[2e + o] is the face of dart (e, o), the one dart -> face
+    table. face_index is (across, pos): per face, the faces across its
+    boundary darts in walk order, and each boundary edge's position on that
+    walk. face_tables is (darts, tails, edge ids): per face, its flat
+    boundary darts, their tails and their edge ids in walk order.
     """
 
     def __init__(self, graph, rotation, external_face=0):
@@ -153,16 +182,19 @@ class PlaneGraph:
         self.external_face = _face_id(self.faces, external_face)
         if graph.n - len(graph.edges) + len(self.faces) != 2:
             raise NotPlanar("rotation system is not planar (Euler check)")
-        sides = ([0] * len(graph.edges), [0] * len(graph.edges))
-        for f in self.faces:
-            for e, o in f.boundary:
-                sides[o][e] = f.id
-        self._edge_faces = list(zip(*sides))
+        darts = [f.darts for f in self.faces]
+        face = self._dart_face = [0] * (2 * len(graph.edges))
+        for f, ds in enumerate(darts):
+            for d in ds:
+                face[d] = f
+        eids = [[d >> 1 for d in ds] for ds in darts]
+        ends = list(chain.from_iterable(graph.edges))  # ends[d], d's tail
         self.face_index = (
-            [[self._edge_faces[e][1 - o] for e, o in f.boundary]
-             for f in self.faces],
-            [{e: i for i, (e, _) in enumerate(f.boundary)} for f in self.faces],
+            [[face[d ^ 1] for d in ds] for ds in darts],
+            [dict(zip(es, range(len(es)))) for es in eids],
         )
+        self.face_tables = (darts, [[ends[d] for d in ds] for ds in darts],
+                            eids)
 
     @property
     def n(self):
@@ -184,10 +216,10 @@ class PlaneGraph:
         return v if d[1] == 0 else u
 
     def face_of_dart(self, d: Dart) -> int:
-        return self._edge_faces[d[0]][d[1]]
+        return self._dart_face[2 * d[0] + d[1]]
 
     def faces_of_edge(self, e) -> tuple[int, int]:
-        return self._edge_faces[e]
+        return self._dart_face[2 * e], self._dart_face[2 * e + 1]
 
     def with_external_face(self, f: int) -> "PlaneGraph":
         """Same embedding, different external face. Face ids are stable.
@@ -211,57 +243,59 @@ def _face_id(faces, f):
 
 
 def _rotation_slots(n, edges, rotation):
-    """at[2e + o], the position of edge e in the rotation of its end
-    edges[e][o]. Raises ParseError unless rotation has n rows and row v
-    lists each of v's edges exactly once: the rows name 2m edge ends in
-    all, and each names a fresh one."""
-    at = [-1] * (2 * len(edges))
+    """Per vertex v, the flat darts leaving v in the order of rotation[v];
+    parallel edges share their ends, so each is oriented by v. Raises
+    ParseError unless rotation has n rows and row v lists each of v's
+    edges exactly once: the rows name 2m edge ends in all, and each names
+    a fresh one."""
+    seen = bytearray(2 * len(edges))
     try:
-        fits = len(rotation) == n and sum(map(len, rotation)) == len(at)
+        fits = len(rotation) == n and sum(map(len, rotation)) == len(seen)
     except TypeError:
         fits = False
     if not fits:
-        raise ParseError(f"rotation does not list {len(at)} edge ends "
+        raise ParseError(f"rotation does not list {len(seen)} edge ends "
                          f"over {n} vertices")
+    slots = []
     for v, row in enumerate(rotation):
-        for i, e in enumerate(row):
+        slots.append(out := [])
+        for e in row:
             try:
-                k = 2 * e + edges[e].index(v)  # negative exactly when e is
+                d = 2 * e + edges[e].index(v)  # negative exactly when e is
             except (IndexError, TypeError, ValueError):
-                k = -1
-            if k < 0 or at[k] >= 0:
+                d = -1
+            if d < 0 or seen[d]:
                 raise ParseError(f"rotation at {v} does not list its edges")
-            at[k] = i
-    return at
+            seen[d] = 1
+            out.append(d)
+    return slots
 
 
 def trace_faces(n, edges, rotation):
     """Decompose darts into faces (face on the left of each dart).
-    Raises ParseError unless rotation[v] lists v's edges, each once."""
-    at = _rotation_slots(n, edges, rotation)
+    Raises ParseError unless rotation[v] lists v's edges, each once.
 
-    def next_dart(d):
-        e, o = d
-        w = edges[e][1 - o]  # the head of d
-        row = rotation[w]
-        e2 = row[(at[2 * e + 1 - o] + 1) % len(row)]
-        # leave w along e2; parallel edges share endpoints so orient by w
-        return (e2, edges[e2].index(w))
-
-    assigned = {}
+    The dart after d on its face leaves d's head next in clockwise
+    order after d's reverse."""
+    after = [0] * (2 * len(edges))
+    for row in _rotation_slots(n, edges, rotation):
+        if row:
+            last = row[-1]
+            for d in row:
+                after[last ^ 1] = d
+                last = d
+    traced = bytearray(len(after))
     faces = []
-    for e in range(len(edges)):
-        for o in (0, 1):
-            d = (e, o)
-            if d in assigned:
-                continue
-            boundary = []
-            cur = d
-            while cur not in assigned:
-                assigned[cur] = len(faces)
-                boundary.append(cur)
-                cur = next_dart(cur)
-            faces.append(Face(len(faces), boundary))
+    for start in range(len(after)):
+        if traced[start]:
+            continue
+        walk = []
+        d = start
+        while not traced[d]:
+            traced[d] = 1
+            walk.append(d)
+            d = after[d]
+        faces.append(Face(len(faces), walk))
     if not edges and n == 1:
         faces.append(Face(0, []))
     return faces

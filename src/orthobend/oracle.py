@@ -47,7 +47,7 @@ def flow_min_bends(pg: PlaneGraph, cap: int | None = None):
     for v in range(pg.n):
         net.add_node(("v", v), demand=len(pg.rotation[v]) - 4)
     for f in pg.faces:
-        want = len(f.boundary) + (4 if f.id == pg.external_face else -4)
+        want = len(f) + (4 if f.id == pg.external_face else -4)
         net.add_node(("f", f.id), demand=want)
         for d in f.boundary:
             net.add_edge(("v", pg.dart_head(d)), ("f", f.id),

@@ -74,14 +74,12 @@ def validate(h: OrthoRep) -> bool:
     """Assert H1 and H2; raises H1Violation / H2Violation."""
     pg = h.plane
     per_vertex = [0] * pg.n
-    corner_count = [0] * pg.n
     for f in pg.faces:
         for d in f.boundary:
             a = h.angles.get(d)
             if a not in ANGLES:
-                raise H1Violation(pg.dart_head(d), a)
+                raise H1Violation(pg.dart_head(d), a, d)
             per_vertex[pg.dart_head(d)] += a
-            corner_count[pg.dart_head(d)] += 1
     for v in range(pg.n):
         if per_vertex[v] != 360:
             raise H1Violation(v, per_vertex[v])

@@ -100,7 +100,8 @@ def test_face_structure_of_the_cube():
 
 def plane_state(pg):
     return ([(x.id, x.boundary) for x in pg.faces],
-            pg.external_face, pg.rotation, pg._edge_faces, pg.face_index)
+            pg.external_face, pg.rotation, pg._dart_face, pg.face_index,
+            pg.face_tables)
 
 
 def test_external_face_selection_is_stable():

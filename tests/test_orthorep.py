@@ -175,6 +175,15 @@ def test_flattening_one_corner_side_breaks_h1():
     h.angles[d] = 180
     with pytest.raises(H1Violation):
         validate(h)
+    # a missing corner and a corner that is no angle name their dart
+    for bad, says in ((None, "no angle"), ("90", "angle '90'")):
+        if bad is None:
+            del h.angles[d]
+        else:
+            h.angles[d] = bad
+        with pytest.raises(H1Violation,
+                           match=rf"dart \({d[0]}, {d[1]}\) .* has {says},"):
+            validate(h)
 
 
 def test_flattening_both_corner_sides_breaks_h2():
