@@ -7,12 +7,13 @@ graph, the three legs of a 3-extrovert or 3-introvert cycle form a
 three distinct faces. Detection therefore enumerates dual triangles; no
 simple-cycle enumeration happens in production code (the brute-force
 route lives in the oracle module and is only used to cross-check this
-one). In the class one edge joins each pair of adjacent faces, so
-dual_triangles maps each face's neighbours to the edges joining them
-and closes each joined pair f < g with every face h > g in the smaller
-of their two maps. _dual_cycles lists the dual 2- and 3-cycles of the
-wider class of extrovert_cycles, where two faces may share more than one
-edge.
+one). One enumerator, _dual_cycles, lists the dual 2- and 3-cycles: each
+face maps its neighbours to the edges joining them, and each joined pair
+f < g closes with every face h > g in the smaller of their two maps,
+once per choice of joining edges. In the class of three_cycle_records
+one edge joins each pair of adjacent faces, and dual_triangles keeps the
+triangles whose cut edges share no vertex; extrovert_cycles takes them
+all, on a wider class where two faces may share more than one edge.
 
 A record is its cut plus the faces on its inside. The sides of the
 separating cuts are laminar, so one numbering of the faces makes the side
@@ -40,9 +41,9 @@ side's arcs are the same faces in reverse order, as spans (f, j, i). So
 each cut is walked once for both of its records, and the checks that a
 side's arcs close a simple cycle, with every cut edge a leg, run on the
 tails of that side's spans. A record holds no dart: it keeps its spans,
-plus one flag for a chain walked backwards, into the per-face tables of
-darts, tails and edge ids that its PlaneGraph built once; the darts,
-edges and vertices are read off those tables on request.
+plus one flag for a chain walked backwards, into its graph's faces,
+which hold their darts, tails and edge ids; the darts, edges and
+vertices are read off the faces on request.
 
 A dual triangle whose three cut edges share a primal vertex v is facial:
 its one degenerate cycle runs round v's face fan, 3-extrovert with every
@@ -98,7 +99,7 @@ from itertools import accumulate, chain, combinations, product
 from .errors import (
     NoTwin, NotBiconnected, NotTriconnectedCubic, ShortExternalFace,
 )
-from .graph import PlaneGraph, embed
+from .graph import PlaneGraph, dart_pairs, embed
 
 
 @dataclass(eq=False, slots=True)
@@ -116,9 +117,9 @@ class CycleRecord:
     The record holds no dart. Path j is the span spans[j] = (f, i, j') of
     leg face f: the arc of f's boundary strictly between positions i and
     j', walked backwards with every dart reversed when `reverse`. The
-    spans index `tables`, the PlaneGraph's face_tables: per face its flat
-    boundary darts, their tails and their edge ids. contour_paths, edges,
-    vertices and leg_vertices read them on request.
+    spans index `faces`, the PlaneGraph's faces, each with its boundary
+    darts, their tails and their edge ids. contour_paths, edges, vertices
+    and leg_vertices read them on request.
     """
 
     # from 0 when separating; -1 - v round vertex v; the index in the list
@@ -132,7 +133,7 @@ class CycleRecord:
     # an Inside for the 3-cycle records, a frozenset from extrovert_cycles
     inside_faces: Inside | frozenset
     degenerate: bool
-    tables: tuple = field(repr=False)  # pg.face_tables
+    faces: list = field(repr=False)  # pg.faces
     # the cycle id of the other record of the same cut: the 3-introvert
     # partner of a 3-extrovert cycle, or its twin when the external face is
     # a cut face; None round a vertex
@@ -140,33 +141,32 @@ class CycleRecord:
     colors: tuple | None = None
     demanding: bool | None = None
 
-    def _arcs(self, k):
-        """Per span, its stretch of face table k: 0 darts, 1 tails, 2 edge
-        ids, in forward order."""
-        table = self.tables[k]
-        return (_between(table[f], i, j) for f, i, j in self.spans)
+    def _arcs(self, key):
+        """Per span, its stretch of the leg face's list `key`, "darts",
+        "tails" or "eids", in forward order."""
+        faces = self.faces
+        return (_between(getattr(faces[f], key), i, j)
+                for f, i, j in self.spans)
 
     @property
     def contour_paths(self):
-        flip = 1 if self.reverse else 0  # reversing a flat dart flips bit 0
-        return tuple(tuple((d >> 1, (d & 1) ^ flip)
-                           for d in (arc[::-1] if flip else arc))
-                     for arc in self._arcs(0))
+        return tuple(tuple(dart_pairs(arc, self.reverse))
+                     for arc in self._arcs("darts"))
 
     @property
     def edges(self):
-        return frozenset(chain.from_iterable(self._arcs(2)))
+        return frozenset(chain.from_iterable(self._arcs("eids")))
 
     @property
     def vertices(self):  # the darts' tails, the same set walked either way
-        return frozenset(chain.from_iterable(self._arcs(1)))
+        return frozenset(chain.from_iterable(self._arcs("tails")))
 
     @property
     def leg_vertices(self):
-        tails = self.tables[1]
+        faces = self.faces
         if self.reverse:  # the head of the arc's last dart
-            return tuple(tails[f][j] for f, _, j in self.spans)
-        return tuple(tails[f][(i + 1) % len(tails[f])]
+            return tuple(faces[f].tails[j] for f, _, j in self.spans)
+        return tuple(faces[f].tails[(i + 1) % len(faces[f])]
                      for f, i, _ in self.spans)
 
 
@@ -220,13 +220,14 @@ def _class_witness(pg: PlaneGraph):
     for v, nbrs in enumerate(pg.graph.adj):
         if len(nbrs) != 3:
             return f"vertex {v} has degree {len(nbrs)}"
-    across, eids = pg.face_index[0], pg.face_tables[2]
+    across = pg.face_index[0]
     for f, nbrs in enumerate(across):
         if f in nbrs:
-            return f"edge {eids[f][nbrs.index(f)]} has face {f} on both sides"
+            return (f"edge {pg.faces[f].eids[nbrs.index(f)]} has face {f} "
+                    "on both sides")
     for f, nbrs in enumerate(across):
         first = {}
-        for g, e in zip(nbrs, eids[f]):
+        for g, e in zip(nbrs, pg.faces[f].eids):
             if g in first:
                 return (f"edges {first[g]} and {e} both join faces "
                         f"{min(f, g)} and {max(f, g)}")
@@ -236,23 +237,40 @@ def _class_witness(pg: PlaneGraph):
 
 def _dual_cycles(pg: PlaneGraph, k):
     """The k-edge-cuts of pg, k = 2 or 3, each once, as (cut_edges,
-    cut_faces): the dual k-cycles over k distinct faces, the faces in
-    increasing order. A triangle over faces (f, g, h) is (f|g, g|h, h|f).
-    Raises NotBiconnected when an edge has one face on both sides."""
-    joins = defaultdict(list)  # (f, g), f < g -> the edges joining them
-    above = defaultdict(set)  # f -> the faces g > f that an edge joins it to
+    cut_faces): the dual k-cycles over k distinct faces, by their smallest
+    face, the faces in increasing order. A triangle over faces (f, g, h)
+    is (f|g, g|h, h|f), one per choice of the edges joining each pair.
+
+    Each face maps its neighbours to the edges joining them, in increasing
+    order, and h ranges over the smaller map of f and g. Raises
+    NotBiconnected when an edge has one face on both sides."""
+    joins = [{} for _ in pg.faces]  # per face: neighbour -> joining edges
     for e in range(pg.m):
-        f, g = sorted(pg.faces_of_edge(e))
+        f, g = pg.faces_of_edge(e)
         if f == g:
             raise NotBiconnected(f"edge {e} is a bridge")
-        joins[f, g].append(e)
-        above[f].add(g)
-    if k == 2:
-        return [(cut, fg) for fg, es in joins.items()
-                for cut in combinations(es, 2)]
-    return [(cut, (f, g, h)) for (f, g), es in joins.items()
-            for h in above[f] & above[g]
-            for cut in product(es, joins[g, h], joins[f, h])]
+        fg = joins[f].get(g)
+        if fg is None:
+            joins[f][g] = joins[g][f] = [e]  # one list for both ends
+        else:
+            fg.append(e)
+    found = []
+    for f, at_f in enumerate(joins):
+        for g, fg in at_f.items():
+            if g < f:
+                continue
+            if k == 2:
+                found += [(cut, (f, g)) for cut in combinations(fg, 2)]
+                continue
+            at_g = joins[g]
+            small, big = ((at_f, at_g) if len(at_f) < len(at_g)
+                          else (at_g, at_f))
+            for h in small:
+                if h > g and h in big:
+                    tri = (f, g, h)
+                    for cut in product(fg, at_g[h], at_f[h]):
+                        found.append((cut, tri))
+    return found
 
 
 def dual_triangles(pg: PlaneGraph):
@@ -260,32 +278,18 @@ def dual_triangles(pg: PlaneGraph):
     three_cycle_records as (cut_edges, cut_faces), each once, by their
     smallest face.
 
-    cut_faces = (f, g, h) with f < g < h, and cut_edges = (l1, l2, l3)
-    where l1 joins f|g, l2 joins g|h and l3 joins h|f in the dual. In the
-    class one edge joins each pair of adjacent faces, so each face maps
-    its neighbours to the edges joining them, and h ranges over the
-    smaller map of f and g. The other dual triangles are facial, one round
-    each vertex, and not listed: there l1 and l2 meet at the vertex, as
-    the third edge there joins h|f, and no two cut edges of a separating
-    triangle meet.
+    They are the dual triangles of _dual_cycles whose cut edges l1 (f|g)
+    and l2 (g|h) do not meet. The other dual triangles are facial, one
+    round each vertex: there l1 and l2 meet at the vertex, as the third
+    edge there joins h|f, and no two cut edges of a separating triangle
+    meet.
     """
     ends = pg.graph.edges
-    joins = [dict(zip(nbrs, es))
-             for nbrs, es in zip(pg.face_index[0], pg.face_tables[2])]
     found = []
-    for f, at_f in enumerate(joins):
-        for g, l1 in at_f.items():
-            if g < f:
-                continue
-            at_g = joins[g]
-            small, big = ((at_f, at_g) if len(at_f) < len(at_g)
-                          else (at_g, at_f))
-            u, v = ends[l1]
-            for h in small:
-                if h > g and h in big:
-                    l2 = at_g[h]
-                    if u not in ends[l2] and v not in ends[l2]:
-                        found.append(((l1, l2, at_f[h]), (f, g, h)))
+    for cut, tri in _dual_cycles(pg, 3):
+        u, v = ends[cut[0]]
+        if u not in ends[cut[1]] and v not in ends[cut[1]]:
+            found.append((cut, tri))
     return found
 
 
@@ -295,20 +299,17 @@ def _between(seq, i, j):
     return seq[i + 1:j] if i < j else seq[i + 1:] + seq[:j]
 
 
-def _cut_sides(pg: PlaneGraph, cut, x):
-    """The cycles next to the cut on its two sides, the side of x, an end
-    of cut[0], first: each as (spans, vertex set), or None unless its arcs
-    close one simple cycle with every cut edge a leg.
+def _cut_arcs(pg: PlaneGraph, cut, x):
+    """The arcs facing the side of x, an end of cut[0], as spans (face, i,
+    j) in walk order; None when the walk of the cut faces does not close.
 
     Each cut face holds two cut edges, at positions i and j of its
-    boundary, and the arcs strictly between them face the two sides. The
-    arcs facing x's side chain head to tail from the dart of cut[0] that
-    ends at x, each a span (face, i, j) walked with its face on the left;
-    the arcs facing the other side are the same faces in reverse order,
-    as spans (face, j, i). One walk of the cut faces gives both.
+    boundary, and the arcs strictly between them face the cut's two
+    sides. The arcs facing x's side chain head to tail from the dart of
+    cut[0] that ends at x, each walked with its face on the left; the arcs
+    facing the other side are _far_arcs of them.
     """
-    pos = pg.face_index[1]
-    tails, eids = pg.face_tables[1:]
+    pos, faces = pg.face_index[1], pg.faces
     ends = pg.graph.edges
     e = cut[0]
     f = pg.faces_of_edge(e)[ends[e][0] == x]  # that of the dart to x
@@ -323,26 +324,38 @@ def _cut_sides(pg: PlaneGraph, cut, x):
         else:
             raise AssertionError(f"cut face {f} holds one cut edge")
         spans.append((f, i, j))
-        e = eids[f][j]
+        e = faces[f].eids[j]
         g, h = pg.faces_of_edge(e)
         f = h if g == f else g
     if e != cut[0] or f != spans[0][0]:
-        return None, None
-    sides = []
-    for arcs in (tuple(spans), tuple([(f, j, i) for f, i, j in spans[::-1]])):
-        walked = []
-        for f, i, j in arcs:  # _between, inline on this hot path
-            t = tails[f]
-            walked += t[i + 1:j] if i < j else t[i + 1:] + t[:j]
-        vertices = set(walked)
-        simple = len(walked) >= 3 and len(vertices) == len(walked)
-        for c in cut if simple else ():
-            u, v = ends[c]
-            if (u in vertices) == (v in vertices):
-                simple = False
-                break
-        sides.append((arcs, vertices) if simple else None)
-    return sides
+        return None
+    return tuple(spans)
+
+
+def _far_arcs(spans):
+    """The arcs facing the other side of the cut whose arcs facing one
+    side are `spans`: the same faces in reverse order, each arc the rest
+    of its face's boundary between the same two cut edges."""
+    return tuple([(f, j, i) for f, i, j in reversed(spans)])
+
+
+def _cycle_vertices(pg: PlaneGraph, cut, spans):
+    """The vertices of the cycle the arcs `spans` chain, or None unless it
+    is one simple cycle with every cut edge a leg: it has at least 3
+    vertices, none twice, and each cut edge has one end on it."""
+    faces, ends = pg.faces, pg.graph.edges
+    walked = []
+    for f, i, j in spans:  # _between, inline on this hot path
+        t = faces[f].tails
+        walked += t[i + 1:j] if i < j else t[i + 1:] + t[:j]
+    vertices = set(walked)
+    if len(walked) < 3 or len(vertices) < len(walked):
+        return None
+    for c in cut:
+        u, v = ends[c]
+        if (u in vertices) == (v in vertices):
+            return None
+    return vertices
 
 
 def _record(pg: PlaneGraph, cycle_id, spans, inside, degenerate, phi=None):
@@ -351,26 +364,25 @@ def _record(pg: PlaneGraph, cycle_id, spans, inside, degenerate, phi=None):
     inside, and otherwise walked backwards, so the inside is always on the
     left. A path's leg is the cut edge at its tail and its leg face the
     arc's face. The path holding the cycle's smallest edge comes last."""
-    eids = pg.face_tables[2]
+    faces = pg.faces
     reverse = spans[0][0] not in inside
     if reverse:
         spans = spans[::-1]
     low = []  # per span, its smallest edge: min(_between(...)), inline
     for f, i, j in spans:
-        es = eids[f]
+        es = faces[f].eids
         low.append(min(es[i + 1:j]) if i < j else min(es[i + 1:] + es[:j]))
     k = low.index(min(low)) + 1
     spans = spans[k:] + spans[:k]
     if reverse:
-        legs = tuple([eids[f][j] for f, _, j in spans])
+        legs = tuple([faces[f].eids[j] for f, _, j in spans])
     else:
-        legs = tuple([eids[f][i] for f, i, _ in spans])
-    # positional, in field order: cycle_id, kind, legs, leg_faces, spans,
-    # reverse, inside_faces, degenerate, tables, phi_partner
+        legs = tuple([faces[f].eids[i] for f, i, _ in spans])
     return CycleRecord(
-        cycle_id, "extrovert" if reverse else "introvert", legs,
-        tuple([f for f, _, _ in spans]), spans, reverse, inside, degenerate,
-        pg.face_tables, phi)
+        cycle_id=cycle_id, kind="extrovert" if reverse else "introvert",
+        legs=legs, leg_faces=tuple([f for f, _, _ in spans]), spans=spans,
+        reverse=reverse, inside_faces=inside, degenerate=degenerate,
+        faces=faces, phi_partner=phi)
 
 
 def _spanning_tree(pg: PlaneGraph, root):
@@ -409,7 +421,7 @@ def _away_sides(pg: PlaneGraph, across, cuts, root):
     faces first, numbers every side as one interval.
     """
     edges = pg.graph.edges
-    pre, size, up = _spanning_tree(pg, pg.face_tables[1][root][0])
+    pre, size, up = _spanning_tree(pg, pg.faces[root].tails[0])
     count, ends = [], []
     for cut, _ in cuts:
         kids = []  # the ends of the cut's tree edges away from the root
@@ -502,15 +514,18 @@ def _root_records(pg: PlaneGraph):
     at_ext = numbering[1][ext]
     records = []
     for (cut, tri), (lo, hi, x) in zip(cuts, sides):
-        a, b = _cut_sides(pg, cut, x)
-        assert a and b, "cut arcs close no cycle with three legs"
+        a = _cut_arcs(pg, cut, x)
+        b = a and _far_arcs(a)
+        simple = (a and _cycle_vertices(pg, cut, a)
+                  and _cycle_vertices(pg, cut, b))
+        assert simple, "cut arcs close no cycle with three legs"
         in_a = lo <= at_ext < hi and ext not in tri
         in_b = not in_a and ext not in tri
         i = len(records)
-        records.append(_record(pg, i, a[0],
+        records.append(_record(pg, i, a,
                                Inside(numbering, lo, hi, tri, in_a, in_a),
                                False, i + 1))
-        records.append(_record(pg, i + 1, b[0],
+        records.append(_record(pg, i + 1, b,
                                Inside(numbering, lo, hi, tri, not in_b, in_b),
                                False, i))
     return records, parent, preorder, ref
@@ -545,10 +560,12 @@ def facial_records(pg: PlaneGraph):
         fan = frozenset(f for e in cut for f in pg.faces_of_edge(e))
         outer = ext in fan
         u, w = pg.edge(cut[0])
-        side, _ = _cut_sides(pg, tuple(cut), w if u == v else u)
-        assert side, "fan arcs close no cycle with three legs"
+        cut = tuple(cut)
+        spans = _cut_arcs(pg, cut, w if u == v else u)
+        simple = spans and _cycle_vertices(pg, cut, spans)
+        assert simple, "fan arcs close no cycle with three legs"
         records.append(_record(
-            pg, -1 - v, side[0],
+            pg, -1 - v, spans,
             Inside((faces, faces), 0, 0, fan, outer, not outer), True))
     return records
 
@@ -563,9 +580,9 @@ def extrovert_cycles(pg: PlaneGraph, k):
 
     pg may be any biconnected plane 3-graph; an edge with one face on both
     sides, a bridge, raises NotBiconnected, and a k other than 2 or 3
-    ValueError. Each side of a k-edge-cut is bounded by the cycle
-    _cut_sides reads off the cut faces' arcs, when that is a simple cycle
-    with every cut edge a leg. Its inside, a frozenset, is a dual flood from the faces
+    ValueError. Each side of a k-edge-cut is bounded by the cycle the cut
+    faces' arcs facing it chain, when that is a simple cycle with every
+    cut edge a leg. Its inside, a frozenset, is a dual flood from the faces
     on its left that never enters a cut face, and the cycle is k-extrovert
     when that inside does not hold the external face. A 3-extrovert cycle
     is degenerate when its legs meet in one vertex off it. A k-extrovert
@@ -578,10 +595,11 @@ def extrovert_cycles(pg: PlaneGraph, k):
     ends = pg.graph.edges
     found = []
     for cut, faces in _dual_cycles(pg, k):
-        for side in _cut_sides(pg, cut, ends[cut[0]][0]):
-            if side is None:
+        near = _cut_arcs(pg, cut, ends[cut[0]][0])
+        for spans in (near, _far_arcs(near)) if near else ():
+            vertices = _cycle_vertices(pg, cut, spans)
+            if vertices is None:
                 continue
-            spans, vertices = side
             # the faces on the left of the reversed darts
             inside = {g for f, i, j in spans
                       for g in _between(across[f], i, j)}
@@ -683,8 +701,8 @@ def fx_counts(tree: InclusionTree):
     flexible = {e for e, k in tree.pg.graph.flex.items() if k > 0}
     if not flexible:
         return {}
-    sums = [list(accumulate((e in flexible for e in es), initial=0))
-            for es in tree.pg.face_tables[2]]
+    sums = [list(accumulate((e in flexible for e in f.eids), initial=0))
+            for f in tree.pg.faces]
     fx = {}
     for r in tree.records:
         for j, (f, i, k) in enumerate(r.spans):

@@ -67,20 +67,20 @@ class NotGood(DomainError):
 
 
 class H1Violation(OrthobendError):
-    """The corner angles at a vertex do not sum to 360, or, when `dart` is
-    given, the corner keyed by that dart has an angle that is none of 90,
-    180, 270 and 360: `total` is then that angle, None when it is
-    missing."""
+    """The corner angles at a vertex do not sum to 360 (total), or the
+    corner of `dart` there has an angle that is none of 90, 180, 270 and
+    360 (angle, None when the corner has none; total is then None)."""
 
-    def __init__(self, vertex, total, dart=None):
+    def __init__(self, vertex, total=None, *, dart=None, angle=None):
         self.vertex = vertex
         self.total = total
         self.dart = dart
+        self.angle = angle
         if dart is None:
             msg = f"angles at vertex {vertex} sum to {total}, want 360"
         else:
-            angle = "no angle" if total is None else f"angle {total!r}"
-            msg = (f"corner of dart {dart} at vertex {vertex} has {angle}, "
+            has = "no angle" if angle is None else f"angle {angle!r}"
+            msg = (f"corner of dart {dart} at vertex {vertex} has {has}, "
                    "want 90, 180, 270 or 360")
         super().__init__(msg)
 

@@ -8,19 +8,17 @@ clockwise, which is what the angle arithmetic in orthorep expects.
 
 Edges are identified by their index into the edge list. Darts are
 (edge_id, orient) pairs; orient 0 runs u -> v as stored, orient 1 the
-reverse. Faces and the tables built from them hold each dart as the flat
-int 2 * edge_id + orient, whose reverse is d ^ 1. trace_faces walks
-parallel edges too, as it orients each dart by the vertex it leaves, but
-Graph, the graph of every PlaneGraph, rejects them.
+reverse. A Face holds each dart as the flat int 2 * edge_id + orient,
+whose reverse is d ^ 1, and dart_pairs turns flat darts back into pairs.
+trace_faces walks parallel edges too, as it orients each dart by the
+vertex it leaves, but Graph, the graph of every PlaneGraph, rejects them.
 """
 
 from __future__ import annotations
 
 import copy
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from operator import ne
 
 from .errors import (
     DegreeTooHigh,
@@ -35,6 +33,14 @@ Dart = tuple[int, int]
 
 def dart_reverse(d: Dart) -> Dart:
     return (d[0], 1 - d[1])
+
+
+def dart_pairs(darts, backwards=False):
+    """Flat darts as (edge_id, orient) pairs; backwards, the same walk run
+    the other way, last dart first and each dart reversed."""
+    if backwards:
+        return [(d >> 1, (d & 1) ^ 1) for d in reversed(darts)]
+    return [(d >> 1, d & 1) for d in darts]
 
 
 class Graph:
@@ -59,29 +65,6 @@ class Graph:
             raise Disconnected(
                 f"{self.n} vertices cannot be connected by "
                 f"{len(self.edges)} edges")
-        if not self._plainly_simple():
-            self._edge_fault()
-        for e, k in self.flex.items():
-            if not (isinstance(e, int) and isinstance(k, int)
-                    and 0 <= e < len(self.edges) and 0 <= k <= 4):
-                raise ParseError(f"bad flexibility entry {e}: {k}")
-
-    def _plainly_simple(self):
-        """The edges are pairs of distinct ints in range, no two join the
-        same pair and no vertex has degree above 3: what _edge_fault
-        checks edge by edge, checked over whole lists at once."""
-        edges, n = self.edges, self.n
-        ends = list(chain.from_iterable(edges))
-        return (set(map(len, edges)) <= {2} and set(map(type, ends)) <= {int}
-                and (not ends or 0 <= min(ends) and max(ends) < n)
-                and all(map(ne, ends[::2], ends[1::2]))
-                and len({u * n + v if u < v else v * n + u
-                         for u, v in edges}) == len(edges)
-                and max(Counter(ends).values(), default=0) <= 3)
-
-    def _edge_fault(self):
-        """Raise for the first edge out of range, loop or parallel edge,
-        else for the first vertex of degree above 3."""
         seen = set()
         deg = [0] * self.n
         for i, (u, v) in enumerate(self.edges):
@@ -99,6 +82,10 @@ class Graph:
         for v, d in enumerate(deg):
             if d > 3:
                 raise DegreeTooHigh(f"vertex {v} has degree {d}")
+        for e, k in self.flex.items():
+            if not (isinstance(e, int) and isinstance(k, int)
+                    and 0 <= e < len(self.edges) and 0 <= k <= 4):
+                raise ParseError(f"bad flexibility entry {e}: {k}")
 
     def degree(self, v):
         return len(self.adj[v])
@@ -147,18 +134,23 @@ def _connected(adj):
     return count == n
 
 
-@dataclass
+@dataclass(slots=True)
 class Face:
+    """A face's boundary walk, with the face on the left of each dart: its
+    flat darts, their tails and their edge ids, each in walk order."""
+
     id: int
-    darts: list  # flat darts in walk order, face on the left of each
+    darts: list
+    tails: list
+    eids: list
 
     @property
     def boundary(self):
         """The darts as (edge_id, orient) pairs."""
-        return [(d >> 1, d & 1) for d in self.darts]
+        return dart_pairs(self.darts)
 
     def edge_ids(self):
-        return [d >> 1 for d in self.darts]
+        return self.eids
 
     def __len__(self):
         return len(self.darts)
@@ -171,8 +163,7 @@ class PlaneGraph:
     _dart_face[2e + o] is the face of dart (e, o), the one dart -> face
     table. face_index is (across, pos): per face, the faces across its
     boundary darts in walk order, and each boundary edge's position on that
-    walk. face_tables is (darts, tails, edge ids): per face, its flat
-    boundary darts, their tails and their edge ids in walk order.
+    walk.
     """
 
     def __init__(self, graph, rotation, external_face=0):
@@ -182,19 +173,14 @@ class PlaneGraph:
         self.external_face = _face_id(self.faces, external_face)
         if graph.n - len(graph.edges) + len(self.faces) != 2:
             raise NotPlanar("rotation system is not planar (Euler check)")
-        darts = [f.darts for f in self.faces]
         face = self._dart_face = [0] * (2 * len(graph.edges))
-        for f, ds in enumerate(darts):
-            for d in ds:
-                face[d] = f
-        eids = [[d >> 1 for d in ds] for ds in darts]
-        ends = list(chain.from_iterable(graph.edges))  # ends[d], d's tail
+        for f in self.faces:
+            for d in f.darts:
+                face[d] = f.id
         self.face_index = (
-            [[face[d ^ 1] for d in ds] for ds in darts],
-            [dict(zip(es, range(len(es)))) for es in eids],
+            [[face[d ^ 1] for d in f.darts] for f in self.faces],
+            [dict(zip(f.eids, range(len(f)))) for f in self.faces],
         )
-        self.face_tables = (darts, [[ends[d] for d in ds] for ds in darts],
-                            eids)
 
     @property
     def n(self):
@@ -285,6 +271,7 @@ def trace_faces(n, edges, rotation):
                 after[last ^ 1] = d
                 last = d
     traced = bytearray(len(after))
+    ends = list(chain.from_iterable(edges))  # ends[d], the tail of d
     faces = []
     for start in range(len(after)):
         if traced[start]:
@@ -295,9 +282,10 @@ def trace_faces(n, edges, rotation):
             traced[d] = 1
             walk.append(d)
             d = after[d]
-        faces.append(Face(len(faces), walk))
+        faces.append(Face(len(faces), walk, [ends[d] for d in walk],
+                          [d >> 1 for d in walk]))
     if not edges and n == 1:
-        faces.append(Face(0, []))
+        faces.append(Face(0, [], [], []))
     return faces
 
 

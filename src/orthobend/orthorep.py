@@ -78,7 +78,7 @@ def validate(h: OrthoRep) -> bool:
         for d in f.boundary:
             a = h.angles.get(d)
             if a not in ANGLES:
-                raise H1Violation(pg.dart_head(d), a, d)
+                raise H1Violation(pg.dart_head(d), dart=d, angle=a)
             per_vertex[pg.dart_head(d)] += a
     for v in range(pg.n):
         if per_vertex[v] != 360:

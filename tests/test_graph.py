@@ -99,9 +99,8 @@ def test_face_structure_of_the_cube():
 
 
 def plane_state(pg):
-    return ([(x.id, x.boundary) for x in pg.faces],
-            pg.external_face, pg.rotation, pg._dart_face, pg.face_index,
-            pg.face_tables)
+    return ([(x.id, x.darts[:], x.tails[:], x.eids[:]) for x in pg.faces],
+            pg.external_face, pg.rotation, pg._dart_face, pg.face_index)
 
 
 def test_external_face_selection_is_stable():

@@ -182,8 +182,11 @@ def test_flattening_one_corner_side_breaks_h1():
         else:
             h.angles[d] = bad
         with pytest.raises(H1Violation,
-                           match=rf"dart \({d[0]}, {d[1]}\) .* has {says},"):
+                           match=rf"dart \({d[0]}, {d[1]}\) .* has {says},"
+                           ) as err:
             validate(h)
+        assert (err.value.dart, err.value.angle, err.value.total) \
+            == (d, bad, None)
 
 
 def test_flattening_both_corner_sides_breaks_h2():
