@@ -7,13 +7,15 @@ graph, the three legs of a 3-extrovert or 3-introvert cycle form a
 three distinct faces. Detection therefore enumerates dual triangles; no
 simple-cycle enumeration happens in production code (the brute-force
 route lives in the oracle module and is only used to cross-check this
-one). One enumerator, _dual_cycles, lists the dual 2- and 3-cycles: each
-face maps its neighbours to the edges joining them, and each joined pair
-f < g closes with every face h > g in the smaller of their two maps,
-once per choice of joining edges. In the class of three_cycle_records
-one edge joins each pair of adjacent faces, and dual_triangles keeps the
-triangles whose cut edges share no vertex; extrovert_cycles takes them
-all, on a wider class where two faces may share more than one edge.
+one). One enumerator, _dual_cycles, lists the dual 2- and 3-cycles for
+extrovert_cycles, on a wider class where two faces may share more than
+one edge: each face maps its neighbours to the edges joining them, and
+each joined pair f < g closes with every face h > g in the smaller of
+their two maps, once per choice of joining edges. In the class of
+three_cycle_records one edge joins each pair of adjacent faces, and
+dual_triangles walks the same maps, each neighbour to its one edge, in
+the same order, listing a triangle only when its cut edges share no
+vertex.
 
 A record is its cut plus the faces on its inside. The sides of the
 separating cuts are laminar, so one numbering of the faces makes the side
@@ -36,11 +38,14 @@ each side. The cycle bounding a side is the chain of the arcs facing it,
 walked with the inside on the left; each contour path is one arc, its
 leg the cut edge at its tail and its leg face the arc's face. One walk of
 the cut faces, from the dart of cut[0] that ends on one side, chains
-that side's arcs as spans (f, i, j) of boundary positions; the other
-side's arcs are the same faces in reverse order, as spans (f, j, i). So
-each cut is walked once for both of its records, and the checks that a
-side's arcs close a simple cycle, with every cut edge a leg, run on the
-tails of that side's spans. A record holds no dart: it keeps its spans,
+that side's arcs as spans (f, i, j) of boundary positions; PlaneGraph's
+dart tables give each cut edge's dart on a face and its position there.
+The other side's arcs are the same faces in reverse order, as spans
+(f, j, i). So each cut is walked once for both of its records, which
+_cut_records builds in one step, slicing each arc's tails and darts
+once: the tails for the checks that each side's arcs close a simple
+cycle with every cut edge a leg, the darts for the smallest, which picks
+the path that comes last. A record holds no dart: it keeps its spans,
 plus one flag for a chain walked backwards, into its graph's faces,
 which hold their darts, tails and edge ids; the darts, edges and
 vertices are read off the faces on request.
@@ -204,13 +209,13 @@ class Inside:
 def _class_index(pg: PlaneGraph):
     """pg.face_index; NotTriconnectedCubic, naming a witness, outside the
     class of three_cycle_records."""
-    across, pos = pg.face_index
+    across = pg.face_index
     if not pg.graph.is_cubic() or any(f in nbrs or len(set(nbrs)) < len(nbrs)
                                       for f, nbrs in enumerate(across)):
         raise NotTriconnectedCubic(
             "3-cycle records need a triconnected cubic graph: "
             + _class_witness(pg))
-    return across, pos
+    return across
 
 
 def _class_witness(pg: PlaneGraph):
@@ -220,7 +225,7 @@ def _class_witness(pg: PlaneGraph):
     for v, nbrs in enumerate(pg.graph.adj):
         if len(nbrs) != 3:
             return f"vertex {v} has degree {len(nbrs)}"
-    across = pg.face_index[0]
+    across = pg.face_index
     for f, nbrs in enumerate(across):
         if f in nbrs:
             return (f"edge {pg.faces[f].eids[nbrs.index(f)]} has face {f} "
@@ -276,20 +281,33 @@ def _dual_cycles(pg: PlaneGraph, k):
 def dual_triangles(pg: PlaneGraph):
     """The separating 3-edge-cuts of a pg in the class of
     three_cycle_records as (cut_edges, cut_faces), each once, by their
-    smallest face.
+    smallest face: the dual triangles of _dual_cycles whose cut edges l1
+    (f|g) and l2 (g|h) do not meet, in the same order.
 
-    They are the dual triangles of _dual_cycles whose cut edges l1 (f|g)
-    and l2 (g|h) do not meet. The other dual triangles are facial, one
-    round each vertex: there l1 and l2 meet at the vertex, as the third
-    edge there joins h|f, and no two cut edges of a separating triangle
-    meet.
+    The other dual triangles are facial, one round each vertex: there l1
+    and l2 meet at the vertex, as the third edge there joins h|f, and no
+    two cut edges of a separating triangle meet. In the class one edge
+    joins each pair of adjacent faces, so each face maps its neighbours to
+    that edge, and a triangle is tested before it is listed.
     """
-    ends = pg.graph.edges
+    ends, darts = pg.graph.edges, iter(pg._dart_face)
+    joins = [{} for _ in pg.faces]  # per face: neighbour -> joining edge
+    for e, (f, g) in enumerate(zip(darts, darts)):
+        joins[f][g] = joins[g][f] = e
     found = []
-    for cut, tri in _dual_cycles(pg, 3):
-        u, v = ends[cut[0]]
-        if u not in ends[cut[1]] and v not in ends[cut[1]]:
-            found.append((cut, tri))
+    for f, at_f in enumerate(joins):
+        for g, l1 in at_f.items():
+            if g < f:
+                continue
+            at_g = joins[g]
+            small, big = ((at_f, at_g) if len(at_f) < len(at_g)
+                          else (at_g, at_f))
+            u, v = ends[l1]
+            for h in small:
+                if h > g and h in big:
+                    l2 = at_g[h]
+                    if u not in ends[l2] and v not in ends[l2]:
+                        found.append(((l1, l2, at_f[h]), (f, g, h)))
     return found
 
 
@@ -307,27 +325,24 @@ def _cut_arcs(pg: PlaneGraph, cut, x):
     boundary, and the arcs strictly between them face the cut's two
     sides. The arcs facing x's side chain head to tail from the dart of
     cut[0] that ends at x, each walked with its face on the left; the arcs
-    facing the other side are _far_arcs of them.
+    facing the other side are _far_arcs of them. The dart tables give each
+    cut edge's dart on a face, and its position there.
     """
-    pos, faces = pg.face_index[1], pg.faces
-    ends = pg.graph.edges
+    face, pos = pg._dart_face, pg._dart_pos
     e = cut[0]
-    f = pg.faces_of_edge(e)[ends[e][0] == x]  # that of the dart to x
+    d = start = 2 * e + (pg.graph.edges[e][0] == x)  # the dart of e to x
     spans = []
     for _ in cut:
-        at = pos[f]
-        i = at[e]
+        f = face[d]
         for c in cut:
-            if c != e and c in at:
-                j = at[c]
+            dc = 2 * c + (face[2 * c] != f)  # c's dart on f, if c is on f
+            if c != e and face[dc] == f:
                 break
         else:
             raise AssertionError(f"cut face {f} holds one cut edge")
-        spans.append((f, i, j))
-        e = faces[f].eids[j]
-        g, h = pg.faces_of_edge(e)
-        f = h if g == f else g
-    if e != cut[0] or f != spans[0][0]:
+        spans.append((f, pos[d], pos[dc]))
+        e, d = c, dc ^ 1
+    if d != start:
         return None
     return tuple(spans)
 
@@ -363,7 +378,8 @@ def _record(pg: PlaneGraph, cycle_id, spans, inside, degenerate, phi=None):
     whose inside is `inside`: 3-introvert exactly when the cut faces lie
     inside, and otherwise walked backwards, so the inside is always on the
     left. A path's leg is the cut edge at its tail and its leg face the
-    arc's face. The path holding the cycle's smallest edge comes last."""
+    arc's face. The path holding the cycle's smallest edge comes last.
+    _cut_records builds the records of the separating cuts inline."""
     faces = pg.faces
     reverse = spans[0][0] not in inside
     if reverse:
@@ -378,11 +394,67 @@ def _record(pg: PlaneGraph, cycle_id, spans, inside, degenerate, phi=None):
         legs = tuple([faces[f].eids[j] for f, _, j in spans])
     else:
         legs = tuple([faces[f].eids[i] for f, i, _ in spans])
-    return CycleRecord(
-        cycle_id=cycle_id, kind="extrovert" if reverse else "introvert",
-        legs=legs, leg_faces=tuple([f for f, _, _ in spans]), spans=spans,
-        reverse=reverse, inside_faces=inside, degenerate=degenerate,
-        faces=faces, phi_partner=phi)
+    return CycleRecord(cycle_id, "extrovert" if reverse else "introvert",
+                       legs, tuple([f for f, _, _ in spans]), spans, reverse,
+                       inside, degenerate, faces, phi)
+
+
+def _cut_records(pg: PlaneGraph, i, cut, x, inside_a, inside_b):
+    """Records i and i + 1 of a separating cut: the cycles round the side
+    of x, an end of cut[0], and round the other side, with insides
+    inside_a and inside_b, each phi-linked to the other.
+
+    One walk of the cut faces gives the arcs facing x's side, and the
+    rest of each cut face's boundary faces the other side. Each arc's
+    tails give its side's vertices, for the checks that each side closes
+    a simple cycle with every cut edge a leg, and its darts its smallest
+    dart. The rest is _record's, inline: a record is walked backwards
+    exactly when the cut faces lie outside it, and its path holding the
+    smallest edge comes last.
+    """
+    faces, ends = pg.faces, pg.graph.edges
+    near = _cut_arcs(pg, cut, x)
+    assert near, "cut faces close no walk"
+    walked_a, walked_b, low_a, low_b = [], [], [], []
+    for f, j, k in near:  # _between, inline on this hot path
+        face = faces[f]
+        t, ds = face.tails, face.darts
+        if j < k:
+            walked_a += t[j + 1:k]
+            walked_b += t[k + 1:] + t[:j]
+            arc, far = ds[j + 1:k], ds[k + 1:] + ds[:j]
+        else:
+            walked_a += t[j + 1:] + t[:k]
+            walked_b += t[k + 1:j]
+            arc, far = ds[j + 1:] + ds[:k], ds[k + 1:j]
+        low_a.append(min(arc))
+        low_b.append(min(far))
+    side_a, side_b = set(walked_a), set(walked_b)
+    assert 3 <= len(walked_a) == len(side_a), "side A's arcs close no cycle"
+    assert 3 <= len(walked_b) == len(side_b), "side B's arcs close no cycle"
+    for c in cut:
+        u, v = ends[c]
+        assert (u in side_a) != (v in side_a), f"edge {c} is no leg of A"
+        assert (u in side_b) != (v in side_b), f"edge {c} is no leg of B"
+    low_b.reverse()
+    out = []
+    for cid, spans, low, inside in ((i, near, low_a, inside_a),
+                                    (i + 1, _far_arcs(near), low_b,
+                                     inside_b)):
+        reverse = not inside.cut_faces
+        if reverse:
+            spans, low = spans[::-1], low[::-1]
+        k = low.index(min(low)) + 1
+        (f0, i0, j0), (f1, i1, j1), (f2, i2, j2) = spans = (spans[k:]
+                                                            + spans[:k])
+        if reverse:
+            legs = faces[f0].eids[j0], faces[f1].eids[j1], faces[f2].eids[j2]
+        else:
+            legs = faces[f0].eids[i0], faces[f1].eids[i1], faces[f2].eids[i2]
+        out.append(CycleRecord(
+            cid, "extrovert" if reverse else "introvert", legs, (f0, f1, f2),
+            spans, reverse, inside, False, faces, cid ^ 1))
+    return out
 
 
 def _spanning_tree(pg: PlaneGraph, root):
@@ -420,7 +492,7 @@ def _away_sides(pg: PlaneGraph, across, cuts, root):
     expanded once. A depth-first walk of the cut tree, each side's own
     faces first, numbers every side as one interval.
     """
-    edges = pg.graph.edges
+    edges, face = pg.graph.edges, pg._dart_face
     pre, size, up = _spanning_tree(pg, pg.faces[root].tails[0])
     count, ends = [], []
     for cut, _ in cuts:
@@ -457,7 +529,7 @@ def _away_sides(pg: PlaneGraph, across, cuts, root):
         tri = cuts[c][1]
         stack = []
         for e in pg.rotation[ends[c]]:
-            stack += pg.faces_of_edge(e)
+            stack += face[2 * e], face[2 * e + 1]
         took = 0
         while stack:
             f = stack.pop()
@@ -506,7 +578,7 @@ def _root_records(pg: PlaneGraph):
     cut faces when the face lies in B. Raises NotTriconnectedCubic as
     three_cycle_records does.
     """
-    across, _ = _class_index(pg)
+    across = _class_index(pg)
     cuts = dual_triangles(pg)
     ext = pg.external_face
     ref = _reference_face(cuts, pg.faces, ext)
@@ -514,20 +586,11 @@ def _root_records(pg: PlaneGraph):
     at_ext = numbering[1][ext]
     records = []
     for (cut, tri), (lo, hi, x) in zip(cuts, sides):
-        a = _cut_arcs(pg, cut, x)
-        b = a and _far_arcs(a)
-        simple = (a and _cycle_vertices(pg, cut, a)
-                  and _cycle_vertices(pg, cut, b))
-        assert simple, "cut arcs close no cycle with three legs"
         in_a = lo <= at_ext < hi and ext not in tri
         in_b = not in_a and ext not in tri
-        i = len(records)
-        records.append(_record(pg, i, a,
-                               Inside(numbering, lo, hi, tri, in_a, in_a),
-                               False, i + 1))
-        records.append(_record(pg, i + 1, b,
-                               Inside(numbering, lo, hi, tri, not in_b, in_b),
-                               False, i))
+        records += _cut_records(pg, len(records), cut, x,
+                                Inside(numbering, lo, hi, tri, in_a, in_a),
+                                Inside(numbering, lo, hi, tri, not in_b, in_b))
     return records, parent, preorder, ref
 
 
@@ -591,7 +654,7 @@ def extrovert_cycles(pg: PlaneGraph, k):
     """
     if k not in (2, 3):
         raise ValueError(f"extrovert cycles have 2 or 3 legs, not {k}")
-    across = pg.face_index[0]
+    across = pg.face_index
     ends = pg.graph.edges
     found = []
     for cut, faces in _dual_cycles(pg, k):

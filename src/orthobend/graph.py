@@ -160,27 +160,25 @@ class PlaneGraph:
     """A graph plus rotation system plus a choice of external face.
     Raises ParseError unless rotation[v] lists each of v's edges once.
 
-    _dart_face[2e + o] is the face of dart (e, o), the one dart -> face
-    table. face_index is (across, pos): per face, the faces across its
-    boundary darts in walk order, and each boundary edge's position on that
-    walk.
+    The rotation rows are kept, not copied: the caller hands over lists
+    that nothing else changes. Two flat tables, filled while the faces are
+    traced, index every dart d = 2e + o: _dart_face[d] is the face of dart
+    (e, o) and _dart_pos[d] its position on that face's walk, so
+    faces[_dart_face[d]].darts[_dart_pos[d]] == d. face_index lists per
+    face the faces across its boundary darts in walk order.
     """
 
     def __init__(self, graph, rotation, external_face=0):
         self.graph = graph
-        self.faces = trace_faces(graph.n, graph.edges, rotation)
-        self.rotation = [list(r) for r in rotation]
+        self.rotation = rotation
+        face = self._dart_face = [-1] * (2 * len(graph.edges))
+        self._dart_pos = [0] * len(face)
+        self.faces = trace_faces(graph.n, graph.edges, rotation, face,
+                                 self._dart_pos)
         self.external_face = _face_id(self.faces, external_face)
         if graph.n - len(graph.edges) + len(self.faces) != 2:
             raise NotPlanar("rotation system is not planar (Euler check)")
-        face = self._dart_face = [0] * (2 * len(graph.edges))
-        for f in self.faces:
-            for d in f.darts:
-                face[d] = f.id
-        self.face_index = (
-            [[face[d ^ 1] for d in f.darts] for f in self.faces],
-            [dict(zip(f.eids, range(len(f)))) for f in self.faces],
-        )
+        self.face_index = [[face[d ^ 1] for d in f.darts] for f in self.faces]
 
     @property
     def n(self):
@@ -223,7 +221,7 @@ class PlaneGraph:
 
 def _face_id(faces, f):
     """f, the id of one of `faces`; ParseError when it is none."""
-    if not (0 <= f < len(faces)):
+    if not (isinstance(f, int) and 0 <= f < len(faces)):
         raise ParseError(f"external face {f} out of range")
     return f
 
@@ -257,12 +255,14 @@ def _rotation_slots(n, edges, rotation):
     return slots
 
 
-def trace_faces(n, edges, rotation):
+def trace_faces(n, edges, rotation, dart_face=None, dart_pos=None):
     """Decompose darts into faces (face on the left of each dart).
     Raises ParseError unless rotation[v] lists v's edges, each once.
 
     The dart after d on its face leaves d's head next in clockwise
-    order after d's reverse."""
+    order after d's reverse. dart_face and dart_pos, when given, are 2m
+    slots, those of dart_face all -1, filled with each dart's face and
+    its position on that face's walk."""
     after = [0] * (2 * len(edges))
     for row in _rotation_slots(n, edges, rotation):
         if row:
@@ -270,19 +270,22 @@ def trace_faces(n, edges, rotation):
             for d in row:
                 after[last ^ 1] = d
                 last = d
-    traced = bytearray(len(after))
+    if dart_face is None:
+        dart_face, dart_pos = [-1] * len(after), [0] * len(after)
     ends = list(chain.from_iterable(edges))  # ends[d], the tail of d
     faces = []
     for start in range(len(after)):
-        if traced[start]:
+        if dart_face[start] >= 0:
             continue
+        f = len(faces)
         walk = []
         d = start
-        while not traced[d]:
-            traced[d] = 1
+        while dart_face[d] < 0:
+            dart_face[d] = f
+            dart_pos[d] = len(walk)
             walk.append(d)
             d = after[d]
-        faces.append(Face(len(faces), walk, [ends[d] for d in walk],
+        faces.append(Face(f, walk, [ends[d] for d in walk],
                           [d >> 1 for d in walk]))
     if not edges and n == 1:
         faces.append(Face(0, [], [], []))
@@ -324,8 +327,8 @@ def load_plane_graph(text: str) -> PlaneGraph:
 
 
 def _parse(text: str):
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = [ln for ln in map(str.strip, text.splitlines())
+             if ln and ln[0] != "#"]
     if not lines:
         raise ParseError("empty input")
     head = lines[0].split()
@@ -363,7 +366,7 @@ def _parse(text: str):
             try:
                 lhs, rhs = ln.split(":", 1)
                 v = int(lhs.split()[1])
-                order = [int(x) for x in rhs.split()]
+                order = list(map(int, rhs.split()))
             except (ValueError, IndexError):
                 raise ParseError(f"bad rotation line {ln!r}") from None
             if v in orders:
@@ -381,7 +384,10 @@ def _parse(text: str):
     if orders:
         if not all(0 <= v < n for v in orders):
             raise ParseError(f"rotation line for a vertex outside 0..{n - 1}")
-        rotation = [orders.get(v, [e for _, e in g.adj[v]]) for v in range(n)]
+        rotation = list(map(orders.get, range(n)))
+        for v, row in enumerate(rotation):
+            if row is None:  # no rotation line: its edges in input order
+                rotation[v] = [e for _, e in g.adj[v]]
     return g, rotation, external
 
 

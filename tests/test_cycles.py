@@ -220,9 +220,7 @@ def test_three_cycle_records_expand_each_face_a_bounded_number_of_times():
     each face a side takes once, at most F times in all; a flood per cut
     reads them Θ(F²) times."""
     pg = embed(nested(1, 1600))
-    across, pos = pg.face_index
-    counted = CountingList(across)
-    pg.face_index = (counted, pos)
+    pg.face_index = counted = CountingList(pg.face_index)
     cuts = len(cycles.three_cycle_records(pg)) // 2
     faces = len(pg.faces)
     assert cuts > faces * 9 // 10
@@ -254,17 +252,36 @@ def test_separating_cuts_and_facial_records_match_the_oracle():
                 assert production_keys(facial) == oracle_keys(want)
 
 
+def test_dual_triangles_are_the_dual_cycles_whose_l1_and_l2_do_not_meet():
+    """dual_triangles lists what _dual_cycles lists, less the triangles
+    whose first two cut edges meet, in the same order: at every face of
+    CORPUS and on NESTED."""
+    for pg in [pg for g in CORPUS for pg in all_faces(g)] \
+            + [embed(g) for g in NESTED]:
+        ends = pg.graph.edges
+        want = [(cut, tri) for cut, tri in cycles._dual_cycles(pg, 3)
+                if not set(ends[cut[0]]) & set(ends[cut[1]])]
+        assert cycles.dual_triangles(pg) == want
+
+
 def test_demanding_sets_build_no_facial_record(monkeypatch):
     """Two records per separating cut and none round a vertex, at every
-    face of a graph grown like the benchmark's every-face queries."""
+    face of a graph grown like the benchmark's every-face queries: the
+    per-cut builder runs once per separating cut, and nothing else builds
+    a record."""
     built = []
 
     def counted(*args, **kwargs):
-        built.append(record(*args, **kwargs))
-        return built[-1]
+        records = cut_records(*args, **kwargs)
+        built.extend(records)
+        return records
 
-    record = cycles._record
-    monkeypatch.setattr(cycles, "_record", counted)
+    def no_record(*args, **kwargs):
+        raise AssertionError("a record built outside the per-cut builder")
+
+    cut_records = cycles._cut_records
+    monkeypatch.setattr(cycles, "_cut_records", counted)
+    monkeypatch.setattr(cycles, "_record", no_record)
     for pg in all_faces(nested(1, 60)):
         built.clear()
         cycles.demanding_sets(pg)

@@ -34,6 +34,7 @@ from corpus import (
     prism,
     sibling_fixture,
     theta_fixture,
+    truncate,
     truncated_prism,
 )
 
@@ -100,7 +101,8 @@ def test_face_structure_of_the_cube():
 
 def plane_state(pg):
     return ([(x.id, x.darts[:], x.tails[:], x.eids[:]) for x in pg.faces],
-            pg.external_face, pg.rotation, pg._dart_face, pg.face_index)
+            pg.external_face, pg.rotation, pg._dart_face, pg._dart_pos,
+            pg.face_index)
 
 
 def test_external_face_selection_is_stable():
@@ -117,6 +119,49 @@ def test_external_face_selection_is_stable():
             assert plane_state(pg) == before
         with pytest.raises(ParseError):
             pg.with_external_face(len(pg.faces))
+
+
+@pytest.mark.parametrize("f", [1.0, "1", None])
+def test_a_non_integer_external_face_raises_parse_error(f):
+    g = prism()
+    pg = embed(g)
+    with pytest.raises(ParseError):
+        PlaneGraph(g, [list(r) for r in pg.rotation], f)
+    with pytest.raises(ParseError):
+        pg.with_external_face(f)
+
+
+def test_dart_tables_index_every_dart():
+    """_dart_face and _dart_pos place each dart on its face's walk, and
+    face_index lists the face across each boundary dart."""
+    for g in CORPUS + [nested(1, 400)]:
+        pg = embed(g)
+        assert len(pg._dart_face) == len(pg._dart_pos) == 2 * pg.m
+        for d in range(2 * pg.m):
+            assert pg.faces[pg._dart_face[d]].darts[pg._dart_pos[d]] == d
+        assert pg.face_index == [[pg._dart_face[d ^ 1] for d in f.darts]
+                                 for f in pg.faces]
+
+
+def test_plane_graph_keeps_the_rotation_rows_it_is_given():
+    g = prism()
+    rotation = [list(r) for r in embed(g).rotation]
+    assert PlaneGraph(g, rotation).rotation is rotation
+
+
+def test_nested_is_repeated_truncation():
+    """corpus.nested, linear, builds the graph that truncating afresh at
+    each step builds, edge order and all."""
+    for seed in (1, 2):
+        for n in (8, 9, 10, 60, 201, 400):
+            rng = random.Random(seed)
+            want, last = cube(), (0,)
+            while want.n < n:
+                v = last[rng.randrange(len(last))]
+                last = (v, want.n, want.n + 1)
+                want = truncate(want, v)
+            got = nested(seed, n)
+            assert (got.n, got.edges) == (want.n, want.edges)
 
 
 def test_dart_bookkeeping():
@@ -210,7 +255,7 @@ def test_load_graph_rejects_bad_rotation_lines():
     square = "4 4\n0 1\n1 2\n2 3\n3 0\n"
     assert load_graph(square + "rotation 0: 3 0\n").m == 4
     for bad in ("rotation 0: 3 1\n", "rotation 1: 0 0\n",
-                "rotation 1: 0 1 2\n", "rotation 2: 1\n"):
+                "rotation 1: 0 1 2\n", "rotation 2: 1\n", "rotation 2:\n"):
         with pytest.raises(ParseError):
             load_graph(square + bad)
 
