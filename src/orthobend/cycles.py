@@ -12,7 +12,7 @@ extrovert_cycles, on a wider class where two faces may share more than
 one edge: each face maps its neighbours to the edges joining them, and
 each joined pair f < g closes with every face h > g in the smaller of
 their two maps, once per choice of joining edges. In the class of
-three_cycle_records one edge joins each pair of adjacent faces, and
+inclusion_tree one edge joins each pair of adjacent faces, and
 dual_triangles walks the same maps, each neighbour to its one edge, in
 the same order, listing a triangle only when its cut edges share no
 vertex.
@@ -55,8 +55,8 @@ its one degenerate cycle runs round v's face fan, 3-extrovert with every
 face but the fan inside when v lies on the external boundary, and
 3-introvert with the fan inside when v is internal. The count reads no
 degenerate cycle, so the demanding path never builds one:
-three_cycle_records lists only the separating triangles, those whose
-three cut edges share no vertex, and facial_records builds the
+inclusion_tree holds records only for the separating triangles, those
+whose three cut edges share no vertex, and facial_records builds the
 degenerate cycles on request.
 
 A separating triangle splits the other faces into two sides. With the
@@ -104,6 +104,7 @@ from itertools import accumulate, chain, combinations, product
 from .errors import (
     NoTwin, NotBiconnected, NotTriconnectedCubic, ShortExternalFace,
 )
+# embed is unused here, but the benchmark's tests read it as cycles.embed
 from .graph import PlaneGraph, dart_pairs, embed
 
 
@@ -208,7 +209,7 @@ class Inside:
 
 def _class_index(pg: PlaneGraph):
     """pg.face_index; NotTriconnectedCubic, naming a witness, outside the
-    class of three_cycle_records."""
+    class of inclusion_tree: triconnected cubic graphs."""
     across = pg.face_index
     if not pg.graph.is_cubic() or any(f in nbrs or len(set(nbrs)) < len(nbrs)
                                       for f, nbrs in enumerate(across)):
@@ -219,7 +220,7 @@ def _class_index(pg: PlaneGraph):
 
 
 def _class_witness(pg: PlaneGraph):
-    """Why pg is outside the class of three_cycle_records: a vertex whose
+    """Why pg is outside the class of inclusion_tree: a vertex whose
     degree is not 3, a bridge, which has one face on both sides, or two
     edges joining one pair of faces."""
     for v, nbrs in enumerate(pg.graph.adj):
@@ -279,10 +280,10 @@ def _dual_cycles(pg: PlaneGraph, k):
 
 
 def dual_triangles(pg: PlaneGraph):
-    """The separating 3-edge-cuts of a pg in the class of
-    three_cycle_records as (cut_edges, cut_faces), each once, by their
-    smallest face: the dual triangles of _dual_cycles whose cut edges l1
-    (f|g) and l2 (g|h) do not meet, in the same order.
+    """The separating 3-edge-cuts of a pg in the class of inclusion_tree
+    as (cut_edges, cut_faces), each once, by their smallest face: the dual
+    triangles of _dual_cycles whose cut edges l1 (f|g) and l2 (g|h) do not
+    meet, in the same order.
 
     The other dual triangles are facial, one round each vertex: there l1
     and l2 meet at the vertex, as the third edge there joins h|f, and no
@@ -565,18 +566,29 @@ def _away_sides(pg: PlaneGraph, across, cuts, root):
                           for c in range(len(cuts))], parent, walk[1:])
 
 
+def _reference_face(cuts, faces, f0):
+    """f0 when it is on none of `cuts`, the separating triangles
+    dual_triangles lists, else the lowest face of `faces` that is on
+    none."""
+    on_cut = {f for _, tri in cuts for f in tri}
+    for f in (f0, *range(len(faces))):
+        if f not in on_cut:
+            return f
+    raise AssertionError("every face lies on a separating triangle")
+
+
 def _root_records(pg: PlaneGraph):
     """(records, parent, preorder, reference_face): both records of every
     separating cut c of pg, ids 2c and 2c + 1, as pg's external face sees
     them, with the cut tree of _away_sides rooted at the reference face
-    compute_reference_embedding picks.
+    _reference_face picks.
 
     Record 2c is the cycle round the cut's side A away from the reference
     face and 2c + 1 the cycle round the other side B. Each has the side
     that does not hold pg's external face inside: record 2c A, or B and
     the cut faces when the face lies in A; record 2c + 1 B, or A and the
     cut faces when the face lies in B. Raises NotTriconnectedCubic as
-    three_cycle_records does.
+    inclusion_tree does.
     """
     across = _class_index(pg)
     cuts = dual_triangles(pg)
@@ -594,26 +606,13 @@ def _root_records(pg: PlaneGraph):
     return records, parent, preorder, ref
 
 
-def three_cycle_records(pg: PlaneGraph):
-    """The non-degenerate 3-extrovert and 3-introvert cycles of pg, two
-    per separating 3-edge-cut, each phi-linked to the other record of its
-    cut; facial_records has the degenerate ones.
-
-    They are the records of _root_records, ids 2c and 2c + 1 per cut c of
-    dual_triangles. Raises NotTriconnectedCubic unless pg's graph is cubic
-    and triconnected, that is, unless every edge joins its own pair of
-    faces: the dual has no loop and no parallel edges.
-    """
-    return _root_records(pg)[0]
-
-
 def facial_records(pg: PlaneGraph):
     """The degenerate 3-cycles of pg, one per vertex v with cycle id
     -1 - v: the cycle round v's face fan, whose legs are v's three edges.
 
     The cycle is 3-extrovert, with every face but the fan inside, when v
     lies on the external face, and 3-introvert with the fan inside when v
-    is internal. Raises NotTriconnectedCubic as three_cycle_records does.
+    is internal. Raises NotTriconnectedCubic as inclusion_tree does.
     """
     _class_index(pg)
     ext = pg.external_face
@@ -681,35 +680,6 @@ def extrovert_cycles(pg: PlaneGraph, k):
 
 
 # ---------------------------------------------------------------------------
-# reference embeddings
-
-
-def _reference_face(cuts, faces, f0):
-    """f0 when it is on none of `cuts`, the separating triangles
-    dual_triangles lists, else the lowest face of `faces` that is on
-    none."""
-    on_cut = {f for _, tri in cuts for f in tri}
-    for f in (f0, *range(len(faces))):
-        if f not in on_cut:
-            return f
-    raise AssertionError("every face lies on a separating triangle")
-
-
-def compute_reference_embedding(g) -> PlaneGraph:
-    """Choose an external face on no separating triangle: the given one
-    when it qualifies, else the lowest face id that does.
-
-    Accepts a Graph (embedded with its default rotation) or a PlaneGraph;
-    returns the input unchanged when it already qualifies. Raises
-    NotTriconnectedCubic as three_cycle_records does.
-    """
-    pg = g if isinstance(g, PlaneGraph) else embed(g)
-    _class_index(pg)
-    f = _reference_face(dual_triangles(pg), pg.faces, pg.external_face)
-    return pg if f == pg.external_face else pg.with_external_face(f)
-
-
-# ---------------------------------------------------------------------------
 # inclusion trees
 
 
@@ -721,17 +691,16 @@ class InclusionTree:
     cycle's parent is the smallest member whose side holds its own, which
     is the cut tree of _away_sides with record 2c of cut c as its node;
     nodes lists the members in preorder, and depth() counts the steps from
-    a cycle up to the root. records are three_cycle_records(pg), seen from
-    pg's own external face, so a node is 3-introvert there when that face
-    lies in its side. A record's id is its index, so by_id is the records
-    list itself.
+    a cycle up to the root. records holds both records of every separating
+    cut, seen from pg's own external face, so a node is 3-introvert there
+    when that face lies in its side; a record's id is its index there.
     """
 
     root = None
 
     def __init__(self, pg, records, parent, preorder, reference_face):
         self.pg = pg
-        self.records = self.by_id = records
+        self.records = records
         self.reference_face = reference_face
         self.nodes = [2 * c for c in preorder]
         self.parent = {}
@@ -748,9 +717,13 @@ class InclusionTree:
 
 
 def inclusion_tree(pg: PlaneGraph) -> InclusionTree:
-    """The inclusion tree of pg's 3-cycle records, rooted at the reference
-    face compute_reference_embedding would pick; pg may have any external
-    face. Raises NotTriconnectedCubic as three_cycle_records does."""
+    """The inclusion tree of pg's 3-cycle records, the one way to them:
+    both non-degenerate cycles of each separating cut c of dual_triangles,
+    ids 2c and 2c + 1, phi-linked; facial_records has the degenerate ones.
+    It is rooted at reference_face, pg's external face when that is on no
+    separating triangle, else the lowest face on none. Raises
+    NotTriconnectedCubic, naming a witness, unless pg's graph is cubic and
+    triconnected: unless every edge joins its own pair of faces."""
     return InclusionTree(pg, *_root_records(pg))
 
 
@@ -791,7 +764,7 @@ def color_3_extrovert(tree: InclusionTree, fx):
     """
     green = set()  # (parent id, leg face) of every green path
     for cid in reversed(tree.nodes):
-        rec = tree.by_id[cid]
+        rec = tree.records[cid]
         cols = []
         for j, f in enumerate(rec.leg_faces):
             if (cid, j) in fx:
@@ -819,23 +792,23 @@ def color_3_introvert(tree: InclusionTree, fx):
     contains a green path of another S-cycle exactly when that cycle has a
     green path incident to f'. fx is fx_counts of the tree.
     """
-    by_id = tree.by_id
+    records = tree.records
     green = [0] * len(tree.pg.faces)  # per face, green S-cycle paths on it
     for node in (tree.root, *tree.nodes):
         kids = tree.children.get(node)
         if not kids:
             continue
-        s_cycles = [by_id[k] for k in kids]
+        s_cycles = [records[k] for k in kids]
         if node is not None:
-            s_cycles.append(by_id[by_id[node].phi_partner])
+            s_cycles.append(records[records[node].phi_partner])
         lit = [r for r in s_cycles if "green" in r.colors]
         for r in lit:
             for f, c in zip(r.leg_faces, r.colors):
                 if c == "green":
                     green[f] += 1
         for kid in kids:
-            ext = by_id[kid]
-            intro = by_id[ext.phi_partner]
+            ext = records[kid]
+            intro = records[ext.phi_partner]
             cols = []
             for j, f in enumerate(intro.leg_faces):
                 if (intro.cycle_id, j) in fx:
@@ -870,7 +843,7 @@ def _settle(rec, cols):
 
 @dataclass
 class DemandingSets:
-    # three_cycle_records(pg), colored: each record's colors belong to its
+    # inclusion_tree(pg).records, colored: each record's colors belong to its
     # cycle as 3-extrovert or 3-introvert at the reference face
     records: list
     d_set: list  # pairwise non-intersecting demanding 3-extrovert cycles
@@ -896,15 +869,16 @@ def demanding_sets(pg: PlaneGraph) -> DemandingSets:
     color_3_introvert(tree, fx)
 
     ext = pg.external_face
-    partners = (tree.by_id[tree.by_id[c].phi_partner] for c in tree.nodes)
+    records = tree.records
+    partners = (records[records[c].phi_partner] for c in tree.nodes)
     i_f = {r.cycle_id for r in partners
            if r.demanding and ext in r.leg_faces}
     drop = i_f if len(i_f) >= 2 else set()
-    d_set = [r for r in tree.records
+    d_set = [r for r in records
              if r.kind == "extrovert" and r.demanding
              and r.cycle_id not in drop]
     d_f = [r for r in d_set if ext in r.leg_faces]
-    return DemandingSets(tree.records, d_set, d_f, tree.reference_face)
+    return DemandingSets(records, d_set, d_f, tree.reference_face)
 
 
 # ---------------------------------------------------------------------------
@@ -916,7 +890,7 @@ def twin(pg: PlaneGraph, c: CycleRecord, records) -> CycleRecord:
 
     Defined exactly when c is non-degenerate and shares an edge with the
     external boundary (equivalently the external face is a leg face); it
-    is read from records, three_cycle_records(pg)."""
+    is read from records, inclusion_tree(pg).records."""
     if c.degenerate:
         raise NoTwin("degenerate cycles have no twin")
     if pg.external_face not in c.leg_faces:
@@ -927,7 +901,7 @@ def twin(pg: PlaneGraph, c: CycleRecord, records) -> CycleRecord:
 def intersecting_cover(pg: PlaneGraph, cycles, records):
     """Two non-adjacent external edges e1, e2 such that every cycle of a
     pairwise-intersecting family contains one of them; records are
-    three_cycle_records(pg), where twin finds a cycle's twin."""
+    inclusion_tree(pg).records, where twin finds a cycle's twin."""
     boundary = pg.faces[pg.external_face].edge_ids()
     if len(boundary) < 4:
         raise ShortExternalFace(

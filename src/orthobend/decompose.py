@@ -441,76 +441,3 @@ def _split_series(W, cls, fresh_pair):
         "series walk missed class edges"
     return skel, pieces
 
-
-# ------------------------------------------------------------- reporting
-
-
-def format_bc_tree(bc: BcTree) -> str:
-    lines = [f"blocks: {len(bc.blocks)}  cutvertices: "
-             f"{list(bc.cutvertices)}"]
-    for bi, blk in enumerate(bc.blocks):
-        tag = "trivial" if blk.trivial else f"{len(blk.edges)} edges"
-        cuts = bc.cuts_of_block(bi)
-        lines.append(f"  block {bi} ({tag}) vertices "
-                     f"{list(blk.vertices)} cuts {cuts}")
-    return "\n".join(lines)
-
-
-def bc_tree_to_json(bc: BcTree) -> dict:
-    return {
-        "cutvertices": list(bc.cutvertices),
-        "blocks": [
-            {"id": bi, "edges": list(blk.edges),
-             "vertices": list(blk.vertices), "trivial": blk.trivial}
-            for bi, blk in enumerate(bc.blocks)
-        ],
-    }
-
-
-def _edge_label(tree, e):
-    if e.is_real:
-        return f"e{e.edge_id}({e.u}-{e.v})"
-    return f"v({e.u}-{e.v})->{e.twin.node}"
-
-
-def format_spqr(tree: SpqrTree) -> str:
-    lines = []
-    seen = set()
-    start = min(n.index for n in tree.nodes if n.kind != "Q")
-    stack = [(start, 0)]
-    while stack:
-        i, depth = stack.pop()
-        if i in seen:
-            continue
-        seen.add(i)
-        node = tree.nodes[i]
-        pad = "  " * depth
-        if node.kind == "Q":
-            u, v = node.vertices
-            lines.append(f"{pad}Q{i} edge {node.edge_id} ({u}-{v})")
-            continue
-        skel = " ".join(_edge_label(tree, e) for e in node.edges)
-        lines.append(f"{pad}{node.kind}{i} [{skel}]")
-        for j in reversed(tree.neighbors(i)):
-            if j not in seen:
-                stack.append((j, depth + 1))
-    return "\n".join(lines)
-
-
-def spqr_to_json(tree: SpqrTree) -> dict:
-    nodes = []
-    for node in tree.nodes:
-        entry = {"id": node.index, "kind": node.kind,
-                 "vertices": list(node.vertices)}
-        if node.kind == "Q":
-            entry["edge"] = node.edge_id
-        else:
-            entry["skeleton"] = [
-                {"u": e.u, "v": e.v, "edge": e.edge_id}
-                if e.is_real else
-                {"u": e.u, "v": e.v, "twin_node": e.twin.node,
-                 "twin_pos": e.twin.pos}
-                for e in node.edges
-            ]
-        nodes.append(entry)
-    return {"nodes": nodes, "tree_edges": tree.tree_edges()}

@@ -46,39 +46,48 @@ def dart_pairs(darts, backwards=False):
 class Graph:
     """Simple connected graph with maximum degree three.
 
-    flexibility maps edge id -> int in [0, 4]; absent means 0.
+    flexibility maps edge id -> int in [0, 4]; absent means 0. Raises
+    ParseError for a malformed vertex count, edge list or flexibility map.
     """
 
     def __init__(self, vertex_count, edges, flexibility=None):
         self.n = vertex_count
-        self.edges = [tuple(e) for e in edges]
-        self.flex = dict(flexibility or {})
+        try:
+            self.edges = [tuple(e) for e in edges]
+            self.flex = dict(flexibility or {})
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"bad edges or flexibility: {exc}") from None
         self._validate()
         self.adj = adjacency(self.n, self.edges)
         if self.n > 0 and not _connected(self.adj):
             raise Disconnected("graph is not connected")
 
     def _validate(self):
-        if self.n < 0:
-            raise ParseError(f"negative vertex count {self.n}")
+        if not isinstance(self.n, int) or self.n < 0:
+            raise ParseError(f"vertex count {self.n!r} is not an int >= 0")
         if self.n > len(self.edges) + 1:
             raise Disconnected(
                 f"{self.n} vertices cannot be connected by "
                 f"{len(self.edges)} edges")
         seen = set()
         deg = [0] * self.n
-        for i, (u, v) in enumerate(self.edges):
-            if not (isinstance(u, int) and isinstance(v, int)
-                    and 0 <= u < self.n and 0 <= v < self.n):
-                raise ParseError(f"edge {i} endpoint out of range")
-            if u == v:
-                raise NotSimple(f"self-loop at vertex {u}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise NotSimple(f"parallel edge {u}-{v}")
-            seen.add(key)
-            deg[u] += 1
-            deg[v] += 1
+        try:
+            for i, (u, v) in enumerate(self.edges):
+                if not (isinstance(u, int) and isinstance(v, int)
+                        and 0 <= u < self.n and 0 <= v < self.n):
+                    raise ParseError(f"edge {i} endpoint out of range")
+                if u == v:
+                    raise NotSimple(f"self-loop at vertex {u}")
+                key = (min(u, v), max(u, v))
+                if key in seen:
+                    raise NotSimple(f"parallel edge {u}-{v}")
+                seen.add(key)
+                deg[u] += 1
+                deg[v] += 1
+        except ValueError:  # an edge that does not unpack to two ends
+            i = next(i for i, e in enumerate(self.edges) if len(e) != 2)
+            raise ParseError(f"edge {i} is {self.edges[i]}, not a pair of "
+                             "ends") from None
         for v, d in enumerate(deg):
             if d > 3:
                 raise DegreeTooHigh(f"vertex {v} has degree {d}")

@@ -118,17 +118,9 @@ def rectilinear_image(h: OrthoRep):
     pg = h.plane
     counts = {e: len(h.bends[e]) for e in range(pg.m)}
     sub_pg, hosts, seg_of_edge = subdivide_plane(pg, counts)
-    angles = {}
-    # original corners carry over, re-keyed by the last segment of the
-    # arriving edge
-    for w in range(pg.n):
-        for e in pg.rotation[w]:
-            d_old = arrival_dart(pg, e, w)
-            segs = seg_of_edge[e]
-            u, v = pg.edge(e)
-            arr_seg = segs[-1] if w == v else segs[0]
-            d_new = arrival_dart(sub_pg, arr_seg, w)
-            angles[d_new] = h.angles[d_old]
+    # original corners carry over, re-keyed by the arriving segment
+    angles = {new: h.angles[old]
+              for old, new in _corners(pg, sub_pg, seg_of_edge)}
     # bend vertices become corners
     for nv, (e, idx) in hosts.items():
         letter = h.bends[e][idx]
@@ -203,15 +195,8 @@ def smooth(h_sub: OrthoRep, original: PlaneGraph,
     without a bend.
     """
     pg_sub = h_sub.plane
-    angles = {}
-    for w in range(original.n):
-        for e in original.rotation[w]:
-            segs = seg_of_edge[e]
-            u, v = original.edge(e)
-            arr_seg = segs[-1] if w == v else segs[0]
-            d_new = arrival_dart(pg_sub, arr_seg, w)
-            d_old = arrival_dart(original, e, w)
-            angles[d_old] = h_sub.angles[d_new]
+    angles = {old: h_sub.angles[new]
+              for old, new in _corners(original, pg_sub, seg_of_edge)}
     bends = {}
     for e in range(original.m):
         segs = seg_of_edge[e]
@@ -233,6 +218,16 @@ def smooth(h_sub: OrthoRep, original: PlaneGraph,
                 prev = nv
         bends[e] = "".join(merged)
     return OrthoRep(original, angles, bends)
+
+
+def _corners(pg: PlaneGraph, sub: PlaneGraph, seg_of_edge: dict):
+    """Per corner of pg, its arrival dart there and in sub: pg with each
+    edge e split into seg_of_edge[e], from its end u to its end v."""
+    for w, row in enumerate(pg.rotation):
+        for e in row:
+            segs = seg_of_edge[e]
+            seg = segs[-1] if w == pg.edge(e)[1] else segs[0]
+            yield arrival_dart(pg, e, w), arrival_dart(sub, seg, w)
 
 
 def _far_end(pg_sub, seg, near):

@@ -36,14 +36,24 @@ def all_faces(g):
     return [pg0.with_external_face(f) for f in range(len(pg0.faces))]
 
 
+def records(pg):
+    """The non-degenerate 3-cycle records of pg, two per separating cut."""
+    return cycles.inclusion_tree(pg).records
+
+
 def all_records(pg):
     """Every 3-extrovert and 3-introvert cycle of pg, facial ones too."""
-    return cycles.three_cycle_records(pg) + cycles.facial_records(pg)
+    return records(pg) + cycles.facial_records(pg)
+
+
+def reference(pg):
+    """pg's embedding at its reference face, on no separating triangle."""
+    return pg.with_external_face(cycles.inclusion_tree(pg).reference_face)
 
 
 def is_reference(pg):
     """pg's external face is on no separating triangle."""
-    return cycles.compute_reference_embedding(pg) is pg
+    return cycles.inclusion_tree(pg).reference_face == pg.external_face
 
 
 def vertex_set(g, edge_ids):
@@ -81,7 +91,7 @@ def test_three_cycle_detection_on_grown_corpus():
             assert production_keys(all_records(pg)) == want
 
 
-def test_three_cycle_records_reject_graphs_outside_the_class():
+def test_inclusion_tree_rejects_graphs_outside_the_class():
     """Degree-2 vertices, 2-edge-cuts and bridges are refused up front,
     each naming its witness; the subdivided graphs include one that made
     the records loop."""
@@ -91,12 +101,12 @@ def test_three_cycle_records_reject_graphs_outside_the_class():
             sub, _, _ = subdivide_plane(pg, {e: 1})
             with pytest.raises(NotTriconnectedCubic,
                                match=rf"vertex {g.n} has degree 2"):
-                cycles.three_cycle_records(sub)
+                cycles.inclusion_tree(sub)
     g = next(g for g in CORPUS if g.n == 12)
     sub, _, _ = subdivide_plane(embed(g).with_external_face(3),
                                 {0: 1, 4: 1, 8: 2, 13: 1})
     with pytest.raises(NotTriconnectedCubic, match="vertex 12 has degree 2"):
-        cycles.three_cycle_records(sub)
+        cycles.inclusion_tree(sub)
     bridged = Graph(10, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (0, 4),
                          (3, 4), (5, 6), (5, 7), (6, 7), (6, 8), (7, 8),
                          (5, 9), (8, 9), (4, 9)])
@@ -105,18 +115,18 @@ def test_three_cycle_records_reject_graphs_outside_the_class():
         assert g.is_cubic()
         for pg in all_faces(g):
             with pytest.raises(NotTriconnectedCubic, match=witness):
-                cycles.three_cycle_records(pg)
+                cycles.inclusion_tree(pg)
 
 
 def test_partner_pairing_is_an_involution():
     for g in CORPUS:
         for pg in all_faces(g):
-            recs = cycles.three_cycle_records(pg)
-            by_id = {r.cycle_id: r for r in recs}
+            recs = records(pg)
+            of_id = {r.cycle_id: r for r in recs}
             for r in recs:
                 if r.kind != "extrovert":
                     continue
-                partner = by_id[r.phi_partner]
+                partner = of_id[r.phi_partner]
                 # legs on the boundary: the partner is the other
                 # 3-extrovert cycle of the cut, its twin
                 assert partner.kind == (
@@ -140,7 +150,7 @@ def test_record_structure_invariants():
     planes = [pg for g in CORPUS for pg in all_faces(g)]
     for g in NESTED:
         planes += all_faces(g)[::16]
-        planes.append(cycles.compute_reference_embedding(embed(g)))
+        planes.append(reference(embed(g)))
     for pg in planes:
         g = pg.graph
         for r in all_records(pg):
@@ -178,7 +188,7 @@ def test_records_on_deeply_nested_graphs(g):
     """Every record checked from scratch, far beyond the oracle's reach:
     its inside by a plain flood, its sides dart by dart, its walk."""
     pg0 = embed(g)
-    for pg in (pg0, cycles.compute_reference_embedding(pg0)):
+    for pg in (pg0, reference(pg0)):
         for r in all_records(pg):
             assert frozenset(r.inside_faces) == inside_by_flood(pg, r)
             darts = [d for path in r.contour_paths for d in path]
@@ -213,7 +223,7 @@ class CountingList(list):
         return super().__getitem__(i)
 
 
-def test_three_cycle_records_expand_each_face_a_bounded_number_of_times():
+def test_inclusion_tree_expands_each_face_a_bounded_number_of_times():
     """No cut pays a flood of its own. On nested(1, 1600), with 796
     separating cuts over 802 faces, listing the cuts reads none of the
     faces' dual neighbour lists, and flooding the sides reads the list of
@@ -221,7 +231,7 @@ def test_three_cycle_records_expand_each_face_a_bounded_number_of_times():
     reads them Θ(F²) times."""
     pg = embed(nested(1, 1600))
     pg.face_index = counted = CountingList(pg.face_index)
-    cuts = len(cycles.three_cycle_records(pg)) // 2
+    cuts = len(records(pg)) // 2
     faces = len(pg.faces)
     assert cuts > faces * 9 // 10
     assert counted.reads <= faces
@@ -272,9 +282,9 @@ def test_demanding_sets_build_no_facial_record(monkeypatch):
     built = []
 
     def counted(*args, **kwargs):
-        records = cut_records(*args, **kwargs)
-        built.extend(records)
-        return records
+        pair = cut_records(*args, **kwargs)
+        built.extend(pair)
+        return pair
 
     def no_record(*args, **kwargs):
         raise AssertionError("a record built outside the per-cut builder")
@@ -405,31 +415,31 @@ def test_reference_embedding_rejects_graphs_outside_the_class():
     for pgs in outside:
         for pg in pgs:
             with pytest.raises(NotTriconnectedCubic):
-                cycles.compute_reference_embedding(pg)
+                cycles.inclusion_tree(pg)
             with pytest.raises(NotTriconnectedCubic):
-                is_reference(pg)
+                cycles.facial_records(pg)
             with pytest.raises(NotTriconnectedCubic):
                 cycles.demanding_sets(pg)
 
 
-def test_compute_reference_embedding_keeps_valid_input():
-    pg0 = embed(prism())
-    good = next(f for f in range(len(pg0.faces))
-                if is_reference(pg0.with_external_face(f)))
-    ref = cycles.compute_reference_embedding(pg0.with_external_face(good))
-    assert ref.external_face == good
-    bad = next(f for f in range(len(pg0.faces))
-               if not is_reference(pg0.with_external_face(f)))
-    pg = pg0.with_external_face(bad)
-    ref2 = cycles.compute_reference_embedding(pg)
-    assert is_reference(ref2)
-    # the reference copy reuses the face index built with the embedding
-    assert ref2 is not pg and ref2.face_index is pg.face_index
+def test_reference_face_is_the_query_face_when_it_qualifies():
+    """The tree's reference face is the query's own external face when
+    that face is on no separating triangle, the oracle's, and otherwise
+    the lowest face that is on none."""
+    for g in [prism()] + CORPUS:
+        pg0 = embed(g)
+        on_cut = {f for cut, tri in oracle.all_dual_triangles(pg0)
+                  if oracle.facial_apex(pg0, cut) is None for f in tri}
+        lowest = min(set(range(len(pg0.faces))) - on_cut)
+        for pg in all_faces(g):
+            f = pg.external_face
+            assert cycles.inclusion_tree(pg).reference_face \
+                == (lowest if f in on_cut else f)
 
 
 def test_inclusion_tree_shapes():
     # prism: one non-degenerate cycle hanging off the root
-    ref = cycles.compute_reference_embedding(embed(prism()))
+    ref = reference(embed(prism()))
     tree = cycles.inclusion_tree(ref)
     assert len(tree.nodes) == 1
     assert tree.children[tree.root] == tree.nodes
@@ -442,7 +452,7 @@ def test_inclusion_tree_shapes():
                 == frozenset({8, 9, 10, 11}))
     pg = pg0.with_external_face(ring)
     tree = cycles.inclusion_tree(pg)
-    tops = {vertex_set(g, tree.by_id[c].edges)
+    tops = {vertex_set(g, tree.records[c].edges)
             for c in tree.children[tree.root]}
     assert frozenset({0, 1, 2}) in tops and frozenset({3, 4, 5}) in tops
 
@@ -450,8 +460,8 @@ def test_inclusion_tree_shapes():
     g = truncated_prism()
     pg = ext_on_vertices(g, {2, 3, 4})
     tree = cycles.inclusion_tree(pg)
-    pent = next(c for c in tree.nodes if len(tree.by_id[c].edges) == 5)
-    tri = next(c for c in tree.nodes if len(tree.by_id[c].edges) == 3)
+    pent = next(c for c in tree.nodes if len(tree.records[c].edges) == 5)
+    tri = next(c for c in tree.nodes if len(tree.records[c].edges) == 3)
     assert tree.parent[pent] == tree.root and tree.parent[tri] == pent
 
 
@@ -473,7 +483,7 @@ def test_inclusion_tree_depth_counts_the_parent_chain():
     for g in CORPUS:
         for pg in reference_faces(g):
             _assert_depth_is_parent_chain(cycles.inclusion_tree(pg))
-    ref = cycles.compute_reference_embedding(embed(NESTED[0]))
+    ref = reference(embed(NESTED[0]))
     _assert_depth_is_parent_chain(cycles.inclusion_tree(ref))
 
 
@@ -482,11 +492,11 @@ def test_inclusion_tree_parents_are_the_smallest_flooded_supersets():
     smallest strict superset of the cycle's own, and the root when no
     member's is; at every reference face of CORPUS and on NESTED."""
     cases = [pg for g in CORPUS for pg in reference_faces(g)]
-    cases += [cycles.compute_reference_embedding(embed(g)) for g in NESTED]
+    cases += [reference(embed(g)) for g in NESTED]
     non_root = 0
     for pg in cases:
         tree = cycles.inclusion_tree(pg)
-        flood = {c: inside_by_flood(pg, tree.by_id[c]) for c in tree.nodes}
+        flood = {c: inside_by_flood(pg, tree.records[c]) for c in tree.nodes}
         for c in tree.nodes:
             want = min((d for d in tree.nodes if flood[c] < flood[d]),
                        key=lambda d: len(flood[d]), default=tree.root)
@@ -508,7 +518,7 @@ def test_inclusion_tree_is_the_same_at_every_face():
     for g in CORPUS:
         for pg in all_faces(g):
             tree = cycles.inclusion_tree(pg)
-            ref = cycles.inclusion_tree(cycles.compute_reference_embedding(pg))
+            ref = cycles.inclusion_tree(reference(pg))
             assert tree.reference_face == ref.reference_face \
                 == ref.pg.external_face
             assert tree.nodes == ref.nodes and tree.parent == ref.parent
@@ -523,17 +533,17 @@ def test_child_paths_are_disjoint_slices_of_the_parent_path():
     stretch of its parent's path on f, and the stretches of siblings do not
     overlap; at every reference face of CORPUS and on NESTED."""
     cases = [pg for g in CORPUS for pg in reference_faces(g)]
-    cases += [cycles.compute_reference_embedding(embed(g)) for g in NESTED]
+    cases += [reference(embed(g)) for g in NESTED]
     sliced = 0
     for pg in cases:
         tree = cycles.inclusion_tree(pg)
         for cid in tree.nodes:
-            rec = tree.by_id[cid]
+            rec = tree.records[cid]
             for f, path in zip(rec.leg_faces, rec.contour_paths):
                 at = {d: i for i, d in enumerate(path)}
                 spans = []
                 for kid in tree.children[cid]:
-                    krec = tree.by_id[kid]
+                    krec = tree.records[kid]
                     for kf, kpath in zip(krec.leg_faces, krec.contour_paths):
                         if kf == f:
                             lo = at[kpath[0]]
@@ -555,14 +565,14 @@ def test_flexible_edge_counts_include_the_child_slice():
     pg = ext_on_vertices(g, {2, 3, 4})
     tree = cycles.inclusion_tree(pg)
     fx = cycles.fx_counts(tree)
-    pent = next(c for c in tree.nodes if len(tree.by_id[c].edges) == 5)
-    tri = next(c for c in tree.nodes if len(tree.by_id[c].edges) == 3)
+    pent = next(c for c in tree.nodes if len(tree.records[c].edges) == 5)
+    tri = next(c for c in tree.nodes if len(tree.records[c].edges) == 3)
     assert sorted(fx.get((tri, j), 0) for j in range(3)) == [0, 0, 1]
     assert sorted(fx.get((pent, j), 0) for j in range(3)) == [0, 0, 1]
 
     # flex on a parent's own edge and on the child path on the same leg
     # face are both visible from the parent
-    prec, trec = tree.by_id[pent], tree.by_id[tri]
+    prec, trec = tree.records[pent], tree.records[tri]
     f = next(f for f in prec.leg_faces if f in trec.leg_faces)
     j = prec.leg_faces.index(f)
     child = [e for e, _ in trec.contour_paths[trec.leg_faces.index(f)]]
@@ -602,7 +612,7 @@ def test_flexible_edge_counts_match_a_count_along_the_paths():
 
 def test_extrovert_coloring_matches_exhaustive_search():
     for g in CORPUS:
-        ref = cycles.compute_reference_embedding(embed(g))
+        ref = reference(embed(g))
         tree = cycles.inclusion_tree(ref)
         cycles.color_3_extrovert(tree, cycles.fx_counts(tree))
         want = {}
@@ -611,7 +621,7 @@ def test_extrovert_coloring_matches_exhaustive_search():
                 want[record_key(r["edges"], r["legs"], "extrovert", False)] = \
                     dict(zip(r["leg_faces"], r["colors"]))
         for cid in tree.nodes:
-            rec = tree.by_id[cid]
+            rec = tree.records[cid]
             key = record_key(rec.edges, rec.legs, "extrovert", False)
             assert dict(zip(rec.leg_faces, rec.colors)) == want[key]
 
@@ -641,8 +651,7 @@ def test_records_at_any_face_are_reference_records_turned_inside_out():
     for g in CORPUS:
         for pg in all_faces(g):
             ds = cycles.demanding_sets(pg)
-            want = Counter(map(full_record_key,
-                               cycles.three_cycle_records(pg)))
+            want = Counter(map(full_record_key, records(pg)))
             assert Counter(map(full_record_key, ds.records)) == want
             ref = pg.with_external_face(ds.reference_face)
             for r0, r in zip(cycles.demanding_sets(ref).records, ds.records):
@@ -689,7 +698,7 @@ def test_twin_pairs_up_cycles_on_the_external_face():
     quad = next(f for f in range(len(pg0.faces))
                 if len(set(pg0.faces[f].edge_ids())) == 4)
     pg = pg0.with_external_face(quad)
-    recs = cycles.three_cycle_records(pg)
+    recs = records(pg)
     t1 = find_record(pg, recs, {0, 1, 2}, "extrovert")
     t2 = cycles.twin(pg, t1, recs)
     assert vertex_set(g, t2.edges) == frozenset({3, 4, 5})
@@ -701,7 +710,7 @@ def test_twin_pairs_up_cycles_on_the_external_face():
 def test_twin_across_a_shared_contour_path():
     g = theta_fixture()
     pg = ext_on_vertices(g, {0, 2, 3, 6, 7})
-    recs = cycles.three_cycle_records(pg)
+    recs = records(pg)
     c1 = find_record(pg, recs, {0, 1, 2, 3, 4, 5}, "extrovert")
     t = cycles.twin(pg, c1, recs)
     assert vertex_set(g, t.edges) == frozenset({6, 7, 8, 9, 13, 15})
@@ -710,7 +719,7 @@ def test_twin_across_a_shared_contour_path():
 def test_twin_undefined_off_the_boundary_and_for_degenerate_cycles():
     g = truncated_prism()
     pg = ext_on_vertices(g, {2, 3, 4})
-    recs = cycles.three_cycle_records(pg)
+    recs = records(pg)
     tri = find_record(pg, recs, {5, 6, 7}, "extrovert")
     with pytest.raises(NoTwin):
         cycles.twin(pg, tri, recs)
@@ -727,7 +736,7 @@ def test_cover_for_single_and_paired_families():
     quad = next(f for f in range(len(pg0.faces))
                 if len(set(pg0.faces[f].edge_ids())) == 4)
     pg = pg0.with_external_face(quad)
-    recs = cycles.three_cycle_records(pg)
+    recs = records(pg)
     t1 = find_record(pg, recs, {0, 1, 2}, "extrovert")
     e1, e2 = cycles.intersecting_cover(pg, [t1], recs)
     boundary = pg.external_boundary_edges()
@@ -737,7 +746,7 @@ def test_cover_for_single_and_paired_families():
 
     g = theta_fixture()
     pg = ext_on_vertices(g, {0, 2, 3, 6, 7})
-    recs = cycles.three_cycle_records(pg)
+    recs = records(pg)
     c1 = find_record(pg, recs, {0, 1, 2, 3, 4, 5}, "extrovert")
     c2 = find_record(pg, recs, {0, 1, 6, 7, 8, 9}, "extrovert")
     e1, e2 = cycles.intersecting_cover(pg, [c1, c2], recs)
@@ -838,7 +847,8 @@ def test_nested_blobs_genealogy():
     seen = Counter()
     for pg in reference_faces(g):
         tree = cycles.inclusion_tree(pg)
-        name = lambda cid: BLOB_NAMES.get(vertex_set(g, tree.by_id[cid].edges))
+        recs = tree.records
+        name = lambda cid: BLOB_NAMES.get(vertex_set(g, recs[cid].edges))
         for top in tree.nodes:
             if name(top) not in want:
                 continue
@@ -857,7 +867,7 @@ def test_nested_blobs_color_patterns():
     leaves, an all-green non-demanding ring, green/red collars, an orange
     path from a flexible edge, and an insulated demanding hexagon."""
     g = nested_blobs()
-    ref = cycles.compute_reference_embedding(embed(g))
+    ref = reference(embed(g))
     tree = cycles.inclusion_tree(ref)
     fx = cycles.fx_counts(tree)
     cycles.color_3_extrovert(tree, fx)
@@ -894,13 +904,12 @@ def colored_partners(g, ext_verts):
     fx = cycles.fx_counts(tree)
     cycles.color_3_extrovert(tree, fx)
     cycles.color_3_introvert(tree, fx)
-    by_id = {r.cycle_id: r for r in tree.records}
 
     def pair(verts):
         c = next(r for r in tree.records
                  if r.kind == "extrovert" and not r.degenerate
                  and vertex_set(g, r.edges) == frozenset(verts))
-        return c, by_id[c.phi_partner]
+        return c, tree.records[c.phi_partner]
 
     return pair
 
@@ -939,19 +948,19 @@ def test_partner_flexibility_arithmetic():
     fx = cycles.fx_counts(tree)
     cycles.color_3_extrovert(tree, fx)
     cycles.color_3_introvert(tree, fx)
-    by_id = {r.cycle_id: r for r in tree.records}
+    recs = tree.records
 
-    pent = next(c for c in tree.nodes if len(tree.by_id[c].edges) == 5)
-    tri = next(c for c in tree.nodes if len(tree.by_id[c].edges) == 3)
-    phi_p = by_id[tree.by_id[pent].phi_partner]
+    pent = next(c for c in tree.nodes if len(tree.records[c].edges) == 5)
+    tri = next(c for c in tree.nodes if len(tree.records[c].edges) == 3)
+    phi_p = recs[recs[pent].phi_partner]
     assert phi_p.colors == ("green",) * 3 and phi_p.demanding is True
 
-    phi_t = by_id[tree.by_id[tri].phi_partner]
+    phi_t = recs[recs[tri].phi_partner]
     assert tuple(sorted(phi_t.colors)) == ("green", "orange", "red")
     assert phi_t.demanding is False
     j = phi_t.colors.index("orange")
     f = phi_t.leg_faces[j]
-    trec = tree.by_id[tri]
+    trec = tree.records[tri]
     jj = trec.leg_faces.index(f)
     face_flex = sum(1 for e in set(pg.faces[f].edge_ids())
                     if g.flexibility(e) > 0)

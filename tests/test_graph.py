@@ -63,6 +63,16 @@ def test_validation_rejects_bad_graphs():
         Graph(10**12, [])
 
 
+@pytest.mark.parametrize("args", [
+    (2, [(0,)]), (2, [(0, 1, 2)]), (2, [5]), (2, None), (2.0, [(0, 1)]),
+    ("2", [(0, 1)]), (2, [(0, 1)], [1]),
+], ids=["short-edge", "long-edge", "int-edge", "no-edges", "float-count",
+        "text-count", "flex-list"])
+def test_malformed_edge_lists_raise_parse_error(args):
+    with pytest.raises(ParseError):
+        Graph(*args)
+
+
 def test_degrees_and_lookup():
     g = prism()
     assert g.is_cubic() and [g.degree(v) for v in range(6)] == [3] * 6
@@ -114,6 +124,8 @@ def test_external_face_selection_is_stable():
         for f in range(len(pg.faces)):
             pg2 = pg.with_external_face(f)
             assert pg2.external_face == f
+            # the copy shares the face tables built with the embedding
+            assert pg2.face_index is pg.face_index
             assert plane_state(pg2) \
                 == plane_state(PlaneGraph(g, pg.rotation, f))
             assert plane_state(pg) == before

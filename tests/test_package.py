@@ -77,16 +77,30 @@ def test_every_leaf_error_is_raised_somewhere():
 
 
 # Public functions waiting for a caller; each entry says which.
-UNCALLED = {}
+UNCALLED = {
+    "cycles.facial_records": "ROADMAP direction 4, per the watch list",
+    "cycles.intersecting_cover": "ROADMAP direction 4, per the watch list",
+    "nobend.no_bend_rep": "the drawing of ROADMAP direction 4",
+    "orthorep.smooth": "the drawing of ROADMAP direction 4",
+    "orthorep.rectilinear_image": "the inverse of smooth that the "
+                                  "round-trip tests pin",
+    "decompose.build_bc_tree": "the block sums of ROADMAP direction 8",
+    "decompose.build_spqr_tree": "the SPQR referee of ROADMAP direction 9",
+    "graph.dump_graph": "the CLI of ROADMAP direction 5",
+    "orthorep.to_json": "the CLI of ROADMAP direction 5",
+    "orthorep.from_json": "the CLI of ROADMAP direction 5",
+    "graph.load_graph": "variable_min_cost(g) of ROADMAP direction 8",
+}
 
 
 def test_every_public_function_is_called_somewhere():
     """Every module-level public function of the package is called by name
-    in the package, its tests or the benchmark, or is listed in UNCALLED
-    with its reason."""
+    in the package or the benchmark, or is listed in UNCALLED with its
+    reason; a call from the tests alone does not count. The oracle is
+    exempt: it is the referee, and the tests are its callers."""
     root = Path(orthobend.__file__).parents[2]
     called = set()
-    for d in ("src", "tests", "perfbench"):
+    for d in ("src", "perfbench"):
         for path in (root / d).rglob("*.py"):
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Call):
@@ -94,6 +108,7 @@ def test_every_public_function_is_called_somewhere():
                     called.add(f.id if isinstance(f, ast.Name)
                                else getattr(f, "attr", None))
     public = [f"{name.split('.', 1)[1]}.{fn}" for name in MODULES
+              if name != "orthobend.oracle"
               for fn, obj in vars(importlib.import_module(name)).items()
               if inspect.isfunction(obj) and obj.__module__ == name
               and not fn.startswith("_")]
