@@ -105,7 +105,7 @@ from .errors import (
     NoTwin, NotBiconnected, NotTriconnectedCubic, ShortExternalFace,
 )
 # embed is unused here, but the benchmark's tests read it as cycles.embed
-from .graph import PlaneGraph, dart_pairs, embed
+from .graph import PlaneGraph, embed
 
 
 @dataclass(eq=False, slots=True)
@@ -156,8 +156,10 @@ class CycleRecord:
 
     @property
     def contour_paths(self):
-        return tuple(tuple(dart_pairs(arc, self.reverse))
-                     for arc in self._arcs("darts"))
+        arcs = self._arcs("darts")
+        if self.reverse:  # last dart first, each dart reversed
+            return tuple(tuple([d ^ 1 for d in reversed(a)]) for a in arcs)
+        return tuple(map(tuple, arcs))
 
     @property
     def edges(self):
@@ -291,7 +293,7 @@ def dual_triangles(pg: PlaneGraph):
     joins each pair of adjacent faces, so each face maps its neighbours to
     that edge, and a triangle is tested before it is listed.
     """
-    ends, darts = pg.graph.edges, iter(pg._dart_face)
+    ends, darts = pg.graph.edges, iter(pg.dart_face)
     joins = [{} for _ in pg.faces]  # per face: neighbour -> joining edge
     for e, (f, g) in enumerate(zip(darts, darts)):
         joins[f][g] = joins[g][f] = e
@@ -329,7 +331,7 @@ def _cut_arcs(pg: PlaneGraph, cut, x):
     facing the other side are _far_arcs of them. The dart tables give each
     cut edge's dart on a face, and its position there.
     """
-    face, pos = pg._dart_face, pg._dart_pos
+    face, pos = pg.dart_face, pg.dart_pos
     e = cut[0]
     d = start = 2 * e + (pg.graph.edges[e][0] == x)  # the dart of e to x
     spans = []
@@ -493,7 +495,7 @@ def _away_sides(pg: PlaneGraph, across, cuts, root):
     expanded once. A depth-first walk of the cut tree, each side's own
     faces first, numbers every side as one interval.
     """
-    edges, face = pg.graph.edges, pg._dart_face
+    edges, face = pg.graph.edges, pg.dart_face
     pre, size, up = _spanning_tree(pg, pg.faces[root].tails[0])
     count, ends = [], []
     for cut, _ in cuts:

@@ -68,8 +68,9 @@ class NotGood(DomainError):
 
 class H1Violation(OrthobendError):
     """The corner angles at a vertex do not sum to 360 (total), or the
-    corner of `dart` there has an angle that is none of 90, 180, 270 and
-    360 (angle, None when the corner has none; total is then None)."""
+    corner of `dart`, the flat int 2e + o arriving there, has an angle
+    that is none of 90, 180, 270 and 360 (angle, None when the corner has
+    none; total is then None). The message names the dart's edge e too."""
 
     def __init__(self, vertex, total=None, *, dart=None, angle=None):
         self.vertex = vertex
@@ -80,8 +81,8 @@ class H1Violation(OrthobendError):
             msg = f"angles at vertex {vertex} sum to {total}, want 360"
         else:
             has = "no angle" if angle is None else f"angle {angle!r}"
-            msg = (f"corner of dart {dart} at vertex {vertex} has {has}, "
-                   "want 90, 180, 270 or 360")
+            msg = (f"corner of dart {dart} (edge {dart >> 1}) at vertex "
+                   f"{vertex} has {has}, want 90, 180, 270 or 360")
         super().__init__(msg)
 
 

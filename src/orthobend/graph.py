@@ -6,12 +6,13 @@ boundary walk keeps its face on the LEFT of every dart. With that pair of
 choices internal faces come out counterclockwise and the external face
 clockwise, which is what the angle arithmetic in orthorep expects.
 
-Edges are identified by their index into the edge list. Darts are
-(edge_id, orient) pairs; orient 0 runs u -> v as stored, orient 1 the
-reverse. A Face holds each dart as the flat int 2 * edge_id + orient,
-whose reverse is d ^ 1, and dart_pairs turns flat darts back into pairs.
-trace_faces walks parallel edges too, as it orients each dart by the
-vertex it leaves, but Graph, the graph of every PlaneGraph, rejects them.
+Edges are identified by their index into the edge list. A dart is the
+flat int d = 2 * e + o of edge e: orient o = 0 runs u -> v as stored,
+o = 1 the reverse. Its edge is d >> 1, its orient d & 1 and its reverse
+d ^ 1. This is the one dart form of the package: faces, dart tables,
+corner keys, contour paths and the oracle all use it. trace_faces walks
+parallel edges too, as it orients each dart by the vertex it leaves, but
+Graph, the graph of every PlaneGraph, rejects them.
 """
 
 from __future__ import annotations
@@ -28,42 +29,30 @@ from .errors import (
     ParseError,
 )
 
-Dart = tuple[int, int]
-
-
-def dart_reverse(d: Dart) -> Dart:
-    return (d[0], 1 - d[1])
-
-
-def dart_pairs(darts, backwards=False):
-    """Flat darts as (edge_id, orient) pairs; backwards, the same walk run
-    the other way, last dart first and each dart reversed."""
-    if backwards:
-        return [(d >> 1, (d & 1) ^ 1) for d in reversed(darts)]
-    return [(d >> 1, d & 1) for d in darts]
-
-
 class Graph:
     """Simple connected graph with maximum degree three.
 
-    flexibility maps edge id -> int in [0, 4]; absent means 0. Raises
-    ParseError for a malformed vertex count, edge list or flexibility map.
+    flexibility, None or a dict, maps edge id -> int in [0, 4]; absent
+    means 0. Raises ParseError for a malformed vertex count, edge list or
+    flexibility map; a bool is not an int here.
     """
 
     def __init__(self, vertex_count, edges, flexibility=None):
         self.n = vertex_count
+        if not (flexibility is None or isinstance(flexibility, dict)):
+            raise ParseError(f"flexibility {flexibility!r} is not a dict")
+        self.flex = dict(flexibility or {})
         try:
             self.edges = [tuple(e) for e in edges]
-            self.flex = dict(flexibility or {})
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"bad edges or flexibility: {exc}") from None
+        except TypeError as exc:
+            raise ParseError(f"bad edges: {exc}") from None
         self._validate()
         self.adj = adjacency(self.n, self.edges)
         if self.n > 0 and not _connected(self.adj):
             raise Disconnected("graph is not connected")
 
     def _validate(self):
-        if not isinstance(self.n, int) or self.n < 0:
+        if type(self.n) is not int or self.n < 0:
             raise ParseError(f"vertex count {self.n!r} is not an int >= 0")
         if self.n > len(self.edges) + 1:
             raise Disconnected(
@@ -73,7 +62,7 @@ class Graph:
         deg = [0] * self.n
         try:
             for i, (u, v) in enumerate(self.edges):
-                if not (isinstance(u, int) and isinstance(v, int)
+                if not (type(u) is int and type(v) is int
                         and 0 <= u < self.n and 0 <= v < self.n):
                     raise ParseError(f"edge {i} endpoint out of range")
                 if u == v:
@@ -92,7 +81,7 @@ class Graph:
             if d > 3:
                 raise DegreeTooHigh(f"vertex {v} has degree {d}")
         for e, k in self.flex.items():
-            if not (isinstance(e, int) and isinstance(k, int)
+            if not (type(e) is int and type(k) is int
                     and 0 <= e < len(self.edges) and 0 <= k <= 4):
                 raise ParseError(f"bad flexibility entry {e}: {k}")
 
@@ -153,11 +142,6 @@ class Face:
     tails: list
     eids: list
 
-    @property
-    def boundary(self):
-        """The darts as (edge_id, orient) pairs."""
-        return dart_pairs(self.darts)
-
     def edge_ids(self):
         return self.eids
 
@@ -171,19 +155,19 @@ class PlaneGraph:
 
     The rotation rows are kept, not copied: the caller hands over lists
     that nothing else changes. Two flat tables, filled while the faces are
-    traced, index every dart d = 2e + o: _dart_face[d] is the face of dart
-    (e, o) and _dart_pos[d] its position on that face's walk, so
-    faces[_dart_face[d]].darts[_dart_pos[d]] == d. face_index lists per
+    traced, index every dart d: dart_face[d] is its face and dart_pos[d]
+    its position on that face's walk, so
+    faces[dart_face[d]].darts[dart_pos[d]] == d. face_index lists per
     face the faces across its boundary darts in walk order.
     """
 
     def __init__(self, graph, rotation, external_face=0):
         self.graph = graph
         self.rotation = rotation
-        face = self._dart_face = [-1] * (2 * len(graph.edges))
-        self._dart_pos = [0] * len(face)
+        face = self.dart_face = [-1] * (2 * len(graph.edges))
+        self.dart_pos = [0] * len(face)
         self.faces = trace_faces(graph.n, graph.edges, rotation, face,
-                                 self._dart_pos)
+                                 self.dart_pos)
         self.external_face = _face_id(self.faces, external_face)
         if graph.n - len(graph.edges) + len(self.faces) != 2:
             raise NotPlanar("rotation system is not planar (Euler check)")
@@ -200,19 +184,14 @@ class PlaneGraph:
     def edge(self, e):
         return self.graph.edges[e]
 
-    def dart_tail(self, d: Dart):
-        u, v = self.graph.edges[d[0]]
-        return u if d[1] == 0 else v
+    def dart_tail(self, d):
+        return self.graph.edges[d >> 1][d & 1]
 
-    def dart_head(self, d: Dart):
-        u, v = self.graph.edges[d[0]]
-        return v if d[1] == 0 else u
-
-    def face_of_dart(self, d: Dart) -> int:
-        return self._dart_face[2 * d[0] + d[1]]
+    def dart_head(self, d):
+        return self.graph.edges[d >> 1][~d & 1]
 
     def faces_of_edge(self, e) -> tuple[int, int]:
-        return self._dart_face[2 * e], self._dart_face[2 * e + 1]
+        return self.dart_face[2 * e], self.dart_face[2 * e + 1]
 
     def with_external_face(self, f: int) -> "PlaneGraph":
         """Same embedding, different external face. Face ids are stable.

@@ -69,7 +69,7 @@ class GoodPlaneGraph:
 
 
 def _boundary_vertices(pg: PlaneGraph) -> set:
-    return {pg.dart_head(d) for d in pg.faces[pg.external_face].boundary}
+    return set(pg.faces[pg.external_face].tails)
 
 
 def check_good(pg: PlaneGraph) -> GoodCheck:
@@ -77,7 +77,7 @@ def check_good(pg: PlaneGraph) -> GoodCheck:
     NotBiconnected, before testing any condition, when pg has a bridge."""
     cycles = [cyc for k in (2, 3) for cyc in extrovert_cycles(pg, k)]
     outer = pg.faces[pg.external_face]
-    outer_vertices = sorted({pg.dart_head(d) for d in outer.boundary})
+    outer_vertices = sorted(set(outer.tails))
     deg2_outer = [v for v in outer_vertices if pg.graph.degree(v) == 2]
     if len(deg2_outer) < 4:
         return GoodCheck(
@@ -109,7 +109,7 @@ def _angles(pg: PlaneGraph, corners) -> dict | None:
         if need < 0:
             return None  # a face with under four corners cannot close
         net.add_edge(n + f.id, "t", capacity=need)
-        for d in f.boundary:
+        for d in f.darts:
             v = pg.dart_head(d)
             cap = 3 if v not in cset else 2 if f.id == ext else 0
             net.add_edge(v, n + f.id, capacity=cap)
@@ -117,7 +117,7 @@ def _angles(pg: PlaneGraph, corners) -> dict | None:
     if value != sum(4 - pg.graph.degree(v) for v in range(n)):
         return None
     return {d: 90 * (1 + flow[pg.dart_head(d)][n + f.id])
-            for f in pg.faces for d in f.boundary}
+            for f in pg.faces for d in f.darts}
 
 
 def no_bend_rep(g: GoodPlaneGraph) -> OrthoRep:
@@ -138,7 +138,7 @@ def no_bend_rep(g: GoodPlaneGraph) -> OrthoRep:
             f"cycle {list(rc.witness_vertices)}")
     h = OrthoRep(pg, angles)
     validate(h)
-    for d in pg.faces[pg.external_face].boundary:
+    for d in pg.faces[pg.external_face].darts:
         if pg.dart_head(d) in g.corners:
             assert h.angles[d] == 270, \
                 f"corner {pg.dart_head(d)} lost its reflex angle"

@@ -16,7 +16,7 @@ import itertools
 from collections import defaultdict
 
 from .errors import Infeasible, NotPlanar, TooLarge
-from .graph import Graph, PlaneGraph, dart_reverse
+from .graph import Graph, PlaneGraph
 from .orthorep import OrthoRep, validate
 
 EMBED_LIMIT = 14
@@ -49,7 +49,7 @@ def flow_min_bends(pg: PlaneGraph, cap: int | None = None):
     for f in pg.faces:
         want = len(f) + (4 if f.id == pg.external_face else -4)
         net.add_node(("f", f.id), demand=want)
-        for d in f.boundary:
+        for d in f.darts:
             net.add_edge(("v", pg.dart_head(d)), ("f", f.id),
                          key=("c", d), capacity=3, weight=0)
     for e in range(pg.m):
@@ -74,7 +74,7 @@ def flow_min_bends(pg: PlaneGraph, cap: int | None = None):
 
     angles = {}
     for f in pg.faces:
-        for d in f.boundary:
+        for d in f.darts:
             x = flow[("v", pg.dart_head(d))][("f", f.id)][("c", d)]
             angles[d] = 90 * (1 + x)
     bends = {}
@@ -197,13 +197,12 @@ def _walk_cycle(pg: PlaneGraph, cyc_edges, inside):
         at_vertex[u].append(e)
         at_vertex[v].append(e)
     e0 = min(cyc_edges)
-    d = (e0, 0) if pg.face_of_dart((e0, 0)) in inside else (e0, 1)
+    d = 2 * e0 + (pg.dart_face[2 * e0] not in inside)
     darts = [d]
     while True:
         w = pg.dart_head(d)
-        e_next = next(e for e in at_vertex[w] if e != d[0])
-        u, v = pg.edge(e_next)
-        d = (e_next, 0) if u == w else (e_next, 1)
+        e_next = next(e for e in at_vertex[w] if e != d >> 1)
+        d = 2 * e_next + (pg.edge(e_next)[0] != w)
         if d == darts[0]:
             break
         darts.append(d)
@@ -283,9 +282,9 @@ def _make_record(pg, cyc_edges, inside, outside, legs, kind):
         path = tuple(darts[i] for i in span)
         paths.append(path)
         if kind == "extrovert":
-            side = {pg.face_of_dart(dart_reverse(d)) for d in path}
+            side = {pg.dart_face[d ^ 1] for d in path}
         else:
-            side = {pg.face_of_dart(d) for d in path}
+            side = {pg.dart_face[d] for d in path}
         assert len(side) == 1, "contour path spans several side faces"
         faces.append(side.pop())
     rec["contour_paths"] = tuple(paths)
@@ -386,10 +385,10 @@ def color_records(pg: PlaneGraph, recs):
         for c in children[i]:
             for path, col in zip(recs[c]["contour_paths"], recs[c]["colors"]):
                 if col == "green":
-                    green_child_edges.update(e for e, _ in path)
+                    green_child_edges.update(d >> 1 for d in path)
         flags = []
         for path in recs[i]["contour_paths"]:
-            pe = {e for e, _ in path}
+            pe = {d >> 1 for d in path}
             flags.append((any(flex(e) > 0 for e in pe),
                           bool(pe & green_child_edges)))
         if not recs[i]["contour_paths"]:
@@ -414,9 +413,9 @@ def records_intersect(r1, r2) -> bool:
         return False
     for a, b in ((r1, r2), (r2, r1)):
         for p in a["contour_paths"]:
-            pe = {e for e, _ in p}
+            pe = {d >> 1 for d in p}
             for q in b["contour_paths"]:
-                if pe <= {e for e, _ in q}:
+                if pe <= {d >> 1 for d in q}:
                     return False
     return True
 

@@ -3,8 +3,10 @@
 An OrthoRep attaches to a PlaneGraph:
 
   * one angle in {90, 180, 270, 360} per face corner. A corner is keyed by
-    the dart that ARRIVES at the vertex inside the face walk, so vertex v
-    owns exactly deg(v) corners (a degree-1 vertex owns a single 360 one);
+    the flat dart d = 2e + o (see graph) that ARRIVES at the vertex inside
+    the face walk, so vertex v owns exactly deg(v) corners (a degree-1
+    vertex owns a single 360 one), and the keys of a whole representation
+    are range(2m);
   * one bend string over {L, R} per edge, read while walking orientation 0
     (u -> v). Walking the reverse dart you read the string backward with
     the letters swapped.
@@ -24,16 +26,15 @@ from __future__ import annotations
 import json
 
 from .errors import H1Violation, H2Violation, ParseError
-from .graph import Dart, Face, Graph, PlaneGraph
+from .graph import Face, Graph, PlaneGraph
 
 ANGLES = (90, 180, 270, 360)
 
 
-def arrival_dart(pg: PlaneGraph, e: int, w: int) -> Dart:
+def arrival_dart(pg: PlaneGraph, e: int, w: int) -> int:
     """The dart of edge e that arrives at its end w: the key of w's corner
     in the face whose walk holds that dart."""
-    u, v = pg.edge(e)
-    return (e, 0) if v == w else (e, 1)
+    return 2 * e + (pg.edge(e)[1] != w)
 
 
 def swap_letters(s: str) -> str:
@@ -50,9 +51,9 @@ class OrthoRep:
                 raise ParseError(f"bends on edge {e!r}, which is not an edge")
             self.bends[e] = s
 
-    def bends_of_dart(self, d: Dart) -> str:
-        s = self.bends[d[0]]
-        return s if d[1] == 0 else swap_letters(s[::-1])
+    def bends_of_dart(self, d: int) -> str:
+        s = self.bends[d >> 1]
+        return swap_letters(s[::-1]) if d & 1 else s
 
     def total_bends(self) -> int:
         return sum(len(s) for s in self.bends.values())
@@ -75,7 +76,7 @@ def validate(h: OrthoRep) -> bool:
     pg = h.plane
     per_vertex = [0] * pg.n
     for f in pg.faces:
-        for d in f.boundary:
+        for d in f.darts:
             a = h.angles.get(d)
             if a not in ANGLES:
                 raise H1Violation(pg.dart_head(d), dart=d, angle=a)
@@ -93,7 +94,7 @@ def validate(h: OrthoRep) -> bool:
 
 def _h2_sum(h: OrthoRep, f: Face) -> int:
     val = 0
-    for d in f.boundary:
+    for d in f.darts:
         a = h.angles[d]
         if a == 90:
             val += 1
@@ -121,26 +122,22 @@ def rectilinear_image(h: OrthoRep):
     # original corners carry over, re-keyed by the arriving segment
     angles = {new: h.angles[old]
               for old, new in _corners(pg, sub_pg, seg_of_edge)}
-    # bend vertices become corners
-    for nv, (e, idx) in hosts.items():
-        letter = h.bends[e][idx]
-        segs = seg_of_edge[e]
-        before, after = segs[idx], segs[idx + 1]
-        d_before = arrival_dart(sub_pg, before, nv)
-        d_after = arrival_dart(sub_pg, after, nv)
-        if letter == "L":
-            angles[d_before] = 90
-            angles[d_after] = 270
-        else:
-            angles[d_before] = 270
-            angles[d_after] = 90
+    # bend vertices become corners; as every segment runs from u towards
+    # v, darts 2 * before and 2 * after + 1 arrive at the bend from u's
+    # side and from v's side
+    for e, idx in hosts.values():
+        before, after = seg_of_edge[e][idx:idx + 2]
+        angles[2 * before], angles[2 * after + 1] = (
+            (90, 270) if h.bends[e][idx] == "L" else (270, 90))
     return OrthoRep(sub_pg, angles), seg_of_edge
 
 
 def subdivide_plane(pg: PlaneGraph, counts: dict):
     """Subdivide edge e by counts[e] degree-2 vertices.
 
-    Returns (new PlaneGraph, hosts, seg_of_edge). The new external face is
+    Returns (new PlaneGraph, hosts, seg_of_edge). seg_of_edge[e] lists
+    e's segments from u to v, each stored as running from u towards v,
+    which rectilinear_image and smooth rely on. The new external face is
     the one corresponding to the old one. Flexibilities are dropped; the
     caller tracks budgets itself.
     """
@@ -176,11 +173,10 @@ def subdivide_plane(pg: PlaneGraph, counts: dict):
     sub = PlaneGraph(Graph(n_new, new_edges), rotation, 0)
     # find the image of the old external face
     old_ext = pg.faces[pg.external_face]
-    if old_ext.boundary:
-        e0, o0 = old_ext.boundary[0]
-        segs = seg_of_edge[e0]
-        d_new = (segs[0], o0) if o0 == 0 else (segs[-1], o0)
-        sub = sub.with_external_face(sub.face_of_dart(d_new))
+    if old_ext.darts:  # its first dart's first segment, the same way
+        d = old_ext.darts[0]
+        seg = seg_of_edge[d >> 1][-(d & 1)]
+        sub = sub.with_external_face(sub.dart_face[2 * seg + (d & 1)])
     return sub, hosts, seg_of_edge
 
 
@@ -200,22 +196,20 @@ def smooth(h_sub: OrthoRep, original: PlaneGraph,
     bends = {}
     for e in range(original.m):
         segs = seg_of_edge[e]
-        u, _ = original.edge(e)
         merged = []
-        prev = u
         for i, seg in enumerate(segs):
-            # segment orientation 0 always agrees with walking e from u to v
-            merged.append(h_sub.bends_of_dart((seg, 0)))
+            # each segment runs from u towards v, so its dart 2 * seg walks
+            # e from u to v and arrives at the next subdivision vertex
+            merged.append(h_sub.bends[seg])
             if i + 1 < len(segs):
-                nv = _far_end(pg_sub, seg, prev)
-                ang = h_sub.angles[arrival_dart(pg_sub, seg, nv)]
+                ang = h_sub.angles[2 * seg]
                 if ang == 90:
                     merged.append("L")
                 elif ang == 270:
                     merged.append("R")
                 elif ang != 180:
+                    nv = pg_sub.edge(seg)[1]
                     raise ParseError(f"subdivision vertex {nv} has angle {ang}")
-                prev = nv
         bends[e] = "".join(merged)
     return OrthoRep(original, angles, bends)
 
@@ -228,11 +222,6 @@ def _corners(pg: PlaneGraph, sub: PlaneGraph, seg_of_edge: dict):
             segs = seg_of_edge[e]
             seg = segs[-1] if w == pg.edge(e)[1] else segs[0]
             yield arrival_dart(pg, e, w), arrival_dart(sub, seg, w)
-
-
-def _far_end(pg_sub, seg, near):
-    a, b = pg_sub.edge(seg)
-    return b if a == near else a
 
 
 # -- JSON -------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 
 from orthobend import cycles, oracle
 from orthobend.errors import NoTwin, NotTriconnectedCubic, ShortExternalFace
-from orthobend.graph import Graph, PlaneGraph, dart_reverse, embed
+from orthobend.graph import Graph, PlaneGraph, embed
 from orthobend.orthorep import subdivide_plane
 
 from corpus import (
@@ -160,7 +160,7 @@ def test_record_structure_invariants():
                 u, v = g.edges[leg]
                 assert (u in r.vertices) + (v in r.vertices) == 1
             walked = [d for path in r.contour_paths for d in path]
-            assert frozenset(e for e, _ in walked) == r.edges
+            assert frozenset(d >> 1 for d in walked) == r.edges
             assert len(walked) == len(r.edges)
             # the path holding the smallest dart comes last
             assert min(walked) in r.contour_paths[-1]
@@ -172,7 +172,7 @@ def test_record_structure_invariants():
 def inside_by_flood(pg, r):
     """The faces on the left of r's contour darts and every face reached
     from them without crossing an edge of the cycle."""
-    seen = {pg.face_of_dart(d) for path in r.contour_paths for d in path}
+    seen = {pg.dart_face[d] for path in r.contour_paths for d in path}
     stack = list(seen)
     while stack:
         for e in pg.faces[stack.pop()].edge_ids():
@@ -196,8 +196,8 @@ def test_records_on_deeply_nested_graphs(g):
                 assert pg.dart_tail(path[0]) == r.leg_vertices[j]
                 assert r.leg_vertices[j] in g.edges[r.legs[j]]
                 for d in path:
-                    left = pg.face_of_dart(d)
-                    right = pg.face_of_dart(dart_reverse(d))
+                    left = pg.dart_face[d]
+                    right = pg.dart_face[d ^ 1]
                     assert left in r.inside_faces
                     assert right not in r.inside_faces
                     # the leg face is the outside face of an extrovert
@@ -575,8 +575,8 @@ def test_flexible_edge_counts_include_the_child_slice():
     prec, trec = tree.records[pent], tree.records[tri]
     f = next(f for f in prec.leg_faces if f in trec.leg_faces)
     j = prec.leg_faces.index(f)
-    child = [e for e, _ in trec.contour_paths[trec.leg_faces.index(f)]]
-    own = next(e for e, _ in prec.contour_paths[j] if e not in child)
+    child = [d >> 1 for d in trec.contour_paths[trec.leg_faces.index(f)]]
+    own = next(d >> 1 for d in prec.contour_paths[j] if d >> 1 not in child)
     g2 = Graph(8, g0.edges, {own: 2, child[0]: 3})
     pg2 = ext_on_vertices(g2, {2, 3, 4})
     fx2 = cycles.fx_counts(cycles.inclusion_tree(pg2))
@@ -596,8 +596,8 @@ def test_flexible_edge_counts_match_a_count_along_the_paths():
         for g in grown(seed, 20, 6, 0.3):
             for pg in all_faces(g):
                 tree = cycles.inclusion_tree(pg)
-                want = {(r.cycle_id, j): sum(g.flexibility(e) > 0
-                                             for e, _ in path)
+                want = {(r.cycle_id, j): sum(g.flexibility(d >> 1) > 0
+                                             for d in path)
                         for r in tree.records
                         for j, path in enumerate(r.contour_paths)}
                 assert cycles.fx_counts(tree) == {

@@ -17,7 +17,6 @@ from orthobend.errors import (
 from orthobend.graph import (
     Graph,
     PlaneGraph,
-    dart_reverse,
     dump_graph,
     embed,
     load_graph,
@@ -65,9 +64,11 @@ def test_validation_rejects_bad_graphs():
 
 @pytest.mark.parametrize("args", [
     (2, [(0,)]), (2, [(0, 1, 2)]), (2, [5]), (2, None), (2.0, [(0, 1)]),
-    ("2", [(0, 1)]), (2, [(0, 1)], [1]),
+    ("2", [(0, 1)]), (2, [(0, 1)], [1]), (2, [(True, False)]), (True, []),
+    (2, [(0, 1)], {0: True}), (2, [(0, 1)], [(0, 1)]),
 ], ids=["short-edge", "long-edge", "int-edge", "no-edges", "float-count",
-        "text-count", "flex-list"])
+        "text-count", "flex-list", "bool-ends", "bool-count", "bool-flex",
+        "flex-pairs"])
 def test_malformed_edge_lists_raise_parse_error(args):
     with pytest.raises(ParseError):
         Graph(*args)
@@ -85,7 +86,7 @@ def test_euler_formula_on_embeddings():
     for g in [k4(), prism(), cube()] + CORPUS:
         pg = embed(g)
         assert pg.n - pg.m + len(pg.faces) == 2
-        darts = [d for f in pg.faces for d in f.boundary]
+        darts = [d for f in pg.faces for d in f.darts]
         assert len(darts) == 2 * pg.m and len(set(darts)) == 2 * pg.m
 
 
@@ -103,7 +104,7 @@ def test_bad_rotation_system_fails_euler_check():
 def test_face_structure_of_the_cube():
     pg = embed(cube())
     assert len(pg.faces) == 6
-    assert all(len(f.boundary) == 4 for f in pg.faces)
+    assert all(len(f) == 4 for f in pg.faces)
     for e in range(pg.m):
         f1, f2 = pg.faces_of_edge(e)
         assert f1 != f2
@@ -111,7 +112,7 @@ def test_face_structure_of_the_cube():
 
 def plane_state(pg):
     return ([(x.id, x.darts[:], x.tails[:], x.eids[:]) for x in pg.faces],
-            pg.external_face, pg.rotation, pg._dart_face, pg._dart_pos,
+            pg.external_face, pg.rotation, pg.dart_face, pg.dart_pos,
             pg.face_index)
 
 
@@ -144,14 +145,13 @@ def test_a_non_integer_external_face_raises_parse_error(f):
 
 
 def test_dart_tables_index_every_dart():
-    """_dart_face and _dart_pos place each dart on its face's walk, and
-    face_index lists the face across each boundary dart."""
+    """dart_face and dart_pos have a slot per dart, and face_index lists
+    the face across each boundary dart; test_dart_bookkeeping checks
+    what each slot holds."""
     for g in CORPUS + [nested(1, 400)]:
         pg = embed(g)
-        assert len(pg._dart_face) == len(pg._dart_pos) == 2 * pg.m
-        for d in range(2 * pg.m):
-            assert pg.faces[pg._dart_face[d]].darts[pg._dart_pos[d]] == d
-        assert pg.face_index == [[pg._dart_face[d ^ 1] for d in f.darts]
+        assert len(pg.dart_face) == len(pg.dart_pos) == 2 * pg.m
+        assert pg.face_index == [[pg.dart_face[d ^ 1] for d in f.darts]
                                  for f in pg.faces]
 
 
@@ -177,20 +177,28 @@ def test_nested_is_repeated_truncation():
 
 
 def test_dart_bookkeeping():
-    pg = embed(k4())
-    for e in range(pg.m):
-        u, v = pg.edge(e)
-        assert pg.dart_tail((e, 0)) == u and pg.dart_head((e, 0)) == v
-        assert pg.dart_tail((e, 1)) == v and pg.dart_head((e, 1)) == u
-        assert dart_reverse((e, 0)) == (e, 1)
-        assert pg.face_of_dart((e, 0)) != pg.face_of_dart((e, 1))
+    """The dart d = 2e + o at position i of face f's walk: its edge is
+    f.eids[i], it runs from f.tails[i] to the next tail, and the dart
+    tables put it at (f, i)."""
+    for g in [k4()] + CORPUS:
+        pg = embed(g)
+        for f in pg.faces:
+            for i, d in enumerate(f.darts):
+                assert d >> 1 == f.eids[i]
+                assert pg.dart_tail(d) == f.tails[i]
+                assert pg.dart_head(d) == f.tails[(i + 1) % len(f)]
+                assert pg.dart_face[d] == f.id and pg.dart_pos[d] == i
+        for e in range(pg.m):
+            u, v = pg.edge(e)
+            assert pg.dart_tail(2 * e) == u and pg.dart_head(2 * e) == v
+            assert pg.dart_face[2 * e] != pg.dart_face[2 * e + 1]
 
 
 def test_trace_faces_handles_multigraph_skeletons():
     # two vertices, three parallel edges: a theta skeleton
     faces = trace_faces(2, [(0, 1)] * 3, [[0, 1, 2], [2, 1, 0]])
     assert len(faces) == 3
-    assert sorted(len(f.boundary) for f in faces) == [2, 2, 2]
+    assert sorted(len(f) for f in faces) == [2, 2, 2]
 
 
 def test_load_and_dump_round_trip():

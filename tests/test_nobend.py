@@ -78,7 +78,7 @@ def image_corners(image):
     """The four external degree-2 vertices of a rectilinear image at
     270."""
     ip = image.plane
-    return [ip.dart_head(d) for d in ip.faces[ip.external_face].boundary
+    return [ip.dart_head(d) for d in ip.faces[ip.external_face].darts
             if ip.graph.degree(ip.dart_head(d)) == 2
             and image.angles[d] == 270]
 
@@ -161,7 +161,7 @@ def test_no_bend_rep_draws_every_flow_optimum(drawn):
         pg = good.plane
         validate(h)
         assert h.total_bends() == 0
-        for d in pg.faces[pg.external_face].boundary:
+        for d in pg.faces[pg.external_face].darts:
             if pg.dart_head(d) in good.corners:
                 assert h.angles[d] == 270
 

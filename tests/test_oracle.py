@@ -129,8 +129,7 @@ def test_embeddings_cover_face_size_profiles():
     embs = oracle.enumerate_embeddings(g)
     assert len(embs) == 1
     assert len(oracle.enumerate_embeddings(g, mirrors=True)) == 2
-    profiles = {tuple(sorted(len(f.boundary) for f in pg.faces))
-                for pg in embs}
+    profiles = {tuple(sorted(len(f) for f in pg.faces)) for pg in embs}
     assert profiles == {(3, 3, 4)}
 
 

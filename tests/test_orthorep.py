@@ -21,6 +21,7 @@ from orthobend.errors import (
 from orthobend.graph import Graph, PlaneGraph, embed
 from orthobend.orthorep import (
     OrthoRep,
+    arrival_dart,
     from_json,
     rectilinear_image,
     smooth,
@@ -42,23 +43,18 @@ def ring_plane(n):
     return PlaneGraph(g, rot, 0)
 
 
-def arrival(pg, e, w):
-    u, v = pg.edge(e)
-    return (e, 0) if v == w else (e, 1)
-
-
 def rect_rep(n, corners, bends=None, flat=()):
     """A cycle drawn as a rectangle: 90 inside at each corner vertex.
 
-    The face containing dart (0, 0) is internal; `flat` lists corner
-    angles overridden to 180 on both sides (for invalid fixtures).
+    The face containing dart 0 is internal; `flat` lists corner angles
+    overridden to 180 on both sides (for invalid fixtures).
     """
     pg0 = ring_plane(n)
-    internal = pg0.face_of_dart((0, 0))
+    internal = pg0.dart_face[0]
     pg = pg0.with_external_face(1 - internal)
     angles = {}
     for f in pg.faces:
-        for d in f.boundary:
+        for d in f.darts:
             w = pg.dart_head(d)
             if w in flat or w not in corners:
                 angles[d] = 180
@@ -90,7 +86,7 @@ def theta_rep():
     for f in pg.faces:
         cls = ("E" if f.id == pg.external_face
                else "L" if set(f.edge_ids()) == {0, 1, 2} else "R")
-        for d in f.boundary:
+        for d in f.darts:
             angles[d] = table[(pg.dart_head(d), cls)]
     return OrthoRep(pg, angles, {1: "R", 2: "R", 3: "L", 4: "L"})
 
@@ -112,7 +108,7 @@ def theta_nested_rep(middle=("L", "L")):
     for f in pg.faces:
         cls = ("E" if f.id == pg.external_face
                else "M" if set(f.edge_ids()) == {0, 3, 4} else "B")
-        for d in f.boundary:
+        for d in f.darts:
             angles[d] = table[(pg.dart_head(d), cls)]
     return OrthoRep(pg, angles,
                     {1: "LL", 2: "LL", 3: middle[0], 4: middle[1]})
@@ -152,18 +148,19 @@ def test_rectangle_with_flat_vertices_validates():
 def test_triangle_without_corners_breaks_h2():
     g = ring(3)
     pg = ring_plane(3)
-    angles = {d: 180 for f in pg.faces for d in f.boundary}
+    angles = {d: 180 for f in pg.faces for d in f.darts}
     with pytest.raises(H2Violation):
         validate(OrthoRep(pg, angles))
 
 
 def test_triangle_with_three_corners_and_a_bend_validates():
     pg0 = ring_plane(3)
-    internal = pg0.face_of_dart((0, 0))
+    internal = pg0.dart_face[0]
     pg = pg0.with_external_face(1 - internal)
     angles = {d: (270 if f.id == pg.external_face else 90)
-              for f in pg.faces for d in f.boundary}
-    # dart (2, 0) lies in the internal face, so its L puts the 90 inside
+              for f in pg.faces for d in f.darts}
+    # dart 4, edge 2 from u to v, lies in the internal face, so its L puts
+    # the 90 inside
     h = OrthoRep(pg, angles, {2: "L"})
     validate(h)
     assert h.total_bends() == 1 and len(h.bends[2]) == 1
@@ -182,7 +179,7 @@ def test_flattening_one_corner_side_breaks_h1():
         else:
             h.angles[d] = bad
         with pytest.raises(H1Violation,
-                           match=rf"dart \({d[0]}, {d[1]}\) .* has {says},"
+                           match=rf"dart {d} \(edge {d >> 1}\) .* has {says},"
                            ) as err:
             validate(h)
         assert (err.value.dart, err.value.angle, err.value.total) \
@@ -239,10 +236,11 @@ def test_smooth_drops_straightened_vertices():
         for e in h.plane.rotation[w]:
             ss = segs[e]
             a = ss[-1] if w == h.plane.edge(e)[1] else ss[0]
-            angles[arrival(sub, a, w)] = h.angles[arrival(h.plane, e, w)]
+            angles[arrival_dart(sub, a, w)] \
+                = h.angles[arrival_dart(h.plane, e, w)]
     nv = next(iter(hosts))
     for e2 in sub.rotation[nv]:
-        angles[arrival(sub, e2, nv)] = 180
+        angles[arrival_dart(sub, e2, nv)] = 180
     back = smooth(OrthoRep(sub, angles), h.plane, segs)
     assert back.bends[0] == "" and back.angles == h.angles
 
@@ -322,6 +320,8 @@ def test_mutated_json_raises_only_package_errors(data):
 
 def test_oracle_reps_survive_round_trip():
     for h in ORACLE_REPS:
+        # one corner per flat dart 2e + o
+        assert sorted(h.angles) == list(range(2 * h.plane.m))
         validate(h)
         img, segs = rectilinear_image(h)
         validate(img)
