@@ -7,14 +7,14 @@ graph, the three legs of a 3-extrovert or 3-introvert cycle form a
 three distinct faces. Detection therefore enumerates dual triangles; no
 simple-cycle enumeration happens in production code (the brute-force
 route lives in the oracle module and is only used to cross-check this
-one). One enumerator, _dual_cycles, lists the dual 2- and 3-cycles for
-extrovert_cycles, on a wider class where two faces may share more than
-one edge: each face maps its neighbours to the edges joining them, and
-each joined pair f < g closes with every face h > g in the smaller of
-their two maps, once per choice of joining edges. In the class of
-inclusion_tree one edge joins each pair of adjacent faces, and
-dual_triangles walks the same maps, each neighbour to its one edge, in
-the same order, listing a triangle only when its cut edges share no
+one). One enumerator, _dual_cycles, lists the dual 2- and 3-cycles in
+one pass for extrovert_cycles, on a wider class where two faces may
+share more than one edge: each face maps its neighbours to the edges
+joining them, and each joined pair f < g closes with every face h > g
+in the smaller of their two maps, once per choice of joining edges. In
+the class of inclusion_tree one edge joins each pair of adjacent faces,
+and dual_triangles walks the same maps, each neighbour to its one edge,
+in the same order, listing a triangle only when its cut edges share no
 vertex.
 
 A record is its cut plus the faces on its inside. The sides of the
@@ -51,13 +51,11 @@ which hold their darts, tails and edge ids; the darts, edges and
 vertices are read off the faces on request.
 
 A dual triangle whose three cut edges share a primal vertex v is facial:
-its one degenerate cycle runs round v's face fan, 3-extrovert with every
-face but the fan inside when v lies on the external boundary, and
-3-introvert with the fan inside when v is internal. The count reads no
+its one degenerate cycle runs round v's face fan. The count reads no
 degenerate cycle, so the demanding path never builds one:
 inclusion_tree holds records only for the separating triangles, those
-whose three cut edges share no vertex, and facial_records builds the
-degenerate cycles on request.
+whose three cut edges share no vertex. A degenerate cycle is 3-extrovert
+when v lies on the external boundary, and extrovert_cycles lists it then.
 
 A separating triangle splits the other faces into two sides. With the
 external face in side B, side A is the inside of a 3-extrovert cycle
@@ -86,13 +84,15 @@ dart is walked.
 
 extrovert_cycles serves the no-bend drawing alone, on a wider class: any
 biconnected plane 3-graph, chains of degree-2 vertices included, so the
-dual may have parallel edges. Each k-edge-cut, k = 2 or 3, is a dual
-k-cycle over k distinct faces; the same walk gives the cycle next to
-each of its sides as a CycleRecord built as the 3-cycle records are,
-with its legs, leg vertices, leg faces and contour paths, and a dual
+dual may have parallel edges. Each 2- or 3-edge-cut is a dual 2- or
+3-cycle over distinct faces, and one pass of _dual_cycles lists both;
+the same walk gives the cycle next to each of its sides, and a dual
 flood that never enters a cut face gives that cycle's inside as a
-frozenset. It costs O(faces) per cut, so it is not linear, and the
-demanding path never calls it.
+frozenset. A cycle whose inside misses the external face is extrovert,
+and it becomes a CycleRecord built as the 3-cycle records are, with its
+legs, leg vertices, leg faces and contour paths; its k is len(legs). It
+costs O(faces) per cut, so it is not linear, and the demanding path
+never calls it.
 """
 
 from __future__ import annotations
@@ -128,8 +128,7 @@ class CycleRecord:
     and leg_vertices read them on request.
     """
 
-    # from 0 when separating; -1 - v round vertex v; the index in the list
-    # extrovert_cycles returns
+    # from 0 when separating; the index in the list extrovert_cycles returns
     cycle_id: int
     kind: str  # "extrovert" | "introvert"
     legs: tuple
@@ -142,7 +141,7 @@ class CycleRecord:
     faces: list = field(repr=False)  # pg.faces
     # the cycle id of the other record of the same cut: the 3-introvert
     # partner of a 3-extrovert cycle, or its twin when the external face is
-    # a cut face; None round a vertex
+    # a cut face; None from extrovert_cycles
     phi_partner: int | None = None
     colors: tuple | None = None
     demanding: bool | None = None
@@ -243,11 +242,13 @@ def _class_witness(pg: PlaneGraph):
     raise AssertionError("no witness outside the class")
 
 
-def _dual_cycles(pg: PlaneGraph, k):
-    """The k-edge-cuts of pg, k = 2 or 3, each once, as (cut_edges,
-    cut_faces): the dual k-cycles over k distinct faces, by their smallest
-    face, the faces in increasing order. A triangle over faces (f, g, h)
-    is (f|g, g|h, h|f), one per choice of the edges joining each pair.
+def _dual_cycles(pg: PlaneGraph):
+    """The 2- and 3-edge-cuts of pg, each once, as (cut_edges, cut_faces):
+    the dual 2- and 3-cycles over distinct faces, by their smallest face,
+    the faces in increasing order, the 2-cycles over f and g before the
+    triangles over them. A 2-cycle over faces (f, g) is two of the edges
+    joining them, and a triangle over (f, g, h) is (f|g, g|h, h|f), one
+    per choice of the edges joining each pair.
 
     Each face maps its neighbours to the edges joining them, in increasing
     order, and h ranges over the smaller map of f and g. Raises
@@ -267,9 +268,7 @@ def _dual_cycles(pg: PlaneGraph, k):
         for g, fg in at_f.items():
             if g < f:
                 continue
-            if k == 2:
-                found += [(cut, (f, g)) for cut in combinations(fg, 2)]
-                continue
+            found += [(cut, (f, g)) for cut in combinations(fg, 2)]
             at_g = joins[g]
             small, big = ((at_f, at_g) if len(at_f) < len(at_g)
                           else (at_g, at_f))
@@ -376,30 +375,26 @@ def _cycle_vertices(pg: PlaneGraph, cut, spans):
     return vertices
 
 
-def _record(pg: PlaneGraph, cycle_id, spans, inside, degenerate, phi=None):
-    """The record of the cycle whose arcs `spans` chain in walk order,
-    whose inside is `inside`: 3-introvert exactly when the cut faces lie
-    inside, and otherwise walked backwards, so the inside is always on the
-    left. A path's leg is the cut edge at its tail and its leg face the
-    arc's face. The path holding the cycle's smallest edge comes last.
-    _cut_records builds the records of the separating cuts inline."""
+def _record(pg: PlaneGraph, cycle_id, spans, inside, degenerate):
+    """The record of the extrovert cycle whose arcs `spans` chain in walk
+    order, whose inside is `inside`. The cut faces lie outside, so the
+    arcs are walked backwards, with the inside on the left. A path's leg
+    is the cut edge at its tail and its leg face the arc's face. The path
+    holding the cycle's smallest edge comes last. _cut_records builds the
+    records of the separating cuts inline."""
     faces = pg.faces
-    reverse = spans[0][0] not in inside
-    if reverse:
-        spans = spans[::-1]
+    assert spans[0][0] not in inside, "a cut face lies inside"
+    spans = spans[::-1]
     low = []  # per span, its smallest edge: min(_between(...)), inline
     for f, i, j in spans:
         es = faces[f].eids
         low.append(min(es[i + 1:j]) if i < j else min(es[i + 1:] + es[:j]))
     k = low.index(min(low)) + 1
     spans = spans[k:] + spans[:k]
-    if reverse:
-        legs = tuple([faces[f].eids[j] for f, _, j in spans])
-    else:
-        legs = tuple([faces[f].eids[i] for f, i, _ in spans])
-    return CycleRecord(cycle_id, "extrovert" if reverse else "introvert",
-                       legs, tuple([f for f, _, _ in spans]), spans, reverse,
-                       inside, degenerate, faces, phi)
+    return CycleRecord(cycle_id, "extrovert",
+                       tuple([faces[f].eids[j] for f, _, j in spans]),
+                       tuple([f for f, _, _ in spans]), spans, True, inside,
+                       degenerate, faces)
 
 
 def _cut_records(pg: PlaneGraph, i, cut, x, inside_a, inside_b):
@@ -411,9 +406,10 @@ def _cut_records(pg: PlaneGraph, i, cut, x, inside_a, inside_b):
     rest of each cut face's boundary faces the other side. Each arc's
     tails give its side's vertices, for the checks that each side closes
     a simple cycle with every cut edge a leg, and its darts its smallest
-    dart. The rest is _record's, inline: a record is walked backwards
-    exactly when the cut faces lie outside it, and its path holding the
-    smallest edge comes last.
+    dart. The rest is _record's, inline, plus the 3-introvert case: a
+    record with the cut faces outside it is 3-extrovert and walked
+    backwards, one with them inside 3-introvert and walked forwards, and
+    its path holding the smallest edge comes last.
     """
     faces, ends = pg.faces, pg.graph.edges
     near = _cut_arcs(pg, cut, x)
@@ -608,57 +604,30 @@ def _root_records(pg: PlaneGraph):
     return records, parent, preorder, ref
 
 
-def facial_records(pg: PlaneGraph):
-    """The degenerate 3-cycles of pg, one per vertex v with cycle id
-    -1 - v: the cycle round v's face fan, whose legs are v's three edges.
-
-    The cycle is 3-extrovert, with every face but the fan inside, when v
-    lies on the external face, and 3-introvert with the fan inside when v
-    is internal. Raises NotTriconnectedCubic as inclusion_tree does.
-    """
-    _class_index(pg)
-    ext = pg.external_face
-    faces = range(len(pg.faces))
-    records = []
-    for v, cut in enumerate(pg.rotation):
-        fan = frozenset(f for e in cut for f in pg.faces_of_edge(e))
-        outer = ext in fan
-        u, w = pg.edge(cut[0])
-        cut = tuple(cut)
-        spans = _cut_arcs(pg, cut, w if u == v else u)
-        simple = spans and _cycle_vertices(pg, cut, spans)
-        assert simple, "fan arcs close no cycle with three legs"
-        records.append(_record(
-            pg, -1 - v, spans,
-            Inside((faces, faces), 0, 0, fan, outer, not outer), True))
-    return records
-
-
 # ---------------------------------------------------------------------------
 # 2- and 3-extrovert cycles of any biconnected plane 3-graph
 
 
-def extrovert_cycles(pg: PlaneGraph, k):
-    """The k-extrovert cycles of pg, k = 2 or 3, as CycleRecords of kind
-    "extrovert" with ids 0, 1, ... in the order listed.
+def extrovert_cycles(pg: PlaneGraph):
+    """The 2- and 3-extrovert cycles of pg, as CycleRecords of kind
+    "extrovert" with ids 0, 1, ... in the order listed; a cycle's k is
+    len(legs).
 
     pg may be any biconnected plane 3-graph; an edge with one face on both
-    sides, a bridge, raises NotBiconnected, and a k other than 2 or 3
-    ValueError. Each side of a k-edge-cut is bounded by the cycle the cut
-    faces' arcs facing it chain, when that is a simple cycle with every
-    cut edge a leg. Its inside, a frozenset, is a dual flood from the faces
-    on its left that never enters a cut face, and the cycle is k-extrovert
-    when that inside does not hold the external face. A 3-extrovert cycle
-    is degenerate when its legs meet in one vertex off it. A k-extrovert
-    cycle's legs are its cut, and each cut is listed once, so no cycle
-    comes twice. O(faces) per cut.
+    sides, a bridge, raises NotBiconnected. Each side of a k-edge-cut, k =
+    2 or 3, is bounded by the cycle the cut faces' arcs facing it chain,
+    when that is a simple cycle with every cut edge a leg. Its inside, a
+    frozenset, is a dual flood from the faces on its left that never
+    enters a cut face, and the cycle is k-extrovert when that inside does
+    not hold the external face. A 3-extrovert cycle is degenerate when its
+    legs meet in one vertex off it. A k-extrovert cycle's legs are its
+    cut, and each cut is listed once, so no cycle comes twice. O(faces)
+    per cut.
     """
-    if k not in (2, 3):
-        raise ValueError(f"extrovert cycles have 2 or 3 legs, not {k}")
     across = pg.face_index
     ends = pg.graph.edges
     found = []
-    for cut, faces in _dual_cycles(pg, k):
+    for cut, faces in _dual_cycles(pg):
         near = _cut_arcs(pg, cut, ends[cut[0]][0])
         for spans in (near, _far_arcs(near)) if near else ():
             vertices = _cycle_vertices(pg, cut, spans)
@@ -677,7 +646,7 @@ def extrovert_cycles(pg: PlaneGraph, k):
                 far = {v for e in cut for v in ends[e] if v not in vertices}
                 found.append(_record(pg, len(found), spans,
                                      frozenset(inside),
-                                     k == 3 and len(far) == 1))
+                                     len(cut) == 3 and len(far) == 1))
     return found
 
 
@@ -721,11 +690,11 @@ class InclusionTree:
 def inclusion_tree(pg: PlaneGraph) -> InclusionTree:
     """The inclusion tree of pg's 3-cycle records, the one way to them:
     both non-degenerate cycles of each separating cut c of dual_triangles,
-    ids 2c and 2c + 1, phi-linked; facial_records has the degenerate ones.
-    It is rooted at reference_face, pg's external face when that is on no
-    separating triangle, else the lowest face on none. Raises
-    NotTriconnectedCubic, naming a witness, unless pg's graph is cubic and
-    triconnected: unless every edge joins its own pair of faces."""
+    ids 2c and 2c + 1, phi-linked. It is rooted at reference_face, pg's
+    external face when that is on no separating triangle, else the lowest
+    face on none. Raises NotTriconnectedCubic, naming a witness, unless
+    pg's graph is cubic and triconnected: unless every edge joins its own
+    pair of faces."""
     return InclusionTree(pg, *_root_records(pg))
 
 

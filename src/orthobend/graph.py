@@ -203,13 +203,10 @@ class PlaneGraph:
         other.external_face = _face_id(self.faces, f)
         return other
 
-    def external_boundary_edges(self):
-        return set(self.faces[self.external_face].edge_ids())
-
 
 def _face_id(faces, f):
     """f, the id of one of `faces`; ParseError when it is none."""
-    if not (isinstance(f, int) and 0 <= f < len(faces)):
+    if not (type(f) is int and 0 <= f < len(faces)):
         raise ParseError(f"external face {f} out of range")
     return f
 

@@ -6,8 +6,10 @@ least two and (iii) every 3-extrovert cycle at least one. Good graphs are
 exactly the ones drawable with zero bends (Rahman, Nishizeki and Naznin,
 JGAA 2003), and this module produces such a representation once four
 degree-2 external vertices are designated as corners. check_good reads
-the 2- and 3-extrovert cycles from cycles.extrovert_cycles, which takes
-any biconnected plane 3-graph, chains of degree-2 vertices included.
+the 2- and 3-extrovert cycles from one call of cycles.extrovert_cycles,
+which takes any biconnected plane 3-graph, chains of degree-2 vertices
+included, and lists both kinds in one pass; a cycle's k is its number
+of legs.
 
 With no bend, a representation is only an angle per corner, so
 no_bend_rep solves one feasibility flow over the whole graph: Tamassia's
@@ -56,7 +58,7 @@ class GoodPlaneGraph:
                 from None
         pg = self.plane
         for v in self.corners:
-            if not isinstance(v, int):
+            if type(v) is not int:
                 raise NotGood(f"corner {v!r} is not a vertex id")
         if len(set(self.corners)) != 4:
             raise NotGood(f"need four distinct corners, got {self.corners}")
@@ -75,7 +77,7 @@ def _boundary_vertices(pg: PlaneGraph) -> set:
 def check_good(pg: PlaneGraph) -> GoodCheck:
     """Report the first violated drawability condition, if any. Raises
     NotBiconnected, before testing any condition, when pg has a bridge."""
-    cycles = [cyc for k in (2, 3) for cyc in extrovert_cycles(pg, k)]
+    cycles = extrovert_cycles(pg)
     outer = pg.faces[pg.external_face]
     outer_vertices = sorted(set(outer.tails))
     deg2_outer = [v for v in outer_vertices if pg.graph.degree(v) == 2]

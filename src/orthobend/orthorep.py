@@ -257,19 +257,26 @@ def from_json(text: str) -> OrthoRep:
         rotation = [None] * n
         ang_rows = [None] * n
         for rec in data["vertices"]:
-            rotation[rec["id"]] = rec["rotation"]
-            ang_rows[rec["id"]] = rec["angles"]
+            v = rec["id"]
+            if type(v) is not int or v < 0:
+                raise ParseError(f"vertex id {v!r} is not in 0..n-1")
+            rotation[v] = rec["rotation"]
+            ang_rows[v] = rec["angles"]
         ext = data["external_face"]
     except (AttributeError, IndexError, KeyError, TypeError,
             ValueError) as exc:
         raise ParseError(f"bad representation JSON: {exc}") from None
-    if list(bends) != list(range(len(edges))):
+    if (any(type(e) is not int for e in bends)
+            or list(bends) != list(range(len(edges)))):
         raise ParseError("edge ids must run 0..m-1")
     if not all(isinstance(s, str) and set(s) <= {"L", "R"}
                for s in bends.values()):
         raise ParseError("bends must be strings over L and R")
-    if not isinstance(ext, int):
+    if type(ext) is not int:
         raise ParseError(f"external face {ext!r} is not an integer")
+    for v, row in enumerate(rotation):
+        if isinstance(row, list) and any(type(e) is not int for e in row):
+            raise ParseError(f"rotation at {v} lists a non-integer edge id")
     pg = PlaneGraph(Graph(n, edges, flex), rotation, ext)
     for v, row in enumerate(ang_rows):
         if not (isinstance(row, list) and len(row) == len(rotation[v])):

@@ -42,8 +42,27 @@ def records(pg):
 
 
 def all_records(pg):
-    """Every 3-extrovert and 3-introvert cycle of pg, facial ones too."""
-    return records(pg) + cycles.facial_records(pg)
+    """Every 3-extrovert and 3-introvert cycle of pg that is built: the
+    separating cuts' records and the degenerate 3-extrovert cycles round
+    external vertices. Nothing builds the degenerate 3-introvert cycles
+    round internal vertices."""
+    return records(pg) + [r for r in cycles.extrovert_cycles(pg)
+                          if r.degenerate]
+
+
+def built(oracle_records):
+    """The oracle's records of the cycles all_records builds: all but the
+    degenerate 3-introvert ones."""
+    return [r for r in oracle_records
+            if r["kind"] == "extrovert" or not r["degenerate"]]
+
+
+def two_extrovert(pg):
+    return [r for r in cycles.extrovert_cycles(pg) if len(r.legs) == 2]
+
+
+def external_edges(pg):
+    return set(pg.faces[pg.external_face].eids)
 
 
 def reference(pg):
@@ -77,8 +96,8 @@ def find_record(pg, recs, vertices, kind):
 @pytest.mark.parametrize("builder", [k4, prism, cube])
 def test_three_cycle_detection_matches_exhaustive_search(builder):
     for pg in all_faces(builder()):
-        want = oracle_keys(oracle.three_extrovert(pg)
-                           + oracle.three_introvert(pg))
+        want = oracle_keys(built(oracle.three_extrovert(pg)
+                                 + oracle.three_introvert(pg)))
         got = production_keys(all_records(pg))
         assert got == want
 
@@ -86,8 +105,8 @@ def test_three_cycle_detection_matches_exhaustive_search(builder):
 def test_three_cycle_detection_on_grown_corpus():
     for g in CORPUS:
         for pg in all_faces(g):
-            want = oracle_keys(r for r in oracle.cycle_records(pg)
-                               if r["k"] == 3)
+            want = oracle_keys(built(r for r in oracle.cycle_records(pg)
+                                     if r["k"] == 3))
             assert production_keys(all_records(pg)) == want
 
 
@@ -237,11 +256,12 @@ def test_inclusion_tree_expands_each_face_a_bounded_number_of_times():
     assert counted.reads <= faces
 
 
-def test_separating_cuts_and_facial_records_match_the_oracle():
+def test_separating_cuts_and_facial_cycles_match_the_oracle():
     """The face index lists each separating dual triangle once, l1 f|g,
-    l2 g|h and l3 h|f, and facial_records has the cycle round each vertex
-    v with id -1 - v; both refereed by the brute dual-triangle search, and
-    the facial cycles on the small graphs by the simple-cycle search."""
+    l2 g|h and l3 h|f, and extrovert_cycles has the degenerate cycle round
+    each external vertex v, its legs meeting at v; both refereed by the
+    brute dual-triangle search, and the degenerate cycles on the small
+    graphs by the simple-cycle search."""
     for g in CORPUS + NESTED[:1]:
         for pg in all_faces(g):
             got = cycles.dual_triangles(pg)
@@ -253,12 +273,16 @@ def test_separating_cuts_and_facial_records_match_the_oracle():
                     for cut, _ in oracle.all_dual_triangles(pg)}
             assert Counter(frozenset(cut) for cut, _ in got) \
                 == Counter(cut for cut, v in apex.items() if v is None)
-            facial = cycles.facial_records(pg)
-            assert {frozenset(r.legs): -1 - r.cycle_id for r in facial} \
-                == {cut: v for cut, v in apex.items() if v is not None}
+            facial = [r for r in cycles.extrovert_cycles(pg)
+                      if r.degenerate]
+            meet = {frozenset(r.legs): set.intersection(
+                        *(set(pg.edge(e)) for e in r.legs)) for r in facial}
+            outer = set(pg.faces[pg.external_face].tails)
+            assert meet == {cut: {v} for cut, v in apex.items()
+                            if v in outer}
             if g.n <= 16:
                 want = [r for r in oracle.three_extrovert(pg)
-                        + oracle.three_introvert(pg) if r["degenerate"]]
+                        if r["degenerate"]]
                 assert production_keys(facial) == oracle_keys(want)
 
 
@@ -269,8 +293,9 @@ def test_dual_triangles_are_the_dual_cycles_whose_l1_and_l2_do_not_meet():
     for pg in [pg for g in CORPUS for pg in all_faces(g)] \
             + [embed(g) for g in NESTED]:
         ends = pg.graph.edges
-        want = [(cut, tri) for cut, tri in cycles._dual_cycles(pg, 3)
-                if not set(ends[cut[0]]) & set(ends[cut[1]])]
+        want = [(cut, tri) for cut, tri in cycles._dual_cycles(pg)
+                if len(cut) == 3
+                and not set(ends[cut[0]]) & set(ends[cut[1]])]
         assert cycles.dual_triangles(pg) == want
 
 
@@ -338,7 +363,7 @@ def test_demanding_sets_check_the_class_and_root_the_records_once(
 def test_no_two_extrovert_cycles_in_triconnected_graphs():
     for builder in (prism, cube, theta_fixture):
         for pg in all_faces(builder()):
-            assert cycles.extrovert_cycles(pg, 2) == []
+            assert two_extrovert(pg) == []
 
 
 def test_two_extrovert_from_external_subdivision():
@@ -347,10 +372,10 @@ def test_two_extrovert_from_external_subdivision():
     segments as legs however often the edge is split."""
     for builder in (prism, cube):
         pg = embed(builder())
-        for e in sorted(pg.external_boundary_edges()):
+        for e in sorted(external_edges(pg)):
             for count in (1, 2, 3):
                 real, _, segs = subdivide_plane(pg, {e: count})
-                two = cycles.extrovert_cycles(real, 2)
+                two = two_extrovert(real)
                 assert len(two) == 1
                 cyc = two[0]
                 ends = (segs[e][0], segs[e][-1])
@@ -366,14 +391,14 @@ def test_two_extrovert_from_external_subdivision():
 
 def test_no_two_extrovert_from_internal_subdivision():
     pg = embed(prism())
-    internal = sorted(set(range(pg.m)) - pg.external_boundary_edges())[0]
+    internal = sorted(set(range(pg.m)) - external_edges(pg))[0]
     sub, _, _ = subdivide_plane(pg, {internal: 1})
-    assert cycles.extrovert_cycles(sub, 2) == []
+    assert two_extrovert(sub) == []
 
 
 def test_plain_quadrilateral_has_no_two_extrovert_cycle():
     pg = embed(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
-    assert cycles.extrovert_cycles(pg, 2) == []
+    assert two_extrovert(pg) == []
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +441,6 @@ def test_reference_embedding_rejects_graphs_outside_the_class():
         for pg in pgs:
             with pytest.raises(NotTriconnectedCubic):
                 cycles.inclusion_tree(pg)
-            with pytest.raises(NotTriconnectedCubic):
-                cycles.facial_records(pg)
             with pytest.raises(NotTriconnectedCubic):
                 cycles.demanding_sets(pg)
 
@@ -674,7 +697,7 @@ def test_cycle_count_formula_is_brute_cost_formula_and_bounds_the_flow():
         for pg in all_faces(g):
             ds = cycles.demanding_sets(pg)
             ext_flex = sum(g.flexibility(e)
-                           for e in pg.external_boundary_edges())
+                           for e in external_edges(pg))
             formula = oracle.brute_cost_formula(pg)
             assert formula \
                 == len(ds.d_set) + 4 - min(4, len(ds.d_f) + ext_flex)
@@ -703,7 +726,7 @@ def test_twin_pairs_up_cycles_on_the_external_face():
     t2 = cycles.twin(pg, t1, recs)
     assert vertex_set(g, t2.edges) == frozenset({3, 4, 5})
     assert cycles.twin(pg, t2, recs) is t1
-    boundary = pg.external_boundary_edges()
+    boundary = external_edges(pg)
     assert boundary <= set(t1.edges) | set(t2.edges) | set(t1.legs)
 
 
@@ -739,7 +762,7 @@ def test_cover_for_single_and_paired_families():
     recs = records(pg)
     t1 = find_record(pg, recs, {0, 1, 2}, "extrovert")
     e1, e2 = cycles.intersecting_cover(pg, [t1], recs)
-    boundary = pg.external_boundary_edges()
+    boundary = external_edges(pg)
     assert {e1, e2} <= boundary
     assert not set(g.edges[e1]) & set(g.edges[e2])
     assert e1 in t1.edges or e2 in t1.edges
@@ -760,14 +783,14 @@ def test_cover_for_degenerate_and_empty_families():
     pg = embed(g)
     recs = all_records(pg)
     family = [r for r in recs if r.kind == "extrovert" and r.degenerate
-              and set(r.legs) & pg.external_boundary_edges()]
+              and set(r.legs) & external_edges(pg)]
     assert len(family) == 4
     e1, e2 = cycles.intersecting_cover(pg, family, recs)
     assert not set(g.edges[e1]) & set(g.edges[e2])
     for r in family:
         assert e1 in r.edges or e2 in r.edges
     e1, e2 = cycles.intersecting_cover(pg, [], recs)
-    assert {e1, e2} <= pg.external_boundary_edges()
+    assert {e1, e2} <= external_edges(pg)
     assert not set(g.edges[e1]) & set(g.edges[e2])
 
 
@@ -826,7 +849,7 @@ def test_nested_blobs_demanding_sets_and_cost():
         ds = cycles.demanding_sets(pg)
         got = {BLOB_NAMES.get(vertex_set(g, r.edges)) for r in ds.d_set}
         assert got == {"A1", "A2", "A3", "hexA", "B1", "B2"}
-        flex_f = sum(g.flexibility(e) for e in pg.external_boundary_edges())
+        flex_f = sum(g.flexibility(e) for e in external_edges(pg))
         predicted = len(ds.d_set) + 4 - min(4, len(ds.d_f) + flex_f)
         cost, _ = oracle.flow_min_bends(pg)
         assert predicted == cost

@@ -134,7 +134,7 @@ def test_external_face_selection_is_stable():
             pg.with_external_face(len(pg.faces))
 
 
-@pytest.mark.parametrize("f", [1.0, "1", None])
+@pytest.mark.parametrize("f", [1.0, "1", None, True])
 def test_a_non_integer_external_face_raises_parse_error(f):
     g = prism()
     pg = embed(g)

@@ -45,21 +45,17 @@ def subdivisions():
 
 
 FIELDS = ("edges", "legs", "inside_faces", "contour_paths", "leg_faces",
-          "leg_vertices", "degenerate")
+          "leg_vertices", "degenerate", "kind")
 
 
 def cycle_key(field):
     """What the referee compares of a cycle, field(name) reading its
     fields: each contour path with its leg face and leg vertex, so the
     paths and legs match whichever path comes first."""
-    edges, legs, inside, paths, faces, ends, degenerate = map(field, FIELDS)
+    edges, legs, inside, paths, faces, ends, degenerate, kind = (
+        map(field, FIELDS))
     return (edges, frozenset(legs), inside,
-            frozenset(zip(paths, faces, ends)), degenerate)
-
-
-def extrovert_keys(pg, k):
-    return Counter(cycle_key(partial(getattr, c))
-                   for c in extrovert_cycles(pg, k))
+            frozenset(zip(paths, faces, ends)), degenerate, kind)
 
 
 def oracle_extrovert(pg, k):
@@ -101,8 +97,8 @@ def drawn():
 
 def test_extrovert_cycles_match_the_oracle(drawn):
     """By edges, legs, inside faces, contour paths with their leg faces and
-    leg vertices, and degeneracy, each cycle once, for k = 2 and 3: at
-    every face of SMALL, on a random subdivision of each, and on the
+    leg vertices, degeneracy and kind, each cycle once, for k = 2 and 3:
+    at every face of SMALL, on a random subdivision of each, and on the
     rectilinear image of each flow optimum."""
     cases = [pg for g in SMALL for pg in every_face(g)]
     cases += subdivisions()
@@ -114,19 +110,18 @@ def test_extrovert_cycles_match_the_oracle(drawn):
         for r in oracle.cycle_records(pg):
             if r["kind"] == "extrovert" and r["k"] in want:
                 want[r["k"]][cycle_key(r.__getitem__)] += 1
+        got = {2: Counter(), 3: Counter()}
+        for c in extrovert_cycles(pg):
+            got[len(c.legs)][cycle_key(partial(getattr, c))] += 1
+        assert got == want
         for k in (2, 3):
-            assert extrovert_keys(pg, k) == want[k]
             seen[k] += want[k].total()
     assert min(seen.values()) > 100
 
 
 def test_extrovert_cycles_take_two_or_three_legs():
-    """Any other k is refused, not read as a triangle."""
-    pg = embed(cube())
-    for k in (1, 4):
-        with pytest.raises(ValueError):
-            extrovert_cycles(pg, k)
-    assert len(extrovert_cycles(pg, 3)) == 4
+    """The cube has four 3-extrovert cycles and no 2-extrovert one."""
+    assert [len(c.legs) for c in extrovert_cycles(embed(cube()))] == [3] * 4
 
 
 def test_check_good_matches_the_flow_referee(drawn):
@@ -191,14 +186,14 @@ def test_no_bend_rep_draws_exactly_the_good_subdivisions():
 
 
 def count_calls(good):
-    """no_bend_rep(good)'s calls to extrovert_cycles, by k, and to
+    """no_bend_rep(good)'s calls to extrovert_cycles and to
     nx.maximum_flow, and the NotGood it raised, if any."""
     listed, flows = [], []
     listing, max_flow = nobend.extrovert_cycles, nx.maximum_flow
 
-    def counted_listing(pg, k):
-        listed.append(k)
-        return listing(pg, k)
+    def counted_listing(pg):
+        listed.append(1)
+        return listing(pg)
 
     def counted_flow(*args, **kwargs):
         flows.append(1)
@@ -212,33 +207,39 @@ def count_calls(good):
             nobend.no_bend_rep(good)
         except NotGood as exc:
             raised = exc
-    return listed, len(flows), raised
+    return len(listed), len(flows), raised
 
 
 def test_no_bend_rep_lists_cycles_only_to_name_a_failure():
     """A good graph is drawn by one flow with no cycle listed: on the
     rectilinear image of the flow optimum of nested(1, 200). A subdivision
-    that fails (ii) or (iii) lists the 2- and 3-extrovert cycles once, to
-    name the cycle in NotGood."""
+    that fails (ii) or (iii) lists the 2- and 3-extrovert cycles in one
+    call, to name the cycle in NotGood."""
     image = rectilinear_image(
         oracle.flow_min_bends(embed(nested(1, 200)))[1])[0]
     good = nobend.GoodPlaneGraph(image.plane, image_corners(image))
-    assert count_calls(good) == ([], 1, None)
+    assert count_calls(good) == (0, 1, None)
     sp = next(sp for sp in subdivisions()
               if nobend.check_good(sp).condition in ("ii", "iii"))
     corners = external_degree_2(sp)[:4]
     listed, _, raised = count_calls(nobend.GoodPlaneGraph(sp, corners))
-    assert listed == [2, 3]
+    assert listed == 1
     assert isinstance(raised, NotGood)
 
 
 def test_corners_must_be_vertex_ids():
     """Corners that are not a sequence of four distinct external degree-2
-    vertex ids are refused with NotGood."""
+    vertex ids are refused with NotGood. A bool is no vertex id, though
+    True == 1: on a square, whose four vertices are all corners, True
+    would pass as vertex 1."""
     pg = embed(cube())
     for corners in (None, 5, ["a", 1, 2, 3], [0, 1, 2], [0, 1, 2, 3]):
         with pytest.raises(NotGood):
             nobend.GoodPlaneGraph(pg, corners)
+    square = embed(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
+    assert nobend.GoodPlaneGraph(square, [0, 1, 2, 3]).corners == (0, 1, 2, 3)
+    with pytest.raises(NotGood, match="corner True is not a vertex id"):
+        nobend.GoodPlaneGraph(square, [0, True, 2, 3])
 
 
 def test_a_bridge_is_rejected_up_front():
@@ -249,7 +250,7 @@ def test_a_bridge_is_rejected_up_front():
                   (4, 5), (5, 6), (6, 7), (7, 4), (0, 4)])
     for pg in every_face(g):
         with pytest.raises(NotBiconnected):
-            extrovert_cycles(pg, 2)
+            extrovert_cycles(pg)
         with pytest.raises(NotBiconnected):
             nobend.check_good(pg)
         corners = external_degree_2(pg)[:4]

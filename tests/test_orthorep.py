@@ -257,13 +257,20 @@ def test_json_round_trip():
     with pytest.raises(ParseError):
         from_json("{\"vertices\": []}")
     # a missing edge, an edge not incident to vertex 0, a vertex beyond n,
-    # flexibilities that are not integers in 0..4
+    # flexibilities that are not integers in 0..4, and true, which equals
+    # 1, as an edge id in a rotation row, as edge 1's id, as the external
+    # face and as vertex 1's id; a negative vertex id
     for path, value in ((("vertices", 0, "rotation", 0), 99),
                         (("vertices", 0, "rotation", 0), 2),
                         (("edges", 0, "u"), 99),
                         (("edges", 0, "flex"), "x"),
                         (("edges", 0, "flex"), 1.5),
-                        (("edges", 0, "flex"), 5)):
+                        (("edges", 0, "flex"), 5),
+                        (("vertices", 0, "rotation", 2), True),
+                        (("edges", 1, "id"), True),
+                        (("external_face",), True),
+                        (("vertices", 1, "id"), True),
+                        (("vertices", 1, "id"), -3)):
         doc = json.loads(to_json(theta_rep()))
         _container(doc, path)[path[-1]] = value
         with pytest.raises(ParseError):
