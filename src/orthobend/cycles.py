@@ -17,20 +17,19 @@ and dual_triangles walks the same maps, each neighbour to its one edge,
 in the same order, listing a triangle only when its cut edges share no
 vertex.
 
-A record is its cut plus the faces on its inside. The sides of the
-separating cuts are laminar, so one numbering of the faces makes the side
-of every cut away from a root face, on no separating triangle, a single
-interval; their tree is the 4-block tree of the dual triangulation (Kant,
-1997). A spanning tree of the graph gives each such side's size and the
-end of cut[0] on it without a flood: the vertices under an odd number of
-the cut's tree edges lie on that side, and a cubic side with S vertices
+A record is its cut and its contour, with its inside on the left of the
+contour; it keeps no face set. The sides of the separating cuts away from
+a root face, on no separating triangle, are laminar, and their tree is
+the 4-block tree of the dual triangulation (Kant, 1997). A spanning tree
+of the graph rooted on that face gives each side's size and the end of
+cut[0] on it without a flood: the vertices _below an odd number of the
+cut's tree edges lie on that side, and a cubic side with S vertices
 bounds (S - 1) / 2 faces. Taken from the smallest up, each side floods
 only the faces no smaller side took, stepping over a finished smaller
-side to its cut faces, so each face is expanded once; numbering the faces
-by a depth-first walk of the resulting cut tree, each side's own faces
-first, makes every side an interval. An inside is that interval or its
-complement, with the cut's faces in or out, so membership and size are
-O(1).
+side to its cut faces, so each face is expanded once and ends owned by
+the smallest side holding it. The sides holding a face are its owner and
+the owner's ancestors in the cut tree, so one walk up from the external
+face's owner tells each record which side is its inside.
 
 Each cut face holds two cut edges, at positions i and j of its
 boundary, and its boundary between them splits into two arcs, one facing
@@ -45,10 +44,10 @@ The other side's arcs are the same faces in reverse order, as spans
 _cut_records builds in one step, slicing each arc's tails and darts
 once: the tails for the checks that each side's arcs close a simple
 cycle with every cut edge a leg, the darts for the smallest, which picks
-the path that comes last. A record holds no dart: it keeps its spans,
-plus one flag for a chain walked backwards, into its graph's faces,
-which hold their darts, tails and edge ids; the darts, edges and
-vertices are read off the faces on request.
+the path that comes last. A record holds no dart: it keeps its spans into
+its graph's faces, which hold their darts, tails and edge ids, and the
+chain is walked backwards when the record is extrovert; the darts, edges
+and vertices are read off the faces on request.
 
 A dual triangle whose three cut edges share a primal vertex v is facial:
 its one degenerate cycle runs round v's face fan. The count reads no
@@ -66,7 +65,7 @@ faces, both sides are the insides of two 3-extrovert twins.
 Moving the external face never changes which cycles and legs exist, only
 which side of each cycle is its inside: the side that does not hold the
 external face. So each query checks its graph's class, picks a reference
-face on no separating triangle and numbers the faces once, rooted at that
+face on no separating triangle and floods the sides once, rooted at that
 face, without a copy of the embedding; then it builds each record once,
 as the query's own external face sees it. The inclusion tree and the
 colors belong to the cut sides away from the reference face: a tree node
@@ -86,13 +85,13 @@ extrovert_cycles serves the no-bend drawing alone, on a wider class: any
 biconnected plane 3-graph, chains of degree-2 vertices included, so the
 dual may have parallel edges. Each 2- or 3-edge-cut is a dual 2- or
 3-cycle over distinct faces, and one pass of _dual_cycles lists both;
-the same walk gives the cycle next to each of its sides, and a dual
-flood that never enters a cut face gives that cycle's inside as a
-frozenset. A cycle whose inside misses the external face is extrovert,
-and it becomes a CycleRecord built as the 3-cycle records are, with its
-legs, leg vertices, leg faces and contour paths; its k is len(legs). It
-costs O(faces) per cut, so it is not linear, and the demanding path
-never calls it.
+the same walk gives the cycle next to each of its sides. A cycle is
+extrovert when its side misses the external face: when that face is a
+cut face, or when the side is the one _below the cut in a spanning tree
+rooted on the external face, so no side is flooded. An extrovert cycle
+becomes a CycleRecord built as the 3-cycle records are, with its legs,
+leg vertices, leg faces and contour paths; its k is len(legs). The
+demanding path never calls it.
 """
 
 from __future__ import annotations
@@ -122,10 +121,12 @@ class CycleRecord:
 
     The record holds no dart. Path j is the span spans[j] = (f, i, j') of
     leg face f: the arc of f's boundary strictly between positions i and
-    j', walked backwards with every dart reversed when `reverse`. The
-    spans index `faces`, the PlaneGraph's faces, each with its boundary
-    darts, their tails and their edge ids. contour_paths, edges, vertices
-    and leg_vertices read them on request.
+    j', walked backwards with every dart reversed when the record is
+    extrovert, since its leg faces lie outside it. The spans index
+    `faces`, the PlaneGraph's faces, each with its boundary darts, their
+    tails and their edge ids. contour_paths, edges, vertices and
+    leg_vertices read them on request. The record keeps no face set: its
+    inside is the side of its cut on the left of its contour.
     """
 
     # from 0 when separating; the index in the list extrovert_cycles returns
@@ -134,9 +135,6 @@ class CycleRecord:
     legs: tuple
     leg_faces: tuple
     spans: tuple
-    reverse: bool
-    # an Inside for the 3-cycle records, a frozenset from extrovert_cycles
-    inside_faces: Inside | frozenset
     degenerate: bool
     faces: list = field(repr=False)  # pg.faces
     # the cycle id of the other record of the same cut: the 3-introvert
@@ -156,7 +154,7 @@ class CycleRecord:
     @property
     def contour_paths(self):
         arcs = self._arcs("darts")
-        if self.reverse:  # last dart first, each dart reversed
+        if self.kind == "extrovert":  # last dart first, each dart reversed
             return tuple(tuple([d ^ 1 for d in reversed(a)]) for a in arcs)
         return tuple(map(tuple, arcs))
 
@@ -171,41 +169,10 @@ class CycleRecord:
     @property
     def leg_vertices(self):
         faces = self.faces
-        if self.reverse:  # the head of the arc's last dart
+        if self.kind == "extrovert":  # the head of the arc's last dart
             return tuple(faces[f].tails[j] for f, _, j in self.spans)
         return tuple(faces[f].tails[(i + 1) % len(faces[f])]
                      for f, i, _ in self.spans)
-
-
-class Inside:
-    """The inside faces of a record in O(1) space: `in` and len are O(1).
-
-    numbering is (order, at), a face numbering shared by the records of
-    one call and its inverse, in which faces lo..hi-1 are one side of the
-    cut with faces `tri`. The inside is that side, or with `out` every face
-    outside it and `tri`, plus `tri` exactly when `cut_faces`.
-    """
-
-    __slots__ = ("numbering", "lo", "hi", "tri", "out", "cut_faces")
-
-    def __init__(self, numbering, lo, hi, tri, out, cut_faces):
-        self.numbering = numbering
-        self.lo, self.hi, self.tri = lo, hi, tri
-        self.out, self.cut_faces = out, cut_faces
-
-    def __contains__(self, f):
-        if f in self.tri:
-            return self.cut_faces
-        return (self.lo <= self.numbering[1][f] < self.hi) != self.out
-
-    def __len__(self):
-        k = self.hi - self.lo
-        if self.out:
-            k = len(self.numbering[0]) - len(self.tri) - k
-        return k + len(self.tri) * self.cut_faces
-
-    def __iter__(self):  # O(faces), for checks
-        return (f for f in self.numbering[0] if f in self)
 
 
 def _class_index(pg: PlaneGraph):
@@ -375,15 +342,14 @@ def _cycle_vertices(pg: PlaneGraph, cut, spans):
     return vertices
 
 
-def _record(pg: PlaneGraph, cycle_id, spans, inside, degenerate):
+def _record(pg: PlaneGraph, cycle_id, spans, degenerate):
     """The record of the extrovert cycle whose arcs `spans` chain in walk
-    order, whose inside is `inside`. The cut faces lie outside, so the
-    arcs are walked backwards, with the inside on the left. A path's leg
-    is the cut edge at its tail and its leg face the arc's face. The path
-    holding the cycle's smallest edge comes last. _cut_records builds the
-    records of the separating cuts inline."""
+    order. The cut faces lie outside, so the arcs are walked backwards,
+    with the inside on the left. A path's leg is the cut edge at its tail
+    and its leg face the arc's face. The path holding the cycle's smallest
+    edge comes last. _cut_records builds the records of the separating
+    cuts inline."""
     faces = pg.faces
-    assert spans[0][0] not in inside, "a cut face lies inside"
     spans = spans[::-1]
     low = []  # per span, its smallest edge: min(_between(...)), inline
     for f, i, j in spans:
@@ -393,14 +359,15 @@ def _record(pg: PlaneGraph, cycle_id, spans, inside, degenerate):
     spans = spans[k:] + spans[:k]
     return CycleRecord(cycle_id, "extrovert",
                        tuple([faces[f].eids[j] for f, _, j in spans]),
-                       tuple([f for f, _, _ in spans]), spans, True, inside,
-                       degenerate, faces)
+                       tuple([f for f, _, _ in spans]), spans, degenerate,
+                       faces)
 
 
-def _cut_records(pg: PlaneGraph, i, cut, x, inside_a, inside_b):
+def _cut_records(pg: PlaneGraph, i, cut, x, intro_a, intro_b):
     """Records i and i + 1 of a separating cut: the cycles round the side
-    of x, an end of cut[0], and round the other side, with insides
-    inside_a and inside_b, each phi-linked to the other.
+    of x, an end of cut[0], and round the other side, each phi-linked to
+    the other. intro_a and intro_b say whether each is 3-introvert, with
+    the cut faces and the other side inside it.
 
     One walk of the cut faces gives the arcs facing x's side, and the
     rest of each cut face's boundary faces the other side. Each arc's
@@ -437,22 +404,20 @@ def _cut_records(pg: PlaneGraph, i, cut, x, inside_a, inside_b):
         assert (u in side_b) != (v in side_b), f"edge {c} is no leg of B"
     low_b.reverse()
     out = []
-    for cid, spans, low, inside in ((i, near, low_a, inside_a),
-                                    (i + 1, _far_arcs(near), low_b,
-                                     inside_b)):
-        reverse = not inside.cut_faces
-        if reverse:
+    for cid, spans, low, intro in ((i, near, low_a, intro_a),
+                                   (i + 1, _far_arcs(near), low_b, intro_b)):
+        if not intro:  # walked backwards
             spans, low = spans[::-1], low[::-1]
         k = low.index(min(low)) + 1
         (f0, i0, j0), (f1, i1, j1), (f2, i2, j2) = spans = (spans[k:]
                                                             + spans[:k])
-        if reverse:
-            legs = faces[f0].eids[j0], faces[f1].eids[j1], faces[f2].eids[j2]
-        else:
+        if intro:
             legs = faces[f0].eids[i0], faces[f1].eids[i1], faces[f2].eids[i2]
+        else:
+            legs = faces[f0].eids[j0], faces[f1].eids[j1], faces[f2].eids[j2]
         out.append(CycleRecord(
-            cid, "extrovert" if reverse else "introvert", legs, (f0, f1, f2),
-            spans, reverse, inside, False, faces, cid ^ 1))
+            cid, "introvert" if intro else "extrovert", legs, (f0, f1, f2),
+            spans, False, faces, cid ^ 1))
     return out
 
 
@@ -478,42 +443,43 @@ def _spanning_tree(pg: PlaneGraph, root):
     return pre, size, up
 
 
-def _away_sides(pg: PlaneGraph, across, cuts, root):
-    """A face numbering (order, at); per cut of `cuts`, the interval
-    (lo, hi) of its side away from face `root`, on no cut, in that
-    numbering, with the end of cut[0] on that side; and the cut tree, as
+def _below(tree, edges, cut, x):
+    """Whether vertex x lies under an odd number of the cut's edges in
+    tree, a _spanning_tree: whether it is on the side of the cut away from
+    the tree's root."""
+    pre, size, up = tree
+    odd = False
+    for e in cut:
+        for c in edges[e]:
+            if up[c] == e:  # e's end away from the root
+                odd ^= pre[c] <= pre[x] < pre[c] + size[c]
+    return odd
+
+
+def _away_sides(pg: PlaneGraph, across, cuts, root, ext):
+    """Per cut of `cuts`, the end of cut[0] on its side away from face
+    `root` and whether that side holds face `ext`; and the cut tree, as
     each cut's parent (-1 at the root) and the cuts in preorder.
 
-    A side holds the vertices under an odd number of its cut's tree edges,
-    and S such vertices bound (S - 1) / 2 faces. Smallest first, each side
-    floods the faces no smaller side took and steps over a finished
-    smaller side, now its child, to that side's cut faces, so each face is
-    expanded once. A depth-first walk of the cut tree, each side's own
-    faces first, numbers every side as one interval.
+    A side holds the vertices _below its cut in a spanning tree rooted on
+    face root, and S such vertices bound (S - 1) / 2 faces. Smallest
+    first, each side floods the faces no smaller side took and steps over
+    a finished smaller side, now its child, to that side's cut faces, so
+    each face is expanded once and owned by the smallest side holding it.
+    The sides holding ext are its owner and the owner's ancestors.
     """
     edges, face = pg.graph.edges, pg.dart_face
-    pre, size, up = _spanning_tree(pg, pg.faces[root].tails[0])
+    tree = _spanning_tree(pg, pg.faces[root].tails[0])
+    _, size, up = tree
     count, ends = [], []
     for cut, _ in cuts:
-        kids = []  # the ends of the cut's tree edges away from the root
-        for e in cut:
-            a, b = edges[e]
-            if up[a] == e:
-                kids.append(a)
-            elif up[b] == e:
-                kids.append(b)
-        u, v = edges[cut[0]]
-        s, odd = 0, False
-        for c in kids:  # a subtree counts with the sign of its parity
-            lo, hi = pre[c], pre[c] + size[c]
-            sign = 1
-            for d in kids:
-                if d != c and pre[d] <= lo < pre[d] + size[d]:
-                    sign = -sign
-            s += sign * size[c]
-            odd ^= lo <= pre[u] < hi
+        # inclusion-exclusion over the subtrees under the cut's tree
+        # edges: one counts + when its top is _below the cut, else -
+        s = sum(size[c] if _below(tree, edges, cut, c) else -size[c]
+                for e in cut for c in edges[e] if up[c] == e)
         count.append((s - 1) // 2)
-        ends.append(u if odd else v)
+        u, v = edges[cut[0]]
+        ends.append(u if _below(tree, edges, cut, u) else v)
 
     owner = [-1] * len(across)  # the smallest side holding each face
     parent = [-1] * len(cuts)
@@ -544,24 +510,20 @@ def _away_sides(pg: PlaneGraph, across, cuts, root):
                 stack += cuts[t][1]
         assert took == count[c], "a side's flood and Euler count disagree"
 
-    own = [[] for _ in range(len(cuts) + 1)]  # the last one is the root's
-    kids = [[] for _ in range(len(cuts) + 1)]
-    for f, c in enumerate(owner):
-        own[c].append(f)
+    holds = [False] * len(cuts)
+    c = owner[ext]
+    while c >= 0:
+        holds[c] = True
+        c = parent[c]
+    kids = [[] for _ in range(len(cuts) + 1)]  # the last one is the root's
     for c, p in enumerate(parent):
         kids[p].append(c)
-    order, lo, walk, stack = [], [0] * (len(cuts) + 1), [], [-1]
+    preorder, stack = [], kids.pop()
     while stack:
         c = stack.pop()
-        walk.append(c)
-        lo[c] = len(order)
-        order += own[c]
+        preorder.append(c)
         stack += kids[c]
-    at = [0] * len(order)
-    for i, f in enumerate(order):
-        at[f] = i
-    return ((order, at), [(lo[c], lo[c] + count[c], ends[c])
-                          for c in range(len(cuts))], parent, walk[1:])
+    return list(zip(ends, holds)), parent, preorder
 
 
 def _reference_face(cuts, faces, f0):
@@ -592,15 +554,11 @@ def _root_records(pg: PlaneGraph):
     cuts = dual_triangles(pg)
     ext = pg.external_face
     ref = _reference_face(cuts, pg.faces, ext)
-    numbering, sides, parent, preorder = _away_sides(pg, across, cuts, ref)
-    at_ext = numbering[1][ext]
+    sides, parent, preorder = _away_sides(pg, across, cuts, ref, ext)
     records = []
-    for (cut, tri), (lo, hi, x) in zip(cuts, sides):
-        in_a = lo <= at_ext < hi and ext not in tri
+    for (cut, tri), (x, in_a) in zip(cuts, sides):
         in_b = not in_a and ext not in tri
-        records += _cut_records(pg, len(records), cut, x,
-                                Inside(numbering, lo, hi, tri, in_a, in_a),
-                                Inside(numbering, lo, hi, tri, not in_b, in_b))
+        records += _cut_records(pg, len(records), cut, x, in_a, in_b)
     return records, parent, preorder, ref
 
 
@@ -616,36 +574,36 @@ def extrovert_cycles(pg: PlaneGraph):
     pg may be any biconnected plane 3-graph; an edge with one face on both
     sides, a bridge, raises NotBiconnected. Each side of a k-edge-cut, k =
     2 or 3, is bounded by the cycle the cut faces' arcs facing it chain,
-    when that is a simple cycle with every cut edge a leg. Its inside, a
-    frozenset, is a dual flood from the faces on its left that never
-    enters a cut face, and the cycle is k-extrovert when that inside does
-    not hold the external face. A 3-extrovert cycle is degenerate when its
-    legs meet in one vertex off it. A k-extrovert cycle's legs are its
-    cut, and each cut is listed once, so no cycle comes twice. O(faces)
-    per cut.
+    when that is a simple cycle with every cut edge a leg, and the cycle
+    is k-extrovert when its side does not hold the external face: when
+    the external face is a cut face, or the side is the one _below the cut
+    in a spanning tree rooted on the external face. A 3-extrovert cycle is
+    degenerate when its legs meet in one vertex off it. A k-extrovert
+    cycle's legs are its cut, and each cut is listed once, so no cycle
+    comes twice.
     """
-    across = pg.face_index
     ends = pg.graph.edges
+    cuts = _dual_cycles(pg)
+    if not cuts:  # no tree then: a lone vertex's one face has no walk
+        return []
+    ext = pg.external_face
+    tree = _spanning_tree(pg, pg.faces[ext].tails[0])
     found = []
-    for cut, faces in _dual_cycles(pg):
-        near = _cut_arcs(pg, cut, ends[cut[0]][0])
-        for spans in (near, _far_arcs(near)) if near else ():
+    for cut, faces in cuts:
+        x = ends[cut[0]][0]
+        near = _cut_arcs(pg, cut, x)
+        if near is None:
+            continue
+        if ext in faces:
+            sides = near, _far_arcs(near)
+        else:
+            sides = (near if _below(tree, ends, cut, x)
+                     else _far_arcs(near)),
+        for spans in sides:
             vertices = _cycle_vertices(pg, cut, spans)
-            if vertices is None:
-                continue
-            # the faces on the left of the reversed darts
-            inside = {g for f, i, j in spans
-                      for g in _between(across[f], i, j)}
-            stack = list(inside)
-            while stack:
-                for f in across[stack.pop()]:
-                    if f not in inside and f not in faces:
-                        inside.add(f)
-                        stack.append(f)
-            if pg.external_face not in inside:
+            if vertices is not None:
                 far = {v for e in cut for v in ends[e] if v not in vertices}
                 found.append(_record(pg, len(found), spans,
-                                     frozenset(inside),
                                      len(cut) == 3 and len(far) == 1))
     return found
 
@@ -861,12 +819,15 @@ def twin(pg: PlaneGraph, c: CycleRecord, records) -> CycleRecord:
 
     Defined exactly when c is non-degenerate and shares an edge with the
     external boundary (equivalently the external face is a leg face); it
-    is read from records, inclusion_tree(pg).records."""
+    is read from records, inclusion_tree(pg).records, where a record's id
+    is its index. A record of extrovert_cycles has no partner there."""
     if c.degenerate:
         raise NoTwin("degenerate cycles have no twin")
     if pg.external_face not in c.leg_faces:
         raise NoTwin("cycle does not touch the external boundary")
-    return next(r for r in records if r.cycle_id == c.phi_partner)
+    if c.phi_partner is None:
+        raise NoTwin(f"cycle {c.cycle_id} has no partner among the records")
+    return records[c.phi_partner]
 
 
 def intersecting_cover(pg: PlaneGraph, cycles, records):

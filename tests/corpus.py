@@ -1,8 +1,9 @@
-"""Shared graph builders for the test suite.
+"""Shared graph builders and record referees for the test suite.
 
 Everything here stays within planar graphs of maximum degree 3; the
 growers keep the graphs cubic and 3-connected so the cycle machinery
-applies without preconditions.
+applies without preconditions. A record keeps no face set, so the tests
+take a record's inside from inside_by_flood.
 """
 
 import random
@@ -186,3 +187,18 @@ def production_keys(records):
 def oracle_keys(records):
     return {record_key(r["edges"], r["legs"], r["kind"], r["degenerate"])
             for r in records}
+
+
+def inside_by_flood(pg, r):
+    """r's inside, as a frozenset of face ids: the faces on the left of
+    its contour darts and every face reached from them without crossing
+    an edge of the cycle."""
+    seen = {pg.dart_face[d] for path in r.contour_paths for d in path}
+    stack = list(seen)
+    while stack:
+        for e in pg.faces[stack.pop()].edge_ids():
+            for f in pg.faces_of_edge(e):
+                if e not in r.edges and f not in seen:
+                    seen.add(f)
+                    stack.append(f)
+    return frozenset(seen)

@@ -16,8 +16,8 @@ from orthobend.graph import Graph, PlaneGraph, embed
 from orthobend.orthorep import subdivide_plane
 
 from corpus import (
-    cube, grown, k4, nested, nested_blobs, oracle_keys, prism,
-    production_keys, record_key, sibling_fixture, theta_fixture,
+    cube, grown, inside_by_flood, k4, nested, nested_blobs, oracle_keys,
+    prism, production_keys, record_key, sibling_fixture, theta_fixture,
     truncated_prism,
 )
 
@@ -188,20 +188,6 @@ def test_record_structure_invariants():
             assert r.degenerate == (len(far) == 1)
 
 
-def inside_by_flood(pg, r):
-    """The faces on the left of r's contour darts and every face reached
-    from them without crossing an edge of the cycle."""
-    seen = {pg.dart_face[d] for path in r.contour_paths for d in path}
-    stack = list(seen)
-    while stack:
-        for e in pg.faces[stack.pop()].edge_ids():
-            for f in pg.faces_of_edge(e):
-                if e not in r.edges and f not in seen:
-                    seen.add(f)
-                    stack.append(f)
-    return frozenset(seen)
-
-
 @pytest.mark.parametrize("g", NESTED, ids=lambda g: f"n{g.n}")
 def test_records_on_deeply_nested_graphs(g):
     """Every record checked from scratch, far beyond the oracle's reach:
@@ -209,7 +195,8 @@ def test_records_on_deeply_nested_graphs(g):
     pg0 = embed(g)
     for pg in (pg0, reference(pg0)):
         for r in all_records(pg):
-            assert frozenset(r.inside_faces) == inside_by_flood(pg, r)
+            inside = inside_by_flood(pg, r)
+            assert pg.external_face not in inside
             darts = [d for path in r.contour_paths for d in path]
             for j, path in enumerate(r.contour_paths):
                 assert pg.dart_tail(path[0]) == r.leg_vertices[j]
@@ -217,8 +204,8 @@ def test_records_on_deeply_nested_graphs(g):
                 for d in path:
                     left = pg.dart_face[d]
                     right = pg.dart_face[d ^ 1]
-                    assert left in r.inside_faces
-                    assert right not in r.inside_faces
+                    assert left in inside
+                    assert right not in inside
                     # the leg face is the outside face of an extrovert
                     # path and the inside face of an introvert one
                     assert r.leg_faces[j] == (
@@ -254,6 +241,17 @@ def test_inclusion_tree_expands_each_face_a_bounded_number_of_times():
     faces = len(pg.faces)
     assert cuts > faces * 9 // 10
     assert counted.reads <= faces
+
+
+def test_extrovert_cycles_flood_no_side():
+    """Which side of a cut is extrovert is read off a spanning tree, not
+    flooded: on nested(1, 1600), listing its 802 extrovert cycles reads
+    no face's dual neighbour list; a flood per cut reads them about
+    1.9 million times there."""
+    pg = embed(nested(1, 1600))
+    pg.face_index = counted = CountingList(pg.face_index)
+    assert len(cycles.extrovert_cycles(pg)) == 802
+    assert counted.reads == 0
 
 
 def test_separating_cuts_and_facial_cycles_match_the_oracle():
@@ -611,9 +609,10 @@ def test_flexible_edge_counts_match_a_count_along_the_paths():
     every face of seeded grown graphs, it lists exactly the paths with a
     flexible edge on their darts, with their number. The records hold
     spans: no field stores the paths, their edges, vertices or leg
-    vertices."""
+    vertices, the inside faces or a flag that repeats the kind."""
     names = {f.name for f in dataclasses.fields(cycles.CycleRecord)}
-    assert not names & {"contour_paths", "edges", "vertices", "leg_vertices"}
+    assert not names & {"contour_paths", "edges", "vertices", "leg_vertices",
+                        "inside_faces", "reverse"}
     counted = 0
     for seed in (1, 2, 3):
         for g in grown(seed, 20, 6, 0.3):
@@ -665,7 +664,7 @@ def test_demanding_sets_match_exhaustive_everywhere():
 def full_record_key(r):
     sides = frozenset(zip(r.leg_vertices, r.legs, r.leg_faces,
                           r.contour_paths))
-    return (r.kind, r.degenerate, r.edges, frozenset(r.inside_faces), sides)
+    return (r.kind, r.degenerate, r.edges, sides)
 
 
 def test_records_at_any_face_are_reference_records_turned_inside_out():
@@ -680,7 +679,7 @@ def test_records_at_any_face_are_reference_records_turned_inside_out():
             for r0, r in zip(cycles.demanding_sets(ref).records, ds.records):
                 assert r.cycle_id == r0.cycle_id and r.edges == r0.edges
                 assert ((r.kind != r0.kind)
-                        == (pg.external_face in r0.inside_faces))
+                        == (pg.external_face in inside_by_flood(ref, r0)))
                 assert r.demanding == r0.demanding
                 if r.colors is not None:
                     assert dict(zip(r.leg_faces, r.colors)) \
@@ -751,6 +750,15 @@ def test_twin_undefined_off_the_boundary_and_for_degenerate_cycles():
     degen = next(r for r in recs4 if r.kind == "extrovert" and r.degenerate)
     with pytest.raises(NoTwin):
         cycles.twin(pg4, degen, recs4)
+    # a cycle extrovert_cycles lists has no partner among the records, even
+    # when the external face is one of its leg faces
+    pg = embed(prism())
+    pg = pg.with_external_face(next(f for f in range(len(pg.faces))
+                                    if len(pg.faces[f]) == 4))
+    tri = next(r for r in cycles.extrovert_cycles(pg) if not r.degenerate)
+    assert pg.external_face in tri.leg_faces and tri.phi_partner is None
+    with pytest.raises(NoTwin):
+        cycles.twin(pg, tri, records(pg))
 
 
 def test_cover_for_single_and_paired_families():

@@ -17,10 +17,10 @@ import pytest
 from orthobend import nobend, oracle
 from orthobend.cycles import extrovert_cycles
 from orthobend.errors import Infeasible, NotBiconnected, NotGood
-from orthobend.graph import Graph, embed
+from orthobend.graph import Graph, PlaneGraph, embed
 from orthobend.orthorep import rectilinear_image, subdivide_plane, validate
 
-from corpus import cube, grown, nested
+from corpus import cube, grown, inside_by_flood, nested
 
 SMALL = [Graph(g.n, g.edges) for g in grown(7, 20) if g.n <= 16]
 
@@ -44,16 +44,16 @@ def subdivisions():
     return out
 
 
-FIELDS = ("edges", "legs", "inside_faces", "contour_paths", "leg_faces",
-          "leg_vertices", "degenerate", "kind")
+FIELDS = ("edges", "legs", "contour_paths", "leg_faces", "leg_vertices",
+          "degenerate", "kind")
 
 
-def cycle_key(field):
+def cycle_key(field, inside):
     """What the referee compares of a cycle, field(name) reading its
-    fields: each contour path with its leg face and leg vertex, so the
-    paths and legs match whichever path comes first."""
-    edges, legs, inside, paths, faces, ends, degenerate, kind = (
-        map(field, FIELDS))
+    fields and `inside` its inside faces: each contour path with its leg
+    face and leg vertex, so the paths and legs match whichever path comes
+    first."""
+    edges, legs, paths, faces, ends, degenerate, kind = map(field, FIELDS)
     return (edges, frozenset(legs), inside,
             frozenset(zip(paths, faces, ends)), degenerate, kind)
 
@@ -109,10 +109,12 @@ def test_extrovert_cycles_match_the_oracle(drawn):
         want = {2: Counter(), 3: Counter()}
         for r in oracle.cycle_records(pg):
             if r["kind"] == "extrovert" and r["k"] in want:
-                want[r["k"]][cycle_key(r.__getitem__)] += 1
+                want[r["k"]][cycle_key(r.__getitem__,
+                                       r["inside_faces"])] += 1
         got = {2: Counter(), 3: Counter()}
         for c in extrovert_cycles(pg):
-            got[len(c.legs)][cycle_key(partial(getattr, c))] += 1
+            got[len(c.legs)][cycle_key(partial(getattr, c),
+                                       inside_by_flood(pg, c))] += 1
         assert got == want
         for k in (2, 3):
             seen[k] += want[k].total()
@@ -240,6 +242,14 @@ def test_corners_must_be_vertex_ids():
     assert nobend.GoodPlaneGraph(square, [0, 1, 2, 3]).corners == (0, 1, 2, 3)
     with pytest.raises(NotGood, match="corner True is not a vertex id"):
         nobend.GoodPlaneGraph(square, [0, True, 2, 3])
+
+
+def test_a_lone_vertex_has_no_extrovert_cycle():
+    """A graph with no edge has one face, with an empty walk: it has no
+    cut, so no extrovert cycle, and it fails condition (i)."""
+    pg = PlaneGraph(Graph(1, []), [[]])
+    assert extrovert_cycles(pg) == []
+    assert nobend.check_good(pg).condition == "i"
 
 
 def test_a_bridge_is_rejected_up_front():
