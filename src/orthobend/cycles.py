@@ -124,7 +124,7 @@ class CycleRecord:
     j', walked backwards with every dart reversed when the record is
     extrovert, since its leg faces lie outside it. The spans index
     `faces`, the PlaneGraph's faces, each with its boundary darts, their
-    tails and their edge ids. contour_paths, edges, vertices and
+    tails and their edge ids. contour_paths, edges, vertices, legs and
     leg_vertices read them on request. The record keeps no face set: its
     inside is the side of its cut on the left of its contour.
     """
@@ -132,7 +132,6 @@ class CycleRecord:
     # from 0 when separating; the index in the list extrovert_cycles returns
     cycle_id: int
     kind: str  # "extrovert" | "introvert"
-    legs: tuple
     leg_faces: tuple
     spans: tuple
     degenerate: bool
@@ -167,6 +166,13 @@ class CycleRecord:
         return frozenset(chain.from_iterable(self._arcs("tails")))
 
     @property
+    def legs(self):  # the cut edge at each path's tail
+        faces = self.faces
+        if self.kind == "extrovert":  # at the end of the arc
+            return tuple(faces[f].eids[j] for f, _, j in self.spans)
+        return tuple(faces[f].eids[i] for f, i, _ in self.spans)
+
+    @property
     def leg_vertices(self):
         faces = self.faces
         if self.kind == "extrovert":  # the head of the arc's last dart
@@ -191,9 +197,9 @@ def _class_witness(pg: PlaneGraph):
     """Why pg is outside the class of inclusion_tree: a vertex whose
     degree is not 3, a bridge, which has one face on both sides, or two
     edges joining one pair of faces."""
-    for v, nbrs in enumerate(pg.graph.adj):
-        if len(nbrs) != 3:
-            return f"vertex {v} has degree {len(nbrs)}"
+    for v, darts in enumerate(pg.graph.adj):
+        if len(darts) != 3:
+            return f"vertex {v} has degree {len(darts)}"
     across = pg.face_index
     for f, nbrs in enumerate(across):
         if f in nbrs:
@@ -357,10 +363,8 @@ def _record(pg: PlaneGraph, cycle_id, spans, degenerate):
         low.append(min(es[i + 1:j]) if i < j else min(es[i + 1:] + es[:j]))
     k = low.index(min(low)) + 1
     spans = spans[k:] + spans[:k]
-    return CycleRecord(cycle_id, "extrovert",
-                       tuple([faces[f].eids[j] for f, _, j in spans]),
-                       tuple([f for f, _, _ in spans]), spans, degenerate,
-                       faces)
+    return CycleRecord(cycle_id, "extrovert", tuple([f for f, _, _ in spans]),
+                       spans, degenerate, faces)
 
 
 def _cut_records(pg: PlaneGraph, i, cut, x, intro_a, intro_b):
@@ -409,33 +413,32 @@ def _cut_records(pg: PlaneGraph, i, cut, x, intro_a, intro_b):
         if not intro:  # walked backwards
             spans, low = spans[::-1], low[::-1]
         k = low.index(min(low)) + 1
-        (f0, i0, j0), (f1, i1, j1), (f2, i2, j2) = spans = (spans[k:]
-                                                            + spans[:k])
-        if intro:
-            legs = faces[f0].eids[i0], faces[f1].eids[i1], faces[f2].eids[i2]
-        else:
-            legs = faces[f0].eids[j0], faces[f1].eids[j1], faces[f2].eids[j2]
+        (f0, _, _), (f1, _, _), (f2, _, _) = spans = spans[k:] + spans[:k]
         out.append(CycleRecord(
-            cid, "introvert" if intro else "extrovert", legs, (f0, f1, f2),
-            spans, False, faces, cid ^ 1))
+            cid, "introvert" if intro else "extrovert", (f0, f1, f2), spans,
+            False, faces, cid ^ 1))
     return out
 
 
 def _spanning_tree(pg: PlaneGraph, root):
     """A depth-first spanning tree of pg's graph from vertex root: per
     vertex its preorder number, its subtree's size and the edge to its
-    parent (-1 at the root)."""
-    edges, adj = pg.graph.edges, pg.graph.adj
-    pre, up, order = [-1] * pg.n, [-1] * pg.n, []
-    stack = [(root, -1)]
+    parent (-1 at the root). The stack holds the darts into the vertices
+    it has yet to visit, each the tree edge to its head if that is
+    unvisited when popped."""
+    edges, ends, adj = pg.graph.edges, pg.graph.ends, pg.graph.adj
+    pre, up, order = [-1] * pg.n, [-1] * pg.n, [root]
+    pre[root] = 0
+    stack = adj[root][:]
     while stack:
-        v, e = stack.pop()
+        d = stack.pop()
+        v = ends[d ^ 1]
         if pre[v] < 0:
-            pre[v], up[v] = len(order), e
+            pre[v], up[v] = len(order), d >> 1
             order.append(v)
-            for step in adj[v]:  # (neighbour, edge)
-                if pre[step[0]] < 0:
-                    stack.append(step)
+            for d in adj[v]:
+                if pre[ends[d ^ 1]] < 0:
+                    stack.append(d)
     size = [1] * pg.n
     for v in reversed(order[1:]):
         a, b = edges[up[v]]
@@ -462,24 +465,41 @@ def _away_sides(pg: PlaneGraph, across, cuts, root, ext):
     each cut's parent (-1 at the root) and the cuts in preorder.
 
     A side holds the vertices _below its cut in a spanning tree rooted on
-    face root, and S such vertices bound (S - 1) / 2 faces. Smallest
-    first, each side floods the faces no smaller side took and steps over
-    a finished smaller side, now its child, to that side's cut faces, so
-    each face is expanded once and owned by the smallest side holding it.
-    The sides holding ext are its owner and the owner's ancestors.
+    face root, and S such vertices bound (S - 1) / 2 faces. One pass per
+    cut lists the tops of the subtrees under its tree edges, and both the
+    side's size and the end of cut[0] on it are read off those tops.
+    Smallest first, each side floods the faces no smaller side took and
+    steps over a finished smaller side, now its child, to that side's cut
+    faces, so each face is expanded once and owned by the smallest side
+    holding it. The sides holding ext are its owner and the owner's
+    ancestors.
     """
     edges, face = pg.graph.edges, pg.dart_face
-    tree = _spanning_tree(pg, pg.faces[root].tails[0])
-    _, size, up = tree
-    count, ends = [], []
+    pre, size, up = _spanning_tree(pg, pg.faces[root].tails[0])
+    count, away, tops = [], [], []
     for cut, _ in cuts:
-        # inclusion-exclusion over the subtrees under the cut's tree
-        # edges: one counts + when its top is _below the cut, else -
-        s = sum(size[c] if _below(tree, edges, cut, c) else -size[c]
-                for e in cut for c in edges[e] if up[c] == e)
+        # A vertex is _below the cut when it lies under an odd number of
+        # the tops. By inclusion-exclusion over their subtrees, one counts
+        # + towards the side's size when its own top is _below, else -.
+        tops.clear()
+        for e in cut:
+            a, b = edges[e]
+            if up[a] == e:
+                tops.append(a)
+            elif up[b] == e:
+                tops.append(b)
+        s = 0
+        for c in tops:
+            odd, at = False, pre[c]
+            for t in tops:
+                odd ^= pre[t] <= at < pre[t] + size[t]
+            s += size[c] if odd else -size[c]
         count.append((s - 1) // 2)
         u, v = edges[cut[0]]
-        ends.append(u if _below(tree, edges, cut, u) else v)
+        odd, at = False, pre[u]
+        for t in tops:
+            odd ^= pre[t] <= at < pre[t] + size[t]
+        away.append(u if odd else v)
 
     owner = [-1] * len(across)  # the smallest side holding each face
     parent = [-1] * len(cuts)
@@ -493,7 +513,7 @@ def _away_sides(pg: PlaneGraph, across, cuts, root, ext):
     for c in sorted(range(len(cuts)), key=count.__getitem__):
         tri = cuts[c][1]
         stack = []
-        for e in pg.rotation[ends[c]]:
+        for e in pg.rotation[away[c]]:
             stack += face[2 * e], face[2 * e + 1]
         took = 0
         while stack:
@@ -523,7 +543,7 @@ def _away_sides(pg: PlaneGraph, across, cuts, root, ext):
         c = stack.pop()
         preorder.append(c)
         stack += kids[c]
-    return list(zip(ends, holds)), parent, preorder
+    return list(zip(away, holds)), parent, preorder
 
 
 def _reference_face(cuts, faces, f0):

@@ -9,10 +9,13 @@ clockwise, which is what the angle arithmetic in orthorep expects.
 Edges are identified by their index into the edge list. A dart is the
 flat int d = 2 * e + o of edge e: orient o = 0 runs u -> v as stored,
 o = 1 the reverse. Its edge is d >> 1, its orient d & 1 and its reverse
-d ^ 1. This is the one dart form of the package: faces, dart tables,
-corner keys, contour paths and the oracle all use it. trace_faces walks
-parallel edges too, as it orients each dart by the vertex it leaves, but
-Graph, the graph of every PlaneGraph, rejects them.
+d ^ 1. This is the one dart form of the package: adjacency rows, faces,
+dart tables, corner keys, contour paths and the oracle all use it.
+Graph.ends is the flat tail table, the edge list's ends in order:
+ends[d] is the tail of dart d and ends[d ^ 1] its head. Graph.adj[v]
+lists the darts leaving v, those with tail v, in edge-id order.
+trace_faces walks parallel edges too, as it orients each dart by the
+vertex it leaves, but Graph, the graph of every PlaneGraph, rejects them.
 """
 
 from __future__ import annotations
@@ -47,8 +50,11 @@ class Graph:
         except TypeError as exc:
             raise ParseError(f"bad edges: {exc}") from None
         self._validate()
-        self.adj = adjacency(self.n, self.edges)
-        if self.n > 0 and not _connected(self.adj):
+        self.ends = ends = list(chain.from_iterable(self.edges))  # d's tail
+        self.adj = adj = [[] for _ in range(self.n)]  # per vertex, darts out
+        for d, v in enumerate(ends):
+            adj[v].append(d)
+        if self.n > 0 and not _connected(adj, ends):
             raise Disconnected("graph is not connected")
 
     def _validate(self):
@@ -58,16 +64,16 @@ class Graph:
             raise Disconnected(
                 f"{self.n} vertices cannot be connected by "
                 f"{len(self.edges)} edges")
-        seen = set()
-        deg = [0] * self.n
+        n, seen = self.n, set()
+        deg = [0] * n
         try:
             for i, (u, v) in enumerate(self.edges):
                 if not (type(u) is int and type(v) is int
-                        and 0 <= u < self.n and 0 <= v < self.n):
+                        and 0 <= u < n and 0 <= v < n):
                     raise ParseError(f"edge {i} endpoint out of range")
                 if u == v:
                     raise NotSimple(f"self-loop at vertex {u}")
-                key = (min(u, v), max(u, v))
+                key = u * n + v if u < v else v * n + u
                 if key in seen:
                     raise NotSimple(f"parallel edge {u}-{v}")
                 seen.add(key)
@@ -89,9 +95,9 @@ class Graph:
         return len(self.adj[v])
 
     def edge_id(self, u, v):
-        for w, e in self.adj[u]:
-            if w == v:
-                return e
+        for d in self.adj[u]:
+            if self.ends[d ^ 1] == v:
+                return d >> 1
         raise KeyError((u, v))
 
     def flexibility(self, e):
@@ -108,15 +114,7 @@ class Graph:
         return f"Graph(n={self.n}, m={len(self.edges)})"
 
 
-def adjacency(n, edges):
-    adj = [[] for _ in range(n)]
-    for i, (u, v) in enumerate(edges):
-        adj[u].append((v, i))
-        adj[v].append((u, i))
-    return adj
-
-
-def _connected(adj):
+def _connected(adj, ends):
     n = len(adj)
     seen = [False] * n
     stack = [0]
@@ -124,7 +122,8 @@ def _connected(adj):
     count = 1
     while stack:
         v = stack.pop()
-        for w, _ in adj[v]:
+        for d in adj[v]:
+            w = ends[d ^ 1]
             if not seen[w]:
                 seen[w] = True
                 count += 1
@@ -211,33 +210,42 @@ def _face_id(faces, f):
     return f
 
 
-def _rotation_slots(n, edges, rotation):
-    """Per vertex v, the flat darts leaving v in the order of rotation[v];
-    parallel edges share their ends, so each is oriented by v. Raises
-    ParseError unless rotation has n rows and row v lists each of v's
-    edges exactly once: the rows name 2m edge ends in all, and each names
-    a fresh one."""
-    seen = bytearray(2 * len(edges))
+def _successors(n, edges, rotation):
+    """after[d], the dart after d on its face, per dart d: the dart that
+    leaves d's head next in clockwise order after d's reverse. Parallel
+    edges share their ends, so each dart is oriented by the vertex it
+    leaves. Raises ParseError unless rotation has n rows and row v lists
+    each of v's edges exactly once: the rows name 2m edge ends in all, and
+    each fills a fresh slot of after, so none is left empty."""
+    after = [-1] * (2 * len(edges))
     try:
-        fits = len(rotation) == n and sum(map(len, rotation)) == len(seen)
+        fits = len(rotation) == n and sum(map(len, rotation)) == len(after)
     except TypeError:
         fits = False
     if not fits:
-        raise ParseError(f"rotation does not list {len(seen)} edge ends "
+        raise ParseError(f"rotation does not list {len(after)} edge ends "
                          f"over {n} vertices")
-    slots = []
     for v, row in enumerate(rotation):
-        slots.append(out := [])
+        last = -1
         for e in row:
             try:
                 d = 2 * e + edges[e].index(v)  # negative exactly when e is
             except (IndexError, TypeError, ValueError):
                 d = -1
-            if d < 0 or seen[d]:
-                raise ParseError(f"rotation at {v} does not list its edges")
-            seen[d] = 1
-            out.append(d)
-    return slots
+            if d < 0:
+                raise ParseError(f"rotation at {v} lists an edge not at {v}")
+            if last < 0:
+                first = d
+            else:
+                after[last ^ 1] = d
+            last = d
+        if last >= 0:
+            after[last ^ 1] = first
+    if -1 in after:  # 2m writes left a slot empty: some row repeats a dart
+        d = after.index(-1) ^ 1  # the dart its tail's row misses
+        raise ParseError(f"rotation at {edges[d >> 1][d & 1]} does not list "
+                         "its edges")
+    return after
 
 
 def trace_faces(n, edges, rotation, dart_face=None, dart_pos=None):
@@ -248,13 +256,7 @@ def trace_faces(n, edges, rotation, dart_face=None, dart_pos=None):
     order after d's reverse. dart_face and dart_pos, when given, are 2m
     slots, those of dart_face all -1, filled with each dart's face and
     its position on that face's walk."""
-    after = [0] * (2 * len(edges))
-    for row in _rotation_slots(n, edges, rotation):
-        if row:
-            last = row[-1]
-            for d in row:
-                after[last ^ 1] = d
-                last = d
+    after = _successors(n, edges, rotation)
     if dart_face is None:
         dart_face, dart_pos = [-1] * len(after), [0] * len(after)
     ends = list(chain.from_iterable(edges))  # ends[d], the tail of d
@@ -295,7 +297,7 @@ def load_graph(text: str) -> Graph:
     the graph does not keep, do not list each vertex's edges once."""
     g, rotation, _ = _parse(text)
     if rotation is not None:
-        _rotation_slots(g.n, g.edges, rotation)
+        _successors(g.n, g.edges, rotation)
     return g
 
 
@@ -328,7 +330,7 @@ def _parse(text: str):
     edges = []
     flex = {}
     orders = {}
-    external = 0
+    external = None
     rest = lines[1:]
     if len(rest) < m:
         raise ParseError(f"expected {m} edge lines, found {len(rest)}")
@@ -347,21 +349,28 @@ def _parse(text: str):
                 raise ParseError(f"flex {k} out of range on line {rest[i]!r}")
             flex[i] = k
     for ln in rest[m:]:
-        if ln.startswith("rotation"):
+        # "rotation v: e e e" or "external: f", the keyword a whole word
+        head, colon, body = ln.partition(":")
+        key = head.split()
+        word = key[0] if key else ""
+        if word == "rotation" and colon and len(key) == 2:
             try:
-                lhs, rhs = ln.split(":", 1)
-                v = int(lhs.split()[1])
-                order = list(map(int, rhs.split()))
-            except (ValueError, IndexError):
+                v = int(key[1])
+                order = list(map(int, body.split()))
+            except ValueError:
                 raise ParseError(f"bad rotation line {ln!r}") from None
             if v in orders:
                 raise ParseError(f"two rotation lines for vertex {v}")
             orders[v] = order
-        elif ln.startswith("external"):
+        elif word == "external" and colon and len(key) == 1:
+            if external is not None:
+                raise ParseError("two external lines")
             try:
-                external = int(ln.split(":", 1)[1])
-            except (ValueError, IndexError):
+                external = int(body)
+            except ValueError:
                 raise ParseError(f"bad external line {ln!r}") from None
+        elif word in ("rotation", "external"):
+            raise ParseError(f"bad {word} line {ln!r}")
         else:
             raise ParseError(f"unrecognized line {ln!r}")
     g = Graph(n, edges, flex)
@@ -372,8 +381,8 @@ def _parse(text: str):
         rotation = list(map(orders.get, range(n)))
         for v, row in enumerate(rotation):
             if row is None:  # no rotation line: its edges in input order
-                rotation[v] = [e for _, e in g.adj[v]]
-    return g, rotation, external
+                rotation[v] = [d >> 1 for d in g.adj[v]]
+    return g, rotation, 0 if external is None else external
 
 
 def dump_graph(g: Graph) -> str:

@@ -111,7 +111,7 @@ def enumerate_embeddings(g: Graph, limit: int = EMBED_LIMIT,
     """
     if g.n > limit:
         raise TooLarge(f"{g.n} vertices, embedding enumeration capped at {limit}")
-    base = [[e for _, e in g.adj[v]] for v in range(g.n)]
+    base = [[d >> 1 for d in g.adj[v]] for v in range(g.n)]
     deg3 = [v for v in range(g.n) if len(base[v]) == 3]
     pinned = deg3[1:] if (deg3 and not mirrors) else deg3
     out = []
@@ -153,7 +153,8 @@ def all_simple_cycles(g: Graph):
         stack = [(s, [s])]
         while stack:
             v, path = stack.pop()
-            for w, _ in g.adj[v]:
+            for d in g.adj[v]:
+                w = g.ends[d ^ 1]
                 if w == s and len(path) >= 3 and path[1] < path[-1]:
                     cycles.append(list(path))
                 elif w > s and w not in path:

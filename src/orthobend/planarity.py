@@ -15,6 +15,8 @@ linear time.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .errors import NotPlanar
 
 
@@ -25,40 +27,54 @@ def lr_rotation(g) -> list[list[int]]:
     vertex. rotation[v][0] is the neighbour networkx calls v's leftmost,
     so the lists match `nx.check_planarity`'s `neighbors_cw_order` item
     for item.
+
+    The test reads g's darts as ints, and builds no tuple per edge: the
+    neighbour order is one flat list of darts, the edges out of a vertex
+    are its rotation row, sorted in place, and the back edges are placed
+    into the rows as the last DFS walks them.
     """
     n, m = g.n, g.m
     if n == 0:
         return []
     # networkx embeds a copy built from G.edges: u ascending, then u's
-    # neighbours w > u in adjacency order, appended at both ends.
-    nbrs = [[] for _ in range(n)]
-    for u in range(n):
-        for w, e in g.adj[u]:
+    # neighbours w > u in adjacency order, appended at both ends. So v's
+    # darts out, nbrs[first[v]:first[v + 1]], go to its neighbours u < v
+    # in ascending order, then to those w > v in edge-id order.
+    ends = g.ends
+    first = list(accumulate(map(len, g.adj), initial=0))
+    fill = first[:n]
+    nbrs = [0] * (2 * m)
+    for u, darts in enumerate(g.adj):
+        for d in darts:
+            w = ends[d ^ 1]
             if w > u:
-                nbrs[u].append((w, e))
-                nbrs[w].append((u, e))
+                nbrs[fill[u]] = d
+                fill[u] += 1
+                nbrs[fill[w]] = d ^ 1
+                fill[w] += 1
 
     height = [-1] * n
     parent = [-1] * n  # edge to the DFS parent
     tail = [-1] * m
     head = [-1] * m
-    out = [[] for _ in range(n)]  # edges oriented away, in orientation order
+    out = [[] for _ in range(n)]  # edges oriented away; later the rotation
     lowpt = [0] * m
     lowpt2 = [0] * m
     nesting = [0] * m
 
     # -- orientation: DFS, lowpoints and nesting depths ----------------------
-    ind = [0] * n
+    ind = first[:n]
     height[0] = 0
     stack = [0]
     while stack:
         v = stack.pop()
         e = parent[v]
-        adj = nbrs[v]
-        i = ind[v]
-        while i < len(adj):
-            w, vw = adj[i]
+        i, stop = ind[v], first[v + 1]
+        while i < stop:
+            d = nbrs[i]
+            vw = d >> 1
             if tail[vw] < 0:  # not yet oriented
+                w = ends[d ^ 1]
                 tail[vw], head[vw] = v, w
                 out[v].append(vw)
                 lowpt[vw] = lowpt2[vw] = height[v]
@@ -85,7 +101,8 @@ def lr_rotation(g) -> list[list[int]]:
         ind[v] = i
 
     # -- testing: constraints on the conflict-pair stack ----------------------
-    ordered = [sorted(o, key=nesting.__getitem__) for o in out]
+    for o in out:
+        o.sort(key=nesting.__getitem__)
     ref = [-1] * m
     side = [1] * m
     lowpt_edge = [-1] * m
@@ -170,7 +187,7 @@ def lr_rotation(g) -> list[list[int]]:
     while stack:
         v = stack.pop()
         e = parent[v]
-        adj = ordered[v]
+        adj = out[v]
         i = ind[v]
         descended = False
         while i < len(adj):
@@ -197,31 +214,38 @@ def lr_rotation(g) -> list[list[int]]:
             remove_back_edges(e)
 
     # -- embedding: absolute sides, then place the back edges ---------------
+    chain = []
     for e in range(m):  # resolve each side along its ref chain
-        chain = []
         x = e
         while ref[x] >= 0:
             chain.append(x)
             x = ref[x]
-        for y in reversed(chain):
+        while chain:
+            y = chain.pop()
             side[y] *= side[ref[y]]
             ref[y] = -1
         nesting[e] *= side[e]
-    rotation = [sorted(o, key=nesting.__getitem__) for o in out]
-    ordered = [list(r) for r in rotation]
+    # A stable sort keeps equal final nestings in orientation order, as
+    # their first nestings were equal too, so sorting the rows again sorts
+    # them as sorting their orientation order would.
+    rotation = out
+    for o in rotation:
+        o.sort(key=nesting.__getitem__)
     left_ref = [-1] * n
     right_ref = [-1] * n
-    ind = [0] * n
+    ind = [0] * n  # per row, the position of its next edge out
     stack = [0]
     while stack:
         v = stack.pop()
-        adj = ordered[v]
+        rv = rotation[v]
         i = ind[v]
-        while i < len(adj):
-            ei = adj[i]
+        while i < len(rv):
+            ei = rv[i]
             i += 1
             w = head[ei]
             rw = rotation[w]
+            # each edge placed into row w lands before w's next edge out
+            ind[w] += 1
             if parent[w] == ei:  # tree edge: w's first, then embed w
                 rw.insert(0, ei)
                 left_ref[v] = right_ref[v] = ei

@@ -35,7 +35,7 @@ def truncate(g: Graph, v: int) -> Graph:
     neighbours attach to the three triangle corners; corner v keeps its id
     so repeated truncation never renumbers existing vertices.
     """
-    nbrs = [w for w, _ in g.adj[v]]
+    nbrs = [g.ends[d ^ 1] for d in g.adj[v]]
     assert len(nbrs) == 3
     a, b, c = nbrs
     n0, n1 = g.n, g.n + 1
@@ -55,7 +55,7 @@ def nested(seed: int, n: int) -> Graph:
     rng = random.Random(seed)
     g = cube()
     edges = list(g.edges)
-    at = [[e for _, e in nbrs] for nbrs in g.adj]  # per vertex, by index
+    at = [[d >> 1 for d in darts] for darts in g.adj]  # per vertex, by index
     size = g.n
     last = (0,)
     while size < n:

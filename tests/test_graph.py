@@ -1,5 +1,7 @@
 """Graph core: parsing, embeddings, faces."""
 
+import gc
+import platform
 import random
 
 import networkx as nx
@@ -80,6 +82,21 @@ def test_degrees_and_lookup():
     assert g.edge_id(0, 1) == g.edge_id(1, 0)
     with pytest.raises(KeyError):
         g.edge_id(0, 5)
+
+
+def test_adjacency_rows_list_each_vertex_darts_in_edge_order():
+    """adj[v] is the darts 2e + o leaving v, by edge id, and ends is the
+    tail table: ends[d] is d's tail and ends[d ^ 1] its head."""
+    for g in [k4(), prism()] + CORPUS:
+        assert g.ends == [x for e in g.edges for x in e]
+        for v in range(g.n):
+            want = sorted(2 * e + (u != v) for e, (u, w) in enumerate(g.edges)
+                          if v in (u, w))
+            assert g.adj[v] == want
+        for d in range(2 * g.m):
+            u, w = g.edges[d >> 1]
+            tail, head = (u, w) if d & 1 == 0 else (w, u)
+            assert g.ends[d] == tail and g.ends[d ^ 1] == head
 
 
 def test_euler_formula_on_embeddings():
@@ -245,6 +262,55 @@ def test_load_rejects_a_negative_edge_count_and_a_repeated_rotation():
     load_plane_graph(square)
     with pytest.raises(ParseError):
         load_plane_graph(square + "rotation 0: 3 0\n")
+
+
+@pytest.mark.parametrize("extra", [
+    "external: 1\nexternal: 2\n",  # a second external line
+    "externalities: 1\n",  # a keyword only as a prefix
+    "rotationx 0: 0 3\n",
+    "rotation0: 0 3\n",
+    "rotation 0 7: 0 3\n",  # a second vertex token
+    "external 1: 2\n",
+    "rotation: 0 3\n",
+    "rotation 0 0 3\n",  # no colon
+    "external 1\n",
+])
+def test_load_rejects_a_line_that_only_looks_like_a_keyword_line(extra):
+    """None is read as something else: a second external line does not
+    replace the first, a keyword is a whole word and a rotation line names
+    one vertex."""
+    square = "4 4\n0 1\n1 2\n2 3\n3 0\n"
+    load_plane_graph(square + "rotation 0: 0 3\nexternal: 1\n")
+    with pytest.raises(ParseError):
+        load_plane_graph(square + extra)
+    with pytest.raises(ParseError):
+        load_graph(square + extra)
+
+
+@pytest.mark.skipif(platform.python_implementation() != "CPython",
+                    reason="counts CPython's generation-0 collections")
+def test_load_path_allocates_few_tracked_objects():
+    """Loading nested(1, 800) without rotation lines, through the
+    left-right test, fires at most 10 generation-0 collections at
+    CPython's default threshold: adjacency rows, the test and the face
+    tracer keep no tuple per edge."""
+    text = dump_graph(nested(1, 800))
+    fired = []
+
+    def count(phase, info):
+        if phase == "start" and info["generation"] == 0:
+            fired.append(1)
+
+    gc.collect()
+    threshold = gc.get_threshold()
+    gc.set_threshold(700, 10, 10)
+    gc.callbacks.append(count)
+    try:
+        load_plane_graph(text)
+    finally:
+        gc.callbacks.remove(count)
+        gc.set_threshold(*threshold)
+    assert len(fired) <= 10
 
 
 C4 = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
