@@ -40,14 +40,16 @@ the cut faces, from the dart of cut[0] that ends on one side, chains
 that side's arcs as spans (f, i, j) of boundary positions; PlaneGraph's
 dart tables give each cut edge's dart on a face and its position there.
 The other side's arcs are the same faces in reverse order, as spans
-(f, j, i). So each cut is walked once for both of its records, which
-_cut_records builds in one step, slicing each arc's tails and darts
-once: the tails for the checks that each side's arcs close a simple
-cycle with every cut edge a leg, the darts for the smallest, which picks
-the path that comes last. A record holds no dart: it keeps its spans into
-its graph's faces, which hold their darts, tails and edge ids, and the
-chain is walked backwards when the record is extrovert; the darts, edges
-and vertices are read off the faces on request.
+(f, j, i). So each cut is walked once for both of its records, and once
+per embedding: _cut_walks slices each arc's tails and darts once, the
+tails for the checks that each side's arcs close a simple cycle with
+every cut edge a leg, the darts for the smallest, which picks the path
+that comes last, and keeps both sides' spans. _cut_records builds a
+query's two records of the cut from them. A record holds no dart: it
+keeps its spans into its graph's faces, which hold their darts, tails
+and edge ids, and the chain is walked backwards when the record is
+extrovert; the darts, edges and vertices are read off the faces on
+request.
 
 A dual triangle whose three cut edges share a primal vertex v is facial:
 its one degenerate cycle runs round v's face fan. The count reads no
@@ -64,10 +66,13 @@ faces, both sides are the insides of two 3-extrovert twins.
 
 Moving the external face never changes which cycles and legs exist, only
 which side of each cycle is its inside: the side that does not hold the
-external face. So each query checks its graph's class, picks a reference
-face on no separating triangle and floods the sides once, rooted at that
-face, without a copy of the embedding; then it builds each record once,
-as the query's own external face sees it. The inclusion tree and the
+external face. So the separating cuts and their checked walks are built
+once per embedding and kept in its PlaneGraph's tables, which every
+with_external_face view shares. Each query checks its graph's class,
+picks a reference face on no separating triangle and floods the sides
+once, rooted at that face, without a copy of the embedding; then it
+builds each record once, from its cut's walk, as the query's own
+external face sees it, and colors the records. The inclusion tree and the
 colors belong to the cut sides away from the reference face: a tree node
 is the cycle round such a side, 3-extrovert at the reference face, and
 is 3-introvert at the query's face when that face lies in its side. A
@@ -264,7 +269,14 @@ def dual_triangles(pg: PlaneGraph):
     two cut edges of a separating triangle meet. In the class one edge
     joins each pair of adjacent faces, so each face maps its neighbours to
     that edge, and a triangle is tested before it is listed.
+
+    The list does not depend on the external face, so it is built once
+    per embedding and kept in pg.tables, which every with_external_face
+    view shares; callers must not change it.
     """
+    tables = pg.tables
+    if "dual_triangles" in tables:
+        return tables["dual_triangles"]
     ends, darts = pg.graph.edges, iter(pg.dart_face)
     joins = [{} for _ in pg.faces]  # per face: neighbour -> joining edge
     for e, (f, g) in enumerate(zip(darts, darts)):
@@ -283,6 +295,7 @@ def dual_triangles(pg: PlaneGraph):
                     l2 = at_g[h]
                     if u not in ends[l2] and v not in ends[l2]:
                         found.append(((l1, l2, at_f[h]), (f, g, h)))
+    tables["dual_triangles"] = found
     return found
 
 
@@ -367,56 +380,87 @@ def _record(pg: PlaneGraph, cycle_id, spans, degenerate):
                        spans, degenerate, faces)
 
 
-def _cut_records(pg: PlaneGraph, i, cut, x, intro_a, intro_b):
-    """Records i and i + 1 of a separating cut: the cycles round the side
-    of x, an end of cut[0], and round the other side, each phi-linked to
-    the other. intro_a and intro_b say whether each is 3-introvert, with
-    the cut faces and the other side inside it.
+def _cut_walks(pg: PlaneGraph, cuts):
+    """Per separating cut c of cuts, dual_triangles(pg), its checked walk:
+    walks[2c] the spans of the arcs facing the side of the first end of
+    cut[0], walks[2c + 1] those facing the other side. Each side's spans
+    are in the order of its 3-extrovert cycle, walked backwards with its
+    path holding the smallest dart last.
 
-    One walk of the cut faces gives the arcs facing x's side, and the
-    rest of each cut face's boundary faces the other side. Each arc's
+    One walk of the cut faces gives the arcs facing the first side, and
+    the rest of each cut face's boundary faces the other side. Each arc's
     tails give its side's vertices, for the checks that each side closes
     a simple cycle with every cut edge a leg, and its darts its smallest
-    dart. The rest is _record's, inline, plus the 3-introvert case: a
-    record with the cut faces outside it is 3-extrovert and walked
-    backwards, one with them inside 3-introvert and walked forwards, and
-    its path holding the smallest edge comes last.
+    dart. None of it depends on the external face, so the walks are built
+    and checked once per embedding and kept in pg.tables, flat, two span
+    triples per cut.
     """
+    tables = pg.tables
+    if "cut_walks" in tables:
+        return tables["cut_walks"]
     faces, ends = pg.faces, pg.graph.edges
-    near = _cut_arcs(pg, cut, x)
-    assert near, "cut faces close no walk"
-    walked_a, walked_b, low_a, low_b = [], [], [], []
-    for f, j, k in near:  # _between, inline on this hot path
-        face = faces[f]
-        t, ds = face.tails, face.darts
-        if j < k:
-            walked_a += t[j + 1:k]
-            walked_b += t[k + 1:] + t[:j]
-            arc, far = ds[j + 1:k], ds[k + 1:] + ds[:j]
-        else:
-            walked_a += t[j + 1:] + t[:k]
-            walked_b += t[k + 1:j]
-            arc, far = ds[j + 1:] + ds[:k], ds[k + 1:j]
-        low_a.append(min(arc))
-        low_b.append(min(far))
-    side_a, side_b = set(walked_a), set(walked_b)
-    assert 3 <= len(walked_a) == len(side_a), "side A's arcs close no cycle"
-    assert 3 <= len(walked_b) == len(side_b), "side B's arcs close no cycle"
-    for c in cut:
-        u, v = ends[c]
-        assert (u in side_a) != (v in side_a), f"edge {c} is no leg of A"
-        assert (u in side_b) != (v in side_b), f"edge {c} is no leg of B"
-    low_b.reverse()
+    walks = []
+    for cut, _ in cuts:
+        near = _cut_arcs(pg, cut, ends[cut[0]][0])
+        assert near, "cut faces close no walk"
+        walked_a, walked_b, low_a, low_b = [], [], [], []
+        for f, j, k in near:  # _between, inline on this hot path
+            face = faces[f]
+            t, ds = face.tails, face.darts
+            if j < k:
+                walked_a += t[j + 1:k]
+                walked_b += t[k + 1:] + t[:j]
+                arc, far = ds[j + 1:k], ds[k + 1:] + ds[:j]
+            else:
+                walked_a += t[j + 1:] + t[:k]
+                walked_b += t[k + 1:j]
+                arc, far = ds[j + 1:] + ds[:k], ds[k + 1:j]
+            low_a.append(min(arc))
+            low_b.append(min(far))
+        side_a, side_b = set(walked_a), set(walked_b)
+        assert 3 <= len(walked_a) == len(side_a), \
+            "side A's arcs close no cycle"
+        assert 3 <= len(walked_b) == len(side_b), \
+            "side B's arcs close no cycle"
+        for c in cut:
+            u, v = ends[c]
+            assert (u in side_a) != (v in side_a), f"edge {c} is no leg of A"
+            assert (u in side_b) != (v in side_b), f"edge {c} is no leg of B"
+        low_b.reverse()
+        for spans, low in ((near, low_a), (_far_arcs(near), low_b)):
+            spans, low = spans[::-1], low[::-1]  # walked backwards
+            k = low.index(min(low)) + 1
+            walks.append(spans[k:] + spans[:k])
+    tables["cut_walks"] = walks
+    return walks
+
+
+def _cut_records(pg: PlaneGraph, walks, i, cut, x, intro_a, intro_b):
+    """Records i and i + 1 of a separating cut, cut i // 2 of walks,
+    _cut_walks: the cycles round the side of x, an end of cut[0], and
+    round the other side, each phi-linked to the other. intro_a and
+    intro_b say whether each is 3-introvert, with the cut faces and the
+    other side inside it.
+
+    The walks are checked once per embedding; this builds the records
+    per query, as its external face sees them. The walks are stored from
+    the first end of cut[0], so the sides swap when x is the other end.
+    A record with the cut faces outside it is 3-extrovert and keeps the
+    stored spans; one with them inside is 3-introvert, walked forwards,
+    and its first two paths swap, so that the path holding the smallest
+    dart still comes last.
+    """
+    a, b = walks[i], walks[i + 1]
+    if x != pg.graph.edges[cut[0]][0]:
+        a, b = b, a
     out = []
-    for cid, spans, low, intro in ((i, near, low_a, intro_a),
-                                   (i + 1, _far_arcs(near), low_b, intro_b)):
-        if not intro:  # walked backwards
-            spans, low = spans[::-1], low[::-1]
-        k = low.index(min(low)) + 1
-        (f0, _, _), (f1, _, _), (f2, _, _) = spans = spans[k:] + spans[:k]
+    for cid, spans, intro in ((i, a, intro_a), (i + 1, b, intro_b)):
+        if intro:
+            spans = spans[1], spans[0], spans[2]
+        (f0, _, _), (f1, _, _), (f2, _, _) = spans
         out.append(CycleRecord(
             cid, "introvert" if intro else "extrovert", (f0, f1, f2), spans,
-            False, faces, cid ^ 1))
+            False, pg.faces, cid ^ 1))
     return out
 
 
@@ -572,13 +616,14 @@ def _root_records(pg: PlaneGraph):
     """
     across = _class_index(pg)
     cuts = dual_triangles(pg)
+    walks = _cut_walks(pg, cuts)
     ext = pg.external_face
     ref = _reference_face(cuts, pg.faces, ext)
     sides, parent, preorder = _away_sides(pg, across, cuts, ref, ext)
     records = []
     for (cut, tri), (x, in_a) in zip(cuts, sides):
         in_b = not in_a and ext not in tri
-        records += _cut_records(pg, len(records), cut, x, in_a, in_b)
+        records += _cut_records(pg, walks, len(records), cut, x, in_a, in_b)
     return records, parent, preorder, ref
 
 
@@ -775,15 +820,18 @@ def color_3_introvert(tree: InclusionTree, fx):
                     green[f] -= 1
 
 
-_ALL_GREEN = ("green",) * 3
+# the colors _settle gives each triple of step-1 colors, one shared tuple
+# per triple, so records hold no tuple of their own
+_SETTLED = {cols: tuple([c or "red" for c in cols]) if any(cols)
+            else ("green",) * 3
+            for cols in product((None, "green", "orange"), repeat=3)}
 
 
 def _settle(rec, cols):
     """Step 2 of the coloring: a record whose paths are all undefined is
     demanding and all green, and its other undefined paths turn red."""
     rec.demanding = not any(cols)
-    rec.colors = (_ALL_GREEN if rec.demanding
-                  else tuple([c or "red" for c in cols]))
+    rec.colors = _SETTLED[tuple(cols)]
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,15 @@ class PlaneGraph:
     its position on that face's walk, so
     faces[dart_face[d]].darts[dart_pos[d]] == d. face_index lists per
     face the faces across its boundary darts in walk order.
+
+    tables, empty when the faces are traced, holds what other modules
+    derive from the embedding alone, whatever its external face: cycles
+    keeps its separating cuts and their checked walks there, under its
+    own keys. with_external_face views share it, as they share the faces
+    and face_index, so each such table is built once per embedding.
+    Nothing but that filling changes a PlaneGraph once built: its views,
+    and the load_plane_graph results of texts that differ from its own in
+    the external line alone, read the same lists.
     """
 
     def __init__(self, graph, rotation, external_face=0):
@@ -166,11 +175,12 @@ class PlaneGraph:
         face = self.dart_face = [-1] * (2 * len(graph.edges))
         self.dart_pos = [0] * len(face)
         self.faces = trace_faces(graph.n, graph.edges, rotation, face,
-                                 self.dart_pos)
+                                 self.dart_pos, graph.ends)
         self.external_face = _face_id(self.faces, external_face)
         if graph.n - len(graph.edges) + len(self.faces) != 2:
             raise NotPlanar("rotation system is not planar (Euler check)")
         self.face_index = [[face[d ^ 1] for d in f.darts] for f in self.faces]
+        self.tables = {}
 
     @property
     def n(self):
@@ -248,18 +258,21 @@ def _successors(n, edges, rotation):
     return after
 
 
-def trace_faces(n, edges, rotation, dart_face=None, dart_pos=None):
+def trace_faces(n, edges, rotation, dart_face=None, dart_pos=None,
+                ends=None):
     """Decompose darts into faces (face on the left of each dart).
     Raises ParseError unless rotation[v] lists v's edges, each once.
 
     The dart after d on its face leaves d's head next in clockwise
     order after d's reverse. dart_face and dart_pos, when given, are 2m
     slots, those of dart_face all -1, filled with each dart's face and
-    its position on that face's walk."""
+    its position on that face's walk. ends, when given, is the flat tail
+    table of edges, Graph.ends; else it is built here."""
     after = _successors(n, edges, rotation)
     if dart_face is None:
         dart_face, dart_pos = [-1] * len(after), [0] * len(after)
-    ends = list(chain.from_iterable(edges))  # ends[d], the tail of d
+    if ends is None:
+        ends = list(chain.from_iterable(edges))  # ends[d], the tail of d
     faces = []
     for start in range(len(after)):
         if dart_face[start] >= 0:
@@ -295,10 +308,16 @@ def embed(g: Graph, external_face=0) -> PlaneGraph:
 def load_graph(text: str) -> Graph:
     """The graph of a text; ParseError when its rotation lines, which
     the graph does not keep, do not list each vertex's edges once."""
-    g, rotation, _ = _parse(text)
+    g, rotation, _, _ = _parse(_lines(text))
     if rotation is not None:
         _successors(g.n, g.edges, rotation)
     return g
+
+
+# The last embedding load_plane_graph built, as (the lines of its text but
+# the external line, joined by newlines; their count; the PlaneGraph); None
+# while a text is parsed. One string, not a list of lines, keeps it small.
+_last = None
 
 
 def load_plane_graph(text: str) -> PlaneGraph:
@@ -306,16 +325,66 @@ def load_plane_graph(text: str) -> PlaneGraph:
 
     A text without rotation lines gets `embed`'s embedding: the left-right
     planarity test's, identical to networkx's `check_planarity`.
+
+    The last embedding built here is kept. A text whose lines, blank
+    lines and comments aside, are those of the text that built it but for
+    its one external line, which _parse would take, is not parsed again:
+    it gets that embedding's with_external_face view, which shares the
+    faces and every table with the earlier result. Any other text empties
+    the slot before it is parsed, so one embedding at most is kept.
     """
-    g, rotation, external = _parse(text)
+    global _last
+    lines = _lines(text)
+    if _last is not None:
+        f = _moved_external(lines, *_last)
+        if f is not None:
+            return _last[2].with_external_face(f)
+        _last = None  # no local name keeps the old embedding alive
+    g, rotation, external, at = _parse(lines)
     if rotation is None:
-        return embed(g, external)
-    return PlaneGraph(g, rotation, external)
+        pg = embed(g, external)
+    else:
+        pg = PlaneGraph(g, rotation, external)
+    if at is not None:
+        del lines[at]
+    _last = "\n".join(lines), len(lines), pg
+    return pg
 
 
-def _parse(text: str):
-    lines = [ln for ln in map(str.strip, text.splitlines())
-             if ln and ln[0] != "#"]
+def _moved_external(lines, key, count, pg):
+    """The face that lines' one external line names when the other lines,
+    joined by newlines, are `key`, the `count` lines of pg's text but its
+    external line, and _parse would take the line at pg: its keyword a
+    whole word, after the m edge lines, its face an int naming one of pg's
+    faces; else None. No line holds a newline, so the joined lines are
+    equal exactly when the lines are."""
+    if len(lines) != count + 1:
+        return None
+    for j in range(len(lines) - 1, pg.m, -1):  # most often the last line
+        head, colon, body = lines[j].partition(":")
+        if colon and head.split() == ["external"]:
+            break
+    else:
+        return None
+    if "\n".join(lines[:j] + lines[j + 1:]) != key:
+        return None
+    try:
+        f = int(body)
+    except ValueError:
+        return None
+    return f if 0 <= f < len(pg.faces) else None
+
+
+def _lines(text):
+    """The lines of a text that _parse reads: stripped, with blank lines
+    and comments dropped."""
+    return [ln for ln in map(str.strip, text.splitlines())
+            if ln and ln[0] != "#"]
+
+
+def _parse(lines):
+    """(graph, rotation or None, external face, index of the external
+    line in lines or None) of a text's _lines."""
     if not lines:
         raise ParseError("empty input")
     head = lines[0].split()
@@ -330,7 +399,7 @@ def _parse(text: str):
     edges = []
     flex = {}
     orders = {}
-    external = None
+    external = at = None
     rest = lines[1:]
     if len(rest) < m:
         raise ParseError(f"expected {m} edge lines, found {len(rest)}")
@@ -348,7 +417,7 @@ def _parse(text: str):
             if not (0 <= k <= 4):
                 raise ParseError(f"flex {k} out of range on line {rest[i]!r}")
             flex[i] = k
-    for ln in rest[m:]:
+    for i, ln in enumerate(rest[m:], m + 1):
         # "rotation v: e e e" or "external: f", the keyword a whole word
         head, colon, body = ln.partition(":")
         key = head.split()
@@ -369,6 +438,7 @@ def _parse(text: str):
                 external = int(body)
             except ValueError:
                 raise ParseError(f"bad external line {ln!r}") from None
+            at = i
         elif word in ("rotation", "external"):
             raise ParseError(f"bad {word} line {ln!r}")
         else:
@@ -382,7 +452,7 @@ def _parse(text: str):
         for v, row in enumerate(rotation):
             if row is None:  # no rotation line: its edges in input order
                 rotation[v] = [d >> 1 for d in g.adj[v]]
-    return g, rotation, 0 if external is None else external
+    return g, rotation, 0 if external is None else external, at
 
 
 def dump_graph(g: Graph) -> str:

@@ -8,7 +8,7 @@ take a record's inside from inside_by_flood.
 
 import random
 
-from orthobend.graph import Graph
+from orthobend.graph import Graph, dump_graph
 
 
 def k4() -> Graph:
@@ -173,6 +173,17 @@ def theta_fixture() -> Graph:
         (13, 14), (14, 15), (15, 13),
         (6, 13), (8, 14), (9, 15),
     ])
+
+
+def plane_text(pg, external=None) -> str:
+    """pg's graph as a text with a rotation line per vertex and, unless
+    external is None, an external line naming that face."""
+    lines = [dump_graph(pg.graph)]
+    lines += [f"rotation {v}: {' '.join(map(str, row))}\n"
+              for v, row in enumerate(pg.rotation)]
+    if external is not None:
+        lines.append(f"external: {external}\n")
+    return "".join(lines)
 
 
 def record_key(edges, legs, kind, degenerate):

@@ -10,15 +10,15 @@ from collections import Counter
 
 import pytest
 
-from orthobend import cycles, oracle
+from orthobend import cycles, graph, oracle
 from orthobend.errors import NoTwin, NotTriconnectedCubic, ShortExternalFace
-from orthobend.graph import Graph, PlaneGraph, embed
+from orthobend.graph import Graph, PlaneGraph, embed, load_plane_graph
 from orthobend.orthorep import subdivide_plane
 
 from corpus import (
     cube, grown, inside_by_flood, k4, nested, nested_blobs, oracle_keys,
-    prism, production_keys, record_key, sibling_fixture, theta_fixture,
-    truncated_prism,
+    plane_text, prism, production_keys, record_key, sibling_fixture,
+    theta_fixture, truncated_prism,
 )
 
 CORPUS = grown(7, 20)
@@ -352,6 +352,66 @@ def test_demanding_sets_check_the_class_and_root_the_records_once(
             cycles.demanding_sets(pg)
             assert calls == Counter(_class_index=1, _reference_face=1,
                                     CycleRecord=2 * separating)
+
+
+def demanding_key(ds):
+    """What demanding_sets answers: each record's kind, spans, leg faces,
+    phi partner, colors and demanding flag, then D and D_f."""
+    return ([(r.kind, r.spans, r.leg_faces, r.phi_partner, r.colors,
+              r.demanding) for r in ds.records],
+            [r.cycle_id for r in ds.d_set], [r.cycle_id for r in ds.d_f])
+
+
+def test_demanding_sets_at_every_face_equal_those_of_a_fresh_load(
+        monkeypatch):
+    """Every with_external_face view of one embedding shares its cuts and
+    checked walks, and gets what a text loaded afresh at that face gets,
+    on CORPUS and on more flexible grown graphs."""
+    for g in CORPUS + grown(13, 8, 6, flex_prob=0.6):
+        pg0 = embed(g)
+        for f in range(len(pg0.faces)):
+            shared = cycles.demanding_sets(pg0.with_external_face(f))
+            monkeypatch.setattr(graph, "_last", None)
+            fresh = cycles.demanding_sets(load_plane_graph(
+                plane_text(pg0, f)))
+            assert demanding_key(shared) == demanding_key(fresh)
+        assert "cut_walks" in pg0.tables
+
+
+@pytest.mark.parametrize("with_rotation", [True, False])
+def test_every_face_of_one_text_traces_and_walks_once(monkeypatch,
+                                                     with_rotation):
+    """Solving every face of one text in turn, through load_plane_graph
+    and demanding_sets, traces the faces once and walks each separating
+    cut once, while each query still lists the cuts and checks the
+    class."""
+    calls = Counter()
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    pg0 = embed(nested(1, 60))
+    texts = [plane_text(pg0, f) if with_rotation
+             else graph.dump_graph(pg0.graph) + f"external: {f}\n"
+             for f in range(len(pg0.faces))]
+    separating = len(cycles.dual_triangles(pg0))
+    assert separating > 0
+    monkeypatch.setattr(graph, "_last", None)
+    counted(graph, "trace_faces")
+    for name in ("_cut_arcs", "dual_triangles", "_class_index"):
+        counted(cycles, name)
+    for f, text in enumerate(texts):
+        pg = load_plane_graph(text)
+        assert pg.external_face == f
+        cycles.demanding_sets(pg)
+    assert calls == Counter(trace_faces=1, _cut_arcs=separating,
+                            dual_triangles=len(texts),
+                            _class_index=len(texts))
 
 
 # ---------------------------------------------------------------------------

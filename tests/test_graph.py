@@ -8,6 +8,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orthobend import graph
 from orthobend.errors import (
     DegreeTooHigh,
     Disconnected,
@@ -32,6 +33,7 @@ from corpus import (
     k4,
     nested,
     nested_blobs,
+    plane_text,
     prism,
     sibling_fixture,
     theta_fixture,
@@ -375,6 +377,121 @@ def test_any_text_raises_only_package_errors(text):
         load_plane_graph(text)
     except OrthobendError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# the kept embedding: a text that only moves the external face reuses it
+
+
+BASE_PG = embed(CORPUS[3])
+BASE = plane_text(BASE_PG, 1)  # its external line is its last line
+BASE_LINES = BASE.splitlines(keepends=True)
+EDGE_LINE = 1 + BASE_PG.m // 2  # an edge line
+ROTATION_LINE = 1 + BASE_PG.m + 2  # vertex 2's rotation line
+
+
+def outcome(text):
+    """load_plane_graph's plane_state of text, or the type it raises."""
+    try:
+        return plane_state(load_plane_graph(text))
+    except OrthobendError as exc:
+        return type(exc)
+
+
+def cold(text):
+    """outcome(text) with no embedding kept: the text parsed afresh."""
+    graph._last = None
+    return outcome(text)
+
+
+def after_base(text):
+    """outcome(text) right after BASE loaded."""
+    load_plane_graph(BASE)
+    return outcome(text)
+
+
+def base_with(i, j, new):
+    """BASE with its lines i to j replaced by the lines `new`."""
+    return "".join(BASE_LINES[:i] + new + BASE_LINES[j:])
+
+
+def reflexed(i):
+    """BASE with another flex on its edge line i."""
+    u, v, *k = BASE_LINES[i].split()
+    return base_with(i, i + 1, [f"{u} {v} {3 if k == ['2'] else 2}\n"])
+
+
+def test_a_text_that_moves_only_the_external_face_reuses_the_embedding():
+    """After BASE, a text with another external line, comments or blank
+    lines, or its external line among the rotation lines, is not parsed:
+    it gets the kept embedding's faces and tables. A changed edge line,
+    or no external line, is parsed afresh."""
+    hits = [plane_text(BASE_PG, f) for f in range(len(BASE_PG.faces))]
+    hits += ["# a comment\n\n" + BASE.replace("\n", "\n  \n", 3),
+             base_with(ROTATION_LINE, len(BASE_LINES), ["external: 4\n"]
+                       + BASE_LINES[ROTATION_LINE:-1]),
+             base_with(-1, len(BASE_LINES), ["external:   +2  \n"])]
+    misses = [plane_text(BASE_PG), reflexed(1)]
+    for text in hits + misses:
+        pg = load_plane_graph(BASE)
+        got = load_plane_graph(text)
+        assert (got.faces is pg.faces) == (text in hits)
+        assert (got.tables is pg.tables) == (text in hits)
+        assert plane_state(got) == cold(text)
+
+
+@pytest.mark.parametrize("text", [pytest.param(t, id=i) for i, t in {
+    "second-external": BASE + "external: 2\n",
+    "second-external-apart": base_with(-1, len(BASE_LINES), [
+        "external: 2\n", "# x\n", "external: 1\n"]),
+    "external-among-edges": base_with(EDGE_LINE, len(BASE_LINES), [
+        BASE_LINES[-1]] + BASE_LINES[EDGE_LINE:-1]),
+    "keyword-prefix": base_with(-1, len(BASE_LINES), ["externalities: 1\n"]),
+    "two-tokens": base_with(-1, len(BASE_LINES), ["external 1: 1\n"]),
+    "face-out-of-range": base_with(-1, len(BASE_LINES), [
+        f"external: {len(BASE_PG.faces)}\n"]),
+    "face-negative": base_with(-1, len(BASE_LINES), ["external: -1\n"]),
+    "face-float": base_with(-1, len(BASE_LINES), ["external: 1.0\n"]),
+    "face-word": base_with(-1, len(BASE_LINES), ["external: one\n"]),
+    "face-missing": base_with(-1, len(BASE_LINES), ["external:\n"]),
+    "changed-comment": base_with(0, 0, ["# changed\n"]),
+    "comment-and-face": base_with(-1, len(BASE_LINES), [
+        "# external: 2\n", "external: 2\n"]),
+    "changed-flex": reflexed(EDGE_LINE),
+    "changed-rotation": base_with(ROTATION_LINE, ROTATION_LINE + 1, [
+        "rotation 2: "
+        + " ".join(map(str, BASE_PG.rotation[2][::-1])) + "\n"]),
+    "rotation-dropped": base_with(ROTATION_LINE, ROTATION_LINE + 1, []),
+    "no-external": plane_text(BASE_PG),
+}.items()])
+def test_a_text_loads_after_base_as_it_loads_cold(text):
+    """Whatever text follows BASE, load_plane_graph gives what it gives
+    with no embedding kept: the same plane_state, or the same error."""
+    assert after_base(text) == cold(text)
+
+
+LINE_EDITS = st.lists(st.tuples(
+    st.integers(0, len(BASE_LINES)),
+    st.sampled_from([0, 1]),  # how many lines the new line replaces
+    st.one_of(
+        st.builds("external: {}\n".format, st.one_of(
+            st.integers(-2, 40).map(str),
+            st.sampled_from(["", "x", "1.5", " 3 ", "+1"]))),
+        st.sampled_from(["# comment\n", "\n", "externals: 1\n",
+                         "external 1: 2\n", "rotation 0: 0 1 2\n", "0 1\n",
+                         "junk\n", ""]))), min_size=1, max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(LINE_EDITS)
+def test_edited_texts_load_after_base_as_they_load_cold(edits):
+    """BASE with lines inserted, deleted or replaced, external lines in
+    and out of range among them, loads after BASE as it loads cold."""
+    lines = BASE_LINES[:]
+    for i, k, line in edits:
+        lines[i:i + k] = [line]
+    text = "".join(lines)
+    assert after_base(text) == cold(text)
 
 
 @settings(max_examples=15, deadline=None)
