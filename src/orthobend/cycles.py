@@ -1,5 +1,5 @@
 """Cycle machinery for plane triconnected cubic graphs, plus the 2- and
-3-extrovert cycles of any biconnected plane 3-graph.
+3-extrovert cycles and the 2-edge-cuts of any biconnected plane 3-graph.
 
 Everything here revolves around one fact: in a triconnected cubic plane
 graph, the three legs of a 3-extrovert or 3-introvert cycle form a
@@ -66,9 +66,9 @@ faces, both sides are the insides of two 3-extrovert twins.
 
 Moving the external face never changes which cycles and legs exist, only
 which side of each cycle is its inside: the side that does not hold the
-external face. So the separating cuts and their checked walks are built
-once per embedding and kept in its PlaneGraph's tables, which every
-with_external_face view shares. Each query checks its graph's class,
+external face. So the separating cuts, their checked walks and the
+per-face sums of flexible edges are built once per embedding and kept in
+its PlaneGraph's tables, which every with_external_face view shares. Each query checks its graph's class,
 picks a reference face on no separating triangle and floods the sides
 once, rooted at that face, without a copy of the embedding; then it
 builds each record once, from its cut's walk, as the query's own
@@ -97,6 +97,14 @@ rooted on the external face, so no side is flooded. An extrovert cycle
 becomes a CycleRecord built as the 3-cycle records are, with its legs,
 leg vertices, leg faces and contour paths; its k is len(legs). The
 demanding path never calls it.
+
+two_cuts reads the 2-edge-cuts of a biconnected plane 3-graph off the
+dual too. Every edge lies on two faces, and two edges form a cut exactly
+when they join the same pair of faces, so each face pair joined by two or
+more edges is one cycle of the cactus of 2-edge-cuts (Dinits, Karzanov
+and Lomonosov, 1976): the real edges of one S-node of the SPQR tree, in
+the order either face's boundary meets them. One pass over face_index
+groups them, and the class check names its witness from the first group.
 """
 
 from __future__ import annotations
@@ -205,19 +213,29 @@ def _class_witness(pg: PlaneGraph):
     for v, darts in enumerate(pg.graph.adj):
         if len(darts) != 3:
             return f"vertex {v} has degree {len(darts)}"
-    across = pg.face_index
-    for f, nbrs in enumerate(across):
+    for f, nbrs in enumerate(pg.face_index):
         if f in nbrs:
             return (f"edge {pg.faces[f].eids[nbrs.index(f)]} has face {f} "
                     "on both sides")
-    for f, nbrs in enumerate(across):
-        first = {}
-        for g, e in zip(nbrs, pg.faces[f].eids):
-            if g in first:
-                return (f"edges {first[g]} and {e} both join faces "
-                        f"{min(f, g)} and {max(f, g)}")
-            first[g] = e
+    for (f, g), es in two_cuts(pg).items():
+        return f"edges {es[0]} and {es[1]} both join faces {f} and {g}"
     raise AssertionError("no witness outside the class")
+
+
+def two_cuts(pg: PlaneGraph):
+    """The 2-edge-cuts of pg, grouped by the faces they join: per face pair
+    (f, g), f < g, joined by two or more edges, those edges in the order
+    f's boundary walk meets them. Any two edges of one group form a cut,
+    and no other pair does. Raises NotBiconnected on a bridge, an edge
+    with one face on both sides."""
+    groups = {}
+    for f, nbrs in enumerate(pg.face_index):
+        for g, e in zip(nbrs, pg.faces[f].eids):
+            if g > f:
+                groups.setdefault((f, g), []).append(e)
+            elif g == f:
+                raise NotBiconnected(f"edge {e} is a bridge")
+    return {fg: es for fg, es in groups.items() if len(es) >= 2}
 
 
 def _dual_cycles(pg: PlaneGraph):
@@ -725,14 +743,21 @@ def fx_counts(tree: InclusionTree):
     """Number of flexible edges on each contour path that has one, keyed
     by (cycle id, path index); a path that is not listed has none.
 
-    Each face's boundary gets prefix sums of its flexible edges once, and
-    a path's count is the difference across its span; when the graph has
-    no flexible edge, no face is summed and no path is listed."""
-    flexible = {e for e, k in tree.pg.graph.flex.items() if k > 0}
-    if not flexible:
+    Each face's boundary gets prefix sums of its flexible edges, and a
+    path's count is the difference across its span; when the graph has
+    no flexible edge, no face is summed and no path is listed. The sums
+    depend on the embedding and its flex alone, so they are built on the
+    first query and kept in pg.tables, which every with_external_face
+    view shares."""
+    tables = tree.pg.tables
+    if "fx_sums" not in tables:
+        flexible = {e for e, k in tree.pg.graph.flex.items() if k > 0}
+        tables["fx_sums"] = [
+            list(accumulate((e in flexible for e in f.eids), initial=0))
+            for f in tree.pg.faces] if flexible else None
+    sums = tables["fx_sums"]
+    if sums is None:
         return {}
-    sums = [list(accumulate((e in flexible for e in f.eids), initial=0))
-            for f in tree.pg.faces]
     fx = {}
     for r in tree.records:
         for j, (f, i, k) in enumerate(r.spans):

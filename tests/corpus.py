@@ -1,9 +1,11 @@
 """Shared graph builders and record referees for the test suite.
 
-Everything here stays within planar graphs of maximum degree 3; the
-growers keep the graphs cubic and 3-connected so the cycle machinery
-applies without preconditions. A record keeps no face set, so the tests
-take a record's inside from inside_by_flood.
+Everything here stays within planar graphs of maximum degree 3. The
+growers nested and grown keep the graphs cubic and 3-connected, so the
+cycle machinery applies without preconditions; the gadget builders ring,
+theta, subdivide, bulge and sp_grown make biconnected graphs with
+2-edge-cuts. A record keeps no face set, so the tests take a record's
+inside from inside_by_flood.
 """
 
 import random
@@ -89,6 +91,69 @@ def grown(seed: int, count: int, max_steps: int = 4,
         flex = {e: rng.randint(1, 3) for e in range(len(g.edges))
                 if rng.random() < flex_prob}
         out.append(Graph(g.n, g.edges, flex))
+    return out
+
+
+def ring(n):
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def theta(*lengths):
+    """Generalized theta: len(lengths) paths between poles 0 and 1."""
+    edges = []
+    n = 2
+    for ln in lengths:
+        prev = 0
+        for i in range(ln - 1):
+            edges.append((prev, n))
+            prev = n
+            n += 1
+        edges.append((prev, 1))
+    return Graph(n, edges)
+
+
+def subdivide(g, e, k=1):
+    """Replace edge e by a path with k internal vertices."""
+    u, v = g.edges[e]
+    edges = [uv for i, uv in enumerate(g.edges) if i != e]
+    prev, n = u, g.n
+    for _ in range(k):
+        edges.append((prev, n))
+        prev = n
+        n += 1
+    edges.append((prev, v))
+    return Graph(n, edges)
+
+
+def bulge(g, e, chord):
+    """Replace edge e by a 4-vertex widget: two parallel 2-paths
+    between fresh poles (chord=False, makes a P-node) or a diamond
+    (chord=True, makes an R-node)."""
+    u, v = g.edges[e]
+    x, a, b, y = g.n, g.n + 1, g.n + 2, g.n + 3
+    edges = [uv for i, uv in enumerate(g.edges) if i != e]
+    edges += [(u, x), (x, a), (x, b), (a, y), (b, y), (y, v)]
+    if chord:
+        edges.append((a, b))
+    return Graph(g.n + 4, edges)
+
+
+def sp_grown(seed, count, max_ops=5):
+    """Seeded graphs whose trees mix S-, P- and R-nodes."""
+    rng = random.Random(seed)
+    bases = [lambda: ring(4), lambda: theta(1, 2, 2),
+             lambda: theta(2, 2, 3), k4, prism]
+    out = []
+    while len(out) < count:
+        g = bases[rng.randrange(len(bases))]()
+        for _ in range(rng.randrange(max_ops + 1)):
+            e = rng.randrange(len(g.edges))
+            op = rng.randrange(3)
+            if op == 0:
+                g = subdivide(g, e, rng.randint(1, 2))
+            else:
+                g = bulge(g, e, chord=op == 2)
+        out.append(g)
     return out
 
 

@@ -7,18 +7,23 @@ adjudicates the counting formula itself.
 
 import dataclasses
 from collections import Counter
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthobend import cycles, graph, oracle
-from orthobend.errors import NoTwin, NotTriconnectedCubic, ShortExternalFace
+from orthobend.errors import (
+    NoTwin, NotBiconnected, NotTriconnectedCubic, ShortExternalFace,
+)
 from orthobend.graph import Graph, PlaneGraph, embed, load_plane_graph
 from orthobend.orthorep import subdivide_plane
 
 from corpus import (
     cube, grown, inside_by_flood, k4, nested, nested_blobs, oracle_keys,
-    plane_text, prism, production_keys, record_key, sibling_fixture,
-    theta_fixture, truncated_prism,
+    plane_text, prism, production_keys, record_key, ring, sibling_fixture,
+    sp_grown, theta, theta_fixture, truncated_prism,
 )
 
 CORPUS = grown(7, 20)
@@ -29,6 +34,12 @@ NESTED = [nested(1, 200), nested(2, 400)]
 TWO_DIAMONDS = Graph(8, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3),
                          (4, 5), (4, 6), (5, 6), (5, 7), (6, 7),
                          (0, 4), (3, 7)])
+# cubic with a bridge: two K4s less an edge, joined by a path through it
+BRIDGED = Graph(10, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (0, 4),
+                     (3, 4), (5, 6), (5, 7), (6, 7), (6, 8), (7, 8),
+                     (5, 9), (8, 9), (4, 9)])
+# biconnected, with 2-edge-cuts: gadgets on rings, thetas, K4 and the prism
+SP_CORPUS = sp_grown(7, 10)
 
 
 def all_faces(g):
@@ -126,11 +137,8 @@ def test_inclusion_tree_rejects_graphs_outside_the_class():
                                 {0: 1, 4: 1, 8: 2, 13: 1})
     with pytest.raises(NotTriconnectedCubic, match="vertex 12 has degree 2"):
         cycles.inclusion_tree(sub)
-    bridged = Graph(10, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (0, 4),
-                         (3, 4), (5, 6), (5, 7), (6, 7), (6, 8), (7, 8),
-                         (5, 9), (8, 9), (4, 9)])
     for g, witness in ((TWO_DIAMONDS, r"edges 10 and 11 both join faces"),
-                       (bridged, r"edge 14 has face \d+ on both sides")):
+                       (BRIDGED, r"edge 14 has face \d+ on both sides")):
         assert g.is_cubic()
         for pg in all_faces(g):
             with pytest.raises(NotTriconnectedCubic, match=witness):
@@ -460,6 +468,95 @@ def test_plain_quadrilateral_has_no_two_extrovert_cycle():
 
 
 # ---------------------------------------------------------------------------
+# 2-edge-cuts
+
+
+def pieces(g, removed):
+    """How many connected pieces g falls into without the edges removed."""
+    root = list(range(g.n))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    count = g.n
+    for e, (u, v) in enumerate(g.edges):
+        if e not in removed and (a := find(u)) != (b := find(v)):
+            root[a] = b
+            count -= 1
+    return count
+
+
+def check_two_cuts(g):
+    """two_cuts' pairs are the edge pairs whose removal disconnects g, by
+    trying every pair. Each group's edges come in the order its first
+    face's boundary meets them and cut g into as many pieces as there are
+    edges, one cycle of the cactus of 2-edge-cuts."""
+    pg = embed(g)
+    groups = cycles.two_cuts(pg)
+    got = {frozenset(p) for es in groups.values()
+           for p in combinations(es, 2)}
+    assert got == {frozenset(p) for p in combinations(range(len(g.edges)), 2)
+                   if pieces(g, p) > 1}
+    for (f, h), es in groups.items():
+        assert f < h and len(es) >= 2
+        assert all(set(pg.faces_of_edge(e)) == {f, h} for e in es)
+        at = [pg.faces[f].eids.index(e) for e in es]
+        assert at == sorted(at)
+        assert pieces(g, set(es)) == len(es)
+
+
+def test_two_cuts_are_the_brute_force_cuts():
+    for g in CORPUS + SP_CORPUS:
+        check_two_cuts(g)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10_000))
+def test_two_cuts_of_drawn_gadget_graphs_are_the_brute_force_cuts(seed):
+    (g,) = sp_grown(seed, 1)
+    check_two_cuts(g)
+
+
+def test_two_cuts_of_a_ring_is_one_group_in_cyclic_order():
+    for n in (3, 4, 8):
+        (es,) = cycles.two_cuts(embed(ring(n))).values()
+        assert sorted(es) == list(range(n))
+        steps = {(b - a) % n for a, b in zip(es, es[1:] + es[:1])}
+        assert steps in ({1}, {n - 1})
+
+
+def test_two_cuts_of_thetas_are_their_long_paths():
+    cuts = cycles.two_cuts(embed(theta(2, 2, 2)))
+    assert sorted(map(sorted, cuts.values())) == [[0, 1], [2, 3], [4, 5]]
+    # the direct edge 0 between the poles is in no cut
+    cuts = cycles.two_cuts(embed(theta(1, 2, 2)))
+    assert sorted(map(sorted, cuts.values())) == [[1, 2], [3, 4]]
+
+
+def test_two_cuts_are_empty_on_triconnected_graphs():
+    for g in [k4(), prism(), cube()] + CORPUS:
+        assert cycles.two_cuts(embed(g)) == {}
+
+
+def test_two_cuts_reject_a_bridge():
+    for g in (Graph(4, [(0, 1), (1, 2), (2, 3)]),
+              Graph(4, [(0, 1), (1, 2), (2, 0), (0, 3)]),
+              Graph(2, [(0, 1)]), BRIDGED):
+        with pytest.raises(NotBiconnected, match=r"edge \d+ is a bridge"):
+            cycles.two_cuts(embed(g))
+
+
+def test_two_cuts_are_the_same_at_every_face():
+    for g in SP_CORPUS + [TWO_DIAMONDS]:
+        views = all_faces(g)
+        want = cycles.two_cuts(views[0])
+        for pg in views:
+            assert cycles.two_cuts(pg) == want
+
+
+# ---------------------------------------------------------------------------
 # reference embeddings
 
 
@@ -686,6 +783,26 @@ def test_flexible_edge_counts_match_a_count_along_the_paths():
                     key: v for key, v in want.items() if v > 0}
                 counted += sum(v > 0 for v in want.values())
     assert counted > 0
+
+
+def test_flexible_edge_sums_are_built_once_per_embedding(monkeypatch):
+    """fx_counts sums each face's flexible edges on the first query of an
+    embedding and reads those sums at every other face; with no flexible
+    edge it sums no face."""
+    calls = Counter()
+    accumulate = cycles.accumulate
+
+    def counted(*args, **kwargs):
+        calls["accumulate"] += 1
+        return accumulate(*args, **kwargs)
+    monkeypatch.setattr(cycles, "accumulate", counted)
+    g = next(g for g in CORPUS if g.flex and g.n > 4)
+    for g in (g, Graph(g.n, g.edges)):
+        calls.clear()
+        views = all_faces(g)
+        for pg in views:
+            cycles.demanding_sets(pg)
+        assert calls["accumulate"] == (len(views) if g.flex else 0)
 
 
 # ---------------------------------------------------------------------------

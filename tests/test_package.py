@@ -29,21 +29,21 @@ def test_module_imports(name):
 
 def test_solve_path_imports_no_networkx():
     """Solving an edge-list text, which has no rotation lines and so is
-    embedded first, loads no networkx. Importing the solve path alone does
-    not load the embedder either, so the import stays as small as it was.
-    Importing every other module but decompose loads no networkx either:
-    the flows load it when they first run, and the first one returns
-    K4's known cost."""
-    others = [m for m in MODULES if m != "orthobend.decompose"]
+    embedded first, loads no networkx. Importing the solve path alone
+    loads the package's errors, graph and cycles modules and no other, so
+    the import stays as small as it was. Importing every module loads no
+    networkx either: the flows load it when they first run, and the first
+    one returns K4's known cost."""
     probe = ("import sys, orthobend.graph, orthobend.cycles\n"
-             "print('orthobend.planarity' in sys.modules)\n"
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'orthobend'))\n"
              "from corpus import k4, nested\n"
              "from orthobend.graph import dump_graph, embed, "
              "load_plane_graph\n"
              "text = dump_graph(nested(1, 50))\n"
              "orthobend.cycles.demanding_sets(load_plane_graph(text))\n"
              "print('networkx' in sys.modules)\n"
-             f"import {', '.join(others)}\n"
+             f"import {', '.join(MODULES)}\n"
              "print('networkx' in sys.modules)\n"
              "print(orthobend.oracle.flow_min_bends(embed(k4()))[0])\n"
              "print('networkx' in sys.modules)")
@@ -53,7 +53,10 @@ def test_solve_path_imports_no_networkx():
                          text=True, check=True, timeout=60,
                          env=dict(os.environ,
                                   PYTHONPATH=os.pathsep.join([src, tests])))
-    assert out.stdout.split() == ["False", "False", "False", "4", "True"]
+    lines = out.stdout.splitlines()
+    assert lines[0] == str(["orthobend", "orthobend.cycles",
+                            "orthobend.errors", "orthobend.graph"])
+    assert lines[1:] == ["False", "False", "4", "True"]
 
 
 # Declared for a caller that is still to come; each entry says which.
@@ -83,8 +86,6 @@ UNCALLED = {
     "orthorep.smooth": "the drawing of ROADMAP direction 4",
     "orthorep.rectilinear_image": "the inverse of smooth that the "
                                   "round-trip tests pin",
-    "decompose.build_bc_tree": "the block sums of ROADMAP direction 8",
-    "decompose.build_spqr_tree": "the SPQR referee of ROADMAP direction 9",
     "graph.dump_graph": "the CLI of ROADMAP direction 5",
     "orthorep.to_json": "the CLI of ROADMAP direction 5",
     "orthorep.from_json": "the CLI of ROADMAP direction 5",
@@ -97,10 +98,6 @@ UNCALLED_METHODS = {
     "orthorep.OrthoRep.cost": "the acceptance of ROADMAP direction 4",
     "graph.PlaneGraph.dart_tail": "the pair of dart_head: it reads a dart's "
                                   "tail without knowing the dart format",
-    "decompose.BcTree.blocks_at": "the block sums of ROADMAP direction 8",
-    "decompose.SpqrTree.neighbors": "the SPQR referee of ROADMAP direction 9",
-    "decompose.SpqrTree.structural_nodes": "the SPQR referee of ROADMAP "
-                                           "direction 9",
 }
 
 
