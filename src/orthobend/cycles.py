@@ -66,17 +66,22 @@ faces, both sides are the insides of two 3-extrovert twins.
 
 Moving the external face never changes which cycles and legs exist, only
 which side of each cycle is its inside: the side that does not hold the
-external face. So the separating cuts, their checked walks and the
-per-face sums of flexible edges are built once per embedding and kept in
-its PlaneGraph's tables, which every with_external_face view shares. Each query checks its graph's class,
-picks a reference face on no separating triangle and floods the sides
-once, rooted at that face, without a copy of the embedding; then it
-builds each record once, from its cut's walk, as the query's own
-external face sees it, and colors the records. The inclusion tree and the
-colors belong to the cut sides away from the reference face: a tree node
-is the cycle round such a side, 3-extrovert at the reference face, and
-is 3-introvert at the query's face when that face lies in its side. A
-color stays with its path's leg face, whichever way the path is walked.
+external face. So the class check, the separating cuts, their checked
+walks, the default root, the lowest face on no separating triangle, and
+the per-face sums of flexible edges are built once per embedding and
+kept in its PlaneGraph's tables, which every with_external_face view
+shares. The inclusion tree and the colors belong to the cut sides away
+from a reference face on no separating triangle: the query's own face
+when it is on none, else the default root. A tree node is the cycle
+round such a side, 3-extrovert at the reference face, and 3-introvert at
+the query's face when that face lies in its side; a color stays with its
+path's leg face, whichever way the path is walked. So the default root's
+sides, cut tree and colors are kept in the tables too. A query rooted
+there reads which sides hold its face off the cut tree, builds each
+record once, from its cut's walk, as its own external face sees it, and
+copies the colors; one rooted at another face floods the sides and
+colors its records afresh, without a copy of the embedding, and keeps
+nothing.
 
 Coloring follows the two-step green-counter formulation and reads each
 record's own contour paths. A child's path on a leg face is a contiguous
@@ -113,9 +118,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, combinations, product
 
-from .errors import (
-    NoTwin, NotBiconnected, NotTriconnectedCubic, ShortExternalFace,
-)
+from .errors import NotBiconnected, NotTriconnectedCubic
 # embed is unused here, but the benchmark's tests read it as cycles.embed
 from .graph import PlaneGraph, embed
 
@@ -196,13 +199,17 @@ class CycleRecord:
 
 def _class_index(pg: PlaneGraph):
     """pg.face_index; NotTriconnectedCubic, naming a witness, outside the
-    class of inclusion_tree: triconnected cubic graphs."""
+    class of inclusion_tree: triconnected cubic graphs. A pass is kept in
+    pg.tables; a graph outside is refused again on every query."""
     across = pg.face_index
+    if "in_class" in pg.tables:
+        return across
     if not pg.graph.is_cubic() or any(f in nbrs or len(set(nbrs)) < len(nbrs)
                                       for f, nbrs in enumerate(across)):
         raise NotTriconnectedCubic(
             "3-cycle records need a triconnected cubic graph: "
             + _class_witness(pg))
+    pg.tables["in_class"] = True
     return across
 
 
@@ -521,10 +528,26 @@ def _below(tree, edges, cut, x):
     return odd
 
 
-def _away_sides(pg: PlaneGraph, across, cuts, root, ext):
-    """Per cut of `cuts`, the end of cut[0] on its side away from face
-    `root` and whether that side holds face `ext`; and the cut tree, as
-    each cut's parent (-1 at the root) and the cuts in preorder.
+@dataclass(eq=False, slots=True)
+class _Rooting:
+    """The cut tree of an embedding's separating cuts rooted at `face`, a
+    face on none of them, as _away_sides builds it: per cut the end of
+    cut[0] on its side away from face, its parent (-1 at the root) and
+    the cuts in preorder; per face its owner, the smallest side holding
+    it, or -1. colors, once demanding_sets has colored at this root, is
+    three lists by record id: the kind, the colors and the demanding flag
+    each record had there."""
+
+    face: int
+    away: list
+    owner: list
+    parent: list
+    preorder: list
+    colors: list | None = None
+
+
+def _away_sides(pg: PlaneGraph, across, cuts, root):
+    """The _Rooting of `cuts` at face `root`.
 
     A side holds the vertices _below its cut in a spanning tree rooted on
     face root, and S such vertices bound (S - 1) / 2 faces. One pass per
@@ -533,8 +556,7 @@ def _away_sides(pg: PlaneGraph, across, cuts, root, ext):
     Smallest first, each side floods the faces no smaller side took and
     steps over a finished smaller side, now its child, to that side's cut
     faces, so each face is expanded once and owned by the smallest side
-    holding it. The sides holding ext are its owner and the owner's
-    ancestors.
+    holding it.
     """
     edges, face = pg.graph.edges, pg.dart_face
     pre, size, up = _spanning_tree(pg, pg.faces[root].tails[0])
@@ -592,11 +614,6 @@ def _away_sides(pg: PlaneGraph, across, cuts, root, ext):
                 stack += cuts[t][1]
         assert took == count[c], "a side's flood and Euler count disagree"
 
-    holds = [False] * len(cuts)
-    c = owner[ext]
-    while c >= 0:
-        holds[c] = True
-        c = parent[c]
     kids = [[] for _ in range(len(cuts) + 1)]  # the last one is the root's
     for c, p in enumerate(parent):
         kids[p].append(c)
@@ -605,25 +622,32 @@ def _away_sides(pg: PlaneGraph, across, cuts, root, ext):
         c = stack.pop()
         preorder.append(c)
         stack += kids[c]
-    return list(zip(away, holds)), parent, preorder
+    return _Rooting(root, away, owner, parent, preorder)
 
 
-def _reference_face(cuts, faces, f0):
-    """f0 when it is on none of `cuts`, the separating triangles
-    dual_triangles lists, else the lowest face of `faces` that is on
-    none."""
-    on_cut = {f for _, tri in cuts for f in tri}
-    for f in (f0, *range(len(faces))):
-        if f not in on_cut:
-            return f
-    raise AssertionError("every face lies on a separating triangle")
+def _reference_face(pg: PlaneGraph, cuts, f0):
+    """(reference face, default root) for external face f0: f0 when it is
+    on none of `cuts`, the separating triangles dual_triangles(pg) lists,
+    else the default root, the lowest face that is on none. The faces on
+    a cut and the default root are found once per embedding and kept in
+    pg.tables."""
+    tables = pg.tables
+    if "default_root" not in tables:
+        on_cut = bytearray(len(pg.faces))  # 1 on a face of a cut
+        for _, tri in cuts:
+            for f in tri:
+                on_cut[f] = 1
+        r0 = on_cut.find(0)
+        assert r0 >= 0, "every face lies on a separating triangle"
+        tables["default_root"] = on_cut, r0
+    on_cut, r0 = tables["default_root"]
+    return (r0 if on_cut[f0] else f0), r0
 
 
 def _root_records(pg: PlaneGraph):
-    """(records, parent, preorder, reference_face): both records of every
-    separating cut c of pg, ids 2c and 2c + 1, as pg's external face sees
-    them, with the cut tree of _away_sides rooted at the reference face
-    _reference_face picks.
+    """(records, rooting): both records of every separating cut c of pg,
+    ids 2c and 2c + 1, as pg's external face sees them, and the _Rooting
+    of the cut tree at the reference face _reference_face picks.
 
     Record 2c is the cycle round the cut's side A away from the reference
     face and 2c + 1 the cycle round the other side B. Each has the side
@@ -631,18 +655,30 @@ def _root_records(pg: PlaneGraph):
     the cut faces when the face lies in A; record 2c + 1 B, or A and the
     cut faces when the face lies in B. Raises NotTriconnectedCubic as
     inclusion_tree does.
+
+    The rooting at the default root is kept in pg.tables; a query at
+    another face on no separating triangle roots afresh and keeps nothing.
     """
     across = _class_index(pg)
     cuts = dual_triangles(pg)
     walks = _cut_walks(pg, cuts)
     ext = pg.external_face
-    ref = _reference_face(cuts, pg.faces, ext)
-    sides, parent, preorder = _away_sides(pg, across, cuts, ref, ext)
+    ref, r0 = _reference_face(pg, cuts, ext)
+    rooting = pg.tables.get("rooting")
+    if rooting is None or rooting.face != ref:
+        rooting = _away_sides(pg, across, cuts, ref)
+        if ref == r0:
+            pg.tables["rooting"] = rooting
+    holds = [False] * len(cuts)  # ext's owner and the owner's ancestors
+    c = rooting.owner[ext]
+    while c >= 0:
+        holds[c] = True
+        c = rooting.parent[c]
     records = []
-    for (cut, tri), (x, in_a) in zip(cuts, sides):
+    for (cut, tri), x, in_a in zip(cuts, rooting.away, holds):
         in_b = not in_a and ext not in tri
         records += _cut_records(pg, walks, len(records), cut, x, in_a, in_b)
-    return records, parent, preorder, ref
+    return records, rooting
 
 
 # ---------------------------------------------------------------------------
@@ -710,15 +746,17 @@ class InclusionTree:
 
     root = None
 
-    def __init__(self, pg, records, parent, preorder, reference_face):
+    def __init__(self, pg, records, rooting):
         self.pg = pg
         self.records = records
-        self.reference_face = reference_face
-        self.nodes = [2 * c for c in preorder]
+        self.reference_face = rooting.face
+        self._rooting = rooting
+        parent = rooting.parent
+        self.nodes = [2 * c for c in rooting.preorder]
         self.parent = {}
         self.children = defaultdict(list)
         self._depth = {None: 0}
-        for c in preorder:
+        for c in rooting.preorder:
             par = 2 * parent[c] if parent[c] >= 0 else None
             self.parent[2 * c] = par
             self.children[par].append(2 * c)
@@ -884,14 +922,27 @@ def demanding_sets(pg: PlaneGraph) -> DemandingSets:
     Demanding cycles that were 3-introvert at the reference face, the
     nodes' partners, and share the external face as a leg face pairwise
     intersect, and drop out of D(G) when there are two or more of them.
+
+    The colors at the embedding's default root are kept with its rooting
+    in pg.tables, so a query rooted there copies them.
     """
     tree = inclusion_tree(pg)
-    fx = fx_counts(tree)
-    color_3_extrovert(tree, fx)
-    color_3_introvert(tree, fx)
+    records, rooting = tree.records, tree._rooting
+    if rooting.colors is None:
+        fx = fx_counts(tree)
+        color_3_extrovert(tree, fx)
+        color_3_introvert(tree, fx)
+        if rooting is pg.tables.get("rooting"):  # the default root's
+            rooting.colors = ([r.kind for r in records],
+                              [r.colors for r in records],
+                              [r.demanding for r in records])
+    else:  # a record's first two paths swap when its kind does
+        for r, kind, colors, demanding in zip(records, *rooting.colors):
+            r.colors = (colors if r.kind == kind
+                        else (colors[1], colors[0], colors[2]))
+            r.demanding = demanding
 
     ext = pg.external_face
-    records = tree.records
     partners = (records[records[c].phi_partner] for c in tree.nodes)
     i_f = {r.cycle_id for r in partners
            if r.demanding and ext in r.leg_faces}
@@ -901,52 +952,3 @@ def demanding_sets(pg: PlaneGraph) -> DemandingSets:
              and r.cycle_id not in drop]
     d_f = [r for r in d_set if ext in r.leg_faces]
     return DemandingSets(records, d_set, d_f, tree.reference_face)
-
-
-# ---------------------------------------------------------------------------
-# twins and covers
-
-
-def twin(pg: PlaneGraph, c: CycleRecord, records) -> CycleRecord:
-    """The other boundary cycle of c's own 3-edge-cut: its phi partner.
-
-    Defined exactly when c is non-degenerate and shares an edge with the
-    external boundary (equivalently the external face is a leg face); it
-    is read from records, inclusion_tree(pg).records, where a record's id
-    is its index. A record of extrovert_cycles has no partner there."""
-    if c.degenerate:
-        raise NoTwin("degenerate cycles have no twin")
-    if pg.external_face not in c.leg_faces:
-        raise NoTwin("cycle does not touch the external boundary")
-    if c.phi_partner is None:
-        raise NoTwin(f"cycle {c.cycle_id} has no partner among the records")
-    return records[c.phi_partner]
-
-
-def intersecting_cover(pg: PlaneGraph, cycles, records):
-    """Two non-adjacent external edges e1, e2 such that every cycle of a
-    pairwise-intersecting family contains one of them; records are
-    inclusion_tree(pg).records, where twin finds a cycle's twin."""
-    boundary = pg.faces[pg.external_face].edge_ids()
-    if len(boundary) < 4:
-        raise ShortExternalFace(
-            f"external face {pg.external_face} has {len(boundary)} edges; "
-            "a cover needs two non-adjacent ones")
-    nondeg = [c for c in cycles if not c.degenerate]
-    if nondeg:
-        c1 = nondeg[0]
-        t = twin(pg, c1, records)
-        ext = set(boundary)
-        own = sorted(c1.edges & ext)
-        other = sorted(t.edges & ext)
-        assert own and other, "twin pair misses the external boundary"
-        e1, e2 = own[0], other[0]
-        assert not set(pg.edge(e1)) & set(pg.edge(e2))
-        return e1, e2
-    # all degenerate (or empty): any two non-adjacent external edges do
-    e1 = boundary[0]
-    for e2 in boundary[2:]:
-        if not set(pg.edge(e1)) & set(pg.edge(e2)):
-            return e1, e2
-    raise AssertionError("external face has no non-adjacent edge pair")
-

@@ -54,14 +54,6 @@ class Infeasible(DomainError):
     pass
 
 
-class NoTwin(DomainError):
-    pass
-
-
-class ShortExternalFace(DomainError):
-    """The external face has fewer than four edges."""
-
-
 class NotGood(DomainError):
     pass
 

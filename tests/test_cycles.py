@@ -6,6 +6,7 @@ adjudicates the counting formula itself.
 """
 
 import dataclasses
+import random
 from collections import Counter
 from itertools import combinations
 
@@ -14,9 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthobend import cycles, graph, oracle
-from orthobend.errors import (
-    NoTwin, NotBiconnected, NotTriconnectedCubic, ShortExternalFace,
-)
+from orthobend.errors import NotBiconnected, NotTriconnectedCubic
 from orthobend.graph import Graph, PlaneGraph, embed, load_plane_graph
 from orthobend.orthorep import subdivide_plane
 
@@ -91,13 +90,6 @@ def vertex_set(g, edge_ids):
     for e in edge_ids:
         out.update(g.edges[e])
     return frozenset(out)
-
-
-def find_record(pg, recs, vertices, kind):
-    for r in recs:
-        if r.kind == kind and vertex_set(pg.graph, r.edges) == frozenset(vertices):
-            return r
-    raise AssertionError(f"no {kind} record on {sorted(vertices)}")
 
 
 # ---------------------------------------------------------------------------
@@ -372,18 +364,69 @@ def demanding_key(ds):
 
 def test_demanding_sets_at_every_face_equal_those_of_a_fresh_load(
         monkeypatch):
-    """Every with_external_face view of one embedding shares its cuts and
-    checked walks, and gets what a text loaded afresh at that face gets,
-    on CORPUS and on more flexible grown graphs."""
-    for g in CORPUS + grown(13, 8, 6, flex_prob=0.6):
-        pg0 = embed(g)
-        for f in range(len(pg0.faces)):
-            shared = cycles.demanding_sets(pg0.with_external_face(f))
+    """Every with_external_face view of one embedding shares its cuts,
+    checked walks and kept rooting, and gets what a text loaded afresh at
+    that face gets, on CORPUS, on more flexible grown graphs and on a
+    nested one. The views are queried in ascending, descending and
+    shuffled face order, so any face may fill the kept rooting; the one
+    kept at the end is the default root's."""
+    for g in CORPUS + grown(13, 8, 6, flex_prob=0.6) + [nested(1, 60)]:
+        pg = embed(g)
+        faces = list(range(len(pg.faces)))
+        fresh = []
+        for f in faces:
             monkeypatch.setattr(graph, "_last", None)
-            fresh = cycles.demanding_sets(load_plane_graph(
-                plane_text(pg0, f)))
-            assert demanding_key(shared) == demanding_key(fresh)
-        assert "cut_walks" in pg0.tables
+            ds = cycles.demanding_sets(load_plane_graph(plane_text(pg, f)))
+            fresh.append((demanding_key(ds), ds.reference_face))
+        shuffled = faces[:]
+        random.Random(len(faces)).shuffle(shuffled)
+        for order in (faces, faces[::-1], shuffled):
+            pg0 = embed(g)
+            for f in order:
+                ds = cycles.demanding_sets(pg0.with_external_face(f))
+                assert (demanding_key(ds), ds.reference_face) == fresh[f]
+            assert "cut_walks" in pg0.tables
+            on_cut, r0 = pg0.tables["default_root"]
+            assert pg0.tables["rooting"].face == r0 and not on_cut[r0]
+
+
+def test_a_query_rooted_at_the_default_root_reuses_its_tree_and_colors(
+        monkeypatch):
+    """Through load_plane_graph, the first query rooted at the default
+    root r0 builds the spanning tree, the flexible counts and both
+    colorings once, and later queries rooted there build none of them. A
+    query at another face on no separating triangle roots and colors
+    afresh, once each, and leaves the kept rooting at r0."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("_spanning_tree", "fx_counts", "color_3_extrovert",
+                 "color_3_introvert"):
+        monkeypatch.setattr(cycles, name, counted(name, getattr(cycles, name)))
+    pg0 = embed(nested(1, 60))
+    monkeypatch.setattr(graph, "_last", None)
+    first = load_plane_graph(plane_text(pg0, 0))
+    cycles.demanding_sets(first)
+    on_cut, r0 = first.tables["default_root"]
+    assert on_cut[0] and r0 == 1
+    once = Counter(_spanning_tree=1, fx_counts=1, color_3_extrovert=1,
+                   color_3_introvert=1)
+    assert calls == once
+    for f in (3, r0, 5):  # two faces on a separating triangle, and r0
+        assert on_cut[f] or f == r0
+        calls.clear()
+        ds = cycles.demanding_sets(load_plane_graph(plane_text(pg0, f)))
+        assert ds.reference_face == r0 and not calls
+    calls.clear()
+    ds = cycles.demanding_sets(load_plane_graph(plane_text(pg0, 2)))
+    assert not on_cut[2] and ds.reference_face == 2
+    assert calls == once
+    assert first.tables["rooting"].face == r0
 
 
 @pytest.mark.parametrize("with_rotation", [True, False])
@@ -892,114 +935,6 @@ def test_cycle_count_formula_is_brute_cost_formula_and_bounds_the_flow():
                 assert formula == cost
                 exact += 1
     assert exact and bounded
-
-
-# ---------------------------------------------------------------------------
-# twins and covers
-
-
-def test_twin_pairs_up_cycles_on_the_external_face():
-    g = prism()
-    pg0 = embed(g)
-    quad = next(f for f in range(len(pg0.faces))
-                if len(set(pg0.faces[f].edge_ids())) == 4)
-    pg = pg0.with_external_face(quad)
-    recs = records(pg)
-    t1 = find_record(pg, recs, {0, 1, 2}, "extrovert")
-    t2 = cycles.twin(pg, t1, recs)
-    assert vertex_set(g, t2.edges) == frozenset({3, 4, 5})
-    assert cycles.twin(pg, t2, recs) is t1
-    boundary = external_edges(pg)
-    assert boundary <= set(t1.edges) | set(t2.edges) | set(t1.legs)
-
-
-def test_twin_across_a_shared_contour_path():
-    g = theta_fixture()
-    pg = ext_on_vertices(g, {0, 2, 3, 6, 7})
-    recs = records(pg)
-    c1 = find_record(pg, recs, {0, 1, 2, 3, 4, 5}, "extrovert")
-    t = cycles.twin(pg, c1, recs)
-    assert vertex_set(g, t.edges) == frozenset({6, 7, 8, 9, 13, 15})
-
-
-def test_twin_undefined_off_the_boundary_and_for_degenerate_cycles():
-    g = truncated_prism()
-    pg = ext_on_vertices(g, {2, 3, 4})
-    recs = records(pg)
-    tri = find_record(pg, recs, {5, 6, 7}, "extrovert")
-    with pytest.raises(NoTwin):
-        cycles.twin(pg, tri, recs)
-    pg4 = embed(k4())
-    recs4 = all_records(pg4)
-    degen = next(r for r in recs4 if r.kind == "extrovert" and r.degenerate)
-    with pytest.raises(NoTwin):
-        cycles.twin(pg4, degen, recs4)
-    # a cycle extrovert_cycles lists has no partner among the records, even
-    # when the external face is one of its leg faces
-    pg = embed(prism())
-    pg = pg.with_external_face(next(f for f in range(len(pg.faces))
-                                    if len(pg.faces[f]) == 4))
-    tri = next(r for r in cycles.extrovert_cycles(pg) if not r.degenerate)
-    assert pg.external_face in tri.leg_faces and tri.phi_partner is None
-    with pytest.raises(NoTwin):
-        cycles.twin(pg, tri, records(pg))
-
-
-def test_cover_for_single_and_paired_families():
-    g = prism()
-    pg0 = embed(g)
-    quad = next(f for f in range(len(pg0.faces))
-                if len(set(pg0.faces[f].edge_ids())) == 4)
-    pg = pg0.with_external_face(quad)
-    recs = records(pg)
-    t1 = find_record(pg, recs, {0, 1, 2}, "extrovert")
-    e1, e2 = cycles.intersecting_cover(pg, [t1], recs)
-    boundary = external_edges(pg)
-    assert {e1, e2} <= boundary
-    assert not set(g.edges[e1]) & set(g.edges[e2])
-    assert e1 in t1.edges or e2 in t1.edges
-
-    g = theta_fixture()
-    pg = ext_on_vertices(g, {0, 2, 3, 6, 7})
-    recs = records(pg)
-    c1 = find_record(pg, recs, {0, 1, 2, 3, 4, 5}, "extrovert")
-    c2 = find_record(pg, recs, {0, 1, 6, 7, 8, 9}, "extrovert")
-    e1, e2 = cycles.intersecting_cover(pg, [c1, c2], recs)
-    for c in (c1, c2):
-        assert e1 in c.edges or e2 in c.edges
-    assert not set(g.edges[e1]) & set(g.edges[e2])
-
-
-def test_cover_for_degenerate_and_empty_families():
-    g = cube()
-    pg = embed(g)
-    recs = all_records(pg)
-    family = [r for r in recs if r.kind == "extrovert" and r.degenerate
-              and set(r.legs) & external_edges(pg)]
-    assert len(family) == 4
-    e1, e2 = cycles.intersecting_cover(pg, family, recs)
-    assert not set(g.edges[e1]) & set(g.edges[e2])
-    for r in family:
-        assert e1 in r.edges or e2 in r.edges
-    e1, e2 = cycles.intersecting_cover(pg, [], recs)
-    assert {e1, e2} <= external_edges(pg)
-    assert not set(g.edges[e1]) & set(g.edges[e2])
-
-
-def test_cover_rejects_a_triangular_external_face():
-    """A triangle has no two non-adjacent edges: the prism's two triangles
-    and every face of K4 are refused with a typed error naming the face."""
-    refused = 0
-    for g in (prism(), k4()):
-        for pg in all_faces(g):
-            if len(pg.faces[pg.external_face]) != 3:
-                continue
-            refused += 1
-            with pytest.raises(ShortExternalFace,
-                               match=f"external face {pg.external_face} "
-                                     "has 3 edges"):
-                cycles.intersecting_cover(pg, [], all_records(pg))
-    assert refused == 2 + 4
 
 
 # ---------------------------------------------------------------------------

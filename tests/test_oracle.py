@@ -13,7 +13,7 @@ from orthobend.errors import Infeasible, TooLarge
 from orthobend.graph import Graph, PlaneGraph, embed
 from orthobend.orthorep import validate
 
-from corpus import cube, grown, k4, nested, prism
+from corpus import cube, grown, k4, nested, prism, sp_grown
 
 
 def ring(n, flex=None):
@@ -195,3 +195,27 @@ def test_one_bend_per_edge_keeps_the_variable_embedding_optimum():
     for k in checked:
         g = picked[k]
         assert oracle.brute_min(g, cap=1)[0] == oracle.brute_min(g)[0]
+
+
+def test_one_bend_per_edge_keeps_the_optimum_of_biconnected_graphs():
+    """The oracle half of the paper's joint claim across embeddings: on
+    100 distinct biconnected sp_grown graphs with at most 14 vertices,
+    mixing 2-cuts, 3-connected parts and degree-2 vertices, allowing at
+    most one bend per edge keeps the variable-embedding optimum. K4 is
+    the exception, where one bend per edge is infeasible."""
+    graphs = {}
+    for g in sp_grown(17, 400):
+        if g.n <= 14:
+            graphs.setdefault((g.n, tuple(map(tuple, g.edges))), g)
+    graphs = list(graphs.values())[:100]
+    assert len(graphs) == 100
+    k4_edges = sorted(map(tuple, k4().edges))
+    exceptions = 0
+    for g in graphs:
+        if g.n == 4 and sorted(map(tuple, g.edges)) == k4_edges:
+            exceptions += 1
+            with pytest.raises(Infeasible):
+                oracle.brute_min(g, cap=1)
+        else:
+            assert oracle.brute_min(g, cap=1)[0] == oracle.brute_min(g)[0]
+    assert exceptions == 1

@@ -81,7 +81,6 @@ def test_every_leaf_error_is_raised_somewhere():
 
 # Public functions waiting for a caller; each entry says which.
 UNCALLED = {
-    "cycles.intersecting_cover": "ROADMAP direction 4, per the watch list",
     "nobend.no_bend_rep": "the drawing of ROADMAP direction 4",
     "orthorep.smooth": "the drawing of ROADMAP direction 4",
     "orthorep.rectilinear_image": "the inverse of smooth that the "
