@@ -20,36 +20,23 @@ vertex.
 A record is its cut and its contour, with its inside on the left of the
 contour; it keeps no face set. The sides of the separating cuts away from
 a root face, on no separating triangle, are laminar, and their tree is
-the 4-block tree of the dual triangulation (Kant, 1997). A spanning tree
-of the graph rooted on that face gives each side's size and the end of
-cut[0] on it without a flood: the vertices _below an odd number of the
-cut's tree edges lie on that side, and a cubic side with S vertices
-bounds (S - 1) / 2 faces. Taken from the smallest up, each side floods
-only the faces no smaller side took, stepping over a finished smaller
-side to its cut faces, so each face is expanded once and ends owned by
-the smallest side holding it. The sides holding a face are its owner and
-the owner's ancestors in the cut tree, so one walk up from the external
-face's owner tells each record which side is its inside.
+the 4-block tree of the dual triangulation (Kant, 1997); _away_sides
+builds it expanding each face once. The sides holding a face are its
+owner, the smallest side holding it, and the owner's ancestors in the
+cut tree, so one walk up from a face's owner tells each record which
+side is its inside.
 
 Each cut face holds two cut edges, at positions i and j of its
 boundary, and its boundary between them splits into two arcs, one facing
 each side. The cycle bounding a side is the chain of the arcs facing it,
 walked with the inside on the left; each contour path is one arc, its
 leg the cut edge at its tail and its leg face the arc's face. One walk of
-the cut faces, from the dart of cut[0] that ends on one side, chains
-that side's arcs as spans (f, i, j) of boundary positions; PlaneGraph's
-dart tables give each cut edge's dart on a face and its position there.
-The other side's arcs are the same faces in reverse order, as spans
-(f, j, i). So each cut is walked once for both of its records, and once
-per embedding: _cut_walks slices each arc's tails and darts once, the
-tails for the checks that each side's arcs close a simple cycle with
-every cut edge a leg, the darts for the smallest, which picks the path
-that comes last, and keeps both sides' spans. _cut_records builds a
-query's two records of the cut from them. A record holds no dart: it
-keeps its spans into its graph's faces, which hold their darts, tails
-and edge ids, and the chain is walked backwards when the record is
-extrovert; the darts, edges and vertices are read off the faces on
-request.
+the cut faces chains one side's arcs as spans (f, i, j) of boundary
+positions, and the other side's arcs are the same faces in reverse
+order, as spans (f, j, i): _cut_walks walks and checks each cut once per
+embedding, and _cut_records builds both records of a cut from its
+spans. A record holds no dart: it keeps its spans into its graph's
+faces, and its darts, edges and vertices are read off them on request.
 
 A dual triangle whose three cut edges share a primal vertex v is facial:
 its one degenerate cycle runs round v's face fan. The count reads no
@@ -67,21 +54,14 @@ faces, both sides are the insides of two 3-extrovert twins.
 Moving the external face never changes which cycles and legs exist, only
 which side of each cycle is its inside: the side that does not hold the
 external face. So the class check, the separating cuts, their checked
-walks, the default root, the lowest face on no separating triangle, and
-the per-face sums of flexible edges are built once per embedding and
-kept in its PlaneGraph's tables, which every with_external_face view
-shares. The inclusion tree and the colors belong to the cut sides away
-from a reference face on no separating triangle: the query's own face
-when it is on none, else the default root. A tree node is the cycle
-round such a side, 3-extrovert at the reference face, and 3-introvert at
-the query's face when that face lies in its side; a color stays with its
-path's leg face, whichever way the path is walked. So the default root's
-sides, cut tree and colors are kept in the tables too. A query rooted
-there reads which sides hold its face off the cut tree, builds each
-record once, from its cut's walk, as its own external face sees it, and
-copies the colors; one rooted at another face floods the sides and
-colors its records afresh, without a copy of the embedding, and keeps
-nothing.
+walks and the default root r0, the lowest face on no separating
+triangle, are built once per embedding and kept in its PlaneGraph's
+tables, which every with_external_face view shares. The tree and the
+colors belong to the sides away from a root on no separating triangle,
+and a color stays with its path's leg face whichever way the path is
+walked. So r0's records, colored on the embedding's first query, are
+kept there too, shared by every query and not changed again, and each
+query copies them, rebuilding only the pairs that its own face turns.
 
 Coloring follows the two-step green-counter formulation and reads each
 record's own contour paths. A child's path on a leg face is a contiguous
@@ -467,13 +447,12 @@ def _cut_records(pg: PlaneGraph, walks, i, cut, x, intro_a, intro_b):
     intro_b say whether each is 3-introvert, with the cut faces and the
     other side inside it.
 
-    The walks are checked once per embedding; this builds the records
-    per query, as its external face sees them. The walks are stored from
-    the first end of cut[0], so the sides swap when x is the other end.
-    A record with the cut faces outside it is 3-extrovert and keeps the
-    stored spans; one with them inside is 3-introvert, walked forwards,
-    and its first two paths swap, so that the path holding the smallest
-    dart still comes last.
+    The walks are checked once per embedding and stored from the first
+    end of cut[0], so the sides swap when x is the other end. A record
+    with the cut faces outside it is 3-extrovert and keeps the stored
+    spans; one with them inside is 3-introvert, walked forwards, and its
+    first two paths swap, so that the path holding the smallest dart
+    still comes last.
     """
     a, b = walks[i], walks[i + 1]
     if x != pg.graph.edges[cut[0]][0]:
@@ -534,16 +513,15 @@ class _Rooting:
     face on none of them, as _away_sides builds it: per cut the end of
     cut[0] on its side away from face, its parent (-1 at the root) and
     the cuts in preorder; per face its owner, the smallest side holding
-    it, or -1. colors, once demanding_sets has colored at this root, is
-    three lists by record id: the kind, the colors and the demanding flag
-    each record had there."""
+    it, or -1. records, once demanding_sets has colored at this root, is
+    both records of every cut as the root sees them, colored."""
 
     face: int
     away: list
     owner: list
     parent: list
     preorder: list
-    colors: list | None = None
+    records: list | None = None
 
 
 def _away_sides(pg: PlaneGraph, across, cuts, root):
@@ -656,8 +634,8 @@ def _root_records(pg: PlaneGraph):
     cut faces when the face lies in B. Raises NotTriconnectedCubic as
     inclusion_tree does.
 
-    The rooting at the default root is kept in pg.tables; a query at
-    another face on no separating triangle roots afresh and keeps nothing.
+    The rooting at the default root is kept in pg.tables; one at another
+    face on no separating triangle is built afresh and not kept.
     """
     across = _class_index(pg)
     cuts = dual_triangles(pg)
@@ -679,6 +657,33 @@ def _root_records(pg: PlaneGraph):
         in_b = not in_a and ext not in tri
         records += _cut_records(pg, walks, len(records), cut, x, in_a, in_b)
     return records, rooting
+
+
+def _turned(pg: PlaneGraph, cuts, walks, rooting, records, f):
+    """(turned, at): a copy of `records`, both colored records of every
+    cut, ids as `rooting` labels them, with the pairs rebuilt that face f
+    turns, and at, the cuts with f as a cut face. A side holding f turns
+    both records of its cut inside out, and a cut with f as a cut face
+    the one round side B, so turning at f is its own inverse: from the
+    root's records to f's and back. A rebuilt record keeps its colors,
+    the first two swapped when its kind changes, as its spans' are."""
+    held, c = [], rooting.owner[f]
+    while c >= 0:
+        held.append(c)
+        c = rooting.parent[c]
+    at = [c for c, (_, tri) in enumerate(cuts) if f in tri]
+    turned = records[:]
+    for k, c in enumerate(held + at):
+        i = 2 * c
+        a, b = records[i], records[i + 1]
+        turned[i:i + 2] = pair = _cut_records(
+            pg, walks, i, cuts[c][0], rooting.away[c],
+            (a.kind == "introvert") != (k < len(held)), b.kind == "extrovert")
+        for r, old in zip(pair, (a, b)):
+            x, y, z = cols = old.colors
+            r.colors = cols if r.kind == old.kind else (y, x, z)
+            r.demanding = old.demanding
+    return turned, at
 
 
 # ---------------------------------------------------------------------------
@@ -783,19 +788,13 @@ def fx_counts(tree: InclusionTree):
 
     Each face's boundary gets prefix sums of its flexible edges, and a
     path's count is the difference across its span; when the graph has
-    no flexible edge, no face is summed and no path is listed. The sums
-    depend on the embedding and its flex alone, so they are built on the
-    first query and kept in pg.tables, which every with_external_face
-    view shares."""
-    tables = tree.pg.tables
-    if "fx_sums" not in tables:
-        flexible = {e for e, k in tree.pg.graph.flex.items() if k > 0}
-        tables["fx_sums"] = [
-            list(accumulate((e in flexible for e in f.eids), initial=0))
-            for f in tree.pg.faces] if flexible else None
-    sums = tables["fx_sums"]
-    if sums is None:
+    no flexible edge, no face is summed and no path is listed.
+    demanding_sets counts once per embedding, at its first query."""
+    flexible = {e for e, k in tree.pg.graph.flex.items() if k > 0}
+    if not flexible:
         return {}
+    sums = [list(accumulate((e in flexible for e in f.eids), initial=0))
+            for f in tree.pg.faces]
     fx = {}
     for r in tree.records:
         for j, (f, i, k) in enumerate(r.spans):
@@ -903,52 +902,51 @@ def _settle(rec, cols):
 
 @dataclass
 class DemandingSets:
-    # inclusion_tree(pg).records, colored: each record's colors belong to its
-    # cycle as 3-extrovert or 3-introvert at the reference face
+    # both records of every separating cut as pg's external face sees
+    # them, colored, ids as at r0; shared by the embedding's queries
     records: list
     d_set: list  # pairwise non-intersecting demanding 3-extrovert cycles
     d_f: list  # members of d_set with the external face as a leg face
-    reference_face: int
+    reference_face: int  # the default root
 
 
 def demanding_sets(pg: PlaneGraph) -> DemandingSets:
     """D(G) and D_f(G) for pg's own embedding.
 
-    The 3-cycle records are built once, as pg's external face sees them,
-    and their inclusion tree is rooted and colored at a reference face. A
-    cycle keeps its coloring in every embedding where it stays
+    A cycle keeps its coloring in every embedding where it stays
     3-extrovert, and a 3-introvert cycle takes the coloring of the same
-    cycle as 3-extrovert in any embedding that turns it inside out.
-    Demanding cycles that were 3-introvert at the reference face, the
-    nodes' partners, and share the external face as a leg face pairwise
-    intersect, and drop out of D(G) when there are two or more of them.
+    cycle as 3-extrovert in any embedding that turns it inside out. So
+    the embedding's first query colors the records at the default root
+    r0, and every query reads them, turned at its own external face.
+    Demanding cycles that were 3-introvert at r0, the nodes' partners,
+    and share the external face as a leg face pairwise intersect, and
+    drop out of D(G) when there are two or more of them.
 
-    The colors at the embedding's default root are kept with its rooting
-    in pg.tables, so a query rooted there copies them.
+    Each query checks the class and lists the cuts once: the first inside
+    inclusion_tree at face 0, which is r0 or lies on a separating
+    triangle, so that its tree is rooted at r0.
     """
-    tree = inclusion_tree(pg)
-    records, rooting = tree.records, tree._rooting
-    if rooting.colors is None:
+    tables = pg.tables
+    rooting = tables.get("rooting")
+    if rooting is None or rooting.records is None:
+        tree = inclusion_tree(pg.with_external_face(0))
         fx = fx_counts(tree)
         color_3_extrovert(tree, fx)
         color_3_introvert(tree, fx)
-        if rooting is pg.tables.get("rooting"):  # the default root's
-            rooting.colors = ([r.kind for r in records],
-                              [r.colors for r in records],
-                              [r.demanding for r in records])
-    else:  # a record's first two paths swap when its kind does
-        for r, kind, colors, demanding in zip(records, *rooting.colors):
-            r.colors = (colors if r.kind == kind
-                        else (colors[1], colors[0], colors[2]))
-            r.demanding = demanding
-
-    ext = pg.external_face
-    partners = (records[records[c].phi_partner] for c in tree.nodes)
-    i_f = {r.cycle_id for r in partners
-           if r.demanding and ext in r.leg_faces}
-    drop = i_f if len(i_f) >= 2 else set()
-    d_set = [r for r in records
-             if r.kind == "extrovert" and r.demanding
+        cuts, walks = tables["dual_triangles"], tables["cut_walks"]
+        rooting = tree._rooting
+        rooting.records = _turned(pg, cuts, walks, rooting, tree.records,
+                                  0)[0]
+    else:
+        _class_index(pg)
+        cuts = dual_triangles(pg)
+        walks = _cut_walks(pg, cuts)
+    records, at = _turned(pg, cuts, walks, rooting, rooting.records,
+                          pg.external_face)
+    i_f = {2 * c + 1 for c in at if records[2 * c + 1].demanding}
+    drop = i_f if len(i_f) >= 2 else ()
+    d_set = [r for r in records if r.demanding and r.kind == "extrovert"
              and r.cycle_id not in drop]
-    d_f = [r for r in d_set if ext in r.leg_faces]
-    return DemandingSets(records, d_set, d_f, tree.reference_face)
+    d_f = [r for c in at for r in records[2 * c:2 * c + 2]
+           if r.demanding and r.cycle_id not in drop]
+    return DemandingSets(records, d_set, d_f, rooting.face)

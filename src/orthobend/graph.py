@@ -161,11 +161,11 @@ class PlaneGraph:
 
     tables, empty when the faces are traced, holds what other modules
     derive from the embedding alone, whatever its external face: cycles
-    keeps its class check, separating cuts, their checked walks, its
-    default root's sides, cut tree and colors, and its per-face sums of
-    flexible edges there, under its own keys. with_external_face views
-    share it, as they share the faces and face_index, so each such table
-    is built once per embedding.
+    keeps its class check, separating cuts, their checked walks, and its
+    default root's sides, cut tree and colored records, which every query
+    of the embedding reads and none changes, under its own keys.
+    with_external_face views share it, as they share the faces and
+    face_index, so each such table is built once per embedding.
     Nothing but that filling changes a PlaneGraph once built: its views,
     and the load_plane_graph results of texts that differ from its own in
     the external line alone, read the same lists.

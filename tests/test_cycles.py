@@ -298,10 +298,9 @@ def test_dual_triangles_are_the_dual_cycles_whose_l1_and_l2_do_not_meet():
 
 
 def test_demanding_sets_build_no_facial_record(monkeypatch):
-    """Two records per separating cut and none round a vertex, at every
-    face of a graph grown like the benchmark's every-face queries: the
-    per-cut builder runs once per separating cut, and nothing else builds
-    a record."""
+    """Two records per separating cut and none round a vertex in the
+    answer at every face of a graph grown like the benchmark's every-face
+    queries, and nothing but the per-cut builder builds a record."""
     built = []
 
     def counted(*args, **kwargs):
@@ -316,20 +315,61 @@ def test_demanding_sets_build_no_facial_record(monkeypatch):
     monkeypatch.setattr(cycles, "_cut_records", counted)
     monkeypatch.setattr(cycles, "_record", no_record)
     for pg in all_faces(nested(1, 60)):
-        built.clear()
-        cycles.demanding_sets(pg)
+        ds = cycles.demanding_sets(pg)
         separating = sum(1 for cut, _ in oracle.all_dual_triangles(pg)
                          if oracle.facial_apex(pg, cut) is None)
         assert separating > 0
-        assert len(built) == 2 * separating
-        assert not any(r.degenerate for r in built)
+        assert len(ds.records) == 2 * separating
+        assert [r.cycle_id for r in ds.records] == list(range(2 * separating))
+        assert not any(r.degenerate for r in ds.records + built)
+
+
+def separating_sides(pg):
+    """Per separating cut, by the oracle, its cut faces and the faces on
+    each side, flooded in the dual with the cut faces taken out."""
+    out = []
+    for cut, tri in oracle.all_dual_triangles(pg):
+        if oracle.facial_apex(pg, cut) is not None:
+            continue
+        sides = []
+        for f in range(len(pg.faces)):
+            if f in tri or any(f in side for side in sides):
+                continue
+            side, stack = {f}, [f]
+            while stack:
+                for e in pg.faces[stack.pop()].edge_ids():
+                    for g in pg.faces_of_edge(e):
+                        if g not in side and g not in tri:
+                            side.add(g)
+                            stack.append(g)
+            sides.append(side)
+        assert len(sides) == 2
+        out.append((set(tri), sides))
+    return out
+
+
+def changed_cuts(cuts, r0, f):
+    """How many of separating_sides' cuts have records that turn between
+    the default root r0 and face f: those with f as a cut face, and those
+    whose side away from r0 holds f."""
+    return sum(f in tri or not any({f, r0} <= side for side in sides)
+               for tri, sides in cuts)
+
+
+def default_root(cuts, pg):
+    """The lowest face on no separating triangle, by the oracle."""
+    return min(set(range(len(pg.faces)))
+               - {f for tri, _ in cuts for f in tri})
 
 
 def test_demanding_sets_check_the_class_and_root_the_records_once(
         monkeypatch):
-    """One class check, one reference-face pick, no copy of the embedding
-    and two records per separating cut, copies included, per query at
-    every face of CORPUS."""
+    """Per query at every face of CORPUS: one class check. The
+    embedding's first query, at face 0, picks the default root r0 once,
+    makes one view, at face 0, and builds two records per separating cut
+    there, turns face 0's changed pairs to r0's and then to its own; every
+    later query picks no face, copies nothing and builds two records per
+    cut that its face changes, and no others."""
     calls = Counter()
 
     def counted(name, fn):
@@ -344,14 +384,25 @@ def test_demanding_sets_check_the_class_and_root_the_records_once(
         "with_external_face", PlaneGraph.with_external_face))
     monkeypatch.setattr(cycles.CycleRecord, "__init__", counted(
         "CycleRecord", cycles.CycleRecord.__init__))
+    turned = 0
     for g in CORPUS:
-        for pg in all_faces(g):
-            separating = sum(1 for cut, _ in oracle.all_dual_triangles(pg)
-                             if oracle.facial_apex(pg, cut) is None)
+        views = all_faces(g)
+        cuts = separating_sides(views[0])
+        r0 = default_root(cuts, views[0])
+        for pg in views:
+            f = pg.external_face
             calls.clear()
-            cycles.demanding_sets(pg)
-            assert calls == Counter(_class_index=1, _reference_face=1,
-                                    CycleRecord=2 * separating)
+            ds = cycles.demanding_sets(pg)
+            assert ds.reference_face == r0
+            if f == 0:
+                assert calls == Counter(
+                    _class_index=1, _reference_face=1, with_external_face=1,
+                    CycleRecord=2 * len(cuts) + 4 * changed_cuts(cuts, r0, 0))
+            else:
+                assert calls == Counter(
+                    _class_index=1, CycleRecord=2 * changed_cuts(cuts, r0, f))
+                turned += changed_cuts(cuts, r0, f)
+    assert turned > 0
 
 
 def demanding_key(ds):
@@ -390,13 +441,63 @@ def test_demanding_sets_at_every_face_equal_those_of_a_fresh_load(
             assert pg0.tables["rooting"].face == r0 and not on_cut[r0]
 
 
+def rooted_demanding(pg):
+    """D and D_f as sets of (edges, legs), computed as every query once
+    did: the inclusion tree at pg's own reference face, its records
+    colored there, and the i_f / drop / D scan over its nodes' partners.
+    A face on no separating triangle roots its own tree."""
+    tree = cycles.inclusion_tree(pg)
+    fx = cycles.fx_counts(tree)
+    cycles.color_3_extrovert(tree, fx)
+    cycles.color_3_introvert(tree, fx)
+    recs, ext = tree.records, pg.external_face
+    partners = (recs[recs[c].phi_partner] for c in tree.nodes)
+    i_f = {r.cycle_id for r in partners
+           if r.demanding and ext in r.leg_faces}
+    drop = i_f if len(i_f) >= 2 else set()
+    d_set = [r for r in recs if r.kind == "extrovert" and r.demanding
+             and r.cycle_id not in drop]
+    d_f = [r for r in d_set if ext in r.leg_faces]
+    return cycle_set(d_set), cycle_set(d_f)
+
+
+def cycle_set(records):
+    return {(r.edges, frozenset(r.legs)) for r in records}
+
+
+def test_demanding_sets_equal_those_of_a_tree_rooted_at_each_face():
+    """At every face of CORPUS, of more flexible grown graphs and of a
+    nested one, demanding_sets, which reads the default root's colored
+    records turned at the face, gives the D and D_f of rooted_demanding,
+    whose tree is rooted at the face itself when that is on no separating
+    triangle. The views of one embedding are queried in ascending,
+    descending and shuffled face order, so each face is met both before
+    and after the others have turned the shared records."""
+    own_roots = 0
+    for g in CORPUS + grown(13, 8, 6, flex_prob=0.6) + [nested(1, 60)]:
+        faces = range(len(embed(g).faces))
+        want = [rooted_demanding(pg) for pg in all_faces(g)]
+        shuffled = list(faces)
+        random.Random(len(shuffled)).shuffle(shuffled)
+        for order in (faces, faces[::-1], shuffled):
+            pg0 = embed(g)
+            for f in order:
+                ds = cycles.demanding_sets(pg0.with_external_face(f))
+                assert (cycle_set(ds.d_set), cycle_set(ds.d_f)) == want[f]
+        r0 = pg0.tables["rooting"].face
+        own_roots += sum(is_reference(pg0.with_external_face(f))
+                         for f in faces if f != r0)
+    assert own_roots > 0
+
+
 def test_a_query_rooted_at_the_default_root_reuses_its_tree_and_colors(
         monkeypatch):
-    """Through load_plane_graph, the first query rooted at the default
-    root r0 builds the spanning tree, the flexible counts and both
-    colorings once, and later queries rooted there build none of them. A
-    query at another face on no separating triangle roots and colors
-    afresh, once each, and leaves the kept rooting at r0."""
+    """Through load_plane_graph, the embedding's first query builds the
+    inclusion tree, the spanning tree, the flexible counts and both
+    colorings once, at the default root r0, and no later query builds any
+    of them: not at faces on a separating triangle, not at r0 and not at
+    face 2, which is on none and once rooted its own tree. Every query
+    reports r0 as its reference face, and the kept rooting stays r0's."""
     calls = Counter()
 
     def counted(name, fn):
@@ -405,27 +506,22 @@ def test_a_query_rooted_at_the_default_root_reuses_its_tree_and_colors(
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("_spanning_tree", "fx_counts", "color_3_extrovert",
-                 "color_3_introvert"):
+    for name in ("inclusion_tree", "_spanning_tree", "fx_counts",
+                 "color_3_extrovert", "color_3_introvert"):
         monkeypatch.setattr(cycles, name, counted(name, getattr(cycles, name)))
     pg0 = embed(nested(1, 60))
     monkeypatch.setattr(graph, "_last", None)
     first = load_plane_graph(plane_text(pg0, 0))
-    cycles.demanding_sets(first)
+    ds = cycles.demanding_sets(first)
     on_cut, r0 = first.tables["default_root"]
-    assert on_cut[0] and r0 == 1
-    once = Counter(_spanning_tree=1, fx_counts=1, color_3_extrovert=1,
-                   color_3_introvert=1)
-    assert calls == once
-    for f in (3, r0, 5):  # two faces on a separating triangle, and r0
-        assert on_cut[f] or f == r0
+    assert on_cut[0] and r0 == 1 and ds.reference_face == r0
+    assert calls == Counter(inclusion_tree=1, _spanning_tree=1, fx_counts=1,
+                            color_3_extrovert=1, color_3_introvert=1)
+    for f in (3, r0, 5, 2):  # two faces on a separating triangle, r0, and 2
+        assert on_cut[f] != (f in (r0, 2))
         calls.clear()
         ds = cycles.demanding_sets(load_plane_graph(plane_text(pg0, f)))
         assert ds.reference_face == r0 and not calls
-    calls.clear()
-    ds = cycles.demanding_sets(load_plane_graph(plane_text(pg0, 2)))
-    assert not on_cut[2] and ds.reference_face == 2
-    assert calls == once
     assert first.tables["rooting"].face == r0
 
 
