@@ -60,8 +60,10 @@ tables, which every with_external_face view shares. The tree and the
 colors belong to the sides away from a root on no separating triangle,
 and a color stays with its path's leg face whichever way the path is
 walked. So r0's records, colored on the embedding's first query, are
-kept there too, shared by every query and not changed again, and each
-query copies them, rebuilding only the pairs that its own face turns.
+kept there too, with r0's D and the cuts each face is on, shared by
+every query and not changed again. A query at face f touches only what
+f changes: the cuts on f's owner chain and those with f as a cut face,
+building just the demanding records that f turns 3-extrovert.
 
 Coloring follows the two-step green-counter formulation and reads each
 record's own contour paths. A child's path on a leg face is a contiguous
@@ -97,6 +99,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, combinations, product
+from operator import attrgetter
 
 from .errors import NotBiconnected, NotTriconnectedCubic
 # embed is unused here, but the benchmark's tests read it as cycles.embed
@@ -513,8 +516,9 @@ class _Rooting:
     face on none of them, as _away_sides builds it: per cut the end of
     cut[0] on its side away from face, its parent (-1 at the root) and
     the cuts in preorder; per face its owner, the smallest side holding
-    it, or -1. records, once demanding_sets has colored at this root, is
-    both records of every cut as the root sees them, colored."""
+    it, or -1. Once demanding_sets has colored at this root, records is
+    both records of every cut as the root sees them, colored, and d_set
+    the root's D, its demanding 3-extrovert records, in id order."""
 
     face: int
     away: list
@@ -522,6 +526,17 @@ class _Rooting:
     parent: list
     preorder: list
     records: list | None = None
+    d_set: list | None = None
+
+
+def _held(rooting, f):
+    """The cuts whose side away from rooting's face holds face f: f's
+    owner and the owner's ancestors, upwards."""
+    held, c = [], rooting.owner[f]
+    while c >= 0:
+        held.append(c)
+        c = rooting.parent[c]
+    return held
 
 
 def _away_sides(pg: PlaneGraph, across, cuts, root):
@@ -606,84 +621,44 @@ def _away_sides(pg: PlaneGraph, across, cuts, root):
 def _reference_face(pg: PlaneGraph, cuts, f0):
     """(reference face, default root) for external face f0: f0 when it is
     on none of `cuts`, the separating triangles dual_triangles(pg) lists,
-    else the default root, the lowest face that is on none. The faces on
-    a cut and the default root are found once per embedding and kept in
-    pg.tables."""
+    else the default root, the lowest face that is on none. The cuts each
+    face is on and the default root are kept per embedding in pg.tables."""
     tables = pg.tables
     if "default_root" not in tables:
-        on_cut = bytearray(len(pg.faces))  # 1 on a face of a cut
-        for _, tri in cuts:
-            for f in tri:
-                on_cut[f] = 1
-        r0 = on_cut.find(0)
-        assert r0 >= 0, "every face lies on a separating triangle"
-        tables["default_root"] = on_cut, r0
-    on_cut, r0 = tables["default_root"]
-    return (r0 if on_cut[f0] else f0), r0
+        at = [()] * len(pg.faces)  # per face, the cuts it is on
+        for c, (_, (f, g, h)) in enumerate(cuts):
+            at[f] += (c,)
+            at[g] += (c,)
+            at[h] += (c,)
+        assert () in at, "every face lies on a separating triangle"
+        tables["default_root"] = at, at.index(())
+    at, r0 = tables["default_root"]
+    return (r0 if at[f0] else f0), r0
 
 
-def _root_records(pg: PlaneGraph):
-    """(records, rooting): both records of every separating cut c of pg,
-    ids 2c and 2c + 1, as pg's external face sees them, and the _Rooting
-    of the cut tree at the reference face _reference_face picks.
-
-    Record 2c is the cycle round the cut's side A away from the reference
-    face and 2c + 1 the cycle round the other side B. Each has the side
-    that does not hold pg's external face inside: record 2c A, or B and
-    the cut faces when the face lies in A; record 2c + 1 B, or A and the
-    cut faces when the face lies in B. Raises NotTriconnectedCubic as
-    inclusion_tree does.
-
-    The rooting at the default root is kept in pg.tables; one at another
-    face on no separating triangle is built afresh and not kept.
-    """
-    across = _class_index(pg)
-    cuts = dual_triangles(pg)
-    walks = _cut_walks(pg, cuts)
-    ext = pg.external_face
-    ref, r0 = _reference_face(pg, cuts, ext)
-    rooting = pg.tables.get("rooting")
-    if rooting is None or rooting.face != ref:
-        rooting = _away_sides(pg, across, cuts, ref)
-        if ref == r0:
-            pg.tables["rooting"] = rooting
-    holds = [False] * len(cuts)  # ext's owner and the owner's ancestors
-    c = rooting.owner[ext]
-    while c >= 0:
-        holds[c] = True
-        c = rooting.parent[c]
-    records = []
-    for (cut, tri), x, in_a in zip(cuts, rooting.away, holds):
-        in_b = not in_a and ext not in tri
-        records += _cut_records(pg, walks, len(records), cut, x, in_a, in_b)
-    return records, rooting
+def _flipped(r):
+    """Colored record r turned inside out: the same cycle, cycle id,
+    colors and demanding flag, the other kind, and its first two paths
+    and colors swapped, as _cut_records builds the other kind."""
+    (f0, f1, f2), (s0, s1, s2), (x, y, z) = r.leg_faces, r.spans, r.colors
+    kind = "introvert" if r.kind == "extrovert" else "extrovert"
+    return CycleRecord(r.cycle_id, kind, (f1, f0, f2), (s1, s0, s2), False,
+                       r.faces, r.phi_partner, (y, x, z), r.demanding)
 
 
-def _turned(pg: PlaneGraph, cuts, walks, rooting, records, f):
-    """(turned, at): a copy of `records`, both colored records of every
-    cut, ids as `rooting` labels them, with the pairs rebuilt that face f
-    turns, and at, the cuts with f as a cut face. A side holding f turns
-    both records of its cut inside out, and a cut with f as a cut face
-    the one round side B, so turning at f is its own inverse: from the
-    root's records to f's and back. A rebuilt record keeps its colors,
-    the first two swapped when its kind changes, as its spans' are."""
-    held, c = [], rooting.owner[f]
-    while c >= 0:
-        held.append(c)
-        c = rooting.parent[c]
-    at = [c for c, (_, tri) in enumerate(cuts) if f in tri]
-    turned = records[:]
-    for k, c in enumerate(held + at):
-        i = 2 * c
-        a, b = records[i], records[i + 1]
-        turned[i:i + 2] = pair = _cut_records(
-            pg, walks, i, cuts[c][0], rooting.away[c],
-            (a.kind == "introvert") != (k < len(held)), b.kind == "extrovert")
-        for r, old in zip(pair, (a, b)):
-            x, y, z = cols = old.colors
-            r.colors = cols if r.kind == old.kind else (y, x, z)
-            r.demanding = old.demanding
-    return turned, at
+def _turned(pg: PlaneGraph):
+    """Both colored records of every separating cut as pg's external face
+    f sees them, ids as at the default root r0: r0's kept records, those
+    that f turns inside out _flipped. f turns both records of each cut on
+    its owner chain, and record 2c + 1 of each cut c with f as a cut face,
+    the one round side B, 3-introvert at r0."""
+    rooting, f = pg.tables["rooting"], pg.external_face
+    records, held = rooting.records[:], _held(rooting, f)
+    for c in held:
+        records[2 * c] = _flipped(records[2 * c])
+    for c in held + list(pg.tables["default_root"][0][f]):
+        records[2 * c + 1] = _flipped(records[2 * c + 1])
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -771,15 +746,44 @@ class InclusionTree:
         return self._depth[cid]
 
 
-def inclusion_tree(pg: PlaneGraph) -> InclusionTree:
+def inclusion_tree(pg: PlaneGraph, own=True) -> InclusionTree:
     """The inclusion tree of pg's 3-cycle records, the one way to them:
     both non-degenerate cycles of each separating cut c of dual_triangles,
-    ids 2c and 2c + 1, phi-linked. It is rooted at reference_face, pg's
-    external face when that is on no separating triangle, else the lowest
-    face on none. Raises NotTriconnectedCubic, naming a witness, unless
-    pg's graph is cubic and triconnected: unless every edge joins its own
-    pair of faces."""
-    return InclusionTree(pg, *_root_records(pg))
+    ids 2c and 2c + 1, phi-linked, as pg's external face sees them. It is
+    rooted at reference_face, pg's external face when that is on no
+    separating triangle, else the lowest face on none, the default root
+    r0. With own False it is r0's tree, on pg's view at r0, whatever pg's
+    face. Raises NotTriconnectedCubic, naming a witness, unless pg's graph
+    is cubic and triconnected: unless every edge joins its own pair of
+    faces.
+
+    Record 2c is the cycle round the cut's side A away from the reference
+    face and 2c + 1 the cycle round the other side B. Each has the side
+    that does not hold pg's external face inside: record 2c A, or B and
+    the cut faces when the face lies in A; record 2c + 1 B, or A and the
+    cut faces when the face lies in B. The rooting at r0 is kept in
+    pg.tables; one at another face on no separating triangle is built
+    afresh and not kept.
+    """
+    across = _class_index(pg)
+    cuts = dual_triangles(pg)
+    walks = _cut_walks(pg, cuts)
+    ref, r0 = _reference_face(pg, cuts, pg.external_face)
+    if not own:
+        pg, ref = pg.with_external_face(r0), r0
+    ext = pg.external_face
+    rooting = pg.tables.get("rooting")
+    if rooting is None or rooting.face != ref:
+        rooting = _away_sides(pg, across, cuts, ref)
+        if ref == r0:
+            pg.tables["rooting"] = rooting
+    held = set(_held(rooting, ext))
+    records = []
+    for c, ((cut, tri), x) in enumerate(zip(cuts, rooting.away)):
+        in_a = c in held
+        records += _cut_records(pg, walks, 2 * c, cut, x, in_a,
+                                not in_a and ext not in tri)
+    return InclusionTree(pg, records, rooting)
 
 
 def fx_counts(tree: InclusionTree):
@@ -902,51 +906,60 @@ def _settle(rec, cols):
 
 @dataclass
 class DemandingSets:
-    # both records of every separating cut as pg's external face sees
-    # them, colored, ids as at r0; shared by the embedding's queries
-    records: list
     d_set: list  # pairwise non-intersecting demanding 3-extrovert cycles
     d_f: list  # members of d_set with the external face as a leg face
     reference_face: int  # the default root
+    pg: PlaneGraph = field(repr=False)  # the query's embedding
+
+    @property
+    def records(self):  # built on request: no query builds them all
+        return _turned(self.pg)
 
 
 def demanding_sets(pg: PlaneGraph) -> DemandingSets:
-    """D(G) and D_f(G) for pg's own embedding.
+    """D(G) and D_f(G) for pg's own embedding, each in id order.
 
     A cycle keeps its coloring in every embedding where it stays
     3-extrovert, and a 3-introvert cycle takes the coloring of the same
     cycle as 3-extrovert in any embedding that turns it inside out. So
-    the embedding's first query colors the records at the default root
-    r0, and every query reads them, turned at its own external face.
-    Demanding cycles that were 3-introvert at r0, the nodes' partners,
-    and share the external face as a leg face pairwise intersect, and
-    drop out of D(G) when there are two or more of them.
+    the embedding's first query builds and colors the records at the
+    default root r0 and keeps them with r0's D, and every query, the
+    first too, reads them at its own external face f. Demanding cycles
+    that were 3-introvert at r0, the nodes' partners, and share f as a
+    leg face pairwise intersect, and drop out of D(G) when there are two
+    or more of them.
 
-    Each query checks the class and lists the cuts once: the first inside
-    inclusion_tree at face 0, which is r0 or lies on a separating
-    triangle, so that its tree is rooted at r0.
+    A query touches only what f changes: the cuts on f's owner chain and
+    those with f as a cut face. D(f) is r0's D less the chain's records,
+    plus the demanding records f turns 3-extrovert, less the dropped
+    ones; only those are built, _flipped from r0's. Each query checks the
+    class and lists the cuts once.
     """
     tables = pg.tables
     rooting = tables.get("rooting")
     if rooting is None or rooting.records is None:
-        tree = inclusion_tree(pg.with_external_face(0))
+        tree = inclusion_tree(pg, own=False)
         fx = fx_counts(tree)
         color_3_extrovert(tree, fx)
         color_3_introvert(tree, fx)
-        cuts, walks = tables["dual_triangles"], tables["cut_walks"]
-        rooting = tree._rooting
-        rooting.records = _turned(pg, cuts, walks, rooting, tree.records,
-                                  0)[0]
+        rooting, records = tree._rooting, tree.records
+        rooting.d_set = [r for r in records[::2] if r.demanding]
+        rooting.records = records
     else:
         _class_index(pg)
-        cuts = dual_triangles(pg)
-        walks = _cut_walks(pg, cuts)
-    records, at = _turned(pg, cuts, walks, rooting, rooting.records,
-                          pg.external_face)
-    i_f = {2 * c + 1 for c in at if records[2 * c + 1].demanding}
-    drop = i_f if len(i_f) >= 2 else ()
-    d_set = [r for r in records if r.demanding and r.kind == "extrovert"
-             and r.cycle_id not in drop]
-    d_f = [r for c in at for r in records[2 * c:2 * c + 2]
-           if r.demanding and r.cycle_id not in drop]
-    return DemandingSets(records, d_set, d_f, rooting.face)
+        dual_triangles(pg)
+    f, kept = pg.external_face, rooting.records
+    held = _held(rooting, f)
+    at = tables["default_root"][0][f]
+    i_f = [c for c in at if kept[2 * c + 1].demanding]
+    turned = {c: _flipped(kept[2 * c + 1])
+              for c in (held + i_f if len(i_f) < 2 else held)
+              if kept[2 * c + 1].demanding}
+    gone = set(held)
+    d_set = [r for r in rooting.d_set if r.cycle_id >> 1 not in gone]
+    if turned:
+        d_set += turned.values()
+        d_set.sort(key=attrgetter("cycle_id"))
+    d_f = [r for c in at for r in (kept[2 * c], turned.get(c))
+           if r is not None and r.demanding]
+    return DemandingSets(d_set, d_f, rooting.face, pg)

@@ -20,7 +20,6 @@ vertex it leaves, but Graph, the graph of every PlaneGraph, rejects them.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from itertools import chain
 
@@ -161,9 +160,9 @@ class PlaneGraph:
 
     tables, empty when the faces are traced, holds what other modules
     derive from the embedding alone, whatever its external face: cycles
-    keeps its class check, separating cuts, their checked walks, and its
-    default root's sides, cut tree and colored records, which every query
-    of the embedding reads and none changes, under its own keys.
+    keeps its class check, separating cuts, their checked walks, the cuts
+    on each face, and its default root's sides, cut tree, colored records
+    and D, which every query reads and none changes, under its own keys.
     with_external_face views share it, as they share the faces and
     face_index, so each such table is built once per embedding.
     Nothing but that filling changes a PlaneGraph once built: its views,
@@ -207,10 +206,11 @@ class PlaneGraph:
     def with_external_face(self, f: int) -> "PlaneGraph":
         """Same embedding, different external face. Face ids are stable.
 
-        The faces are not traced again: the copy shares the faces and
+        The faces are not traced again: the view shares the faces and
         every map with self.
         """
-        other = copy.copy(self)
+        other = object.__new__(PlaneGraph)
+        vars(other).update(vars(self))
         other.external_face = _face_id(self.faces, f)
         return other
 
@@ -316,9 +316,9 @@ def load_graph(text: str) -> Graph:
     return g
 
 
-# The last embedding load_plane_graph built, as (the lines of its text but
-# the external line, joined by newlines; their count; the PlaneGraph); None
-# while a text is parsed. One string, not a list of lines, keeps it small.
+# The last embedding load_plane_graph built, as (its text before its
+# external line, its text after that line, the PlaneGraph); None while a
+# text is parsed and after a text with no external line.
 _last = None
 
 
@@ -328,53 +328,39 @@ def load_plane_graph(text: str) -> PlaneGraph:
     A text without rotation lines gets `embed`'s embedding: the left-right
     planarity test's, identical to networkx's `check_planarity`.
 
-    The last embedding built here is kept. A text whose lines, blank
-    lines and comments aside, are those of the text that built it but for
-    its one external line, which _parse would take, is not parsed again:
-    it gets that embedding's with_external_face view, which shares the
-    faces and every table with the earlier result. Any other text empties
-    the slot before it is parsed, so one embedding at most is kept.
+    The last embedding built from a text with an external line is kept,
+    with the text split round that line. A text that is the same but for
+    one line there that _parse would take as the external line is not
+    split or parsed: it gets the embedding's with_external_face view,
+    which shares the faces and every table with the earlier result, or
+    the ParseError a cold load raises for a face out of range. Any other
+    text empties the slot before it is parsed.
     """
     global _last
-    lines = _lines(text)
     if _last is not None:
-        f = _moved_external(lines, *_last)
-        if f is not None:
-            return _last[2].with_external_face(f)
+        head, tail = _last[0], _last[1]
+        line = text[len(head):len(text) - len(tail)]
+        key, colon, face = line.partition(":")
+        if (text.startswith(head) and text.endswith(tail) and colon
+                and key.split() == ["external"]
+                and line.splitlines() == [line]):
+            try:
+                return _last[2].with_external_face(int(face))
+            except ValueError:  # int's; _face_id raises ParseError
+                pass
         _last = None  # no local name keeps the old embedding alive
+    lines = _lines(text)
     g, rotation, external, at = _parse(lines)
     if rotation is None:
         pg = embed(g, external)
     else:
         pg = PlaneGraph(g, rotation, external)
-    if at is not None:
-        del lines[at]
-    _last = "\n".join(lines), len(lines), pg
+    if at is not None:  # the one raw line that strips to the external line
+        raw = text.splitlines(keepends=True)
+        i = [ln.strip() for ln in raw].index(lines[at])
+        head = "".join(raw[:i])
+        _last = head, text[len(head) + len(raw[i].splitlines()[0]):], pg
     return pg
-
-
-def _moved_external(lines, key, count, pg):
-    """The face that lines' one external line names when the other lines,
-    joined by newlines, are `key`, the `count` lines of pg's text but its
-    external line, and _parse would take the line at pg: its keyword a
-    whole word, after the m edge lines, its face an int naming one of pg's
-    faces; else None. No line holds a newline, so the joined lines are
-    equal exactly when the lines are."""
-    if len(lines) != count + 1:
-        return None
-    for j in range(len(lines) - 1, pg.m, -1):  # most often the last line
-        head, colon, body = lines[j].partition(":")
-        if colon and head.split() == ["external"]:
-            break
-    else:
-        return None
-    if "\n".join(lines[:j] + lines[j + 1:]) != key:
-        return None
-    try:
-        f = int(body)
-    except ValueError:
-        return None
-    return f if 0 <= f < len(pg.faces) else None
 
 
 def _lines(text):

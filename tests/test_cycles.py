@@ -348,14 +348,6 @@ def separating_sides(pg):
     return out
 
 
-def changed_cuts(cuts, r0, f):
-    """How many of separating_sides' cuts have records that turn between
-    the default root r0 and face f: those with f as a cut face, and those
-    whose side away from r0 holds f."""
-    return sum(f in tri or not any({f, r0} <= side for side in sides)
-               for tri, sides in cuts)
-
-
 def default_root(cuts, pg):
     """The lowest face on no separating triangle, by the oracle."""
     return min(set(range(len(pg.faces)))
@@ -366,10 +358,11 @@ def test_demanding_sets_check_the_class_and_root_the_records_once(
         monkeypatch):
     """Per query at every face of CORPUS: one class check. The
     embedding's first query, at face 0, picks the default root r0 once,
-    makes one view, at face 0, and builds two records per separating cut
-    there, turns face 0's changed pairs to r0's and then to its own; every
-    later query picks no face, copies nothing and builds two records per
-    cut that its face changes, and no others."""
+    makes one view, at r0, and builds two records per separating cut
+    there; every query, the first too, then builds one record per member
+    of its D whose inside, flooded at its face, holds r0: the demanding
+    cycles it turns from 3-introvert at r0 to 3-extrovert, and no
+    others."""
     calls = Counter()
 
     def counted(name, fn):
@@ -394,14 +387,14 @@ def test_demanding_sets_check_the_class_and_root_the_records_once(
             calls.clear()
             ds = cycles.demanding_sets(pg)
             assert ds.reference_face == r0
+            built = sum(r0 in inside_by_flood(pg, r) for r in ds.d_set)
             if f == 0:
                 assert calls == Counter(
                     _class_index=1, _reference_face=1, with_external_face=1,
-                    CycleRecord=2 * len(cuts) + 4 * changed_cuts(cuts, r0, 0))
+                    CycleRecord=2 * len(cuts) + built)
             else:
-                assert calls == Counter(
-                    _class_index=1, CycleRecord=2 * changed_cuts(cuts, r0, f))
-                turned += changed_cuts(cuts, r0, f)
+                assert calls == Counter(_class_index=1, CycleRecord=built)
+            turned += built
     assert turned > 0
 
 
@@ -437,8 +430,8 @@ def test_demanding_sets_at_every_face_equal_those_of_a_fresh_load(
                 ds = cycles.demanding_sets(pg0.with_external_face(f))
                 assert (demanding_key(ds), ds.reference_face) == fresh[f]
             assert "cut_walks" in pg0.tables
-            on_cut, r0 = pg0.tables["default_root"]
-            assert pg0.tables["rooting"].face == r0 and not on_cut[r0]
+            at, r0 = pg0.tables["default_root"]
+            assert pg0.tables["rooting"].face == r0 and not at[r0]
 
 
 def rooted_demanding(pg):
@@ -466,15 +459,17 @@ def cycle_set(records):
 
 
 def test_demanding_sets_equal_those_of_a_tree_rooted_at_each_face():
-    """At every face of CORPUS, of more flexible grown graphs and of a
-    nested one, demanding_sets, which reads the default root's colored
-    records turned at the face, gives the D and D_f of rooted_demanding,
+    """At every face of CORPUS, of more flexible grown graphs and of two
+    nested ones, whose owner chains run up to 26 and 96 cuts long,
+    demanding_sets, which reads the default root's colored records and
+    turns those the face changes, gives the D and D_f of rooted_demanding,
     whose tree is rooted at the face itself when that is on no separating
     triangle. The views of one embedding are queried in ascending,
     descending and shuffled face order, so each face is met both before
     and after the others have turned the shared records."""
     own_roots = 0
-    for g in CORPUS + grown(13, 8, 6, flex_prob=0.6) + [nested(1, 60)]:
+    for g in CORPUS + grown(13, 8, 6, flex_prob=0.6) + [nested(1, 60),
+                                                          nested(2, 200)]:
         faces = range(len(embed(g).faces))
         want = [rooted_demanding(pg) for pg in all_faces(g)]
         shuffled = list(faces)
@@ -513,12 +508,12 @@ def test_a_query_rooted_at_the_default_root_reuses_its_tree_and_colors(
     monkeypatch.setattr(graph, "_last", None)
     first = load_plane_graph(plane_text(pg0, 0))
     ds = cycles.demanding_sets(first)
-    on_cut, r0 = first.tables["default_root"]
-    assert on_cut[0] and r0 == 1 and ds.reference_face == r0
+    at, r0 = first.tables["default_root"]
+    assert at[0] and r0 == 1 and ds.reference_face == r0
     assert calls == Counter(inclusion_tree=1, _spanning_tree=1, fx_counts=1,
                             color_3_extrovert=1, color_3_introvert=1)
     for f in (3, r0, 5, 2):  # two faces on a separating triangle, r0, and 2
-        assert on_cut[f] != (f in (r0, 2))
+        assert bool(at[f]) != (f in (r0, 2))
         calls.clear()
         ds = cycles.demanding_sets(load_plane_graph(plane_text(pg0, f)))
         assert ds.reference_face == r0 and not calls
@@ -529,9 +524,9 @@ def test_a_query_rooted_at_the_default_root_reuses_its_tree_and_colors(
 def test_every_face_of_one_text_traces_and_walks_once(monkeypatch,
                                                      with_rotation):
     """Solving every face of one text in turn, through load_plane_graph
-    and demanding_sets, traces the faces once and walks each separating
-    cut once, while each query still lists the cuts and checks the
-    class."""
+    and demanding_sets, traces the faces once, splits the text into lines
+    once and walks each separating cut once, while each query still lists
+    the cuts and checks the class."""
     calls = Counter()
 
     def counted(module, name):
@@ -550,13 +545,14 @@ def test_every_face_of_one_text_traces_and_walks_once(monkeypatch,
     assert separating > 0
     monkeypatch.setattr(graph, "_last", None)
     counted(graph, "trace_faces")
+    counted(graph, "_lines")
     for name in ("_cut_arcs", "dual_triangles", "_class_index"):
         counted(cycles, name)
     for f, text in enumerate(texts):
         pg = load_plane_graph(text)
         assert pg.external_face == f
         cycles.demanding_sets(pg)
-    assert calls == Counter(trace_faces=1, _cut_arcs=separating,
+    assert calls == Counter(trace_faces=1, _lines=1, _cut_arcs=separating,
                             dual_triangles=len(texts),
                             _class_index=len(texts))
 

@@ -422,16 +422,18 @@ def reflexed(i):
 
 
 def test_a_text_that_moves_only_the_external_face_reuses_the_embedding():
-    """After BASE, a text with another external line, comments or blank
-    lines, or its external line among the rotation lines, is not parsed:
-    it gets the kept embedding's faces and tables. A changed edge line,
-    or no external line, is parsed afresh."""
+    """After BASE, a text that is BASE but for another external line in
+    the same place is not parsed: it gets the kept embedding's faces and
+    tables. Any other text is parsed afresh: one with comments or blank
+    lines added, its external line moved among the rotation lines, a
+    changed edge line or no external line."""
     hits = [plane_text(BASE_PG, f) for f in range(len(BASE_PG.faces))]
-    hits += ["# a comment\n\n" + BASE.replace("\n", "\n  \n", 3),
-             base_with(ROTATION_LINE, len(BASE_LINES), ["external: 4\n"]
-                       + BASE_LINES[ROTATION_LINE:-1]),
-             base_with(-1, len(BASE_LINES), ["external:   +2  \n"])]
-    misses = [plane_text(BASE_PG), reflexed(1)]
+    hits += [base_with(-1, len(BASE_LINES), ["external:   +2  \n"]),
+             base_with(-1, len(BASE_LINES), ["\t external : 3\n"])]
+    misses = [plane_text(BASE_PG), reflexed(1),
+              "# a comment\n\n" + BASE.replace("\n", "\n  \n", 3),
+              base_with(ROTATION_LINE, len(BASE_LINES), ["external: 4\n"]
+                        + BASE_LINES[ROTATION_LINE:-1])]
     for text in hits + misses:
         pg = load_plane_graph(BASE)
         got = load_plane_graph(text)
@@ -463,6 +465,18 @@ def test_a_text_that_moves_only_the_external_face_reuses_the_embedding():
         + " ".join(map(str, BASE_PG.rotation[2][::-1])) + "\n"]),
     "rotation-dropped": base_with(ROTATION_LINE, ROTATION_LINE + 1, []),
     "no-external": plane_text(BASE_PG),
+    "crlf": BASE.replace("\n", "\r\n"),
+    "crlf-external": base_with(-1, len(BASE_LINES), ["external: 2\r\n"]),
+    "no-final-newline": BASE[:-1],
+    "no-final-newline-moved": base_with(-1, len(BASE_LINES), ["external: 2"]),
+    "comment-after-external": BASE + "# external: 3\n",
+    "trailing-spaces": base_with(-1, len(BASE_LINES), ["external: 2   \n"]),
+    "two-externals-in-place": base_with(-1, len(BASE_LINES), [
+        "external: 2\n", "external: 3\n"]),
+    "two-externals-by-cr": base_with(-1, len(BASE_LINES), [
+        "external: 2\rexternal: 3\n"]),
+    "external-split-by-cr": base_with(-1, len(BASE_LINES), [
+        "external:\r2\n"]),
 }.items()])
 def test_a_text_loads_after_base_as_it_loads_cold(text):
     """Whatever text follows BASE, load_plane_graph gives what it gives
