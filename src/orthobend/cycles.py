@@ -7,15 +7,10 @@ graph, the three legs of a 3-extrovert or 3-introvert cycle form a
 three distinct faces. Detection therefore enumerates dual triangles; no
 simple-cycle enumeration happens in production code (the brute-force
 route lives in the oracle module and is only used to cross-check this
-one). One enumerator, _dual_cycles, lists the dual 2- and 3-cycles in
-one pass for extrovert_cycles, on a wider class where two faces may
-share more than one edge: each face maps its neighbours to the edges
-joining them, and each joined pair f < g closes with every face h > g
-in the smaller of their two maps, once per choice of joining edges. In
-the class of inclusion_tree one edge joins each pair of adjacent faces,
-and dual_triangles walks the same maps, each neighbour to its one edge,
-in the same order, listing a triangle only when its cut edges share no
-vertex.
+one). In the class of inclusion_tree one edge joins each pair of
+adjacent faces: dual_triangles maps each face's neighbours to that edge,
+closes each joined pair f < g with every face h > g in the smaller of
+their two maps, and lists a triangle when its cut edges share no vertex.
 
 A record is its cut and its contour, with its inside on the left of the
 contour; it keeps no face set. The sides of the separating cuts away from
@@ -74,31 +69,25 @@ the boundaries, so a path's count is a difference across its span and no
 dart is walked.
 
 extrovert_cycles serves the no-bend drawing alone, on a wider class: any
-biconnected plane 3-graph, chains of degree-2 vertices included, so the
-dual may have parallel edges. Each 2- or 3-edge-cut is a dual 2- or
-3-cycle over distinct faces, and one pass of _dual_cycles lists both;
-the same walk gives the cycle next to each of its sides. A cycle is
-extrovert when its side misses the external face: when that face is a
-cut face, or when the side is the one _below the cut in a spanning tree
-rooted on the external face, so no side is flooded. An extrovert cycle
-becomes a CycleRecord built as the 3-cycle records are, with its legs,
-leg vertices, leg faces and contour paths; its k is len(legs). The
+biconnected plane 3-graph, chains of degree-2 vertices included, where
+two faces may share several edges. _joins maps each face's neighbours to
+where the edges joining them lie on its boundary, and two_cuts and
+_dual_sides read it. Two edges form a cut exactly when they join the
+same two faces, so each face pair joined by two or more edges is one
+cycle of the cactus of 2-edge-cuts (Dinits, Karzanov and Lomonosov,
+1976): the real edges of one S-node of the SPQR tree, which two_cuts
+groups. _dual_sides lists the sides of the 2- and 3-edge-cuts whose
+contours repeat no edge, O(m) of them, and each extrovert one that is a
+simple cycle becomes a CycleRecord built as the 3-cycle records are. The
 demanding path never calls it.
-
-two_cuts reads the 2-edge-cuts of a biconnected plane 3-graph off the
-dual too. Every edge lies on two faces, and two edges form a cut exactly
-when they join the same pair of faces, so each face pair joined by two or
-more edges is one cycle of the cactus of 2-edge-cuts (Dinits, Karzanov
-and Lomonosov, 1976): the real edges of one S-node of the SPQR tree, in
-the order either face's boundary meets them. One pass over face_index
-groups them, and the class check names its witness from the first group.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, combinations, product
+from itertools import accumulate, chain, product
 from operator import attrgetter
 
 from .errors import NotBiconnected, NotTriconnectedCubic
@@ -212,71 +201,97 @@ def _class_witness(pg: PlaneGraph):
     raise AssertionError("no witness outside the class")
 
 
+def _joins(pg: PlaneGraph):
+    """Per face f, each neighbour g -> the positions on f's boundary of
+    the edges joining f and g, in walk order. Raises NotBiconnected on a
+    bridge, an edge with one face on both sides."""
+    joins = [{} for _ in pg.faces]
+    for f, nbrs in enumerate(pg.face_index):
+        for p, g in enumerate(nbrs):
+            if g == f:
+                raise NotBiconnected(f"edge {pg.faces[f].eids[p]} is a bridge")
+            joins[f].setdefault(g, []).append(p)
+    return joins
+
+
 def two_cuts(pg: PlaneGraph):
     """The 2-edge-cuts of pg, grouped by the faces they join: per face pair
     (f, g), f < g, joined by two or more edges, those edges in the order
     f's boundary walk meets them. Any two edges of one group form a cut,
     and no other pair does. Raises NotBiconnected on a bridge, an edge
     with one face on both sides."""
-    groups = {}
-    for f, nbrs in enumerate(pg.face_index):
-        for g, e in zip(nbrs, pg.faces[f].eids):
-            if g > f:
-                groups.setdefault((f, g), []).append(e)
-            elif g == f:
-                raise NotBiconnected(f"edge {e} is a bridge")
-    return {fg: es for fg, es in groups.items() if len(es) >= 2}
+    return {(f, g): [pg.faces[f].eids[p] for p in ps]
+            for f, at_f in enumerate(_joins(pg))
+            for g, ps in at_f.items() if g > f and len(ps) >= 2}
 
 
-def _dual_cycles(pg: PlaneGraph):
-    """The 2- and 3-edge-cuts of pg, each once, as (cut_edges, cut_faces):
-    the dual 2- and 3-cycles over distinct faces, by their smallest face,
-    the faces in increasing order, the 2-cycles over f and g before the
-    triangles over them. A 2-cycle over faces (f, g) is two of the edges
-    joining them, and a triangle over (f, g, h) is (f|g, g|h, h|f), one
-    per choice of the edges joining each pair.
+def _dual_sides(pg: PlaneGraph):
+    """The sides of pg's 2- and 3-edge-cuts whose contours repeat no edge,
+    every side that a simple cycle with every cut edge a leg can bound
+    among them, as (cut, cut_faces, x), x the end of cut[0] on the side,
+    by smallest cut face. Raises NotBiconnected on a bridge.
 
-    Each face maps its neighbours to the edges joining them, in increasing
-    order, and h ranges over the smaller map of f and g. Raises
-    NotBiconnected when an edge has one face on both sides."""
-    joins = [{} for _ in pg.faces]  # per face: neighbour -> joining edges
-    for e in range(pg.m):
-        f, g = pg.faces_of_edge(e)
-        if f == g:
-            raise NotBiconnected(f"edge {e} is a bridge")
-        fg = joins[f].get(g)
-        if fg is None:
-            joins[f][g] = joins[g][f] = [e]  # one list for both ends
-        else:
-            fg.append(e)
-    found = []
+    A non-cut edge joining two cut faces lies on both faces' arcs facing
+    its side, and that side's contour repeats it. So a side's arc on
+    a cut face runs from a cut edge to the next edge joining that face to
+    another cut face: in a group of edges joining f and g, from each to
+    the next along f. In a dual triangle f < g < h the joins of f to h lie
+    between two successive joins of f to g, and the other way round, so
+    each turning has one arc on f that can start a side, after the last
+    join to g before those to h or to h before those to g.
+    """
+    joins, tails, sides = _joins(pg), pg.graph.ends, []
     for f, at_f in enumerate(joins):
+        es, darts = pg.faces[f].eids, pg.faces[f].darts
         for g, fg in at_f.items():
             if g < f:
                 continue
-            found += [(cut, (f, g)) for cut in combinations(fg, 2)]
+            if len(fg) > 1:
+                sides += [((es[p], es[q]), (f, g), tails[darts[p] ^ 1])
+                          for p, q in zip(fg, fg[1:] + fg[:1])]
             at_g = joins[g]
             small, big = ((at_f, at_g) if len(at_f) < len(at_g)
                           else (at_g, at_f))
             for h in small:
                 if h > g and h in big:
-                    tri = (f, g, h)
-                    for cut in product(fg, at_g[h], at_f[h]):
-                        found.append((cut, tri))
-    return found
+                    fh = at_f[h]  # one turning each: g to h, h to g
+                    for p in (fg[bisect(fg, fh[0]) - 1],
+                              fh[bisect(fh, fg[0]) - 1]):
+                        if side := _side(pg, joins, (f, g, h), darts[p]):
+                            sides.append(side)
+    return sides
+
+
+def _side(pg: PlaneGraph, joins, tri, start):
+    """(cut, tri, x) for the side of dual triangle tri whose arc on the
+    face of dart `start` runs from it to the next edge joining that face
+    to another of tri, and so on across each such edge, the cut; x is the
+    head of start. None unless the arcs close after three faces."""
+    faces, face, pos = pg.faces, pg.dart_face, pg.dart_pos
+    cut, d = [], start
+    for _ in tri:
+        f, p = face[d], pos[d]
+        nearest = []
+        for g in tri:
+            if g != f:
+                at = joins[f][g]
+                q = at[bisect(at, p) % len(at)]
+                nearest.append(((q - p - 1) % len(faces[f]), q))
+        cut.append(d >> 1)
+        d = faces[f].darts[min(nearest)[1]] ^ 1
+    if d == start:
+        return tuple(cut), tri, pg.graph.ends[start ^ 1]
 
 
 def dual_triangles(pg: PlaneGraph):
     """The separating 3-edge-cuts of a pg in the class of inclusion_tree
     as (cut_edges, cut_faces), each once, by their smallest face: the dual
-    triangles of _dual_cycles whose cut edges l1 (f|g) and l2 (g|h) do not
-    meet, in the same order.
+    triangles f < g < h, cut edges l1 f|g, l2 g|h and l3 h|f, whose l1 and
+    l2 do not meet.
 
     The other dual triangles are facial, one round each vertex: there l1
     and l2 meet at the vertex, as the third edge there joins h|f, and no
-    two cut edges of a separating triangle meet. In the class one edge
-    joins each pair of adjacent faces, so each face maps its neighbours to
-    that edge, and a triangle is tested before it is listed.
+    two cut edges of a separating triangle meet.
 
     The list does not depend on the external face, so it is built once
     per embedding and kept in pg.tables, which every with_external_face
@@ -315,14 +330,15 @@ def _between(seq, i, j):
 
 def _cut_arcs(pg: PlaneGraph, cut, x):
     """The arcs facing the side of x, an end of cut[0], as spans (face, i,
-    j) in walk order; None when the walk of the cut faces does not close.
+    j) in walk order.
 
     Each cut face holds two cut edges, at positions i and j of its
     boundary, and the arcs strictly between them face the cut's two
     sides. The arcs facing x's side chain head to tail from the dart of
     cut[0] that ends at x, each walked with its face on the left; the arcs
-    facing the other side are _far_arcs of them. The dart tables give each
-    cut edge's dart on a face, and its position there.
+    facing the other side are the rest of the same faces' boundaries, in
+    reverse order. The dart tables give each cut edge's dart on a face,
+    and its position there.
     """
     face, pos = pg.dart_face, pg.dart_pos
     e = cut[0]
@@ -338,16 +354,8 @@ def _cut_arcs(pg: PlaneGraph, cut, x):
             raise AssertionError(f"cut face {f} holds one cut edge")
         spans.append((f, pos[d], pos[dc]))
         e, d = c, dc ^ 1
-    if d != start:
-        return None
+    assert d == start, "cut faces close no walk"
     return tuple(spans)
-
-
-def _far_arcs(spans):
-    """The arcs facing the other side of the cut whose arcs facing one
-    side are `spans`: the same faces in reverse order, each arc the rest
-    of its face's boundary between the same two cut edges."""
-    return tuple([(f, j, i) for f, i, j in reversed(spans)])
 
 
 def _cycle_vertices(pg: PlaneGraph, cut, spans):
@@ -410,7 +418,6 @@ def _cut_walks(pg: PlaneGraph, cuts):
     walks = []
     for cut, _ in cuts:
         near = _cut_arcs(pg, cut, ends[cut[0]][0])
-        assert near, "cut faces close no walk"
         walked_a, walked_b, low_a, low_b = [], [], [], []
         for f, j, k in near:  # _between, inline on this hot path
             face = faces[f]
@@ -434,9 +441,8 @@ def _cut_walks(pg: PlaneGraph, cuts):
             u, v = ends[c]
             assert (u in side_a) != (v in side_a), f"edge {c} is no leg of A"
             assert (u in side_b) != (v in side_b), f"edge {c} is no leg of B"
-        low_b.reverse()
-        for spans, low in ((near, low_a), (_far_arcs(near), low_b)):
-            spans, low = spans[::-1], low[::-1]  # walked backwards
+        back_b = tuple([(f, k, j) for f, j, k in near])  # B's, backwards
+        for spans, low in ((near[::-1], low_a[::-1]), (back_b, low_b)):
             k = low.index(min(low)) + 1
             walks.append(spans[k:] + spans[:k])
     tables["cut_walks"] = walks
@@ -671,34 +677,26 @@ def extrovert_cycles(pg: PlaneGraph):
     len(legs).
 
     pg may be any biconnected plane 3-graph; an edge with one face on both
-    sides, a bridge, raises NotBiconnected. Each side of a k-edge-cut, k =
-    2 or 3, is bounded by the cycle the cut faces' arcs facing it chain,
-    when that is a simple cycle with every cut edge a leg, and the cycle
-    is k-extrovert when its side does not hold the external face: when
-    the external face is a cut face, or the side is the one _below the cut
-    in a spanning tree rooted on the external face. A 3-extrovert cycle is
-    degenerate when its legs meet in one vertex off it. A k-extrovert
-    cycle's legs are its cut, and each cut is listed once, so no cycle
-    comes twice.
+    sides, a bridge, raises NotBiconnected. Each side of a k-edge-cut that
+    _dual_sides lists, k = 2 or 3, is bounded by the cycle the cut faces'
+    arcs facing it chain, when that is a simple cycle with every cut edge
+    a leg. The cycle is k-extrovert when its side does not hold the
+    external face: when that face is a cut face, or the side is the one
+    _below the cut in a spanning tree rooted on the external face, so no
+    side is flooded. A 3-extrovert cycle is degenerate when its legs meet
+    in one vertex off it. Each side is listed once, so no cycle comes
+    twice.
     """
     ends = pg.graph.edges
-    cuts = _dual_cycles(pg)
-    if not cuts:  # no tree then: a lone vertex's one face has no walk
+    sides = _dual_sides(pg)
+    if not sides:  # no tree then: a lone vertex's one face has no walk
         return []
     ext = pg.external_face
     tree = _spanning_tree(pg, pg.faces[ext].tails[0])
     found = []
-    for cut, faces in cuts:
-        x = ends[cut[0]][0]
-        near = _cut_arcs(pg, cut, x)
-        if near is None:
-            continue
-        if ext in faces:
-            sides = near, _far_arcs(near)
-        else:
-            sides = (near if _below(tree, ends, cut, x)
-                     else _far_arcs(near)),
-        for spans in sides:
+    for cut, faces, x in sides:
+        if ext in faces or _below(tree, ends, cut, x):
+            spans = _cut_arcs(pg, cut, x)
             vertices = _cycle_vertices(pg, cut, spans)
             if vertices is not None:
                 far = {v for e in cut for v in ends[e] if v not in vertices}

@@ -6,10 +6,10 @@ least two and (iii) every 3-extrovert cycle at least one. Good graphs are
 exactly the ones drawable with zero bends (Rahman, Nishizeki and Naznin,
 JGAA 2003), and this module produces such a representation once four
 degree-2 external vertices are designated as corners. check_good reads
-the 2- and 3-extrovert cycles from one call of cycles.extrovert_cycles,
-which takes any biconnected plane 3-graph, chains of degree-2 vertices
-included, and lists both kinds in one pass; a cycle's k is its number
-of legs.
+the 2- and 3-extrovert cycles, a cycle's k its number of legs, from one
+call of cycles.extrovert_cycles on any biconnected plane 3-graph, chains
+of degree-2 vertices included, which lists O(m) cut sides, those whose
+contours repeat no edge.
 
 With no bend, a representation is only an angle per corner, so
 no_bend_rep solves one feasibility flow over the whole graph: Tamassia's

@@ -284,17 +284,28 @@ def test_separating_cuts_and_facial_cycles_match_the_oracle():
                 assert production_keys(facial) == oracle_keys(want)
 
 
-def test_dual_triangles_are_the_dual_cycles_whose_l1_and_l2_do_not_meet():
-    """dual_triangles lists what _dual_cycles lists, less the triangles
-    whose first two cut edges meet, in the same order: at every face of
-    CORPUS and on NESTED."""
+def test_dual_triangles_list_each_separating_cut_once_by_its_smallest_face():
+    """dual_triangles lists each separating dual triangle of the brute
+    search, the ones whose cut edges share no vertex, once, as (l1, l2,
+    l3) over faces f < g < h with l1 f|g, l2 g|h and l3 h|f, in order of
+    f: at every face of CORPUS and on NESTED."""
+    seen = 0
     for pg in [pg for g in CORPUS for pg in all_faces(g)] \
             + [embed(g) for g in NESTED]:
-        ends = pg.graph.edges
-        want = [(cut, tri) for cut, tri in cycles._dual_cycles(pg)
-                if len(cut) == 3
-                and not set(ends[cut[0]]) & set(ends[cut[1]])]
-        assert cycles.dual_triangles(pg) == want
+        got = cycles.dual_triangles(pg)
+        want = {frozenset(cut) for cut, _ in oracle.all_dual_triangles(pg)
+                if oracle.facial_apex(pg, cut) is None}
+        seen += len(want)
+        cuts = [frozenset(cut) for cut, _ in got]
+        assert len(cuts) == len(want) and set(cuts) == want
+        for (l1, l2, l3), (f, g, h) in got:
+            assert f < g < h
+            assert set(pg.faces_of_edge(l1)) == {f, g}
+            assert set(pg.faces_of_edge(l2)) == {g, h}
+            assert set(pg.faces_of_edge(l3)) == {h, f}
+        smallest = [f for _, (f, _, _) in got]
+        assert smallest == sorted(smallest)
+    assert seen > 500
 
 
 def test_demanding_sets_build_no_facial_record(monkeypatch):

@@ -14,13 +14,13 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
-from orthobend import nobend, oracle
+from orthobend import cycles, nobend, oracle
 from orthobend.cycles import extrovert_cycles
 from orthobend.errors import Infeasible, NotBiconnected, NotGood
 from orthobend.graph import Graph, PlaneGraph, embed
 from orthobend.orthorep import rectilinear_image, subdivide_plane, validate
 
-from corpus import cube, grown, inside_by_flood, nested
+from corpus import cube, grown, inside_by_flood, nested, prism
 
 SMALL = [Graph(g.n, g.edges) for g in grown(7, 20) if g.n <= 16]
 
@@ -41,6 +41,20 @@ def subdivisions():
             counts = {e: rng.randint(1, 2) for e in range(pg.m)
                       if rng.random() < 0.6}
             out.append(subdivide_plane(pg, counts)[0])
+    return out
+
+
+def chains(count):
+    """Each face of the first `count` graphs of SMALL with face 0's first
+    edge split 4 times, so that five edges join two faces, and with its
+    first two edges split 3 times each, which puts two pairs of faces
+    joined by four edges in one dual triangle."""
+    out = []
+    for g in SMALL[:count]:
+        for pg in every_face(g):
+            es = pg.faces[0].eids
+            out.append(subdivide_plane(pg, {es[0]: 4})[0])
+            out.append(subdivide_plane(pg, {es[0]: 3, es[1]: 3})[0])
     return out
 
 
@@ -98,10 +112,11 @@ def drawn():
 def test_extrovert_cycles_match_the_oracle(drawn):
     """By edges, legs, inside faces, contour paths with their leg faces and
     leg vertices, degeneracy and kind, each cycle once, for k = 2 and 3:
-    at every face of SMALL, on a random subdivision of each, and on the
-    rectilinear image of each flow optimum."""
+    at every face of SMALL, on a random subdivision of each, on long
+    chains at every face of the first few, and on the rectilinear image
+    of each flow optimum."""
     cases = [pg for g in SMALL for pg in every_face(g)]
-    cases += subdivisions()
+    cases += subdivisions() + chains(4)
     cases += [good.plane for good, _ in drawn]
     assert len(cases) > 300
     seen = {2: 0, 3: 0}
@@ -119,6 +134,36 @@ def test_extrovert_cycles_match_the_oracle(drawn):
         for k in (2, 3):
             seen[k] += want[k].total()
     assert min(seen.values()) > 100
+
+
+def split_prism(edges, times):
+    """The prism with the first `edges` edges of its external face split
+    `times` times each."""
+    pg = embed(prism())
+    es = pg.faces[pg.external_face].eids[:edges]
+    return subdivide_plane(pg, dict.fromkeys(es, times))[0]
+
+
+@pytest.mark.parametrize("edges, condition", [(1, "ii"), (2, "iii")])
+def test_check_good_walks_at_most_2m_sides_on_long_chains(monkeypatch, edges,
+                                                          condition):
+    """On the prism with one external edge split 400 times, and with two
+    split 400 times each, at most 2m cut sides are listed and at most 2m
+    cycles walked. Listing every pair of the edges that join two faces
+    lists 80,200 pairs on the first and walks 162,010 cycles."""
+    pg = split_prism(edges, 400)
+    sides = cycles._dual_sides(pg)
+    walked = []
+    walk = cycles._cycle_vertices
+
+    def counted(*args):
+        walked.append(1)
+        return walk(*args)
+
+    monkeypatch.setattr(cycles, "_cycle_vertices", counted)
+    assert nobend.check_good(pg).condition == condition
+    assert len(sides) <= 2 * pg.m
+    assert 0 < len(walked) <= 2 * pg.m
 
 
 def test_extrovert_cycles_take_two_or_three_legs():

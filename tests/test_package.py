@@ -137,3 +137,25 @@ def test_every_public_function_is_called_somewhere():
     assert methods
     uncalled = {q for q in methods if q.split(".")[2] not in attrs}
     assert uncalled == set(UNCALLED_METHODS)
+
+
+def test_every_private_function_is_named_in_the_package():
+    """Every private module-level function and private method of the
+    package is named in the package beyond its own definition: one that
+    only the tests name is dead code kept alive for them."""
+    named, private = set(), set()
+    for path in Path(orthobend.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+        for node in tree.body:
+            body = node.body if isinstance(node, ast.ClassDef) else [node]
+            private |= {(path.stem, d.name) for d in body
+                        if isinstance(d, ast.FunctionDef)
+                        and d.name.startswith("_")
+                        and not d.name.endswith("__")}
+    assert len(private) > 20
+    assert {f"{mod}.{fn}" for mod, fn in private if fn not in named} == set()
