@@ -48,17 +48,19 @@ faces, both sides are the insides of two 3-extrovert twins.
 
 Moving the external face never changes which cycles and legs exist, only
 which side of each cycle is its inside: the side that does not hold the
-external face. So the class check, the separating cuts, their checked
-walks and the default root r0, the lowest face on no separating
-triangle, are built once per embedding and kept in its PlaneGraph's
-tables, which every with_external_face view shares. The tree and the
-colors belong to the sides away from a root on no separating triangle,
-and a color stays with its path's leg face whichever way the path is
-walked. So r0's records, colored on the embedding's first query, are
-kept there too, with r0's D and the cuts each face is on, shared by
-every query and not changed again. A query at face f touches only what
-f changes: the cuts on f's owner chain and those with f as a cut face,
-building just the demanding records that f turns 3-extrovert.
+external face. So the separating cuts, listed once the class check
+passes, their checked walks, the cuts each face is on and the default
+root r0, the lowest face on no separating triangle, are built once per
+embedding and kept in its PlaneGraph's tables, which every
+with_external_face view shares. The tree and the colors belong to the
+sides away from a root on no separating triangle, and a color stays with
+its path's leg face whichever way the path is walked. So the
+embedding's first query colors r0's tree and keeps its owners, cut
+parents, colored records and D there too, as plain lists shared by every
+query and not changed again; they hold no PlaneGraph, so a view and the
+tables it shares make no reference cycle. A query at face f touches only
+what f changes: the cuts on f's owner chain and those with f as a cut
+face, building just the demanding records that f turns 3-extrovert.
 
 Coloring follows the two-step green-counter formulation and reads each
 record's own contour paths. A child's path on a leg face is a contiguous
@@ -169,22 +171,6 @@ class CycleRecord:
                      for f, i, _ in self.spans)
 
 
-def _class_index(pg: PlaneGraph):
-    """pg.face_index; NotTriconnectedCubic, naming a witness, outside the
-    class of inclusion_tree: triconnected cubic graphs. A pass is kept in
-    pg.tables; a graph outside is refused again on every query."""
-    across = pg.face_index
-    if "in_class" in pg.tables:
-        return across
-    if not pg.graph.is_cubic() or any(f in nbrs or len(set(nbrs)) < len(nbrs)
-                                      for f, nbrs in enumerate(across)):
-        raise NotTriconnectedCubic(
-            "3-cycle records need a triconnected cubic graph: "
-            + _class_witness(pg))
-    pg.tables["in_class"] = True
-    return across
-
-
 def _class_witness(pg: PlaneGraph):
     """Why pg is outside the class of inclusion_tree: a vertex whose
     degree is not 3, a bridge, which has one face on both sides, or two
@@ -293,17 +279,27 @@ def dual_triangles(pg: PlaneGraph):
     and l2 meet at the vertex, as the third edge there joins h|f, and no
     two cut edges of a separating triangle meet.
 
-    The list does not depend on the external face, so it is built once
-    per embedding and kept in pg.tables, which every with_external_face
-    view shares; callers must not change it.
+    Raises NotTriconnectedCubic, naming a witness, outside the class of
+    inclusion_tree, the triconnected cubic graphs: unless every vertex has
+    degree 3 and every edge joins its own pair of faces. The list does not
+    depend on the external face, so it is built once per embedding and
+    kept in pg.tables, which every with_external_face view shares; callers
+    must not change it. A graph outside the class keeps nothing, and is
+    refused again on every call.
     """
     tables = pg.tables
     if "dual_triangles" in tables:
         return tables["dual_triangles"]
     ends, darts = pg.graph.edges, iter(pg.dart_face)
     joins = [{} for _ in pg.faces]  # per face: neighbour -> joining edge
+    in_class = pg.graph.is_cubic()
     for e, (f, g) in enumerate(zip(darts, darts)):
+        in_class = in_class and f != g and g not in joins[f]
         joins[f][g] = joins[g][f] = e
+    if not in_class:
+        raise NotTriconnectedCubic(
+            "3-cycle records need a triconnected cubic graph: "
+            + _class_witness(pg))
     found = []
     for f, at_f in enumerate(joins):
         for g, l1 in at_f.items():
@@ -516,37 +512,21 @@ def _below(tree, edges, cut, x):
     return odd
 
 
-@dataclass(eq=False, slots=True)
-class _Rooting:
-    """The cut tree of an embedding's separating cuts rooted at `face`, a
-    face on none of them, as _away_sides builds it: per cut the end of
-    cut[0] on its side away from face, its parent (-1 at the root) and
-    the cuts in preorder; per face its owner, the smallest side holding
-    it, or -1. Once demanding_sets has colored at this root, records is
-    both records of every cut as the root sees them, colored, and d_set
-    the root's D, its demanding 3-extrovert records, in id order."""
-
-    face: int
-    away: list
-    owner: list
-    parent: list
-    preorder: list
-    records: list | None = None
-    d_set: list | None = None
-
-
-def _held(rooting, f):
-    """The cuts whose side away from rooting's face holds face f: f's
-    owner and the owner's ancestors, upwards."""
-    held, c = [], rooting.owner[f]
+def _held(owner, parent, f):
+    """The cuts whose side away from the root holds face f, in a cut tree
+    _away_sides builds: f's owner and the owner's ancestors, upwards."""
+    held, c = [], owner[f]
     while c >= 0:
         held.append(c)
-        c = rooting.parent[c]
+        c = parent[c]
     return held
 
 
-def _away_sides(pg: PlaneGraph, across, cuts, root):
-    """The _Rooting of `cuts` at face `root`.
+def _away_sides(pg: PlaneGraph, cuts, root):
+    """The cut tree of `cuts` rooted at face `root`, a face on none of
+    them, as (away, owner, parent, preorder): per cut the end of cut[0] on
+    its side away from root, its parent cut (-1 at the root) and the cuts
+    in preorder; per face its owner, the smallest side holding it, or -1.
 
     A side holds the vertices _below its cut in a spanning tree rooted on
     face root, and S such vertices bound (S - 1) / 2 faces. One pass per
@@ -557,7 +537,7 @@ def _away_sides(pg: PlaneGraph, across, cuts, root):
     faces, so each face is expanded once and owned by the smallest side
     holding it.
     """
-    edges, face = pg.graph.edges, pg.dart_face
+    edges, face, across = pg.graph.edges, pg.dart_face, pg.face_index
     pre, size, up = _spanning_tree(pg, pg.faces[root].tails[0])
     count, away, tops = [], [], []
     for cut, _ in cuts:
@@ -621,14 +601,14 @@ def _away_sides(pg: PlaneGraph, across, cuts, root):
         c = stack.pop()
         preorder.append(c)
         stack += kids[c]
-    return _Rooting(root, away, owner, parent, preorder)
+    return away, owner, parent, preorder
 
 
-def _reference_face(pg: PlaneGraph, cuts, f0):
-    """(reference face, default root) for external face f0: f0 when it is
-    on none of `cuts`, the separating triangles dual_triangles(pg) lists,
-    else the default root, the lowest face that is on none. The cuts each
-    face is on and the default root are kept per embedding in pg.tables."""
+def _default_root(pg: PlaneGraph, cuts):
+    """(the cuts each face is on, r0) for `cuts`, the separating
+    triangles dual_triangles(pg) lists: r0, the default root, is the
+    lowest face that is on none. Both are kept per embedding in
+    pg.tables."""
     tables = pg.tables
     if "default_root" not in tables:
         at = [()] * len(pg.faces)  # per face, the cuts it is on
@@ -638,8 +618,7 @@ def _reference_face(pg: PlaneGraph, cuts, f0):
             at[h] += (c,)
         assert () in at, "every face lies on a separating triangle"
         tables["default_root"] = at, at.index(())
-    at, r0 = tables["default_root"]
-    return (r0 if at[f0] else f0), r0
+    return tables["default_root"]
 
 
 def _flipped(r):
@@ -650,21 +629,6 @@ def _flipped(r):
     kind = "introvert" if r.kind == "extrovert" else "extrovert"
     return CycleRecord(r.cycle_id, kind, (f1, f0, f2), (s1, s0, s2), False,
                        r.faces, r.phi_partner, (y, x, z), r.demanding)
-
-
-def _turned(pg: PlaneGraph):
-    """Both colored records of every separating cut as pg's external face
-    f sees them, ids as at the default root r0: r0's kept records, those
-    that f turns inside out _flipped. f turns both records of each cut on
-    its owner chain, and record 2c + 1 of each cut c with f as a cut face,
-    the one round side B, 3-introvert at r0."""
-    rooting, f = pg.tables["rooting"], pg.external_face
-    records, held = rooting.records[:], _held(rooting, f)
-    for c in held:
-        records[2 * c] = _flipped(records[2 * c])
-    for c in held + list(pg.tables["default_root"][0][f]):
-        records[2 * c + 1] = _flipped(records[2 * c + 1])
-    return records
 
 
 # ---------------------------------------------------------------------------
@@ -720,21 +684,23 @@ class InclusionTree:
     a cycle up to the root. records holds both records of every separating
     cut, seen from pg's own external face, so a node is 3-introvert there
     when that face lies in its side; a record's id is its index there.
+    _owner and _cut_parent are the cut tree's lists of _away_sides: per
+    face the smallest side holding it and per cut its parent cut.
     """
 
     root = None
 
-    def __init__(self, pg, records, rooting):
+    def __init__(self, pg, records, reference_face, owner, parent,
+                 preorder):
         self.pg = pg
         self.records = records
-        self.reference_face = rooting.face
-        self._rooting = rooting
-        parent = rooting.parent
-        self.nodes = [2 * c for c in rooting.preorder]
+        self.reference_face = reference_face
+        self._owner, self._cut_parent = owner, parent
+        self.nodes = [2 * c for c in preorder]
         self.parent = {}
         self.children = defaultdict(list)
         self._depth = {None: 0}
-        for c in rooting.preorder:
+        for c in preorder:
             par = 2 * parent[c] if parent[c] >= 0 else None
             self.parent[2 * c] = par
             self.children[par].append(2 * c)
@@ -744,14 +710,13 @@ class InclusionTree:
         return self._depth[cid]
 
 
-def inclusion_tree(pg: PlaneGraph, own=True) -> InclusionTree:
+def inclusion_tree(pg: PlaneGraph) -> InclusionTree:
     """The inclusion tree of pg's 3-cycle records, the one way to them:
     both non-degenerate cycles of each separating cut c of dual_triangles,
     ids 2c and 2c + 1, phi-linked, as pg's external face sees them. It is
     rooted at reference_face, pg's external face when that is on no
     separating triangle, else the lowest face on none, the default root
-    r0. With own False it is r0's tree, on pg's view at r0, whatever pg's
-    face. Raises NotTriconnectedCubic, naming a witness, unless pg's graph
+    r0. Raises NotTriconnectedCubic, naming a witness, unless pg's graph
     is cubic and triconnected: unless every edge joins its own pair of
     faces.
 
@@ -759,29 +724,22 @@ def inclusion_tree(pg: PlaneGraph, own=True) -> InclusionTree:
     face and 2c + 1 the cycle round the other side B. Each has the side
     that does not hold pg's external face inside: record 2c A, or B and
     the cut faces when the face lies in A; record 2c + 1 B, or A and the
-    cut faces when the face lies in B. The rooting at r0 is kept in
-    pg.tables; one at another face on no separating triangle is built
-    afresh and not kept.
+    cut faces when the face lies in B. The cut tree is built afresh on
+    every call; demanding_sets keeps what it needs of r0's.
     """
-    across = _class_index(pg)
     cuts = dual_triangles(pg)
     walks = _cut_walks(pg, cuts)
-    ref, r0 = _reference_face(pg, cuts, pg.external_face)
-    if not own:
-        pg, ref = pg.with_external_face(r0), r0
+    at, r0 = _default_root(pg, cuts)
     ext = pg.external_face
-    rooting = pg.tables.get("rooting")
-    if rooting is None or rooting.face != ref:
-        rooting = _away_sides(pg, across, cuts, ref)
-        if ref == r0:
-            pg.tables["rooting"] = rooting
-    held = set(_held(rooting, ext))
+    ref = r0 if at[ext] else ext
+    away, owner, parent, preorder = _away_sides(pg, cuts, ref)
+    held = set(_held(owner, parent, ext))
     records = []
-    for c, ((cut, tri), x) in enumerate(zip(cuts, rooting.away)):
+    for c, ((cut, tri), x) in enumerate(zip(cuts, away)):
         in_a = c in held
         records += _cut_records(pg, walks, 2 * c, cut, x, in_a,
                                 not in_a and ext not in tri)
-    return InclusionTree(pg, records, rooting)
+    return InclusionTree(pg, records, ref, owner, parent, preorder)
 
 
 def fx_counts(tree: InclusionTree):
@@ -907,11 +865,6 @@ class DemandingSets:
     d_set: list  # pairwise non-intersecting demanding 3-extrovert cycles
     d_f: list  # members of d_set with the external face as a leg face
     reference_face: int  # the default root
-    pg: PlaneGraph = field(repr=False)  # the query's embedding
-
-    @property
-    def records(self):  # built on request: no query builds them all
-        return _turned(self.pg)
 
 
 def demanding_sets(pg: PlaneGraph) -> DemandingSets:
@@ -920,44 +873,44 @@ def demanding_sets(pg: PlaneGraph) -> DemandingSets:
     A cycle keeps its coloring in every embedding where it stays
     3-extrovert, and a 3-introvert cycle takes the coloring of the same
     cycle as 3-extrovert in any embedding that turns it inside out. So
-    the embedding's first query builds and colors the records at the
-    default root r0 and keeps them with r0's D, and every query, the
-    first too, reads them at its own external face f. Demanding cycles
-    that were 3-introvert at r0, the nodes' partners, and share f as a
-    leg face pairwise intersect, and drop out of D(G) when there are two
-    or more of them.
+    the embedding's first query colors the inclusion tree of the default
+    root r0 and keeps, under one key of pg.tables, r0, the cuts each face
+    is on, the tree's owners and cut parents, its colored records and r0's
+    D, and every query, the first too, reads them at its own external face
+    f. Demanding cycles that were 3-introvert at r0, the nodes' partners,
+    and share f as a leg face pairwise intersect, and drop out of D(G)
+    when there are two or more of them.
 
     A query touches only what f changes: the cuts on f's owner chain and
     those with f as a cut face. D(f) is r0's D less the chain's records,
     plus the demanding records f turns 3-extrovert, less the dropped
     ones; only those are built, _flipped from r0's. Each query checks the
-    class and lists the cuts once.
+    class and lists the cuts once, in dual_triangles.
     """
-    tables = pg.tables
-    rooting = tables.get("rooting")
-    if rooting is None or rooting.records is None:
-        tree = inclusion_tree(pg, own=False)
+    cuts = dual_triangles(pg)
+    kept = pg.tables.get("colored")
+    if kept is None:
+        at, r0 = _default_root(pg, cuts)
+        tree = inclusion_tree(pg.with_external_face(r0))
         fx = fx_counts(tree)
         color_3_extrovert(tree, fx)
         color_3_introvert(tree, fx)
-        rooting, records = tree._rooting, tree.records
-        rooting.d_set = [r for r in records[::2] if r.demanding]
-        rooting.records = records
-    else:
-        _class_index(pg)
-        dual_triangles(pg)
-    f, kept = pg.external_face, rooting.records
-    held = _held(rooting, f)
-    at = tables["default_root"][0][f]
-    i_f = [c for c in at if kept[2 * c + 1].demanding]
-    turned = {c: _flipped(kept[2 * c + 1])
+        records = tree.records
+        kept = pg.tables["colored"] = (
+            r0, at, tree._owner, tree._cut_parent, records,
+            [r for r in records[::2] if r.demanding])
+    r0, at, owner, parent, records, d0 = kept
+    f = pg.external_face
+    held = _held(owner, parent, f)
+    i_f = [c for c in at[f] if records[2 * c + 1].demanding]
+    turned = {c: _flipped(records[2 * c + 1])
               for c in (held + i_f if len(i_f) < 2 else held)
-              if kept[2 * c + 1].demanding}
+              if records[2 * c + 1].demanding}
     gone = set(held)
-    d_set = [r for r in rooting.d_set if r.cycle_id >> 1 not in gone]
+    d_set = [r for r in d0 if r.cycle_id >> 1 not in gone]
     if turned:
         d_set += turned.values()
         d_set.sort(key=attrgetter("cycle_id"))
-    d_f = [r for c in at for r in (kept[2 * c], turned.get(c))
+    d_f = [r for c in at[f] for r in (records[2 * c], turned.get(c))
            if r is not None and r.demanding]
-    return DemandingSets(d_set, d_f, rooting.face, pg)
+    return DemandingSets(d_set, d_f, r0)

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 DomainError covers inputs that are well-formed but outside what the
-algorithms accept (wrong graph class, K4, infeasible caps). ParseError
+algorithms accept (wrong graph class, infeasible caps). ParseError
 covers malformed input: graph text, edge lists and representation JSON.
 """
 
@@ -39,10 +39,6 @@ class NotBiconnected(DomainError):
 
 
 class NotTriconnectedCubic(DomainError):
-    pass
-
-
-class IsK4(DomainError):
     pass
 
 

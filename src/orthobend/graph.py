@@ -159,11 +159,9 @@ class PlaneGraph:
     face the faces across its boundary darts in walk order.
 
     tables, empty when the faces are traced, holds what other modules
-    derive from the embedding alone, whatever its external face: cycles
-    keeps its class check, separating cuts, their checked walks, the cuts
-    on each face, and its default root's sides, cut tree, colored records
-    and D, which every query reads and none changes, under its own keys.
-    with_external_face views share it, as they share the faces and
+    derive from the embedding alone, whatever its external face, each
+    under keys of its own that only it reads. with_external_face views
+    share it, as they share the faces and
     face_index, so each such table is built once per embedding.
     Nothing but that filling changes a PlaneGraph once built: its views,
     and the load_plane_graph results of texts that differ from its own in

@@ -94,6 +94,44 @@ def grown(seed: int, count: int, max_steps: int = 4,
     return out
 
 
+def three_sum(g1: Graph, v1: int, g2: Graph, v2: int) -> Graph:
+    """g1 less its vertex v1 and g2 less its vertex v2, each of v1's
+    neighbours joined to one of v2's, in the order of their adjacency
+    lists. g1's other vertices keep their order from 0, then g2's follow.
+
+    Both v1 and v2 have degree 3. The neighbours of a deleted vertex lie
+    on one face, and every matching of two triples is a rotation of one
+    order or of its mirror image, so any matching is planar. A sum of two
+    triconnected cubic graphs is cubic and triconnected, and its three
+    joins form a separating 3-edge-cut whose sides are both non-trivial
+    unless one graph is K4; repeated truncation makes no such cut.
+    """
+    n, edges, orphans = 0, [], []
+    for g, v in ((g1, v1), (g2, v2)):
+        new = [n + u - (u > v) for u in range(g.n)]
+        edges += [(new[a], new[b]) for a, b in g.edges if v not in (a, b)]
+        orphans.append([new[g.ends[d ^ 1]] for d in g.adj[v]])
+        n += g.n - 1
+    assert len(orphans[0]) == len(orphans[1]) == 3
+    return Graph(n, edges + list(zip(*orphans)))
+
+
+def summed(seed: int, count: int, max_steps: int = 2,
+           flex_prob: float = 0.25) -> list[Graph]:
+    """Seeded 3-sums of two graphs like grown's, at random vertices, with
+    random flexibilities: each has a separating 3-edge-cut with two
+    non-trivial sides, unless a summand is K4."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        g1, g2 = grown(rng.randrange(1 << 30), 2, max_steps, 0)
+        g = three_sum(g1, rng.randrange(g1.n), g2, rng.randrange(g2.n))
+        flex = {e: rng.randint(1, 3) for e in range(len(g.edges))
+                if rng.random() < flex_prob}
+        out.append(Graph(g.n, g.edges, flex))
+    return out
+
+
 def ring(n):
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 

@@ -6,6 +6,7 @@ adjudicates the counting formula itself.
 """
 
 import dataclasses
+import gc
 import random
 from collections import Counter
 from itertools import combinations
@@ -22,7 +23,7 @@ from orthobend.orthorep import subdivide_plane
 from corpus import (
     cube, grown, inside_by_flood, k4, nested, nested_blobs, oracle_keys,
     plane_text, prism, production_keys, record_key, ring, sibling_fixture,
-    sp_grown, theta, theta_fixture, truncated_prism,
+    sp_grown, summed, theta, theta_fixture, truncated_prism,
 )
 
 CORPUS = grown(7, 20)
@@ -39,6 +40,15 @@ BRIDGED = Graph(10, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (0, 4),
                      (5, 9), (8, 9), (4, 9)])
 # biconnected, with 2-edge-cuts: gadgets on rings, thetas, K4 and the prism
 SP_CORPUS = sp_grown(7, 10)
+# 3-sums: separating 3-edge-cuts with two non-trivial sides, which
+# truncation never makes
+SUMS = summed(5, 8)
+# a 3-sum where two demanding records of cuts with face 5 as a cut face,
+# 3-introvert at the default root, meet at face 5 and so leave D there
+SUM16 = Graph(16, [(1, 2), (2, 0), (4, 5), (5, 6), (1, 5), (2, 6), (3, 4),
+                   (7, 0), (7, 3), (8, 9), (8, 10), (9, 10), (6, 9), (3, 8),
+                   (7, 10), (11, 12), (11, 13), (12, 13), (14, 11), (15, 12),
+                   (14, 15), (0, 15), (1, 13), (4, 14)])
 
 
 def all_faces(g):
@@ -65,6 +75,15 @@ def built(oracle_records):
     degenerate 3-introvert ones."""
     return [r for r in oracle_records
             if r["kind"] == "extrovert" or not r["degenerate"]]
+
+
+def colored_tree(pg):
+    """pg's inclusion tree with its records colored."""
+    tree = cycles.inclusion_tree(pg)
+    fx = cycles.fx_counts(tree)
+    cycles.color_3_extrovert(tree, fx)
+    cycles.color_3_introvert(tree, fx)
+    return tree
 
 
 def two_extrovert(pg):
@@ -309,9 +328,10 @@ def test_dual_triangles_list_each_separating_cut_once_by_its_smallest_face():
 
 
 def test_demanding_sets_build_no_facial_record(monkeypatch):
-    """Two records per separating cut and none round a vertex in the
-    answer at every face of a graph grown like the benchmark's every-face
-    queries, and nothing but the per-cut builder builds a record."""
+    """Two records per separating cut, built once for the embedding, and
+    none round a vertex in the answer at every face of a graph grown like
+    the benchmark's every-face queries; nothing but the per-cut builder
+    builds a record."""
     built = []
 
     def counted(*args, **kwargs):
@@ -325,14 +345,16 @@ def test_demanding_sets_build_no_facial_record(monkeypatch):
     cut_records = cycles._cut_records
     monkeypatch.setattr(cycles, "_cut_records", counted)
     monkeypatch.setattr(cycles, "_record", no_record)
-    for pg in all_faces(nested(1, 60)):
+    views = all_faces(nested(1, 60))
+    separating = sum(1 for cut, _ in oracle.all_dual_triangles(views[0])
+                     if oracle.facial_apex(views[0], cut) is None)
+    assert separating > 0
+    for pg in views:
         ds = cycles.demanding_sets(pg)
-        separating = sum(1 for cut, _ in oracle.all_dual_triangles(pg)
-                         if oracle.facial_apex(pg, cut) is None)
-        assert separating > 0
-        assert len(ds.records) == 2 * separating
-        assert [r.cycle_id for r in ds.records] == list(range(2 * separating))
-        assert not any(r.degenerate for r in ds.records + built)
+        assert ds.d_set
+        assert all(r.cycle_id < 2 * separating for r in ds.d_set)
+        assert not any(r.degenerate for r in ds.d_set + built)
+    assert [r.cycle_id for r in built] == list(range(2 * separating))
 
 
 def separating_sides(pg):
@@ -367,13 +389,13 @@ def default_root(cuts, pg):
 
 def test_demanding_sets_check_the_class_and_root_the_records_once(
         monkeypatch):
-    """Per query at every face of CORPUS: one class check. The
-    embedding's first query, at face 0, picks the default root r0 once,
-    makes one view, at r0, and builds two records per separating cut
-    there; every query, the first too, then builds one record per member
-    of its D whose inside, flooded at its face, holds r0: the demanding
-    cycles it turns from 3-introvert at r0 to 3-extrovert, and no
-    others."""
+    """Per query at every face of CORPUS: one class check, in
+    dual_triangles. The embedding's first query, at face 0, makes one
+    view, at the default root r0, whose inclusion tree lists the cuts
+    once more and builds two records per separating cut there; every
+    query, the first too, then builds one record per member of its D whose
+    inside, flooded at its face, holds r0: the demanding cycles it turns
+    from 3-introvert at r0 to 3-extrovert, and no others."""
     calls = Counter()
 
     def counted(name, fn):
@@ -382,8 +404,8 @@ def test_demanding_sets_check_the_class_and_root_the_records_once(
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("_class_index", "_reference_face"):
-        monkeypatch.setattr(cycles, name, counted(name, getattr(cycles, name)))
+    monkeypatch.setattr(cycles, "dual_triangles", counted(
+        "dual_triangles", cycles.dual_triangles))
     monkeypatch.setattr(PlaneGraph, "with_external_face", counted(
         "with_external_face", PlaneGraph.with_external_face))
     monkeypatch.setattr(cycles.CycleRecord, "__init__", counted(
@@ -401,30 +423,30 @@ def test_demanding_sets_check_the_class_and_root_the_records_once(
             built = sum(r0 in inside_by_flood(pg, r) for r in ds.d_set)
             if f == 0:
                 assert calls == Counter(
-                    _class_index=1, _reference_face=1, with_external_face=1,
+                    dual_triangles=2, with_external_face=1,
                     CycleRecord=2 * len(cuts) + built)
             else:
-                assert calls == Counter(_class_index=1, CycleRecord=built)
+                assert calls == Counter(dual_triangles=1, CycleRecord=built)
             turned += built
     assert turned > 0
 
 
 def demanding_key(ds):
-    """What demanding_sets answers: each record's kind, spans, leg faces,
-    phi partner, colors and demanding flag, then D and D_f."""
-    return ([(r.kind, r.spans, r.leg_faces, r.phi_partner, r.colors,
-              r.demanding) for r in ds.records],
-            [r.cycle_id for r in ds.d_set], [r.cycle_id for r in ds.d_f])
+    """What demanding_sets answers: each D record's cycle id, kind, spans,
+    leg faces, phi partner, colors and demanding flag, then D_f's ids."""
+    return ([(r.cycle_id, r.kind, r.spans, r.leg_faces, r.phi_partner,
+              r.colors, r.demanding) for r in ds.d_set],
+            [r.cycle_id for r in ds.d_f])
 
 
 def test_demanding_sets_at_every_face_equal_those_of_a_fresh_load(
         monkeypatch):
     """Every with_external_face view of one embedding shares its cuts,
-    checked walks and kept rooting, and gets what a text loaded afresh at
-    that face gets, on CORPUS, on more flexible grown graphs and on a
-    nested one. The views are queried in ascending, descending and
-    shuffled face order, so any face may fill the kept rooting; the one
-    kept at the end is the default root's."""
+    checked walks and kept colored tree, and gets what a text loaded
+    afresh at that face gets, on CORPUS, on more flexible grown graphs and
+    on a nested one. The views are queried in ascending, descending and
+    shuffled face order, so any face may be the first; the tree kept at
+    the end is the default root's."""
     for g in CORPUS + grown(13, 8, 6, flex_prob=0.6) + [nested(1, 60)]:
         pg = embed(g)
         faces = list(range(len(pg.faces)))
@@ -442,7 +464,7 @@ def test_demanding_sets_at_every_face_equal_those_of_a_fresh_load(
                 assert (demanding_key(ds), ds.reference_face) == fresh[f]
             assert "cut_walks" in pg0.tables
             at, r0 = pg0.tables["default_root"]
-            assert pg0.tables["rooting"].face == r0 and not at[r0]
+            assert pg0.tables["colored"][:2] == (r0, at) and not at[r0]
 
 
 def rooted_demanding(pg):
@@ -450,10 +472,7 @@ def rooted_demanding(pg):
     did: the inclusion tree at pg's own reference face, its records
     colored there, and the i_f / drop / D scan over its nodes' partners.
     A face on no separating triangle roots its own tree."""
-    tree = cycles.inclusion_tree(pg)
-    fx = cycles.fx_counts(tree)
-    cycles.color_3_extrovert(tree, fx)
-    cycles.color_3_introvert(tree, fx)
+    tree = colored_tree(pg)
     recs, ext = tree.records, pg.external_face
     partners = (recs[recs[c].phi_partner] for c in tree.nodes)
     i_f = {r.cycle_id for r in partners
@@ -480,7 +499,8 @@ def test_demanding_sets_equal_those_of_a_tree_rooted_at_each_face():
     and after the others have turned the shared records."""
     own_roots = 0
     for g in CORPUS + grown(13, 8, 6, flex_prob=0.6) + [nested(1, 60),
-                                                          nested(2, 200)]:
+                                                          nested(2, 200),
+                                                          SUM16] + SUMS:
         faces = range(len(embed(g).faces))
         want = [rooted_demanding(pg) for pg in all_faces(g)]
         shuffled = list(faces)
@@ -490,7 +510,7 @@ def test_demanding_sets_equal_those_of_a_tree_rooted_at_each_face():
             for f in order:
                 ds = cycles.demanding_sets(pg0.with_external_face(f))
                 assert (cycle_set(ds.d_set), cycle_set(ds.d_f)) == want[f]
-        r0 = pg0.tables["rooting"].face
+        r0 = ds.reference_face
         own_roots += sum(is_reference(pg0.with_external_face(f))
                          for f in faces if f != r0)
     assert own_roots > 0
@@ -503,7 +523,7 @@ def test_a_query_rooted_at_the_default_root_reuses_its_tree_and_colors(
     colorings once, at the default root r0, and no later query builds any
     of them: not at faces on a separating triangle, not at r0 and not at
     face 2, which is on none and once rooted its own tree. Every query
-    reports r0 as its reference face, and the kept rooting stays r0's."""
+    reports r0 as its reference face, and the kept tree stays r0's."""
     calls = Counter()
 
     def counted(name, fn):
@@ -528,7 +548,7 @@ def test_a_query_rooted_at_the_default_root_reuses_its_tree_and_colors(
         calls.clear()
         ds = cycles.demanding_sets(load_plane_graph(plane_text(pg0, f)))
         assert ds.reference_face == r0 and not calls
-    assert first.tables["rooting"].face == r0
+    assert first.tables["colored"][0] == r0
 
 
 @pytest.mark.parametrize("with_rotation", [True, False])
@@ -537,7 +557,8 @@ def test_every_face_of_one_text_traces_and_walks_once(monkeypatch,
     """Solving every face of one text in turn, through load_plane_graph
     and demanding_sets, traces the faces once, splits the text into lines
     once and walks each separating cut once, while each query still lists
-    the cuts and checks the class."""
+    the cuts and checks the class, in dual_triangles; the first lists them
+    again for its inclusion tree."""
     calls = Counter()
 
     def counted(module, name):
@@ -557,15 +578,14 @@ def test_every_face_of_one_text_traces_and_walks_once(monkeypatch,
     monkeypatch.setattr(graph, "_last", None)
     counted(graph, "trace_faces")
     counted(graph, "_lines")
-    for name in ("_cut_arcs", "dual_triangles", "_class_index"):
+    for name in ("_cut_arcs", "dual_triangles"):
         counted(cycles, name)
     for f, text in enumerate(texts):
         pg = load_plane_graph(text)
         assert pg.external_face == f
         cycles.demanding_sets(pg)
     assert calls == Counter(trace_faces=1, _lines=1, _cut_arcs=separating,
-                            dual_triangles=len(texts),
-                            _class_index=len(texts))
+                            dual_triangles=len(texts) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -734,6 +754,43 @@ def test_reference_faces_are_on_no_separating_dual_triangle():
                 for cut, faces in oracle.all_dual_triangles(pg)
                 if oracle.facial_apex(pg, cut) is None)
             assert is_reference(pg) == (not on_separating)
+
+
+def test_dual_triangles_is_the_class_gate():
+    """On a cubic graph with a 2-edge-cut, one with a bridge and a
+    subdivided cube, dual_triangles raises inclusion_tree's
+    NotTriconnectedCubic, witness and all, and keeps nothing."""
+    sub, _, _ = subdivide_plane(embed(cube()), {0: 1})
+    for pg, witness in ((embed(TWO_DIAMONDS), "edges 10 and 11 both join"),
+                        (embed(BRIDGED), r"edge 14 has face \d+ on both"),
+                        (sub, "vertex 8 has degree 2")):
+        with pytest.raises(NotTriconnectedCubic, match=witness) as gate:
+            cycles.dual_triangles(pg)
+        assert pg.tables == {}
+        with pytest.raises(NotTriconnectedCubic) as tree:
+            cycles.inclusion_tree(pg)
+        assert str(gate.value) == str(tree.value)
+        assert pg.tables == {}
+
+
+def test_queries_leave_no_reference_cycle(monkeypatch):
+    """With the cyclic collector off, a cold load, its first query, an
+    inclusion tree and a query on another view leave nothing that only
+    the collector frees: what the embedding keeps in its tables holds no
+    PlaneGraph, so no view and the tables it shares point at each other."""
+    monkeypatch.setattr(graph, "_last", None)
+    text = graph.dump_graph(nested(1, 200))
+    gc.collect()
+    gc.disable()
+    try:
+        pg = load_plane_graph(text)
+        ds = cycles.demanding_sets(pg)
+        tree = cycles.inclusion_tree(pg)
+        later = cycles.demanding_sets(pg.with_external_face(3))
+        del pg, ds, tree, later
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_reference_embedding_rejects_graphs_outside_the_class():
@@ -991,6 +1048,30 @@ def test_demanding_sets_match_exhaustive_everywhere():
                 == {(r["edges"], frozenset(r["legs"])) for r in Df}
 
 
+def test_demanding_records_that_meet_at_the_external_face_leave_d():
+    """The drop rule: at face 5 of SUM16's embedding, cuts 1 and 2 both
+    have face 5 as a cut face, and their records round side B, 3-introvert
+    and demanding at the default root, turn 3-extrovert there; they meet
+    at face 5, so both leave D. At every face D and D_f are the brute
+    search's."""
+    pg0 = embed(SUM16)
+    ref = pg0.with_external_face(cycles.demanding_sets(pg0).reference_face)
+    tree = colored_tree(ref)
+    for c in (1, 2):
+        assert 5 in cycles.dual_triangles(pg0)[c][1]
+        r = tree.records[2 * c + 1]
+        assert r.kind == "introvert" and r.demanding
+    ds = cycles.demanding_sets(pg0.with_external_face(5))
+    assert not {3, 5} & {r.cycle_id for r in ds.d_set}
+    for pg in all_faces(SUM16):
+        ds = cycles.demanding_sets(pg)
+        _, D, Df = oracle.brute_demanding(pg)
+        assert cycle_set(ds.d_set) == {(r["edges"], frozenset(r["legs"]))
+                                       for r in D}
+        assert cycle_set(ds.d_f) == {(r["edges"], frozenset(r["legs"]))
+                                     for r in Df}
+
+
 def full_record_key(r):
     sides = frozenset(zip(r.leg_vertices, r.legs, r.leg_faces,
                           r.contour_paths))
@@ -998,22 +1079,27 @@ def full_record_key(r):
 
 
 def test_records_at_any_face_are_reference_records_turned_inside_out():
-    """A record is turned inside out exactly when its inside holds the
-    external face; its colors stay with their leg faces."""
+    """Each record of D at any face is its cycle as the face's own tree
+    builds it, and the default root's record of the same id turned inside
+    out exactly when its inside there holds the face; its colors stay with
+    their leg faces and its demanding flag is the root's."""
+    turned = 0
     for g in CORPUS:
         for pg in all_faces(g):
             ds = cycles.demanding_sets(pg)
-            want = Counter(map(full_record_key, records(pg)))
-            assert Counter(map(full_record_key, ds.records)) == want
+            own = set(map(full_record_key, records(pg)))
             ref = pg.with_external_face(ds.reference_face)
-            for r0, r in zip(cycles.demanding_sets(ref).records, ds.records):
-                assert r.cycle_id == r0.cycle_id and r.edges == r0.edges
+            at_r0 = colored_tree(ref).records
+            for r in ds.d_set:
+                r0 = at_r0[r.cycle_id]
+                assert full_record_key(r) in own and r.edges == r0.edges
                 assert ((r.kind != r0.kind)
                         == (pg.external_face in inside_by_flood(ref, r0)))
                 assert r.demanding == r0.demanding
-                if r.colors is not None:
-                    assert dict(zip(r.leg_faces, r.colors)) \
-                        == dict(zip(r0.leg_faces, r0.colors))
+                assert dict(zip(r.leg_faces, r.colors)) \
+                    == dict(zip(r0.leg_faces, r0.colors))
+                turned += r.kind != r0.kind
+    assert turned > 0
 
 
 def test_cycle_count_formula_is_brute_cost_formula_and_bounds_the_flow():
@@ -1022,7 +1108,7 @@ def test_cycle_count_formula_is_brute_cost_formula_and_bounds_the_flow():
     flow optimum when no external edge is flexible, at most that
     otherwise."""
     exact = bounded = 0
-    for g in CORPUS + CORPUS_NOFLEX:
+    for g in CORPUS + CORPUS_NOFLEX + SUMS:
         for pg in all_faces(g):
             ds = cycles.demanding_sets(pg)
             ext_flex = sum(g.flexibility(e)
@@ -1120,11 +1206,7 @@ def test_nested_blobs_color_patterns():
     leaves, an all-green non-demanding ring, green/red collars, an orange
     path from a flexible edge, and an insulated demanding hexagon."""
     g = nested_blobs()
-    ref = reference(embed(g))
-    tree = cycles.inclusion_tree(ref)
-    fx = cycles.fx_counts(tree)
-    cycles.color_3_extrovert(tree, fx)
-    cycles.color_3_introvert(tree, fx)
+    tree = colored_tree(reference(embed(g)))
     seen = {}
     for r in tree.records:
         nm = BLOB_NAMES.get(vertex_set(g, r.edges))
@@ -1152,11 +1234,7 @@ def test_nested_blobs_color_patterns():
 
 
 def colored_partners(g, ext_verts):
-    pg = ext_on_vertices(g, ext_verts)
-    tree = cycles.inclusion_tree(pg)
-    fx = cycles.fx_counts(tree)
-    cycles.color_3_extrovert(tree, fx)
-    cycles.color_3_introvert(tree, fx)
+    tree = colored_tree(ext_on_vertices(g, ext_verts))
 
     def pair(verts):
         c = next(r for r in tree.records

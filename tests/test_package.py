@@ -60,9 +60,7 @@ def test_solve_path_imports_no_networkx():
 
 
 # Declared for a caller that is still to come; each entry says which.
-UNRAISED = {
-    "IsK4": "the fixed-embedding solve of ROADMAP direction 4 rejects K4",
-}
+UNRAISED = {}
 
 
 def test_every_leaf_error_is_raised_somewhere():
